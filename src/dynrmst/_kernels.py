@@ -1,15 +1,11 @@
-"""Pure-numpy implementations of the hot kernels.
-
-Semantics are shared with the compiled backend in ``_speedups.pyx``; both
-must produce the same values for the same inputs (the benchmark and the
-kernel tests check this).
+"""The two hot kernels, in numpy: jackknife pseudo-values of the cRMST and
+Harrell concordance pair counts.  ``tests/test_kernels.py`` checks both
+against brute-force oracles.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-BACKEND = "python"
 
 
 def jackknife_pseudo(times, status, s, w):

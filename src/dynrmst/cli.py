@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 
 from . import dataio
 from .basis import BasisLayout, SplineSpec
-from .errors import DynRmstError
+from .errors import DynRmstError, InvalidInput
 from .evaluate import evaluate_on_validation, predict
 from .gee import LOG, IDENTITY, DynamicModelFit, fit_super_model
 from .landmark import build_super_dataset
@@ -28,13 +30,18 @@ __all__ = ["main"]
 
 
 def _parse_grid(text):
-    if ":" in text:
-        lo, hi, step = (float(p) for p in text.split(":"))
-        n = int(round((hi - lo) / step))
-        grid = [lo + i * step for i in range(n + 1)]
-    else:
-        grid = [float(p) for p in text.split(",")]
-    return grid
+    """Landmarks from ``lo:hi:step`` (points lo + i * step computed exactly
+    from the decimal text, so 0:1:0.1 holds 0.3) or a comma-separated list."""
+    try:
+        if ":" not in text:
+            return [float(p) for p in text.split(",")]
+        lo, hi, step = (Fraction(p) for p in text.split(":"))
+    except ValueError:
+        raise InvalidInput(f"malformed --grid {text!r}: expected lo:hi:step "
+                           "or comma-separated numbers") from None
+    if step <= 0:
+        raise InvalidInput(f"--grid step must be positive, got {text!r}")
+    return [float(lo + i * step) for i in range((hi - lo) // step + 1)]
 
 
 def _parse_floats(text):
@@ -44,10 +51,14 @@ def _parse_floats(text):
 def _parse_assignments(pairs):
     out = {}
     for pair in pairs:
-        if "=" not in pair:
-            raise SystemExit(f"expected name=value, got {pair!r}")
-        name, value = pair.split("=", 1)
-        out[name.strip()] = float(value)
+        name, sep, text = pair.partition("=")
+        try:
+            value = float(text) if sep else math.nan
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise InvalidInput(f"expected name=<finite number>, got {pair!r}")
+        out[name.strip()] = value
     return out
 
 

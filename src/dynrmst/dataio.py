@@ -8,13 +8,15 @@ metrics CSV       one row per experiment cell, config embedded as a leading
                   ``# config: {...}`` comment line
 
 Floats are written with 17 significant digits so a write/read round trip is
-bit-exact; malformed rows are reported with their line number.
+bit-exact; malformed rows, including non-finite numbers, are reported with
+their line number.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 
 from .errors import InvalidInput
@@ -42,10 +44,13 @@ def fmt_float(x):
 
 def _parse_float(text, line, column):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise InvalidInput(f"line {line}: column {column!r} is not a number: "
-                           f"{text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise InvalidInput(f"line {line}: column {column!r} is not a finite "
+                           f"number: {text!r}")
+    return value
 
 
 def _reader(path):

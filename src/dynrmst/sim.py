@@ -21,11 +21,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import integrate, optimize, stats
 
-from . import _kernels
 from .errors import InvalidInput, NoConvergence
-from .gee import IDENTITY, fit_arrays, sandwich_arrays
-from .landmark import LongitudinalRecord
-from .surv import SurvivalRecord, crmstd_test
+from .evaluate import c_index, predict_values, static_rmst_model
+from .gee import IDENTITY, fit_super_model, sandwich_cov
+from .landmark import LongitudinalRecord, MarkerTable, build_super_dataset
+from .surv import SurvivalData, SurvivalRecord, crmstd_test
 
 __all__ = [
     "ScenarioSpec",
@@ -469,18 +469,16 @@ class JointSample:
     def n(self):
         return self.ids.size
 
-    def subset(self, idx):
-        return JointSample(self.spec, self.ids[idx], self.time[idx],
-                           self.status[idx], self.x1[idx], self.x2[idx],
-                           self.visit_times[idx], self.visit_values[idx],
-                           self.truth.subset(idx))
-
-    def marker_at(self, s):
-        """Last observed biomarker value at or before s, per subject."""
-        seen = np.nansum(self.visit_times <= s, axis=1).astype(np.int64)
-        if np.any(seen == 0):
-            raise InvalidInput(f"subject without a biomarker value by t={s}")
-        return self.visit_values[np.arange(self.n), seen - 1]
+    def columns(self, marker_name="marker"):
+        """(SurvivalData, MarkerTable) of the sample, built straight from its
+        arrays (ids are ascending and visits sorted, so no reordering)."""
+        surv = SurvivalData(self.ids, self.time, self.status,
+                            {"x1": self.x1, "x2": self.x2})
+        seen = ~np.isnan(self.visit_times)
+        offsets = np.concatenate(([0], np.cumsum(seen.sum(axis=1))))
+        markers = MarkerTable({marker_name: (self.visit_times[seen],
+                                             self.visit_values[seen], offsets)})
+        return surv, markers
 
     def to_records(self, marker_name="marker"):
         """(survival records, longitudinal records) for the list-based API."""
@@ -669,34 +667,14 @@ def scenario_mc(spec, s, w, reps, seed, alpha=0.05, workers=1):
     return mc_metrics(deltas, variances, truth, alpha=alpha)
 
 
-def _joint_super_arrays(sample, grid, w, layout):
-    """Stacked design/response/cluster arrays for the joint design's fixed
-    covariate order (x1, x2, current biomarker)."""
-    from .basis import h_matrix  # local import to keep worker pickling light
+# covariate order of the joint design: baseline x1, x2, current biomarker
+JOINT_COVARIATES = ("x1", "x2", "marker")
 
-    blocks_x, blocks_y, blocks_subj, blocks_lm = [], [], [], []
-    for s_j in grid:
-        mask = sample.time > s_j
-        idx = np.where(mask)[0]
-        if idx.size < 2:
-            raise InvalidInput(f"risk set at s={s_j} has {idx.size} subject(s)")
-        pv = _kernels.jackknife_pseudo(sample.time[idx], sample.status[idx],
-                                       float(s_j), float(w))
-        zstar = np.column_stack([np.ones(idx.size), sample.x1[idx],
-                                 sample.x2[idx], sample.marker_at(s_j)[idx]])
-        blocks_x.append(zstar @ h_matrix(layout, s_j))
-        blocks_y.append(pv)
-        blocks_subj.append(idx)
-        blocks_lm.append(np.full(idx.size, s_j))
-    x = np.concatenate(blocks_x)
-    y = np.concatenate(blocks_y)
-    subj = np.concatenate(blocks_subj)
-    lm = np.concatenate(blocks_lm)
-    order = np.lexsort((lm, subj))
-    x, y, subj = x[order], y[order], subj[order]
-    _, counts = np.unique(subj, return_counts=True)
-    starts = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    return x, y, starts
+
+def _joint_dataset(columns, grid, w):
+    return build_super_dataset(*columns, grid, w,
+                               covariate_names=JOINT_COVARIATES,
+                               extend_tail=True)
 
 
 def _coefficient_worker(payload):
@@ -707,13 +685,13 @@ def _coefficient_worker(payload):
     var_nv = np.empty((hi - lo, q))
     for rep in range(lo, hi):
         rng = _rep_rng(seed, rep)
-        sample = simulate_joint(spec, n_subjects, rng)
-        x, y, starts = _joint_super_arrays(sample, grid, w, layout)
-        beta, cov_cl, _, _ = fit_arrays(x, y, starts, IDENTITY)
-        rowwise = np.arange(y.size + 1, dtype=np.int64)
-        cov_nv = sandwich_arrays(x, y, rowwise, IDENTITY, beta)
-        betas[rep - lo] = beta
-        var_cl[rep - lo] = np.diag(cov_cl)
+        data = _joint_dataset(simulate_joint(spec, n_subjects, rng).columns(),
+                              grid, w)
+        fit = fit_super_model(data, layout)
+        cov_nv = sandwich_cov(data, layout, IDENTITY, fit.beta,
+                              mode="naive_rowwise")
+        betas[rep - lo] = fit.beta
+        var_cl[rep - lo] = np.diag(fit.covariance)
         var_nv[rep - lo] = np.diag(cov_nv)
     return lo, betas, var_cl, var_nv
 
@@ -739,8 +717,8 @@ def coefficient_mc(spec, grid, w, layout, n_subjects=500, reps=1000,
         np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     )
     population = simulate_joint(spec, pop_size, pop_rng)
-    x, y, starts = _joint_super_arrays(population, grid, w, layout)
-    beta_true, _, _, _ = fit_arrays(x, y, starts, IDENTITY)
+    beta_true = fit_super_model(_joint_dataset(population.columns(), grid, w),
+                                layout).beta
 
     payloads = [(spec, grid, w, layout, n_subjects, seed, lo, hi)
                 for lo, hi in _chunk_ranges(reps, workers)]
@@ -757,17 +735,7 @@ def coefficient_mc(spec, grid, w, layout, n_subjects=500, reps=1000,
                                rowwise=rowwise, n_reps=reps)
 
 
-def _c_index_arrays(preds, times, status, s, w):
-    horizon = s + w
-    tt = np.minimum(times, horizon)
-    dd = np.where(times <= horizon, status, 0)
-    usable, score = _kernels.concordance_stats(tt, dd, preds)
-    return np.nan if usable == 0 else score / usable
-
-
 def _prediction_worker(payload):
-    from .basis import h_matrix
-
     spec, grid, w, layout, n_train, n_val, seed, lo, hi = payload
     n_lm = len(grid)
     m = hi - lo
@@ -777,33 +745,30 @@ def _prediction_worker(payload):
     pe_stat = np.empty((m, n_lm))
     for rep in range(lo, hi):
         rng = _rep_rng(seed, rep)
-        train = simulate_joint(spec, n_train, rng)
-        val = simulate_joint(spec, n_val, rng)
-        x, y, _ = _joint_super_arrays(train, grid, w, layout)
-        beta = np.linalg.lstsq(x, y, rcond=None)[0]
-        base_train = np.column_stack([np.ones(train.n), train.x1, train.x2,
-                                      train.marker_at(0.0)])
+        train = simulate_joint(spec, n_train, rng).columns()
+        val_sample = simulate_joint(spec, n_val, rng)
+        val = val_sample.columns()
+        fit = fit_super_model(_joint_dataset(train, grid, w), layout)
+        # baseline covariates of every validation subject with Y > 0
+        base_z = _joint_dataset(val, [0.0], w).covariates
+        in_base = val_sample.time > 0.0
         for j, s_j in enumerate(grid):
-            mask = val.time > s_j
-            zstar = np.column_stack([np.ones(int(mask.sum())), val.x1[mask],
-                                     val.x2[mask], val.marker_at(s_j)[mask]])
-            dyn_pred = zstar @ (h_matrix(layout, s_j) @ beta)
-            dyn_true = val.truth.true_crmst(s_j, w)[mask]
+            mask = val_sample.time > s_j
+            dyn_pred = predict_values(
+                fit, _joint_dataset(val, [s_j], w).covariates, s_j)
+            dyn_true = val_sample.truth.true_crmst(s_j, w)[mask]
 
             tau = s_j + w
-            pv0 = _kernels.jackknife_pseudo(train.time, train.status, 0.0,
-                                            float(tau))
-            beta_s = np.linalg.lstsq(base_train, pv0, rcond=None)[0]
-            base_val = np.column_stack([np.ones(int(mask.sum())), val.x1[mask],
-                                        val.x2[mask], val.marker_at(0.0)[mask]])
-            stat_pred = base_val @ beta_s
-            stat_true = val.truth.true_rmst(tau)[mask]
+            static_fit = static_rmst_model(train[0], tau, longitudinal=train[1],
+                                           covariate_names=JOINT_COVARIATES,
+                                           extend_tail=True)
+            stat_pred = predict_values(static_fit, base_z[mask[in_base]])
+            stat_true = val_sample.truth.true_rmst(tau)[mask]
 
             r = rep - lo
-            c_dyn[r, j] = _c_index_arrays(dyn_pred, val.time[mask],
-                                          val.status[mask], s_j, w)
-            c_stat[r, j] = _c_index_arrays(stat_pred, val.time[mask],
-                                           val.status[mask], s_j, w)
+            # c_index is None without usable pairs, stored as NaN
+            c_dyn[r, j] = c_index(dyn_pred, val[0], s_j, w)
+            c_stat[r, j] = c_index(stat_pred, val[0], s_j, w)
             pe_dyn[r, j] = float(np.mean(np.abs(dyn_pred - dyn_true)))
             pe_stat[r, j] = float(np.mean(np.abs(stat_pred - stat_true)))
     return lo, c_dyn, c_stat, pe_dyn, pe_stat

@@ -20,6 +20,8 @@ from .errors import EmptyRiskSet, InvalidInput, TailUndefined
 
 __all__ = [
     "SurvivalRecord",
+    "SurvivalData",
+    "as_survival_data",
     "StepSurvivalCurve",
     "CRmstEstimate",
     "PseudoObservationSet",
@@ -28,6 +30,7 @@ __all__ = [
     "crmst_km",
     "crmst_km_ratio",
     "pseudo_observations",
+    "risk_set_pseudo",
     "crmst_pseudo",
     "crmstd_test",
 ]
@@ -42,6 +45,45 @@ class SurvivalRecord:
     status: int
     group: object = None
     covariates: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class SurvivalData:
+    """Columnar survival input, subjects sorted by ascending id.
+
+    ``covariates`` maps each time-fixed covariate name to its column; NaN
+    marks a value the subject does not have.
+    """
+
+    ids: np.ndarray
+    time: np.ndarray
+    status: np.ndarray
+    covariates: dict = field(default_factory=dict)
+
+
+def as_survival_data(survival):
+    """SurvivalData from a list of SurvivalRecord (validated and sorted by
+    id); a SurvivalData is returned unchanged."""
+    if isinstance(survival, SurvivalData):
+        return survival
+    if not survival:
+        raise InvalidInput("no records")
+    ids = [r.id for r in survival]
+    if len(set(ids)) != len(ids):
+        raise InvalidInput("duplicate subject ids")
+    recs = sorted(survival, key=lambda r: r.id)
+    time = np.array([r.time for r in recs], dtype=float)
+    status = np.array([r.status for r in recs], dtype=np.int64)
+    if np.any(time < 0) or not np.all(np.isfinite(time)):
+        raise InvalidInput("times must be finite and nonnegative")
+    if not np.all((status == 0) | (status == 1)):
+        raise InvalidInput("status must be 0 or 1")
+    names = dict.fromkeys(n for r in survival for n in r.covariates)
+    covariates = {n: np.array([r.covariates.get(n, np.nan) for r in recs],
+                              dtype=float) for n in names}
+    sorted_ids = np.empty(len(recs), dtype=object)
+    sorted_ids[:] = [r.id for r in recs]
+    return SurvivalData(sorted_ids, time, status, covariates)
 
 
 @dataclass(frozen=True)
@@ -129,33 +171,15 @@ class CRmstdTestResult:
     w: float
 
 
-def _as_arrays(records):
-    """Validate records and return (ids, times, status) sorted by ascending id."""
-    if not records:
-        raise InvalidInput("no records")
-    ids = [r.id for r in records]
-    if len(set(ids)) != len(ids):
-        raise InvalidInput("duplicate subject ids")
-    recs = sorted(records, key=lambda r: r.id)
-    times = np.array([r.time for r in recs], dtype=float)
-    status = np.array([r.status for r in recs], dtype=np.int64)
-    if np.any(times < 0) or not np.all(np.isfinite(times)):
-        raise InvalidInput("times must be finite and nonnegative")
-    if not np.all((status == 0) | (status == 1)):
-        raise InvalidInput("status must be 0 or 1")
-    return [r.id for r in recs], times, status
-
-
-def _risk_set(ids, times, status, s):
-    keep = times > s
-    return [i for i, k in zip(ids, keep) if k], times[keep], status[keep]
-
-
 def km_fit(records, start=0.0):
     """Product-limit curve over distinct event times > start, fitted on the
     risk set {i : Y_i > start} with S(start) := 1 (restart convention)."""
-    ids, times, status = _as_arrays(records)
-    _, t, d = _risk_set(ids, times, status, start)
+    data = as_survival_data(records)
+    at_risk = data.time > start
+    return _km_curve(data.time[at_risk], data.status[at_risk], start)
+
+
+def _km_curve(t, d, start):
     n = t.size
     if n == 0:
         raise EmptyRiskSet(f"no subjects at risk after t={start}")
@@ -192,11 +216,11 @@ def crmst_km_ratio(records, s, w, extend_tail=False):
     of the equivalence invariant.
     """
     _check_window(s, w)
-    ids, times, status = _as_arrays(records)
-    n_s = int(np.sum(times > s))
+    data = as_survival_data(records)
+    n_s = int(np.sum(data.time > s))
     if n_s < 2:
         raise EmptyRiskSet(f"risk set at s={s} has {n_s} subject(s)")
-    curve = km_fit(records, start=0.0)
+    curve = km_fit(data, start=0.0)
     s_at = curve.survival_at(s)
     value = curve.integral(s, s + w, extend_tail=extend_tail) / s_at
     return CRmstEstimate(s=float(s), w=float(w), value=value, variance=None,
@@ -206,18 +230,26 @@ def crmst_km_ratio(records, s, w, extend_tail=False):
 def pseudo_observations(records, s, w, extend_tail=False):
     """Leave-one-out pseudo-values mu_i(s, w) = N_s * mu_KM - (N_s - 1) * mu_KM^{-i}
     for every member of the risk set at s."""
+    data = as_survival_data(records)
+    at_risk, pv = risk_set_pseudo(data.time, data.status, s, w, extend_tail)
+    return PseudoObservationSet(s=float(s), w=float(w),
+                                entries=tuple(zip(data.ids[at_risk].tolist(),
+                                                  pv.tolist())))
+
+
+def risk_set_pseudo(time, status, s, w, extend_tail=False):
+    """Pseudo-values on the risk set {i : time_i > s} of id-sorted columns:
+    returns (at-risk mask, pseudo-values of the at-risk subjects in order)."""
     _check_window(s, w)
-    ids, times, status = _as_arrays(records)
-    rids, t, d = _risk_set(ids, times, status, s)
-    n = t.size
-    if n < 2:
-        raise EmptyRiskSet(f"risk set at s={s} has {n} subject(s)")
+    at_risk = time > s
+    t, d = time[at_risk], status[at_risk]
+    if t.size < 2:
+        raise EmptyRiskSet(f"risk set at s={s} has {t.size} subject(s)")
     # tail policy is enforced on the full risk-set curve; leave-one-out
     # curves are always carried forward at their last value
-    crmst_km(records, s, w, extend_tail=extend_tail)
-    pv = _kernels.jackknife_pseudo(t, d, float(s), float(w))
-    return PseudoObservationSet(s=float(s), w=float(w),
-                                entries=tuple(zip(rids, pv.tolist())))
+    if not extend_tail:
+        _km_curve(t, d, s).integral(s, s + w)
+    return at_risk, _kernels.jackknife_pseudo(t, d, float(s), float(w))
 
 
 def crmst_pseudo(records, s, w, extend_tail=False):

@@ -14,9 +14,9 @@ from dynrmst import dataio
 from dynrmst.basis import BasisLayout, SplineSpec
 from dynrmst.gee import IDENTITY, fit_super_model
 from dynrmst.landmark import build_super_dataset
-from dynrmst.sim import (JointTruth, _invert_event_times, _joint_super_arrays,
-                         coefficient_mc, joint_spec, prediction_experiment,
-                         scenario_mc, scenario_spec, simulate_joint)
+from dynrmst.sim import (JointTruth, _invert_event_times, coefficient_mc,
+                         joint_spec, prediction_experiment, scenario_mc,
+                         scenario_spec, simulate_joint)
 from dynrmst.surv import SurvivalRecord, crmst_km, crmst_km_ratio, pseudo_observations
 
 SEED = 20260824

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dynrmst import dataio
-from dynrmst.cli import main
+from dynrmst.cli import _parse_grid, main
 from dynrmst.errors import InvalidInput
 from dynrmst.gee import DynamicModelFit
 from dynrmst.evaluate import predict
@@ -157,6 +157,58 @@ class TestInputDiagnostics:
             recs = dataio.read_longitudinal(path)
         times = [r.obs_time for r in recs if r.id == "a"]
         assert times == sorted(times)
+
+    def test_non_finite_numbers_name_line_and_column(self, tmp_path):
+        cases = [("id,time,status,x\na,1.0,1,0.5\nb,2.0,0,nan\n", "line 3", "x"),
+                 ("id,time,status\na,inf,1\n", "line 2", "time")]
+        for text, line, column in cases:
+            path = self.write(tmp_path, text)
+            with pytest.raises(InvalidInput, match=f"{line}.*{column!r}"):
+                dataio.read_survival(path)
+        path = self.write(tmp_path, "id,obs_time,name,value\na,0.0,m,-inf\n",
+                          name="long.csv")
+        with pytest.raises(InvalidInput, match="line 2.*'value'"):
+            dataio.read_longitudinal(path)
+
+    def test_fit_with_nan_marker_is_an_error_record(self, tmp_path, capsys):
+        surv, long = joint_csvs(tmp_path)
+        lines = long.read_text().splitlines()
+        lines[-1] = ",".join(lines[-1].split(",")[:3] + ["nan"])
+        long.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "model.json"
+        assert run(["fit", "--input", surv, "--longitudinal", long,
+                    "--grid", "0:4:1", "--w", "5", "--extend-tail",
+                    "--output", model]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInput"
+        assert f"line {len(lines)}" in err["message"]
+
+    def test_grid_points_are_exact(self):
+        assert _parse_grid("0:1:0.1")[3] == 0.3
+        assert _parse_grid("0:1:0.1") == [i / 10 for i in range(11)]
+        assert _parse_grid("0:10:0.5") == [0.5 * i for i in range(21)]
+        assert _parse_grid("1,2.5") == [1.0, 2.5]
+
+    @pytest.mark.parametrize("grid", ["0:10:0", "0:10:-1", "0:10", "0:a:1",
+                                      "0:10:nan", "1,x"])
+    def test_bad_grid_is_an_error_record(self, tmp_path, capsys, grid):
+        surv, long = joint_csvs(tmp_path, n=50)
+        assert run(["fit", "--input", surv, "--grid", grid, "--w", "5",
+                    "--output", tmp_path / "model.json"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInput" and "grid" in err["message"]
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+    def test_bad_predict_covariate_is_an_error_record(self, tmp_path, capsys,
+                                                      value):
+        surv, long = joint_csvs(tmp_path)
+        model = fitted_model_path(tmp_path, surv, long)
+        assert run(["predict", "--model", model, "--s", 1, "--covariates",
+                    "x1=1", f"x2={value}", "marker=2.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidInput" and "x2" in err["message"]
 
     def test_missing_file_is_reported(self, tmp_path, capsys):
         assert run(["crmst", "--input", tmp_path / "nope.csv",

@@ -8,12 +8,12 @@ from scipy import stats
 from dynrmst.basis import BasisLayout, SplineSpec
 from dynrmst.errors import InvalidInput, OutOfRange
 from dynrmst.evaluate import (c_index, evaluate_on_validation, predict,
-                              predict_landmark, prediction_error,
-                              static_rmst_model)
+                              predict_landmark, predict_values,
+                              prediction_error, static_rmst_model)
 from dynrmst.gee import LOG, fit_super_model
 from dynrmst.landmark import LongitudinalRecord, build_super_dataset
 from dynrmst.sim import joint_spec, simulate_joint
-from dynrmst.surv import SurvivalRecord
+from dynrmst.surv import SurvivalRecord, as_survival_data
 
 
 def fitted_model(rng, link=None, n=80):
@@ -67,6 +67,21 @@ class TestPredict:
             want_se = np.sqrt(grad @ fit.covariance @ grad)
             assert_allclose(predict(fit, z, s).se, want_se, rtol=1e-4)
 
+    def test_batch_values_match_scalar_predictions(self):
+        z = np.random.default_rng(12).normal(size=(6, 1))
+        for link in (None, LOG):
+            fit = fitted_model(np.random.default_rng(2), link=link)
+            want = [predict(fit, row, 1.2).value for row in z]
+            assert_allclose(predict_values(fit, z, 1.2), want, rtol=1e-12)
+            with pytest.raises(OutOfRange):
+                predict_values(fit, z, 2.5)
+        static = static_rmst_model(
+            [SurvivalRecord(i, 1.0 + i, 1, covariates={"x": float(i % 3)})
+             for i in range(10)], 4.0, extend_tail=True)
+        assert_allclose(predict_values(static, z),
+                        [predict_landmark(static, row).value for row in z],
+                        rtol=1e-12)
+
     def test_out_of_range(self):
         fit = fitted_model(np.random.default_rng(3))
         with pytest.raises(OutOfRange):
@@ -82,8 +97,8 @@ class TestPredict:
 
 class TestCIndex:
     def records(self, times, status):
-        return [SurvivalRecord(i, float(t), int(d))
-                for i, (t, d) in enumerate(zip(times, status))]
+        return as_survival_data([SurvivalRecord(i, float(t), int(d))
+                                 for i, (t, d) in enumerate(zip(times, status))])
 
     def test_hand_example(self):
         # at risk at s=0 all; pairs (0,1), (0,2), (1,2) usable; predictions
@@ -104,15 +119,17 @@ class TestCIndex:
         rng = np.random.default_rng(5)
         recs = self.records(rng.exponential(5, 30) + 0.1,
                             rng.integers(0, 2, 30))
-        preds = rng.normal(size=30)
+        preds = rng.normal(size=30)[recs.time > 0.5]
         a = c_index(preds, recs, 0.5, 4.0)
         b = c_index(np.exp(2.0 * preds), recs, 0.5, 4.0)
         assert a == b
 
     def test_risk_set_filter(self):
         recs = self.records([1, 5, 6], [1, 1, 1])
-        # subject 0 not at risk at s=2; remaining pair decides
-        assert c_index([0.0, 1.0, 2.0], recs, 2.0, 10.0) == 1.0
+        # subject 0 not at risk at s=2: predictions cover the remaining pair
+        assert c_index([1.0, 2.0], recs, 2.0, 10.0) == 1.0
+        with pytest.raises(InvalidInput):
+            c_index([0.0, 1.0, 2.0], recs, 2.0, 10.0)
         with pytest.raises(InvalidInput):
             c_index([0.0], self.records([1], [1]), 2.0, 1.0)
 

@@ -9,14 +9,23 @@ from dynrmst.errors import InvalidInput, SingularDesign
 from dynrmst.gee import (IDENTITY, LOG, DynamicModelFit, LinkSpec, fit_arrays,
                          fit_landmark_model, fit_super_model, sandwich_arrays,
                          sandwich_cov)
-from dynrmst.landmark import LandmarkRow, build_super_dataset
+from dynrmst.landmark import SuperDataset, build_super_dataset
 from dynrmst.surv import SurvivalRecord
 
 
+def landmark_data(y, z, s=0.0):
+    """A one-landmark dataset with responses y and covariate matrix z."""
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    z = np.asarray(z, dtype=float).reshape(n, -1)
+    return SuperDataset(landmarks=np.full(n, s), pseudo_values=y, covariates=z,
+                        cluster_starts=np.arange(n + 1), subjects=np.arange(n),
+                        landmark_grid=(s,), w=1.0,
+                        covariate_names=tuple(f"z{k}" for k in range(z.shape[1])))
+
+
 def random_rows(rng, n=40, p=2, s=1.0):
-    return [LandmarkRow(id=i, landmark=s, pseudo_value=float(rng.normal(3, 1)),
-                        covariates=tuple(rng.normal(size=p)))
-            for i in range(n)]
+    return landmark_data(rng.normal(3, 1, n), rng.normal(size=(n, p)), s)
 
 
 def random_super(rng, n=50):
@@ -48,22 +57,18 @@ class TestIdentityFit:
     def test_matches_lstsq_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
-            rows = random_rows(rng, n=int(rng.integers(10, 60)),
+            data = random_rows(rng, n=int(rng.integers(10, 60)),
                                p=int(rng.integers(1, 4)))
-            fit = fit_landmark_model(rows)
-            x = np.column_stack([np.ones(len(rows)),
-                                 [r.covariates for r in rows]])
-            y = np.array([r.pseudo_value for r in rows])
-            want, *_ = np.linalg.lstsq(x, y, rcond=None)
+            fit = fit_landmark_model(data)
+            x = np.column_stack([np.ones(len(data)), data.covariates])
+            want, *_ = np.linalg.lstsq(x, data.pseudo_values, rcond=None)
             assert_allclose(fit.beta, want, atol=1e-10)
 
     def test_singular_design(self):
-        rows = [LandmarkRow(i, 0.0, 1.0, (1.0, 2.0)) for i in range(10)]
         # second covariate is exactly twice the first
-        rows = [LandmarkRow(i, 0.0, float(i), (float(i), 2.0 * i))
-                for i in range(10)]
+        i = np.arange(10.0)
         with pytest.raises(SingularDesign):
-            fit_landmark_model(rows)
+            fit_landmark_model(landmark_data(i, np.column_stack([i, 2.0 * i])))
 
     def test_needs_more_rows_than_params(self):
         with pytest.raises(InvalidInput):
@@ -76,9 +81,7 @@ class TestLogFit:
         beta = np.array([0.5, -0.3, 0.2])
         x = np.column_stack([np.ones(200), rng.normal(size=(200, 2))])
         y = np.exp(x @ beta)
-        rows = [LandmarkRow(i, 0.0, float(y[i]), tuple(x[i, 1:]))
-                for i in range(200)]
-        fit = fit_landmark_model(rows, link=LOG)
+        fit = fit_landmark_model(landmark_data(y, x[:, 1:]), link=LOG)
         assert_allclose(fit.beta, beta, atol=1e-9)
         assert fit.score_norm <= 1e-8
 
@@ -86,9 +89,7 @@ class TestLogFit:
         rng = np.random.default_rng(3)
         x = np.column_stack([np.ones(300), rng.normal(size=300)])
         y = np.exp(x @ np.array([1.0, 0.4])) * rng.lognormal(0, 0.2, 300)
-        rows = [LandmarkRow(i, 0.0, float(y[i]), (float(x[i, 1]),))
-                for i in range(300)]
-        fit = fit_landmark_model(rows, link=LOG)
+        fit = fit_landmark_model(landmark_data(y, x[:, 1]), link=LOG)
         assert fit.score_norm <= 1e-8
         assert fit.iterations >= 1
 

@@ -1,17 +1,9 @@
-"""Kernel backends: brute-force oracles and backend agreement."""
+"""Numpy kernels against brute-force oracles."""
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
-from dynrmst._kernels import _py
-
-try:
-    from dynrmst._kernels import _speedups
-except ImportError:
-    _speedups = None
-
-BACKENDS = [_py] + ([_speedups] if _speedups is not None else [])
+from dynrmst import _kernels
 
 
 def brute_force_pseudo(times, status, s, w):
@@ -66,85 +58,55 @@ def random_risk_set(rng, max_n=60, tie_prob=0.5):
     return t, d, s, w
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
-def test_jackknife_matches_brute_force(backend):
+def test_jackknife_matches_brute_force():
     rng = np.random.default_rng(101)
     for _ in range(200):
         t, d, s, w = random_risk_set(rng)
-        got = backend.jackknife_pseudo(t, d, s, w)
+        got = _kernels.jackknife_pseudo(t, d, s, w)
         want = brute_force_pseudo(t, d, s, w)
         assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
-def test_jackknife_hand_examples(backend):
+def test_jackknife_hand_examples():
     # all events at 1,2,3 over [0,3]: curve drops 1/3 at each time, and the
     # pseudo-values recover the raw min(T_i, 3) exactly
-    pv = backend.jackknife_pseudo(np.array([1.0, 2.0, 3.0]),
-                                  np.array([1, 1, 1]), 0.0, 3.0)
+    pv = _kernels.jackknife_pseudo(np.array([1.0, 2.0, 3.0]),
+                                   np.array([1, 1, 1]), 0.0, 3.0)
     assert_allclose(pv, [1.0, 2.0, 3.0], atol=1e-12)
     # censoring at 2 shifts its own pseudo-value to the curve tail:
     # mu = 1*1 + 2/3*1 + 2/3*1 = 7/3, loo values 3, 2, 5/3 -> pseudo 1, 3, 3
-    pv = backend.jackknife_pseudo(np.array([1.0, 2.0, 3.0]),
-                                  np.array([1, 0, 1]), 0.0, 3.0)
+    pv = _kernels.jackknife_pseudo(np.array([1.0, 2.0, 3.0]),
+                                   np.array([1, 0, 1]), 0.0, 3.0)
     assert_allclose(pv, [1.0, 3.0, 3.0], atol=1e-12)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
-def test_jackknife_no_events_flat(backend):
-    pv = backend.jackknife_pseudo(np.array([4.0, 5.0, 6.0]),
-                                  np.array([0, 0, 0]), 0.0, 2.0)
+def test_jackknife_no_events_flat():
+    pv = _kernels.jackknife_pseudo(np.array([4.0, 5.0, 6.0]),
+                                   np.array([0, 0, 0]), 0.0, 2.0)
     assert_allclose(pv, [2.0, 2.0, 2.0], atol=0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
-def test_event_at_horizon_is_censored_like(backend):
+def test_event_at_horizon_is_censored_like():
     # an event exactly at s+w contributes no drop inside the window
-    pv_event = backend.jackknife_pseudo(np.array([1.0, 3.0]),
-                                        np.array([1, 1]), 0.0, 3.0)
-    pv_cens = backend.jackknife_pseudo(np.array([1.0, 3.0]),
-                                       np.array([1, 0]), 0.0, 3.0)
+    pv_event = _kernels.jackknife_pseudo(np.array([1.0, 3.0]),
+                                         np.array([1, 1]), 0.0, 3.0)
+    pv_cens = _kernels.jackknife_pseudo(np.array([1.0, 3.0]),
+                                        np.array([1, 0]), 0.0, 3.0)
     assert_allclose(pv_event, pv_cens, atol=0)
 
 
-@pytest.mark.skipif(_speedups is None, reason="compiled backend unavailable")
-def test_backends_agree_bitwise():
-    rng = np.random.default_rng(55)
-    for _ in range(300):
-        t, d, s, w = random_risk_set(rng, max_n=120)
-        a = _py.jackknife_pseudo(t, d, s, w)
-        b = _speedups.jackknife_pseudo(t, d, s, w)
-        assert np.array_equal(a, b)
-        p = rng.normal(size=t.size)
-        assert _py.concordance_stats(t, d, p) == _speedups.concordance_stats(t, d, p)
-
-
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
-def test_concordance_matches_brute_force(backend):
+def test_concordance_matches_brute_force():
     rng = np.random.default_rng(77)
     for _ in range(50):
         n = int(rng.integers(2, 40))
         t = np.round(rng.exponential(5.0, n), 1) + 0.1
         d = rng.integers(0, 2, n).astype(np.int64)
         p = np.round(rng.normal(size=n), 1)  # force prediction ties
-        assert backend.concordance_stats(t, d, p) == brute_force_concordance(t, d, p)
+        assert _kernels.concordance_stats(t, d, p) == brute_force_concordance(t, d, p)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
-def test_concordance_no_usable_pairs(backend):
+def test_concordance_no_usable_pairs():
     t = np.array([2.0, 2.0, 2.0])
-    usable, score = backend.concordance_stats(t, np.array([1, 1, 1]),
-                                              np.array([1.0, 2.0, 3.0]))
+    usable, score = _kernels.concordance_stats(t, np.array([1, 1, 1]),
+                                               np.array([1.0, 2.0, 3.0]))
     assert usable == 0 and score == 0.0
-
-
-def test_pure_python_fallback_env(monkeypatch):
-    import importlib
-
-    import dynrmst._kernels as kernels
-
-    monkeypatch.setenv("DYNRMST_PURE_PYTHON", "1")
-    mod = importlib.reload(kernels)
-    assert mod.BACKEND == "python"
-    monkeypatch.delenv("DYNRMST_PURE_PYTHON")
-    importlib.reload(kernels)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dynrmst.errors import EmptyRiskSet, InvalidInput, MissingCovariate
+from dynrmst.errors import (EmptyRiskSet, InvalidInput, MissingCovariate,
+                            TailUndefined)
 from dynrmst.landmark import (LongitudinalRecord, build_landmark_dataset,
                               build_super_dataset)
 from dynrmst.surv import SurvivalRecord, pseudo_observations
@@ -30,25 +31,27 @@ class TestLocf:
             + marker("d", [(0.0, 7.0), (1.0, 8.0)]))
 
     def test_carries_last_value_forward(self):
-        rows = build_landmark_dataset(survival4(), self.LONG, 2.5, 4.0,
+        data = build_landmark_dataset(survival4(), self.LONG, 2.5, 4.0,
                                       extend_tail=True)
-        by_id = {r.id: dict(zip(["x", "m"], r.covariates)) for r in rows}
-        assert by_id["a"]["m"] == 2.0
-        assert by_id["c"]["m"] == 5.0
-        assert by_id["d"]["m"] == 8.0
+        assert data.covariate_names == ("x", "m")
+        by_id = dict(zip(data.subjects, data.covariates[:, 1]))
+        assert by_id["a"] == 2.0
+        assert by_id["c"] == 5.0
+        assert by_id["d"] == 8.0
 
     def test_tie_at_landmark_inclusive(self):
-        rows = build_landmark_dataset(survival4(), self.LONG, 2.0, 4.0,
+        data = build_landmark_dataset(survival4(), self.LONG, 2.0, 4.0,
                                       extend_tail=True)
-        by_id = {r.id: r.covariates for r in rows}
-        assert by_id["a"][1] == 2.0  # measurement exactly at s is used
+        by_id = dict(zip(data.subjects, data.covariates[:, 1]))
+        assert by_id["a"] == 2.0  # measurement exactly at s is used
 
     def test_idempotent_resolution(self):
         a = build_landmark_dataset(survival4(), self.LONG, 2.5, 4.0,
                                    extend_tail=True)
         b = build_landmark_dataset(survival4(), self.LONG, 2.5, 4.0,
                                    extend_tail=True)
-        assert a == b
+        for x, y in zip(a.arrays(), b.arrays()):
+            assert np.array_equal(x, y)
 
     def test_missing_covariate_raises_with_context(self):
         long = marker("a", [(3.0, 1.0)])  # first measurement after s
@@ -69,17 +72,28 @@ class TestLocf:
 class TestRiskSet:
     def test_strict_inequality(self):
         surv = survival4()
-        rows = build_landmark_dataset(surv, [], 6.0, 2.0,
+        data = build_landmark_dataset(surv, [], 6.0, 2.0,
                                       covariate_names=["x"], extend_tail=True)
-        assert [r.id for r in rows] == ["a", "d"]  # c has Y == s: excluded
+        assert list(data.subjects) == ["a", "d"]  # c has Y == s: excluded
+        assert len(data) == 2
 
     def test_pseudo_values_match_surv_module(self):
         surv = survival4()
-        rows = build_landmark_dataset(surv, [], 2.0, 5.0,
+        data = build_landmark_dataset(surv, [], 2.0, 5.0,
                                       covariate_names=["x"], extend_tail=True)
         pset = pseudo_observations(surv, 2.0, 5.0, extend_tail=True)
-        assert [r.id for r in rows] == pset.ids()
-        assert_allclose([r.pseudo_value for r in rows], pset.values())
+        assert list(data.subjects) == pset.ids()
+        assert_allclose(data.pseudo_values, pset.values())
+
+
+    def test_tail_policy_enforced_per_landmark(self):
+        # the largest time (d, Y=9) is censored, so each risk-set curve ends
+        # above zero before s + w
+        with pytest.raises(TailUndefined):
+            build_super_dataset(survival4(), [], [1.0, 2.0], 10.0,
+                                covariate_names=["x"])
+        build_super_dataset(survival4(), [], [1.0, 2.0], 10.0,
+                            covariate_names=["x"], extend_tail=True)
 
 
 class TestSuperDataset:
@@ -88,24 +102,23 @@ class TestSuperDataset:
     def test_row_ordering_and_clusters(self):
         data = build_super_dataset(survival4(), self.LONG, [1.0, 4.0, 7.0],
                                    2.0, extend_tail=True)
-        ids = [r.id for r in data.rows]
-        assert ids == sorted(ids, key=lambda i: (i,))
-        for sid, size in zip(data.subjects, data.cluster_sizes):
-            subject_rows = [r for r in data.rows if r.id == sid]
-            assert len(subject_rows) == size
-            lms = [r.landmark for r in subject_rows]
-            assert lms == sorted(lms)
+        assert list(data.subjects) == sorted(data.subjects)
+        starts = data.cluster_starts
+        for i in range(data.n_subjects):
+            lms = data.landmarks[starts[i]:starts[i + 1]]
+            assert list(lms) == sorted(lms)
         # a (Y=8): all 3 landmarks; b (Y=3): only s=1; c (Y=6): s=1,4; d: all
-        assert dict(zip(data.subjects, data.cluster_sizes)) == \
+        assert dict(zip(data.subjects, np.diff(starts))) == \
             {"a": 3, "b": 1, "c": 2, "d": 3}
 
     def test_arrays_cluster_starts(self):
         data = build_super_dataset(survival4(), self.LONG, [1.0, 4.0], 2.0,
                                    extend_tail=True)
         lm, pv, z, starts = data.arrays()
-        assert starts[0] == 0 and starts[-1] == data.n_rows
-        assert np.all(np.diff(starts) == np.array(data.cluster_sizes))
-        assert z.shape == (data.n_rows, 2)  # x and m
+        assert starts[0] == 0 and starts[-1] == len(data)
+        assert starts.size == data.n_subjects + 1
+        assert lm.shape == pv.shape == (len(data),)
+        assert z.shape == (len(data), 2)  # x and m
 
     def test_grid_validation(self):
         with pytest.raises(InvalidInput):
@@ -133,8 +146,8 @@ class TestSuperDataset:
                                 extend_tail=True)
         b = build_super_dataset(renamed, long2, [1.0, 4.0], 2.0,
                                 extend_tail=True)
-        key = lambda d: sorted((r.landmark, r.pseudo_value, r.covariates)
-                               for r in d.rows)
+        key = lambda d: sorted(zip(d.landmarks, d.pseudo_values,
+                                   map(tuple, d.covariates)))
         assert key(a) == key(b)
 
     def test_out_of_order_longitudinal_input(self):
@@ -143,4 +156,5 @@ class TestSuperDataset:
                                 extend_tail=True)
         b = build_super_dataset(survival4(), shuffled, [1.0, 4.0], 2.0,
                                 extend_tail=True)
-        assert a.rows == b.rows
+        for x, y in zip(a.arrays(), b.arrays()):
+            assert np.array_equal(x, y)

@@ -98,15 +98,6 @@ class TestJointModel:
         # baseline visit always observed
         assert np.all(sample.visit_times[:, 0] == 0.0)
 
-    def test_marker_at_is_locf(self):
-        sample = simulate_joint(joint_spec("linear"), 100, 4)
-        m = sample.marker_at(5.0)
-        for i in range(20):
-            vt, vv = sample.visit_times[i], sample.visit_values[i]
-            seen = vt[~np.isnan(vt)]
-            expect = vv[(seen <= 5.0).sum() - 1]
-            assert m[i] == expect
-
     def test_records_round_trip(self):
         sample = simulate_joint(joint_spec("linear"), 50, 5)
         surv, long = sample.to_records()
