@@ -20,6 +20,7 @@ from .basis import h_matrix
 from .errors import InvalidInput, OutOfRange
 from .gee import IDENTITY, DynamicModelFit, LandmarkModelFit, fit_landmark_model
 from .landmark import _columns, build_landmark_dataset
+from .surv import as_survival_data
 
 __all__ = [
     "PredictionResult",
@@ -116,14 +117,15 @@ def c_index(predictions, survival, s, w):
     """Harrell concordance at landmark s among subjects at risk, with times
     administratively truncated at s + w.
 
-    ``predictions`` holds one value per subject of the SurvivalData
-    ``survival`` at risk at s, in id order: the rows of the landmark dataset
-    at s.  A pair is usable when the strictly smaller truncated time is an
-    event; concordant when the longer-surviving subject has the larger
+    ``predictions`` holds one value per subject of ``survival`` (records
+    or SurvivalData) at risk at s, in id order: the rows of the landmark
+    dataset at s.  A pair is usable when the strictly smaller truncated time
+    is an event; concordant when the longer-surviving subject has the larger
     predicted cRMST; prediction ties count one half.  Returns None when no
     usable pair exists.
     """
     preds = np.asarray(predictions, dtype=float)
+    survival = as_survival_data(survival)
     at_risk = survival.time > s
     t, d = survival.time[at_risk], survival.status[at_risk]
     if t.size < 2:
@@ -174,8 +176,8 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
     """
     names = dynamic_fit.covariate_names
     w = dynamic_fit.w
-    train = _columns(train_survival, train_longitudinal)
-    val = _columns(val_survival, val_longitudinal)
+    train = _columns(train_survival, train_longitudinal, names)[:2]
+    val = _columns(val_survival, val_longitudinal, names)[:2]
     val_time = val[0].time
     rows_out = []
     for s_j in dynamic_fit.grid:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRiskSet, InvalidInput, MissingCovariate
+from .surv import SurvivalData, as_survival_data, risk_set_pseudo
 # pseudo_observations is bound here for perfbench's instrumentation self-test
-from .surv import as_survival_data, pseudo_observations, risk_set_pseudo  # noqa: F401
+from .surv import pseudo_observations  # noqa: F401
 
 __all__ = [
     "LongitudinalRecord",
@@ -77,11 +78,21 @@ class MarkerTable:
         return out
 
 
-def _columns(survival, longitudinal):
-    surv = as_survival_data(survival)
-    if isinstance(longitudinal, MarkerTable):
-        return surv, longitudinal
-    return surv, MarkerTable.from_records(longitudinal or [], surv.ids)
+def _columns(survival, longitudinal, covariate_names=None):
+    """(SurvivalData, MarkerTable, covariate names) of landmark input.  The
+    default names are the time-fixed covariates of the first subject (every
+    column of a SurvivalData), then the biomarkers."""
+    fixed = covariate_names
+    if fixed is None:
+        fixed = (survival.covariates if isinstance(survival, SurvivalData)
+                 else survival[0].covariates if survival else ())
+    surv = as_survival_data(survival, fixed)
+    markers = (longitudinal if isinstance(longitudinal, MarkerTable)
+               else MarkerTable.from_records(longitudinal or [], surv.ids))
+    names = covariate_names
+    if names is None:
+        names = list(fixed) + [n for n in markers.columns if n not in fixed]
+    return surv, markers, tuple(names)
 
 
 @dataclass(frozen=True)
@@ -140,15 +151,10 @@ def build_super_dataset(survival, longitudinal, grid, w, covariate_names=None,
     value raises MissingCovariate rather than being dropped.
     """
     grid = [float(s) for s in grid]
-    if grid != sorted(grid) or len(set(grid)) != len(grid):
-        raise InvalidInput("landmark grid must be strictly increasing")
-    if not grid:
-        raise InvalidInput("landmark grid is empty")
-    surv, markers = _columns(survival, longitudinal)
-    if covariate_names is None:
-        covariate_names = list(surv.covariates) + [
-            n for n in markers.columns if n not in surv.covariates]
-    names = tuple(covariate_names)
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InvalidInput(f"landmark grid must be non-empty and strictly "
+                           f"increasing, got {grid}")
+    surv, markers, names = _columns(survival, longitudinal, covariate_names)
 
     # risk sets are nested, so subject i is at risk at exactly the first
     # n_at[i] landmarks and its rows are those landmarks in grid order

@@ -24,7 +24,8 @@ from scipy import integrate, optimize, stats
 from .errors import InvalidInput, NoConvergence
 from .evaluate import c_index, predict_values, static_rmst_model
 from .gee import IDENTITY, fit_super_model, sandwich_cov
-from .landmark import LongitudinalRecord, MarkerTable, build_super_dataset
+from .landmark import (LongitudinalRecord, MarkerTable, _covariates_at,
+                       build_super_dataset)
 from .surv import SurvivalData, SurvivalRecord, crmstd_test
 
 __all__ = [
@@ -469,33 +470,29 @@ class JointSample:
     def n(self):
         return self.ids.size
 
-    def columns(self, marker_name="marker"):
+    def columns(self):
         """(SurvivalData, MarkerTable) of the sample, built straight from its
         arrays (ids are ascending and visits sorted, so no reordering)."""
         surv = SurvivalData(self.ids, self.time, self.status,
                             {"x1": self.x1, "x2": self.x2})
         seen = ~np.isnan(self.visit_times)
         offsets = np.concatenate(([0], np.cumsum(seen.sum(axis=1))))
-        markers = MarkerTable({marker_name: (self.visit_times[seen],
-                                             self.visit_values[seen], offsets)})
+        markers = MarkerTable({JOINT_COVARIATES[2]: (
+            self.visit_times[seen], self.visit_values[seen], offsets)})
         return surv, markers
 
-    def to_records(self, marker_name="marker"):
+    def to_records(self):
         """(survival records, longitudinal records) for the list-based API."""
-        surv = [
-            SurvivalRecord(id=int(i), time=float(t), status=int(d),
-                           covariates={"x1": float(a), "x2": float(b)})
-            for i, t, d, a, b in zip(self.ids, self.time, self.status,
-                                     self.x1, self.x2)
-        ]
-        long = []
-        for row in range(self.n):
-            for vt, vv in zip(self.visit_times[row], self.visit_values[row]):
-                if np.isnan(vt):
-                    break
-                long.append(LongitudinalRecord(id=int(self.ids[row]),
-                                               obs_time=float(vt),
-                                               values={marker_name: float(vv)}))
+        surv = [SurvivalRecord(id=int(i), time=float(t), status=int(d),
+                               covariates={"x1": float(a), "x2": float(b)})
+                for i, t, d, a, b in zip(self.ids, self.time, self.status,
+                                         self.x1, self.x2)]
+        seen = ~np.isnan(self.visit_times)
+        visits = zip(self.ids[np.nonzero(seen)[0]], self.visit_times[seen],
+                     self.visit_values[seen])
+        long = [LongitudinalRecord(id=int(i), obs_time=float(t),
+                                   values={JOINT_COVARIATES[2]: float(v)})
+                for i, t, v in visits]
         return surv, long
 
 
@@ -632,11 +629,9 @@ def mc_metrics(estimates, variances, truth, alpha=0.05):
 
 def _run_chunked(worker, payloads, workers):
     if workers <= 1:
-        parts = [worker(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(worker, payloads))
-    return parts
+        return [worker(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, payloads))
 
 
 def _chunk_ranges(reps, workers):
@@ -739,8 +734,8 @@ def _prediction_worker(payload):
     spec, grid, w, layout, n_train, n_val, seed, lo, hi = payload
     n_lm = len(grid)
     m = hi - lo
-    c_dyn = np.empty((m, n_lm))
-    c_stat = np.empty((m, n_lm))
+    c_dyn = np.full((m, n_lm), np.nan)
+    c_stat = np.full((m, n_lm), np.nan)
     pe_dyn = np.empty((m, n_lm))
     pe_stat = np.empty((m, n_lm))
     for rep in range(lo, hi):
@@ -749,26 +744,26 @@ def _prediction_worker(payload):
         val_sample = simulate_joint(spec, n_val, rng)
         val = val_sample.columns()
         fit = fit_super_model(_joint_dataset(train, grid, w), layout)
-        # baseline covariates of every validation subject with Y > 0
-        base_z = _joint_dataset(val, [0.0], w).covariates
-        in_base = val_sample.time > 0.0
         for j, s_j in enumerate(grid):
-            mask = val_sample.time > s_j
+            rows = np.flatnonzero(val_sample.time > s_j)
             dyn_pred = predict_values(
-                fit, _joint_dataset(val, [s_j], w).covariates, s_j)
-            dyn_true = val_sample.truth.true_crmst(s_j, w)[mask]
+                fit, _covariates_at(*val, JOINT_COVARIATES, rows, s_j), s_j)
+            dyn_true = val_sample.truth.true_crmst(s_j, w)[rows]
 
             tau = s_j + w
             static_fit = static_rmst_model(train[0], tau, longitudinal=train[1],
                                            covariate_names=JOINT_COVARIATES,
                                            extend_tail=True)
-            stat_pred = predict_values(static_fit, base_z[mask[in_base]])
-            stat_true = val_sample.truth.true_rmst(tau)[mask]
+            stat_pred = predict_values(
+                static_fit, _covariates_at(*val, JOINT_COVARIATES, rows, 0.0))
+            stat_true = val_sample.truth.true_rmst(tau)[rows]
 
             r = rep - lo
-            # c_index is None without usable pairs, stored as NaN
-            c_dyn[r, j] = c_index(dyn_pred, val[0], s_j, w)
-            c_stat[r, j] = c_index(stat_pred, val[0], s_j, w)
+            # NaN when fewer than two validation subjects are at risk, or
+            # when c_index is None for want of a usable pair
+            if rows.size > 1:
+                c_dyn[r, j] = c_index(dyn_pred, val[0], s_j, w)
+                c_stat[r, j] = c_index(stat_pred, val[0], s_j, w)
             pe_dyn[r, j] = float(np.mean(np.abs(dyn_pred - dyn_true)))
             pe_stat[r, j] = float(np.mean(np.abs(stat_pred - stat_true)))
     return lo, c_dyn, c_stat, pe_dyn, pe_stat
@@ -799,14 +794,11 @@ def prediction_experiment(spec, grid, w, layout, n_train=500, n_val=300,
     c_stat = np.concatenate([p[2] for p in parts])
     pe_dyn = np.concatenate([p[3] for p in parts])
     pe_stat = np.concatenate([p[4] for p in parts])
-    rows = []
-    for j, s_j in enumerate(grid):
-        rows.append(PredictionRow(
-            landmark=s_j,
-            c_index_dynamic=float(np.nanmean(c_dyn[:, j])),
-            c_index_static=float(np.nanmean(c_stat[:, j])),
-            pe_dynamic=float(np.mean(pe_dyn[:, j])),
-            pe_static=float(np.mean(pe_stat[:, j])),
-            n_reps=reps,
-        ))
-    return tuple(rows)
+    return tuple(PredictionRow(
+        landmark=s_j,
+        c_index_dynamic=float(np.nanmean(c_dyn[:, j])),
+        c_index_static=float(np.nanmean(c_stat[:, j])),
+        pe_dynamic=float(np.mean(pe_dyn[:, j])),
+        pe_static=float(np.mean(pe_stat[:, j])),
+        n_reps=reps,
+    ) for j, s_j in enumerate(grid))

@@ -61,9 +61,10 @@ class SurvivalData:
     covariates: dict = field(default_factory=dict)
 
 
-def as_survival_data(survival):
+def as_survival_data(survival, covariate_names=()):
     """SurvivalData from a list of SurvivalRecord (validated and sorted by
-    id); a SurvivalData is returned unchanged."""
+    id), with a float column for each named time-fixed covariate; a
+    SurvivalData is returned unchanged."""
     if isinstance(survival, SurvivalData):
         return survival
     if not survival:
@@ -78,9 +79,8 @@ def as_survival_data(survival):
         raise InvalidInput("times must be finite and nonnegative")
     if not np.all((status == 0) | (status == 1)):
         raise InvalidInput("status must be 0 or 1")
-    names = dict.fromkeys(n for r in survival for n in r.covariates)
     covariates = {n: np.array([r.covariates.get(n, np.nan) for r in recs],
-                              dtype=float) for n in names}
+                              dtype=float) for n in covariate_names}
     sorted_ids = np.empty(len(recs), dtype=object)
     sorted_ids[:] = [r.id for r in recs]
     return SurvivalData(sorted_ids, time, status, covariates)

@@ -133,6 +133,13 @@ class TestCIndex:
         with pytest.raises(InvalidInput):
             c_index([0.0], self.records([1], [1]), 2.0, 1.0)
 
+    def test_accepts_records(self):
+        # records in any order give the same result as their id-sorted columns
+        recs = [SurvivalRecord(i, t, 1)
+                for i, t in ((2, 6.0), (0, 1.0), (1, 5.0))]
+        assert c_index([1.0, 2.0], recs, 2.0, 10.0) == 1.0
+        assert c_index([2.0, 1.0], recs, 2.0, 10.0) == 0.0
+
 
 class TestPredictionError:
     def test_mean_absolute_difference(self):

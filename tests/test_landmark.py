@@ -68,6 +68,16 @@ class TestLocf:
             build_landmark_dataset(surv, [], 2.0, 4.0, covariate_names=["x"],
                                    extend_tail=True)
 
+    def test_default_names_from_first_subject(self):
+        # a key only later subjects carry is not a covariate, and is never
+        # converted to float
+        surv = survival4()
+        surv[1] = SurvivalRecord("b", 3.0, 0,
+                                 covariates={"x": 0.0, "site": "B"})
+        data = build_landmark_dataset(surv, self.LONG, 2.0, 4.0,
+                                      extend_tail=True)
+        assert data.covariate_names == ("x", "m")
+
 
 class TestRiskSet:
     def test_strict_inequality(self):

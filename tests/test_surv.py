@@ -146,6 +146,14 @@ class TestPseudoObservations:
         b = pseudo_observations(shuffled, 0.0, 4.0, extend_tail=True)
         assert a.entries == b.entries
 
+    def test_covariates_are_not_read(self):
+        recs = records([1, 2, 3], [1, 1, 0])
+        labelled = [SurvivalRecord(r.id, r.time, r.status,
+                                   covariates={"site": f"s{r.id}"})
+                    for r in recs]
+        assert (pseudo_observations(labelled, 0.0, 2.0).entries
+                == pseudo_observations(recs, 0.0, 2.0).entries)
+
     def test_tail_policy_enforced(self):
         recs = records([1, 2, 3], [1, 1, 0])
         with pytest.raises(TailUndefined):
