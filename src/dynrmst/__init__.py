@@ -8,7 +8,7 @@ from .errors import (DynRmstError, EmptyRiskSet, InvalidInput, MissingCovariate,
 from .evaluate import (EvalRow, PredictionResult, c_index, evaluate_on_validation,
                        predict, predict_landmark, predict_values,
                        prediction_error, static_rmst_model)
-from .gee import (IDENTITY, LOG, DynamicModelFit, LandmarkModelFit, LinkSpec,
+from .gee import (IDENTITY, LOG, DynamicModelFit, LinkSpec,
                   fit_landmark_model, fit_super_model, sandwich_cov)
 from .landmark import (LongitudinalRecord, MarkerTable, SuperDataset,
                        build_landmark_dataset, build_super_dataset)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -319,8 +318,7 @@ def _build_parser():
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("DYNRMST_WORKERS", "1")))
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output")
 
     return parser

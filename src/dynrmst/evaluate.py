@@ -18,9 +18,9 @@ from scipy import stats
 from . import _kernels
 from .basis import h_matrix
 from .errors import InvalidInput, OutOfRange
-from .gee import IDENTITY, DynamicModelFit, LandmarkModelFit, fit_landmark_model
-from .landmark import _columns, build_landmark_dataset
-from .surv import as_survival_data
+from .gee import IDENTITY, DynamicModelFit, fit_landmark_model
+from .landmark import _columns, _covariates_at, build_landmark_dataset
+from .surv import as_survival_data, risk_set_pseudo
 
 __all__ = [
     "PredictionResult",
@@ -48,8 +48,8 @@ class PredictionResult:
 
 @dataclass(frozen=True)
 class EvalRow:
-    """Evaluation summary for one landmark (C-index may be None when no
-    usable pairs exist)."""
+    """Evaluation summary for one landmark (a C-index is None when fewer
+    than two subjects are at risk or no pair is usable)."""
 
     landmark: float
     c_index_dynamic: float | None
@@ -91,26 +91,20 @@ def predict(fit: DynamicModelFit, covariates, s, alpha=0.05):
     return _interval(fit, h_matrix(fit.layout, s).T @ zstar, s, alpha)
 
 
-def predict_landmark(fit: LandmarkModelFit, covariates, alpha=0.05):
-    """Point prediction from a single-landmark (or static RMST) fit."""
-    z = np.asarray(covariates, dtype=float)
-    x = np.concatenate(([1.0], z))
-    if x.shape != fit.beta.shape:
-        raise InvalidInput(f"expected {fit.beta.size - 1} covariates, got {z.size}")
-    return _interval(fit, x, fit.s, alpha)
+def predict_landmark(fit: DynamicModelFit, covariates, alpha=0.05):
+    """Prediction from a one-landmark (or static RMST) fit at its landmark."""
+    return predict(fit, covariates, fit.grid[0], alpha=alpha)
 
 
 def predict_values(fit, covariates, s=None):
     """Predicted values, without intervals, for each row of a covariate
-    matrix: at prediction time s from a DynamicModelFit, or from a
-    LandmarkModelFit when s is None."""
+    matrix at prediction time s (by default the fit's first landmark, the
+    only one of a one-landmark fit)."""
+    s = fit.grid[0] if s is None else s
+    _check_range(fit, s)
     z = np.asarray(covariates, dtype=float)
-    if s is None:
-        coef = fit.beta
-    else:
-        _check_range(fit, s)
-        coef = fit.coefficient_path(s)
-    return fit.link.ginv(np.column_stack([np.ones(z.shape[0]), z]) @ coef)
+    return fit.link.ginv(np.column_stack([np.ones(z.shape[0]), z])
+                         @ fit.coefficient_path(s))
 
 
 def c_index(predictions, survival, s, w):
@@ -169,40 +163,54 @@ def static_rmst_model(survival, tau, longitudinal=None, link=IDENTITY,
 
 
 def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
-                           val_survival, val_longitudinal, extend_tail=False):
+                           val_survival, val_longitudinal, extend_tail=False,
+                           truth=None):
     """Per-landmark comparison of the dynamic model against static RMST
-    baselines trained on the training set, scored on the validation set with
-    pseudo-value references (the unknown-truth case).
+    baselines trained on the training set, scored on the validation set.
+
+    Without ``truth`` the references are validation pseudo-values (the
+    unknown-truth case).  ``truth`` is a JointTruth of the validation
+    subjects in ascending id order; the references are then each subject's
+    true cRMST at (s_j, w) and true RMST at s_j + w.  A landmark with fewer
+    than two validation subjects at risk gets C-index None; without
+    ``truth`` it raises EmptyRiskSet, as its pseudo-values are undefined.
     """
     names = dynamic_fit.covariate_names
     w = dynamic_fit.w
     train = _columns(train_survival, train_longitudinal, names)[:2]
     val = _columns(val_survival, val_longitudinal, names)[:2]
-    val_time = val[0].time
+    time, status = val[0].time, val[0].status
+    kind = "pseudo_value" if truth is None else "true_value"
     rows_out = []
     for s_j in dynamic_fit.grid:
-        dyn = build_landmark_dataset(*val, s_j, w, covariate_names=names,
-                                     extend_tail=extend_tail)
-        dyn_pred = predict_values(dynamic_fit, dyn.covariates, s_j)
-
         tau = s_j + w
+        rows = np.flatnonzero(time > s_j)
+        dyn_pred = predict_values(
+            dynamic_fit, _covariates_at(*val, names, rows, s_j), s_j)
         static_fit = static_rmst_model(train[0], tau, longitudinal=train[1],
                                        covariate_names=names,
                                        extend_tail=extend_tail)
-        # baseline rows cover every subject with Y > 0; keep those at risk
-        base = build_landmark_dataset(*val, 0.0, tau, covariate_names=names,
-                                      extend_tail=extend_tail)
-        keep = val_time[val_time > 0.0] > s_j
-        stat_pred = predict_values(static_fit, base.covariates[keep])
-
+        stat_pred = predict_values(static_fit,
+                                   _covariates_at(*val, names, rows, 0.0))
+        if truth is None:
+            dyn_ref = risk_set_pseudo(time, status, s_j, w, extend_tail)[1]
+            # static pseudo-values cover every subject with Y > 0; keep
+            # those at risk at s_j
+            at_0, pv = risk_set_pseudo(time, status, 0.0, tau, extend_tail)
+            stat_ref = pv[time[at_0] > s_j]
+        else:
+            dyn_ref = truth.true_crmst(s_j, w)[rows]
+            stat_ref = truth.true_rmst(tau)[rows]
+        c_dyn = c_stat = None
+        if rows.size > 1:
+            c_dyn = c_index(dyn_pred, val[0], s_j, w)
+            c_stat = c_index(stat_pred, val[0], s_j, w)
         rows_out.append(EvalRow(
             landmark=float(s_j),
-            c_index_dynamic=c_index(dyn_pred, val[0], s_j, w),
-            c_index_static=c_index(stat_pred, val[0], s_j, w),
-            pe_dynamic=prediction_error(dyn_pred, dyn.pseudo_values,
-                                        kind="pseudo_value"),
-            pe_static=prediction_error(stat_pred, base.pseudo_values[keep],
-                                       kind="pseudo_value"),
-            reference_kind="pseudo_value",
+            c_index_dynamic=c_dyn,
+            c_index_static=c_stat,
+            pe_dynamic=prediction_error(dyn_pred, dyn_ref, kind=kind),
+            pe_static=prediction_error(stat_pred, stat_ref, kind=kind),
+            reference_kind=kind,
         ))
     return rows_out

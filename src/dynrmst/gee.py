@@ -24,7 +24,6 @@ __all__ = [
     "LinkSpec",
     "IDENTITY",
     "LOG",
-    "LandmarkModelFit",
     "DynamicModelFit",
     "fit_landmark_model",
     "fit_super_model",
@@ -62,23 +61,6 @@ class LinkSpec:
 
 IDENTITY = LinkSpec("identity")
 LOG = LinkSpec("log")
-
-
-@dataclass(frozen=True)
-class LandmarkModelFit:
-    """Per-landmark GLM fit: scalar coefficient per covariate at one s_l."""
-
-    beta: np.ndarray
-    covariance: np.ndarray
-    link: LinkSpec
-    s: float
-    n_subjects: int
-    iterations: int
-    score_norm: float
-
-    @property
-    def df(self):
-        return self.n_subjects - self.beta.size
 
 
 @dataclass(frozen=True)
@@ -248,20 +230,13 @@ def sandwich_arrays(x, y, cluster_starts, link, beta):
 
 
 def fit_landmark_model(data, link=IDENTITY):
-    """GLM for pseudo-values in a one-landmark SuperDataset, with the rowwise
-    sandwich (one row per subject, so clustering is trivial)."""
+    """GLM for pseudo-values in a one-landmark SuperDataset: the super-model
+    with every coefficient path constant, so H(s) is the identity and each
+    subject is its own cluster."""
     if len(data.landmark_grid) != 1:
         raise InvalidInput("data span multiple landmarks; use fit_super_model")
-    y = data.pseudo_values
-    x = np.column_stack([np.ones(y.size), data.covariates])
-    n, p = x.shape
-    if n <= p:
-        raise InvalidInput(f"need more rows ({n}) than coefficients ({p})")
-    beta, iters, norm = _solve_ee(x, y, link, eps_floor=1e-6 * max(abs(y).max(), 1.0))
-    cov = _sandwich(x, y, link, beta, np.arange(n + 1, dtype=np.int64))
-    return LandmarkModelFit(beta=beta, covariance=cov, link=link,
-                            s=data.landmark_grid[0], n_subjects=n,
-                            iterations=iters, score_norm=norm)
+    layout = BasisLayout((None,) * (data.covariates.shape[1] + 1))
+    return fit_super_model(data, layout, link=link)
 
 
 def _super_design(data, layout):

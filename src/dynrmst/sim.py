@@ -22,10 +22,9 @@ import numpy as np
 from scipy import integrate, optimize, stats
 
 from .errors import InvalidInput, NoConvergence
-from .evaluate import c_index, predict_values, static_rmst_model
+from .evaluate import evaluate_on_validation
 from .gee import IDENTITY, fit_super_model, sandwich_cov
-from .landmark import (LongitudinalRecord, MarkerTable, _covariates_at,
-                       build_super_dataset)
+from .landmark import LongitudinalRecord, MarkerTable, build_super_dataset
 from .surv import SurvivalData, SurvivalRecord, crmstd_test
 
 __all__ = [
@@ -627,37 +626,36 @@ def mc_metrics(estimates, variances, truth, alpha=0.05):
     )
 
 
-def _run_chunked(worker, payloads, workers):
-    if workers <= 1:
-        return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, payloads))
+def _replicate_chunk(payload):
+    fn, args, seed, lo, hi = payload
+    return [fn(*args, _rep_rng(seed, rep)) for rep in range(lo, hi)]
 
 
-def _chunk_ranges(reps, workers):
+def _replicate(fn, args, reps, seed, workers=1):
+    """Run ``fn(*args, rng)`` once per replicate on the replicate's own
+    stream, in chunks over ``workers`` processes; returns one array per
+    output of ``fn``, stacked in replicate order."""
     size = max(1, -(-reps // max(1, workers * 4)))
-    return [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+    payloads = [(fn, args, seed, lo, min(lo + size, reps))
+                for lo in range(0, reps, size)]
+    if workers <= 1:
+        chunks = [_replicate_chunk(p) for p in payloads]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_replicate_chunk, payloads))
+    outputs = [out for chunk in chunks for out in chunk]
+    return tuple(np.array(col) for col in zip(*outputs))
 
 
-def _scenario_worker(payload):
-    spec, s, w, seed, lo, hi = payload
-    deltas = np.empty(hi - lo)
-    variances = np.empty(hi - lo)
-    for rep in range(lo, hi):
-        rng = _rep_rng(seed, rep)
-        g0, g1 = simulate_scenario(spec, rng)
-        res = crmstd_test(g0, g1, s, w, extend_tail=True)
-        deltas[rep - lo] = res.delta
-        variances[rep - lo] = res.se**2
-    return lo, deltas, variances
+def _scenario_rep(spec, s, w, rng):
+    res = crmstd_test(*simulate_scenario(spec, rng), s, w, extend_tail=True)
+    return res.delta, res.se**2
 
 
 def scenario_mc(spec, s, w, reps, seed, alpha=0.05, workers=1):
     """Replicated cRMSTd tests on one design; truth from the closed form."""
-    payloads = [(spec, s, w, seed, lo, hi) for lo, hi in _chunk_ranges(reps, workers)]
-    parts = sorted(_run_chunked(_scenario_worker, payloads, workers))
-    deltas = np.concatenate([p[1] for p in parts])
-    variances = np.concatenate([p[2] for p in parts])
+    deltas, variances = _replicate(_scenario_rep, (spec, s, w), reps, seed,
+                                   workers)
     truth = true_crmstd(spec, s, w, method="closed_form")
     return mc_metrics(deltas, variances, truth, alpha=alpha)
 
@@ -672,23 +670,12 @@ def _joint_dataset(columns, grid, w):
                                extend_tail=True)
 
 
-def _coefficient_worker(payload):
-    spec, grid, w, layout, n_subjects, seed, lo, hi = payload
-    q = layout.q
-    betas = np.empty((hi - lo, q))
-    var_cl = np.empty((hi - lo, q))
-    var_nv = np.empty((hi - lo, q))
-    for rep in range(lo, hi):
-        rng = _rep_rng(seed, rep)
-        data = _joint_dataset(simulate_joint(spec, n_subjects, rng).columns(),
-                              grid, w)
-        fit = fit_super_model(data, layout)
-        cov_nv = sandwich_cov(data, layout, IDENTITY, fit.beta,
-                              mode="naive_rowwise")
-        betas[rep - lo] = fit.beta
-        var_cl[rep - lo] = np.diag(fit.covariance)
-        var_nv[rep - lo] = np.diag(cov_nv)
-    return lo, betas, var_cl, var_nv
+def _coefficient_rep(spec, grid, w, layout, n_subjects, rng):
+    data = _joint_dataset(simulate_joint(spec, n_subjects, rng).columns(),
+                          grid, w)
+    fit = fit_super_model(data, layout)
+    cov_nv = sandwich_cov(data, layout, IDENTITY, fit.beta, mode="naive_rowwise")
+    return fit.beta, np.diag(fit.covariance), np.diag(cov_nv)
 
 
 @dataclass(frozen=True)
@@ -715,12 +702,9 @@ def coefficient_mc(spec, grid, w, layout, n_subjects=500, reps=1000,
     beta_true = fit_super_model(_joint_dataset(population.columns(), grid, w),
                                 layout).beta
 
-    payloads = [(spec, grid, w, layout, n_subjects, seed, lo, hi)
-                for lo, hi in _chunk_ranges(reps, workers)]
-    parts = sorted(_run_chunked(_coefficient_worker, payloads, workers))
-    betas = np.concatenate([p[1] for p in parts])
-    var_cl = np.concatenate([p[2] for p in parts])
-    var_nv = np.concatenate([p[3] for p in parts])
+    betas, var_cl, var_nv = _replicate(
+        _coefficient_rep, (spec, grid, w, layout, n_subjects), reps, seed,
+        workers)
 
     clustered = tuple(mc_metrics(betas[:, j], var_cl[:, j], beta_true[j], alpha)
                       for j in range(layout.q))
@@ -730,43 +714,18 @@ def coefficient_mc(spec, grid, w, layout, n_subjects=500, reps=1000,
                                rowwise=rowwise, n_reps=reps)
 
 
-def _prediction_worker(payload):
-    spec, grid, w, layout, n_train, n_val, seed, lo, hi = payload
-    n_lm = len(grid)
-    m = hi - lo
-    c_dyn = np.full((m, n_lm), np.nan)
-    c_stat = np.full((m, n_lm), np.nan)
-    pe_dyn = np.empty((m, n_lm))
-    pe_stat = np.empty((m, n_lm))
-    for rep in range(lo, hi):
-        rng = _rep_rng(seed, rep)
-        train = simulate_joint(spec, n_train, rng).columns()
-        val_sample = simulate_joint(spec, n_val, rng)
-        val = val_sample.columns()
-        fit = fit_super_model(_joint_dataset(train, grid, w), layout)
-        for j, s_j in enumerate(grid):
-            rows = np.flatnonzero(val_sample.time > s_j)
-            dyn_pred = predict_values(
-                fit, _covariates_at(*val, JOINT_COVARIATES, rows, s_j), s_j)
-            dyn_true = val_sample.truth.true_crmst(s_j, w)[rows]
-
-            tau = s_j + w
-            static_fit = static_rmst_model(train[0], tau, longitudinal=train[1],
-                                           covariate_names=JOINT_COVARIATES,
-                                           extend_tail=True)
-            stat_pred = predict_values(
-                static_fit, _covariates_at(*val, JOINT_COVARIATES, rows, 0.0))
-            stat_true = val_sample.truth.true_rmst(tau)[rows]
-
-            r = rep - lo
-            # NaN when fewer than two validation subjects are at risk, or
-            # when c_index is None for want of a usable pair
-            if rows.size > 1:
-                c_dyn[r, j] = c_index(dyn_pred, val[0], s_j, w)
-                c_stat[r, j] = c_index(stat_pred, val[0], s_j, w)
-            pe_dyn[r, j] = float(np.mean(np.abs(dyn_pred - dyn_true)))
-            pe_stat[r, j] = float(np.mean(np.abs(stat_pred - stat_true)))
-    return lo, c_dyn, c_stat, pe_dyn, pe_stat
+def _prediction_rep(spec, grid, w, layout, n_train, n_val, rng):
+    """One train/validate replicate scored by ``evaluate_on_validation``
+    against the validation subjects' true values."""
+    train = simulate_joint(spec, n_train, rng).columns()
+    val = simulate_joint(spec, n_val, rng)
+    fit = fit_super_model(_joint_dataset(train, grid, w), layout)
+    rows = evaluate_on_validation(fit, *train, *val.columns(), extend_tail=True,
+                                  truth=val.truth)
+    # a None C-index (fewer than two at risk, or no usable pair) becomes NaN
+    return tuple(np.array([getattr(r, k) for r in rows], dtype=float)
+                 for k in ("c_index_dynamic", "c_index_static",
+                           "pe_dynamic", "pe_static"))
 
 
 @dataclass(frozen=True)
@@ -787,13 +746,9 @@ def prediction_experiment(spec, grid, w, layout, n_train=500, n_val=300,
     """Train/validate replicates comparing the dynamic landmark model with a
     static baseline-covariate RMST regression refit at each horizon s_j + w."""
     grid = tuple(float(s) for s in grid)
-    payloads = [(spec, grid, w, layout, n_train, n_val, seed, lo, hi)
-                for lo, hi in _chunk_ranges(reps, workers)]
-    parts = sorted(_run_chunked(_prediction_worker, payloads, workers))
-    c_dyn = np.concatenate([p[1] for p in parts])
-    c_stat = np.concatenate([p[2] for p in parts])
-    pe_dyn = np.concatenate([p[3] for p in parts])
-    pe_stat = np.concatenate([p[4] for p in parts])
+    c_dyn, c_stat, pe_dyn, pe_stat = _replicate(
+        _prediction_rep, (spec, grid, w, layout, n_train, n_val), reps, seed,
+        workers)
     return tuple(PredictionRow(
         landmark=s_j,
         c_index_dynamic=float(np.nanmean(c_dyn[:, j])),

@@ -72,7 +72,10 @@ def as_survival_data(survival, covariate_names=()):
     ids = [r.id for r in survival]
     if len(set(ids)) != len(ids):
         raise InvalidInput("duplicate subject ids")
-    recs = sorted(survival, key=lambda r: r.id)
+    try:
+        recs = sorted(survival, key=lambda r: r.id)
+    except TypeError:
+        raise InvalidInput("subject ids must be mutually orderable") from None
     time = np.array([r.time for r in recs], dtype=float)
     status = np.array([r.status for r in recs], dtype=np.int64)
     if np.any(time < 0) or not np.all(np.isfinite(time)):
@@ -245,10 +248,15 @@ def risk_set_pseudo(time, status, s, w, extend_tail=False):
     t, d = time[at_risk], status[at_risk]
     if t.size < 2:
         raise EmptyRiskSet(f"risk set at s={s} has {t.size} subject(s)")
-    # tail policy is enforced on the full risk-set curve; leave-one-out
-    # curves are always carried forward at their last value
-    if not extend_tail:
-        _km_curve(t, d, s).integral(s, s + w)
+    # tail policy is enforced on the full risk-set curve, whose survival
+    # reaches 0 exactly when every subject at the last time is an event;
+    # leave-one-out curves are always carried forward at their last value
+    last = t.max()
+    if not extend_tail and s + w > last and np.any(d[t == last] == 0):
+        raise TailUndefined(
+            f"risk-set curve at s={s} ends at {last} with survival > 0; "
+            f"cannot integrate to {s + w} (pass extend_tail=True to carry "
+            f"the curve forward)")
     return at_risk, _kernels.jackknife_pseudo(t, d, float(s), float(w))
 
 

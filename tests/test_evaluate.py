@@ -1,5 +1,7 @@
 """Prediction, delta-method intervals, C-index, prediction error."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -159,7 +161,7 @@ class TestStaticModel:
                                 covariate_names=["m"], extend_tail=True)
         # only the t=0 values can enter: a later value of 99 would destroy
         # the perfect ordering of m with survival time
-        assert fit.s == 0.0
+        assert fit.grid == (0.0,)
         res = predict_landmark(fit, [0.0])
         assert np.isfinite(res.value)
 
@@ -183,3 +185,50 @@ class TestStaticModel:
             assert r.reference_kind == "pseudo_value"
             assert r.pe_dynamic >= 0 and r.pe_static >= 0
             assert r.c_index_dynamic is None or 0 <= r.c_index_dynamic <= 1
+
+    def joint_fit(self):
+        spec = joint_spec("linear")
+        train = simulate_joint(spec, 150, 1).columns()
+        data = build_super_dataset(*train, [0.0, 2.0, 4.0], 5.0,
+                                   covariate_names=["x1", "x2", "marker"],
+                                   extend_tail=True)
+        sp = SplineSpec((2.0,), (0.0, 4.0), standardization_scale=4.0)
+        return train, fit_super_model(data, BasisLayout((sp,) * 4))
+
+    def test_true_value_references(self):
+        train, fit = self.joint_fit()
+        val = simulate_joint(joint_spec("linear"), 80, 2)
+        rows = evaluate_on_validation(fit, *train, *val.columns(),
+                                      extend_tail=True, truth=val.truth)
+        for r in rows:
+            s = r.landmark
+            at_risk = val.time > s
+            z = np.column_stack([val.x1, val.x2, val.visit_values[:, 0]])
+            marker = [v[~np.isnan(t) & (t <= s)][-1]
+                      for t, v in zip(val.visit_times, val.visit_values)]
+            z_s = np.column_stack([val.x1, val.x2, marker])[at_risk]
+            dyn = predict_values(fit, z_s, s)
+            stat_fit = static_rmst_model(train[0], s + 5.0,
+                                         longitudinal=train[1],
+                                         covariate_names=fit.covariate_names,
+                                         extend_tail=True)
+            stat = predict_values(stat_fit, z[at_risk])
+            assert r.reference_kind == "true_value"
+            assert r.pe_dynamic == np.mean(np.abs(
+                dyn - val.truth.true_crmst(s, 5.0)[at_risk]))
+            assert r.pe_static == np.mean(np.abs(
+                stat - val.truth.true_rmst(s + 5.0)[at_risk]))
+
+    def test_too_few_at_risk_gives_no_c_index(self):
+        train, fit = self.joint_fit()
+        val = simulate_joint(joint_spec("linear"), 30, 2)
+        # one validation subject is still at risk at the last landmark
+        time = np.minimum(val.time, 3.0)
+        time[0] = 10.0
+        val = replace(val, time=time)
+        rows = evaluate_on_validation(fit, *train, *val.columns(),
+                                      extend_tail=True, truth=val.truth)
+        assert rows[-1].c_index_dynamic is None
+        assert rows[-1].c_index_static is None
+        assert np.isfinite(rows[-1].pe_dynamic)
+        assert all(r.c_index_dynamic is not None for r in rows[:-1])

@@ -1,13 +1,16 @@
-"""Property tests of the columnar landmark core."""
+"""Property tests of the columnar landmark core and the pseudo-value tail
+rule."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dynrmst.errors import DynRmstError
 from dynrmst.landmark import (LongitudinalRecord, MarkerTable,
                               build_super_dataset)
 from dynrmst.sim import joint_spec, simulate_joint
-from dynrmst.surv import SurvivalRecord, as_survival_data
+from dynrmst.surv import (SurvivalRecord, as_survival_data, crmst_km,
+                          pseudo_observations)
 
 # obs times on a coarse lattice so ties with the landmark and between
 # measurements of one subject are common
@@ -56,3 +59,28 @@ def test_records_and_columns_build_identical_arrays(seed, n):
     for a, b in zip(from_records.arrays(), from_columns.arrays()):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert list(from_records.subjects) == list(from_columns.subjects)
+
+
+@st.composite
+def small_samples(draw):
+    n = draw(st.integers(1, 8))
+    times = draw(st.lists(TIMES.map(lambda t: t + 0.5), min_size=n, max_size=n))
+    status = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return ([SurvivalRecord(i, t, d) for i, (t, d) in enumerate(zip(times, status))],
+            draw(TIMES), draw(st.integers(1, 8).map(lambda k: k / 2.0)))
+
+
+def _raised(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except DynRmstError as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_samples())
+def test_pseudo_tail_rule_matches_km_integral(case):
+    records, s, w = case
+    assert (_raised(pseudo_observations, records, s, w, extend_tail=False)
+            == _raised(crmst_km, records, s, w, extend_tail=False))

@@ -6,11 +6,13 @@ from dataclasses import replace
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from dynrmst.basis import BasisLayout, SplineSpec
 from dynrmst.errors import InvalidInput
 from dynrmst.sim import (JointModelSpec, JointTruth, _invert_event_times,
                          _true_crmst_arm, calibrate_joint_censoring, joint_spec,
-                         mc_metrics, scenario_mc, scenario_spec,
-                         simulate_joint, simulate_scenario, true_crmstd)
+                         mc_metrics, prediction_experiment, scenario_mc,
+                         scenario_spec, simulate_joint, simulate_scenario,
+                         true_crmstd)
 
 
 class TestScenarioDesigns:
@@ -201,3 +203,20 @@ class TestScenarioMc:
         assert a.n_reps == 40
         assert 0.0 <= a.coverage <= 1.0
         assert a.truth == true_crmstd(spec, 5.0, 5.0, method="closed_form")
+
+
+class TestPredictionExperiment:
+    def test_worker_count_is_bitwise_invariant(self):
+        sp = SplineSpec((2.0,), (0.0, 4.0), standardization_scale=4.0)
+        args = (joint_spec("linear"), [0.0, 2.0, 4.0], 5.0,
+                BasisLayout((sp,) * 4))
+        kwargs = dict(n_train=150, n_val=60, reps=3, seed=11)
+        one = prediction_experiment(*args, workers=1, **kwargs)
+        two = prediction_experiment(*args, workers=2, **kwargs)
+        assert [r.landmark for r in one] == [0.0, 2.0, 4.0]
+        for a, b in zip(one, two):
+            assert np.array_equal(
+                [a.c_index_dynamic, a.c_index_static, a.pe_dynamic, a.pe_static],
+                [b.c_index_dynamic, b.c_index_static, b.pe_dynamic, b.pe_static],
+                equal_nan=True)
+            assert a.n_reps == b.n_reps == 3

@@ -58,6 +58,10 @@ class TestKmFit:
         with pytest.raises(InvalidInput):
             km_fit([SurvivalRecord(0, 1.0, 1), SurvivalRecord(0, 2.0, 1)])
 
+    def test_mixed_id_types_are_invalid_input(self):
+        with pytest.raises(InvalidInput, match="mutually orderable"):
+            km_fit([SurvivalRecord(0, 1.0, 1), SurvivalRecord("a", 2.0, 1)])
+
 
 class TestCurveIntegral:
     def test_step_integral_hand_value(self):
