@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: km, crmst, test, fit, predict, evaluate, simulate, mc.  Outputs
-are CSV or JSON artifacts embedding the resolved configuration; failures
-print a machine-readable JSON error record to stderr and exit nonzero.
+are CSV or JSON artifacts embedding the resolved configuration; any failure
+prints a machine-readable JSON error record to stderr and exits 1 (with the
+traceback too under ``--debug``).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from fractions import Fraction
 
 import numpy as np
@@ -62,7 +64,7 @@ def _parse_assignments(pairs):
 
 
 def _config_of(args):
-    skip = {"func"}
+    skip = {"func", "debug"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -178,12 +180,11 @@ def _cmd_evaluate(args):
         if args.val_longitudinal else [],
         extend_tail=args.extend_tail,
     )
+    # a None C-index or PE is written as an empty cell
     out = [
         {"landmark": r.landmark,
-         "c_index_dynamic": float("nan") if r.c_index_dynamic is None
-         else r.c_index_dynamic,
-         "c_index_static": float("nan") if r.c_index_static is None
-         else r.c_index_static,
+         "c_index_dynamic": r.c_index_dynamic,
+         "c_index_static": r.c_index_static,
          "pe_dynamic": r.pe_dynamic, "pe_static": r.pe_static,
          "reference_kind": r.reference_kind}
         for r in rows
@@ -237,6 +238,8 @@ def _build_parser():
         prog="dynrmst",
         description="Dynamic restricted-mean-survival-time analysis via "
                     "pseudo-observations and landmarking.")
+    parser.add_argument("--debug", action="store_true",
+                        help="print the traceback of a failure")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_text):
@@ -328,13 +331,11 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DynRmstError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr)
-        print(file=sys.stderr)
-        return 1
-    except OSError as exc:
-        json.dump({"error": "OSError", "message": str(exc)}, sys.stderr)
+    except Exception as exc:
+        if args.debug:
+            traceback.print_exc()
+        error = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+        json.dump({"error": error, "message": str(exc)}, sys.stderr)
         print(file=sys.stderr)
         return 1
 

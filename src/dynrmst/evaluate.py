@@ -49,13 +49,14 @@ class PredictionResult:
 @dataclass(frozen=True)
 class EvalRow:
     """Evaluation summary for one landmark (a C-index is None when fewer
-    than two subjects are at risk or no pair is usable)."""
+    than two subjects are at risk or no pair is usable; a PE is None when
+    the landmark has no reference values)."""
 
     landmark: float
     c_index_dynamic: float | None
     c_index_static: float | None
-    pe_dynamic: float
-    pe_static: float
+    pe_dynamic: float | None
+    pe_static: float | None
     reference_kind: str
 
 
@@ -171,18 +172,28 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
     Without ``truth`` the references are validation pseudo-values (the
     unknown-truth case).  ``truth`` is a JointTruth of the validation
     subjects in ascending id order; the references are then each subject's
-    true cRMST at (s_j, w) and true RMST at s_j + w.  A landmark with fewer
-    than two validation subjects at risk gets C-index None; without
-    ``truth`` it raises EmptyRiskSet, as its pseudo-values are undefined.
+    true cRMST at (s_j, w) and true RMST at s_j + w, all read from one
+    table of the subjects at risk at the first landmark.  A landmark with
+    fewer than two validation subjects at risk gets C-index None, and PE
+    None when it has no reference: fewer than two at risk for pseudo-values
+    (they are undefined there), none at risk for true values.
     """
     names = dynamic_fit.covariate_names
     w = dynamic_fit.w
+    grid = np.asarray(dynamic_fit.grid)
     train = _columns(train_survival, train_longitudinal, names)[:2]
     val = _columns(val_survival, val_longitudinal, names)[:2]
     time, status = val[0].time, val[0].status
     kind = "pseudo_value" if truth is None else "true_value"
+    if truth is not None:
+        # risk sets are nested, so every later landmark reads rows of this
+        # table: column j holds cRMST(s_j, w), column J + j RMST(s_j + w)
+        first = np.flatnonzero(time > grid[0])
+        table = truth.subset(first).true_crmst(
+            np.concatenate((grid, np.zeros(grid.size))),
+            np.concatenate((np.full(grid.size, w), grid + w)))
     rows_out = []
-    for s_j in dynamic_fit.grid:
+    for j, s_j in enumerate(dynamic_fit.grid):
         tau = s_j + w
         rows = np.flatnonzero(time > s_j)
         dyn_pred = predict_values(
@@ -192,16 +203,20 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
                                        extend_tail=extend_tail)
         stat_pred = predict_values(static_fit,
                                    _covariates_at(*val, names, rows, 0.0))
-        if truth is None:
+        refs = None
+        if truth is not None and rows.size:
+            at_risk = time[first] > s_j
+            refs = table[at_risk, j], table[at_risk, grid.size + j]
+        elif truth is None and rows.size > 1:
             dyn_ref = risk_set_pseudo(time, status, s_j, w, extend_tail)[1]
             # static pseudo-values cover every subject with Y > 0; keep
             # those at risk at s_j
             at_0, pv = risk_set_pseudo(time, status, 0.0, tau, extend_tail)
-            stat_ref = pv[time[at_0] > s_j]
-        else:
-            dyn_ref = truth.true_crmst(s_j, w)[rows]
-            stat_ref = truth.true_rmst(tau)[rows]
-        c_dyn = c_stat = None
+            refs = dyn_ref, pv[time[at_0] > s_j]
+        pe_dyn = pe_stat = c_dyn = c_stat = None
+        if refs is not None:
+            pe_dyn = prediction_error(dyn_pred, refs[0], kind=kind)
+            pe_stat = prediction_error(stat_pred, refs[1], kind=kind)
         if rows.size > 1:
             c_dyn = c_index(dyn_pred, val[0], s_j, w)
             c_stat = c_index(stat_pred, val[0], s_j, w)
@@ -209,8 +224,8 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
             landmark=float(s_j),
             c_index_dynamic=c_dyn,
             c_index_static=c_stat,
-            pe_dynamic=prediction_error(dyn_pred, dyn_ref, kind=kind),
-            pe_static=prediction_error(stat_pred, stat_ref, kind=kind),
+            pe_dynamic=pe_dyn,
+            pe_static=pe_stat,
             reference_kind=kind,
         ))
     return rows_out

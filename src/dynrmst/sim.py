@@ -10,11 +10,18 @@ independent replicates.
 Determinism: every replicate draws from its own
 ``SeedSequence(entropy=master_seed, spawn_key=(1, rep))`` stream, so results
 are bitwise identical for any worker count.  The population draw of
-``coefficient_mc`` uses ``spawn_key=(0,)``.
+``coefficient_mc`` uses ``spawn_key=(0,)``.  The harnesses run numpy's
+bundled OpenBLAS on one thread (in the caller and in every worker), so
+results do not depend on the number of cores either.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -53,6 +60,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 HAZARD_PANELS = 160
 # panels (even, for Simpson) when integrating survival for true cRMST values
 SURVIVAL_PANELS = 128
+# hazard nodes per truth-table chunk (subjects x nodes), about 2 MB of floats
+_TABLE_CELLS = 1 << 18
 INVERSION_TOL = 1e-12
 INVERSION_MAX_ITER = 200
 
@@ -183,21 +192,26 @@ def scenario_spec(number, n_per_arm, censor_target=0.0, control_median=10.0):
     return spec
 
 
-def simulate_scenario(spec, seed):
-    """One dataset: (control records, treatment records), ids 'c<i>'/'t<i>'."""
-    rng = _rng_of(seed)
-    out = []
-    for arm, prefix, bound in ((0, "c", spec.censor_a), (1, "t", spec.censor_b)):
+def _draw_arms(spec, rng):
+    """(time, status) arrays of the control arm, then the treatment arm."""
+    arms = []
+    for arm, bound in ((0, spec.censor_a), (1, spec.censor_b)):
         breaks, rates = spec.arm_hazard(arm)
         t = _pw_invert(breaks, rates, rng.exponential(size=spec.n_per_arm))
         if bound is None:
-            y, d = t, np.ones(spec.n_per_arm, dtype=np.int64)
+            arms.append((t, np.ones(spec.n_per_arm, dtype=np.int64)))
         else:
             c = rng.uniform(0.0, bound, size=spec.n_per_arm)
-            y = np.minimum(t, c)
-            d = (t < c).astype(np.int64)
+            arms.append((np.minimum(t, c), (t < c).astype(np.int64)))
+    return arms
+
+
+def simulate_scenario(spec, seed):
+    """One dataset: (control records, treatment records), ids 'c<i>'/'t<i>'."""
+    out = []
+    for arm, (y, d) in enumerate(_draw_arms(spec, _rng_of(seed))):
         out.append([
-            SurvivalRecord(id=f"{prefix}{i:06d}", time=float(y[i]),
+            SurvivalRecord(id=f"{'ct'[arm]}{i:06d}", time=float(y[i]),
                            status=int(d[i]), group=arm)
             for i in range(spec.n_per_arm)
         ])
@@ -335,14 +349,14 @@ class JointTruth:
         return base * np.exp(self.c0[:, None] + self.c1[:, None] * t
                              + self.c2[:, None] * t * t)
 
-    def _cum_increments(self, edges):
-        """Integral of the hazard over each [edges[j], edges[j+1]] -> (n, P)."""
-        mid = (edges[:-1] + edges[1:]) / 2.0
-        half = (edges[1:] - edges[:-1]) / 2.0
+    def _cum_increments(self, left, right):
+        """Integral of the hazard over each panel [left_p, right_p] -> (n, P)."""
+        mid = (left + right) / 2.0
+        half = (right - left) / 2.0
         t = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
         wt = (half[:, None] * _GL_WEIGHTS).ravel()
         hv = self._hazard(t) * wt
-        return hv.reshape(self.c0.size, edges.size - 1, _GL_NODES.size).sum(axis=2)
+        return hv.reshape(self.c0.size, left.size, _GL_NODES.size).sum(axis=2)
 
     def cumulative_hazard(self, t, panels=HAZARD_PANELS):
         """H_i(t_i) for per-subject times t (scalar broadcast allowed)."""
@@ -364,18 +378,55 @@ class JointTruth:
         return out
 
     def true_crmst(self, s, w, panels=SURVIVAL_PANELS):
-        """E(min(T - s, w) | T > s) per subject: Simpson integration of
-        exp(-(H(s+u) - H(s))) on a uniform grid over [0, w]."""
-        edges = np.linspace(s, s + w, panels + 1)
-        out = np.empty(self.c0.size)
-        for lo, hi in _chunks(self.c0.size):
+        """E(min(T - s, w) | T > s) per subject, for one window (s, w) -> (n,)
+        or for arrays of windows (s_j, w_j) -> (n, J).
+
+        All windows are read from one cumulative-hazard table per subject.
+        Its breakpoints b_k are every s_j and s_j + w_j; each gap between
+        them is cut into an even number of panels no wider than
+        min(w) / ``panels``, its hazard increments come from the
+        Gauss-Legendre rule, and G_k is the composite Simpson integral of
+        exp(-(H(t) - H(b_k))) over the gap.  A window is the sum of
+        exp(-(H(b_k) - H(s_j))) G_k over its gaps, so a single window is
+        Simpson on ``panels`` uniform panels over [s, s + w].
+        """
+        s, w = np.broadcast_arrays(np.asarray(s, dtype=float),
+                                   np.asarray(w, dtype=float))
+        scalar = s.ndim == 0
+        s, w = s.ravel(), w.ravel()
+        if s.size == 0 or np.any(s < 0) or not np.all(w > 0):
+            raise InvalidInput("need windows with s >= 0 and w > 0")
+        bounds = np.unique(np.concatenate((s, s + w)))
+        first = np.searchsorted(bounds, s)
+        stop = np.searchsorted(bounds, s + w)
+        # panels per gap: even, and no wider than min(w) / panels (the
+        # tolerance keeps a gap of exactly that many panels from rounding up)
+        per_gap = 2 * np.ceil(np.diff(bounds) * panels / (2.0 * w.min())
+                              - 1e-9).astype(np.int64)
+        out = np.empty((self.c0.size, s.size))
+        size = max(1, _TABLE_CELLS // int(per_gap.sum() * _GL_NODES.size))
+        for lo, hi in _chunks(self.c0.size, size):
             sub = self.subset(slice(lo, hi))
-            inc = sub._cum_increments(edges)
-            dh = np.concatenate(
-                [np.zeros((inc.shape[0], 1)), np.cumsum(inc, axis=1)], axis=1
-            )
-            out[lo:hi] = integrate.simpson(np.exp(-dh), x=edges, axis=1)
-        return out
+            gap_int = np.empty((hi - lo, per_gap.size))
+            gap_inc = np.empty((hi - lo, per_gap.size))
+            for m in np.unique(per_gap):
+                k = np.flatnonzero(per_gap == m)
+                edges = np.linspace(bounds[k], bounds[k + 1], m + 1, axis=1)
+                inc = sub._cum_increments(
+                    edges[:, :-1].ravel(), edges[:, 1:].ravel()
+                ).reshape(hi - lo, k.size, m)
+                dh = np.concatenate(
+                    [np.zeros((hi - lo, k.size, 1)), np.cumsum(inc, axis=2)],
+                    axis=2)
+                gap_int[:, k] = integrate.simpson(np.exp(-dh), x=edges[None],
+                                                  axis=2)
+                gap_inc[:, k] = dh[:, :, -1]
+            h_b = np.concatenate([np.zeros((hi - lo, 1)),
+                                  np.cumsum(gap_inc, axis=1)], axis=1)
+            for j, (a, b) in enumerate(zip(first, stop)):
+                out[lo:hi, j] = np.sum(np.exp(-(h_b[:, a:b] - h_b[:, a:a + 1]))
+                                       * gap_int[:, a:b], axis=1)
+        return out[:, 0] if scalar else out
 
     def true_rmst(self, tau, panels=SURVIVAL_PANELS):
         """E(min(T, tau)) per subject."""
@@ -399,7 +450,7 @@ def _invert_event_times(truth, e, max_t, panels=HAZARD_PANELS):
     edges = np.linspace(0.0, max_t, panels + 1)
     for lo, hi in _chunks(n):
         sub = truth.subset(slice(lo, hi))
-        inc = sub._cum_increments(edges)
+        inc = sub._cum_increments(edges[:-1], edges[1:])
         cum = np.concatenate([np.zeros((inc.shape[0], 1)),
                               np.cumsum(inc, axis=1)], axis=1)
         ev = cum[:, -1] >= e[lo:hi]
@@ -626,9 +677,49 @@ def mc_metrics(estimates, variances, truth, alpha=0.05):
     )
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS bundled with
+    numpy, or None when numpy carries no such library."""
+    root = os.path.dirname(np.__file__)
+    for pattern in (os.path.join(root, os.pardir, "numpy.libs", "*openblas*"),
+                    os.path.join(root, ".dylibs", "*openblas*")):
+        for path in sorted(glob.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(path)
+                get = lib.scipy_openblas_get_num_threads64_
+                put = lib.scipy_openblas_set_num_threads64_
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin numpy's OpenBLAS to one thread, restoring the caller's count on
+    exit: BLAS results then do not depend on the core count, and pooled
+    workers do not oversubscribe the cores.  A no-op without OpenBLAS."""
+    fns = _openblas_threads()
+    if fns is None:
+        yield
+        return
+    get, put = fns
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def _replicate_chunk(payload):
     fn, args, seed, lo, hi = payload
-    return [fn(*args, _rep_rng(seed, rep)) for rep in range(lo, hi)]
+    # a forked worker inherits the harness's pin; other start methods do not
+    with _one_blas_thread():
+        return [fn(*args, _rep_rng(seed, rep)) for rep in range(lo, hi)]
 
 
 def _replicate(fn, args, reps, seed, workers=1):
@@ -648,10 +739,14 @@ def _replicate(fn, args, reps, seed, workers=1):
 
 
 def _scenario_rep(spec, s, w, rng):
-    res = crmstd_test(*simulate_scenario(spec, rng), s, w, extend_tail=True)
+    # each arm's columns in draw order, the id order of simulate_scenario
+    arms = [SurvivalData(np.arange(y.size), y, d)
+            for y, d in _draw_arms(spec, rng)]
+    res = crmstd_test(*arms, s, w, extend_tail=True)
     return res.delta, res.se**2
 
 
+@_one_blas_thread()
 def scenario_mc(spec, s, w, reps, seed, alpha=0.05, workers=1):
     """Replicated cRMSTd tests on one design; truth from the closed form."""
     deltas, variances = _replicate(_scenario_rep, (spec, s, w), reps, seed,
@@ -689,6 +784,7 @@ class CoefficientMCResult:
     n_reps: int
 
 
+@_one_blas_thread()
 def coefficient_mc(spec, grid, w, layout, n_subjects=500, reps=1000,
                    pop_size=100_000, seed=0, alpha=0.05, workers=1):
     """Sandwich-calibration experiment: fit the landmark super-model on
@@ -741,6 +837,7 @@ class PredictionRow:
     n_reps: int
 
 
+@_one_blas_thread()
 def prediction_experiment(spec, grid, w, layout, n_train=500, n_val=300,
                           reps=200, seed=0, workers=1):
     """Train/validate replicates comparing the dynamic landmark model with a

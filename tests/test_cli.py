@@ -113,6 +113,28 @@ class TestFitPredictRoundTrip:
         assert "pe_dynamic" in header and "c_index_static" in header
         assert len(lines) == 1 + 5  # header + one row per landmark 0..4
 
+    def test_evaluate_with_too_few_at_risk_writes_empty_cells(self, tmp_path):
+        surv, long = joint_csvs(tmp_path)
+        vsurv, vlong = joint_csvs(tmp_path, n=30, seed=2, stem="val")
+        # every validation subject censored at 3: nobody at risk at s = 4
+        records = [SurvivalRecord(r.id, min(r.time, 3.0),
+                                  r.status if r.time <= 3.0 else 0,
+                                  covariates=r.covariates)
+                   for r in dataio.read_survival(vsurv)]
+        dataio.write_survival(vsurv, records)
+        model = fitted_model_path(tmp_path, surv, long)
+        out = tmp_path / "eval.csv"
+        assert run(["evaluate", "--model", model, "--train", surv,
+                    "--train-longitudinal", long, "--val", vsurv,
+                    "--val-longitudinal", vlong, "--extend-tail",
+                    "--output", out]) == 0
+        lines = [l for l in out.read_text().splitlines()
+                 if not l.startswith("#")]
+        assert lines[0] == ("landmark,c_index_dynamic,c_index_static,"
+                            "pe_dynamic,pe_static,reference_kind")
+        assert lines[-1] == "4,,,,,pseudo_value"
+        assert "nan" not in out.read_text()
+
 
 class TestInputDiagnostics:
     def write(self, tmp_path, text, name="bad.csv"):
@@ -209,6 +231,21 @@ class TestInputDiagnostics:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["error"] == "InvalidInput" and "x2" in err["message"]
+
+    def test_unexpected_exception_is_an_error_record(self, tmp_path, capsys):
+        # float("x") in the knot list raises a bare ValueError
+        surv, long = joint_csvs(tmp_path, n=50)
+        argv = ["fit", "--input", surv, "--grid", "0:4:1", "--w", "5",
+                "--knots", "x", "--output", tmp_path / "model.json"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and "x" in err["message"]
+        assert run(["--debug", *argv]) == 1
+        captured = capsys.readouterr().err
+        assert captured.startswith("Traceback")
+        assert json.loads(captured.splitlines()[-1])["error"] == "ValueError"
 
     def test_missing_file_is_reported(self, tmp_path, capsys):
         assert run(["crmst", "--input", tmp_path / "nope.csv",

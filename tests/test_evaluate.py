@@ -1,5 +1,6 @@
 """Prediction, delta-method intervals, C-index, prediction error."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -200,7 +201,14 @@ class TestStaticModel:
         val = simulate_joint(joint_spec("linear"), 80, 2)
         rows = evaluate_on_validation(fit, *train, *val.columns(),
                                       extend_tail=True, truth=val.truth)
-        for r in rows:
+        # the one truth table evaluation reads: the subjects at risk at the
+        # first landmark, cRMST(s_j, 5) then RMST(s_j + 5) per landmark
+        grid = np.array(fit.grid)
+        first = val.time > grid[0]
+        table = val.truth.subset(first).true_crmst(
+            np.concatenate((grid, np.zeros(grid.size))),
+            np.concatenate((np.full(grid.size, 5.0), grid + 5.0)))
+        for j, r in enumerate(rows):
             s = r.landmark
             at_risk = val.time > s
             z = np.column_stack([val.x1, val.x2, val.visit_values[:, 0]])
@@ -215,9 +223,9 @@ class TestStaticModel:
             stat = predict_values(stat_fit, z[at_risk])
             assert r.reference_kind == "true_value"
             assert r.pe_dynamic == np.mean(np.abs(
-                dyn - val.truth.true_crmst(s, 5.0)[at_risk]))
+                dyn - table[at_risk[first], j]))
             assert r.pe_static == np.mean(np.abs(
-                stat - val.truth.true_rmst(s + 5.0)[at_risk]))
+                stat - table[at_risk[first], grid.size + j]))
 
     def test_too_few_at_risk_gives_no_c_index(self):
         train, fit = self.joint_fit()
@@ -232,3 +240,39 @@ class TestStaticModel:
         assert rows[-1].c_index_static is None
         assert np.isfinite(rows[-1].pe_dynamic)
         assert all(r.c_index_dynamic is not None for r in rows[:-1])
+
+    def censored_validation(self, n_after):
+        """30 validation subjects censored at 3, the first ``n_after`` of
+        them followed to 10 instead."""
+        val = simulate_joint(joint_spec("linear"), 30, 2)
+        time = np.minimum(val.time, 3.0)
+        status = np.where(val.time > 3.0, 0, val.status)
+        time[:n_after] = 10.0
+        status[:n_after] = 0
+        return replace(val, time=time, status=status)
+
+    @pytest.mark.parametrize("n_after", [0, 1])
+    def test_too_few_at_risk_gives_no_pseudo_value_pe(self, n_after):
+        train, fit = self.joint_fit()
+        val = self.censored_validation(n_after)
+        rows = evaluate_on_validation(fit, *train, *val.columns(),
+                                      extend_tail=True)
+        assert [r.landmark for r in rows] == [0.0, 2.0, 4.0]
+        last = rows[-1]
+        assert last.reference_kind == "pseudo_value"
+        assert (last.c_index_dynamic, last.c_index_static,
+                last.pe_dynamic, last.pe_static) == (None,) * 4
+        for r in rows[:-1]:
+            assert np.isfinite(r.pe_dynamic) and np.isfinite(r.pe_static)
+
+    def test_nobody_at_risk_gives_no_true_value_pe(self):
+        train, fit = self.joint_fit()
+        val = self.censored_validation(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = evaluate_on_validation(fit, *train, *val.columns(),
+                                          extend_tail=True, truth=val.truth)
+        assert rows[-1].pe_dynamic is None and rows[-1].pe_static is None
+        assert rows[-1].c_index_dynamic is None
+        for r in rows[:-1]:
+            assert np.isfinite(r.pe_dynamic) and np.isfinite(r.pe_static)

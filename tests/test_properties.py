@@ -1,5 +1,5 @@
-"""Property tests of the columnar landmark core and the pseudo-value tail
-rule."""
+"""Property tests of the columnar landmark core, the pseudo-value tail
+rule and the two Kaplan-Meier cRMST routes."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -10,7 +10,7 @@ from dynrmst.landmark import (LongitudinalRecord, MarkerTable,
                               build_super_dataset)
 from dynrmst.sim import joint_spec, simulate_joint
 from dynrmst.surv import (SurvivalRecord, as_survival_data, crmst_km,
-                          pseudo_observations)
+                          crmst_km_ratio, pseudo_observations)
 
 # obs times on a coarse lattice so ties with the landmark and between
 # measurements of one subject are common
@@ -84,3 +84,17 @@ def test_pseudo_tail_rule_matches_km_integral(case):
     records, s, w = case
     assert (_raised(pseudo_observations, records, s, w, extend_tail=False)
             == _raised(crmst_km, records, s, w, extend_tail=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_samples(), st.booleans())
+def test_kaplan_meier_routes_agree(case, extend_tail):
+    records, s, w = case
+    kwargs = dict(extend_tail=extend_tail)
+    raised = _raised(crmst_km, records, s, w, **kwargs)
+    assert raised == _raised(crmst_km_ratio, records, s, w, **kwargs)
+    if raised is None:
+        restart = crmst_km(records, s, w, **kwargs)
+        ratio = crmst_km_ratio(records, s, w, **kwargs)
+        assert restart.n_at_risk == ratio.n_at_risk
+        assert abs(restart.value - ratio.value) <= 1e-12 * w

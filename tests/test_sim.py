@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from dataclasses import replace
 from numpy.testing import assert_allclose
-from scipy import stats
+from scipy import integrate, stats
 
+from dynrmst import sim
 from dynrmst.basis import BasisLayout, SplineSpec
 from dynrmst.errors import InvalidInput
-from dynrmst.sim import (JointModelSpec, JointTruth, _invert_event_times,
+from dynrmst.sim import (_GL_NODES, _GL_WEIGHTS, JointModelSpec, JointTruth,
+                         _invert_event_times, _openblas_threads,
                          _true_crmst_arm, calibrate_joint_censoring, joint_spec,
                          mc_metrics, prediction_experiment, scenario_mc,
                          scenario_spec, simulate_joint, simulate_scenario,
@@ -168,6 +170,75 @@ class TestEventTimeInversion:
                 assert err <= w / panels
 
 
+def window_oracle(truth, i, s, w):
+    """Adaptive-quadrature cRMST of subject i over (s, w) (linear model)."""
+    from scipy.integrate import quad
+
+    c0, c1, lam = truth.c0[i], truth.c1[i], truth.lam
+
+    def cumhaz(t):
+        return quad(lambda u: lam * u ** (lam - 1.0) * np.exp(c0 + c1 * u),
+                    0.0, t, limit=400)[0]
+
+    h_s = cumhaz(s)
+    return quad(lambda u: np.exp(-(cumhaz(s + u) - h_s)), 0.0, w,
+                limit=400)[0]
+
+
+def uniform_simpson(truth, s, w, panels=128):
+    """The single-window rule: Gauss-Legendre hazard increments on a uniform
+    grid of ``panels`` panels over [s, s + w], then Simpson."""
+    edges = np.linspace(s, s + w, panels + 1)
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    half = (edges[1:] - edges[:-1]) / 2.0
+    t = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+    wt = (half[:, None] * _GL_WEIGHTS).ravel()
+    inc = (truth._hazard(t) * wt).reshape(truth.c0.size, panels,
+                                          _GL_NODES.size).sum(axis=2)
+    dh = np.concatenate([np.zeros((truth.c0.size, 1)),
+                         np.cumsum(inc, axis=1)], axis=1)
+    return integrate.simpson(np.exp(-dh), x=edges, axis=1)
+
+
+class TestTruthTable:
+    def test_scalar_window_is_the_uniform_simpson_bitwise(self):
+        truth = simulate_joint(joint_spec("linear"), 400, 8).truth
+        for s, w in ((0.0, 5.0), (5.0, 5.0), (0.1, 0.3), (2.5, 7.3),
+                     (1 / 3, 1 / 7), (9.5, 5.0)):
+            assert np.array_equal(truth.true_crmst(s, w),
+                                  uniform_simpson(truth, s, w))
+        assert np.array_equal(truth.true_rmst(12.5),
+                              uniform_simpson(truth, 0.0, 12.5))
+
+    def test_window_table_matches_quad_oracle(self):
+        """cRMST windows (s_j, w) and RMST windows (0, s_j + w) from one call,
+        within the graded bounds of the single-window contract."""
+        truth = simulate_joint(joint_spec("linear"), 300, 8).truth
+        s, w, panels = np.array([0.0, 2.5, 5.0, 10.0]), 5.0, 128
+        table = truth.true_crmst(np.concatenate((s, np.zeros(s.size))),
+                                 np.concatenate((np.full(s.size, w), s + w)),
+                                 panels=panels)
+        assert table.shape == (300, 2 * s.size)
+        windows = [(s_j, w) for s_j in s] + [(0.0, s_j + w) for s_j in s]
+        for j, (a, b) in enumerate(windows):
+            col = table[:, j]
+            order = np.argsort(col)
+            for i in list(order[:2]) + list(order[-2:]) + list(order[::75]):
+                err = abs(col[i] - window_oracle(truth, i, a, b))
+                if col[i] > 2.0:
+                    assert err <= 1e-7
+                elif col[i] > 0.5:
+                    assert err <= 1e-6
+                else:
+                    assert err <= w / panels
+
+    def test_windows_must_be_positive(self):
+        truth = simulate_joint(joint_spec("linear"), 5, 8).truth
+        for s, w in ((0.0, 0.0), (-1.0, 2.0), ([1.0, 2.0], [1.0, -1.0])):
+            with pytest.raises(InvalidInput):
+                truth.true_crmst(s, w)
+
+
 class TestMcMetrics:
     def test_hand_example(self):
         rep = mc_metrics([1.0, 3.0], [1.0, 1.0], truth=2.0)
@@ -220,3 +291,45 @@ class TestPredictionExperiment:
                 [b.c_index_dynamic, b.c_index_static, b.pe_dynamic, b.pe_static],
                 equal_nan=True)
             assert a.n_reps == b.n_reps == 3
+
+
+def _blas_threads_rep(spec, s, w, rng):
+    """A scenario replicate that reports the BLAS thread count it ran with."""
+    return float(_openblas_threads()[0]()), 1.0
+
+
+def _failing_rep(*args):
+    raise RuntimeError("replicate failed")
+
+
+class TestBlasPin:
+    @pytest.fixture
+    def caller_threads(self):
+        """The caller's OpenBLAS thread count, set above 1 for the test."""
+        # numpy wheels bundle scipy-openblas, whose symbols must be found
+        fns = _openblas_threads()
+        assert fns is not None
+        get, put = fns
+        before = get()
+        put(max(before, 2))
+        yield get
+        put(before)
+
+    def test_replicates_run_on_one_thread_and_count_is_restored(
+            self, caller_threads, monkeypatch):
+        threads = caller_threads()
+        monkeypatch.setattr(sim, "_scenario_rep", _blas_threads_rep)
+        for workers in (1, 2):
+            rep = scenario_mc(scenario_spec(1, 10), 5.0, 5.0, reps=4, seed=0,
+                              workers=workers)
+            assert rep.mean_estimate == 1.0
+            assert caller_threads() == threads
+
+    def test_count_is_restored_when_a_replicate_raises(self, caller_threads,
+                                                       monkeypatch):
+        threads = caller_threads()
+        monkeypatch.setattr(sim, "_prediction_rep", _failing_rep)
+        with pytest.raises(RuntimeError, match="replicate failed"):
+            prediction_experiment(joint_spec("linear"), [0.0], 5.0, None,
+                                  reps=2)
+        assert caller_threads() == threads
