@@ -10,9 +10,9 @@ independent replicates.
 Determinism: every replicate draws from its own
 ``SeedSequence(entropy=master_seed, spawn_key=(1, rep))`` stream, so results
 are bitwise identical for any worker count.  The population draw of
-``coefficient_mc`` uses ``spawn_key=(0,)``.  The harnesses run numpy's
-bundled OpenBLAS on one thread (in the caller and in every worker), so
-results do not depend on the number of cores either.
+``coefficient_mc`` uses ``spawn_key=(0,)``.  Replicates and that
+population fit run numpy's bundled OpenBLAS on one thread, so results do
+not depend on the number of cores either.
 """
 
 from __future__ import annotations
@@ -384,11 +384,13 @@ class JointTruth:
         All windows are read from one cumulative-hazard table per subject.
         Its breakpoints b_k are every s_j and s_j + w_j; each gap between
         them is cut into an even number of panels no wider than
-        min(w) / ``panels``, its hazard increments come from the
+        w_j / ``panels`` for the narrowest window j that covers it (a gap
+        no window covers gets none), its hazard increments come from the
         Gauss-Legendre rule, and G_k is the composite Simpson integral of
         exp(-(H(t) - H(b_k))) over the gap.  A window is the sum of
         exp(-(H(b_k) - H(s_j))) G_k over its gaps, so a single window is
-        Simpson on ``panels`` uniform panels over [s, s + w].
+        Simpson on ``panels`` uniform panels over [s, s + w], and the table
+        never has many more panels than the windows have in total.
         """
         s, w = np.broadcast_arrays(np.asarray(s, dtype=float),
                                    np.asarray(w, dtype=float))
@@ -399,17 +401,21 @@ class JointTruth:
         bounds = np.unique(np.concatenate((s, s + w)))
         first = np.searchsorted(bounds, s)
         stop = np.searchsorted(bounds, s + w)
-        # panels per gap: even, and no wider than min(w) / panels (the
-        # tolerance keeps a gap of exactly that many panels from rounding up)
-        per_gap = 2 * np.ceil(np.diff(bounds) * panels / (2.0 * w.min())
+        cover = np.full(bounds.size - 1, np.inf)
+        for a, b, w_j in zip(first, stop, w):
+            cover[a:b] = np.minimum(cover[a:b], w_j)
+        # panels per gap: even, and no wider than w_j / panels of the
+        # narrowest covering window (the tolerance keeps a gap of exactly
+        # that many panels from rounding up)
+        per_gap = 2 * np.ceil(np.diff(bounds) * panels / (2.0 * cover)
                               - 1e-9).astype(np.int64)
         out = np.empty((self.c0.size, s.size))
         size = max(1, _TABLE_CELLS // int(per_gap.sum() * _GL_NODES.size))
         for lo, hi in _chunks(self.c0.size, size):
             sub = self.subset(slice(lo, hi))
-            gap_int = np.empty((hi - lo, per_gap.size))
-            gap_inc = np.empty((hi - lo, per_gap.size))
-            for m in np.unique(per_gap):
+            gap_int = np.zeros((hi - lo, per_gap.size))
+            gap_inc = np.zeros((hi - lo, per_gap.size))
+            for m in np.unique(per_gap[per_gap > 0]):
                 k = np.flatnonzero(per_gap == m)
                 edges = np.linspace(bounds[k], bounds[k + 1], m + 1, axis=1)
                 inc = sub._cum_increments(
@@ -677,6 +683,27 @@ def mc_metrics(estimates, variances, truth, alpha=0.05):
     )
 
 
+# thread-count symbols of the OpenBLAS that numpy wheels bundle: numpy >= 2
+# ships scipy-openblas, numpy 1.x an ILP64 OpenBLAS without the prefix
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+
+
+def _thread_functions(lib):
+    """(get, set) thread-count functions of a loaded OpenBLAS, or None."""
+    for get_name, set_name in _OPENBLAS_SYMBOLS:
+        try:
+            get, put = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
 @functools.cache
 def _openblas_threads():
     """(get, set) thread-count functions of the OpenBLAS bundled with
@@ -686,14 +713,11 @@ def _openblas_threads():
                     os.path.join(root, ".dylibs", "*openblas*")):
         for path in sorted(glob.glob(pattern)):
             try:
-                lib = ctypes.CDLL(path)
-                get = lib.scipy_openblas_get_num_threads64_
-                put = lib.scipy_openblas_set_num_threads64_
-            except (OSError, AttributeError):
+                fns = _thread_functions(ctypes.CDLL(path))
+            except OSError:
                 continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
+            if fns is not None:
+                return fns
     return None
 
 
@@ -717,7 +741,6 @@ def _one_blas_thread():
 
 def _replicate_chunk(payload):
     fn, args, seed, lo, hi = payload
-    # a forked worker inherits the harness's pin; other start methods do not
     with _one_blas_thread():
         return [fn(*args, _rep_rng(seed, rep)) for rep in range(lo, hi)]
 
@@ -746,7 +769,6 @@ def _scenario_rep(spec, s, w, rng):
     return res.delta, res.se**2
 
 
-@_one_blas_thread()
 def scenario_mc(spec, s, w, reps, seed, alpha=0.05, workers=1):
     """Replicated cRMSTd tests on one design; truth from the closed form."""
     deltas, variances = _replicate(_scenario_rep, (spec, s, w), reps, seed,
@@ -784,7 +806,6 @@ class CoefficientMCResult:
     n_reps: int
 
 
-@_one_blas_thread()
 def coefficient_mc(spec, grid, w, layout, n_subjects=500, reps=1000,
                    pop_size=100_000, seed=0, alpha=0.05, workers=1):
     """Sandwich-calibration experiment: fit the landmark super-model on
@@ -795,8 +816,9 @@ def coefficient_mc(spec, grid, w, layout, n_subjects=500, reps=1000,
         np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     )
     population = simulate_joint(spec, pop_size, pop_rng)
-    beta_true = fit_super_model(_joint_dataset(population.columns(), grid, w),
-                                layout).beta
+    with _one_blas_thread():
+        beta_true = fit_super_model(
+            _joint_dataset(population.columns(), grid, w), layout).beta
 
     betas, var_cl, var_nv = _replicate(
         _coefficient_rep, (spec, grid, w, layout, n_subjects), reps, seed,
@@ -837,7 +859,6 @@ class PredictionRow:
     n_reps: int
 
 
-@_one_blas_thread()
 def prediction_experiment(spec, grid, w, layout, n_train=500, n_val=300,
                           reps=200, seed=0, workers=1):
     """Train/validate replicates comparing the dynamic landmark model with a

@@ -263,13 +263,16 @@ def risk_set_pseudo(time, status, s, w, extend_tail=False):
 def crmst_pseudo(records, s, w, extend_tail=False):
     """Pseudo-observation estimator: mean of the pseudo-values, with the
     jackknife variance sum (mu_i - mu)^2 / (N_s (N_s - 1))."""
-    data = as_survival_data(records)
-    v = risk_set_pseudo(data.time, data.status, s, w, extend_tail)[1]
+    pset = pseudo_observations(records, s, w, extend_tail=extend_tail)
+    return _estimate_from_pseudo(pset)
+
+
+def _estimate_from_pseudo(pset):
+    v = pset.values()
     n = v.size
     mu = float(np.sum(v) / n)
     var = float(np.sum((v - mu) ** 2) / (n * (n - 1)))
-    return CRmstEstimate(s=float(s), w=float(w), value=mu, variance=var,
-                         n_at_risk=n)
+    return CRmstEstimate(s=pset.s, w=pset.w, value=mu, variance=var, n_at_risk=n)
 
 
 def crmstd_test(group0, group1, s, w, alpha=0.05, extend_tail=False):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from types import SimpleNamespace
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
@@ -11,7 +12,8 @@ from dynrmst.basis import BasisLayout, SplineSpec
 from dynrmst.errors import InvalidInput
 from dynrmst.sim import (_GL_NODES, _GL_WEIGHTS, JointModelSpec, JointTruth,
                          _invert_event_times, _openblas_threads,
-                         _true_crmst_arm, calibrate_joint_censoring, joint_spec,
+                         _thread_functions, _true_crmst_arm,
+                         calibrate_joint_censoring, coefficient_mc, joint_spec,
                          mc_metrics, prediction_experiment, scenario_mc,
                          scenario_spec, simulate_joint, simulate_scenario,
                          true_crmstd)
@@ -232,6 +234,16 @@ class TestTruthTable:
                 else:
                     assert err <= w / panels
 
+    def test_disjoint_windows_are_their_own_simpson_bitwise(self):
+        """A narrow window refines only the gaps it covers: disjoint windows
+        of different widths are each the single-window rule, and the gap
+        between them is not integrated."""
+        truth = simulate_joint(joint_spec("linear"), 200, 8).truth
+        s, w = [0.0, 3.0, 7.5], [1.0, 0.2, 2.5]
+        table = truth.true_crmst(s, w)
+        for j, (a, b) in enumerate(zip(s, w)):
+            assert np.array_equal(table[:, j], uniform_simpson(truth, a, b))
+
     def test_windows_must_be_positive(self):
         truth = simulate_joint(joint_spec("linear"), 5, 8).truth
         for s, w in ((0.0, 0.0), (-1.0, 2.0), ([1.0, 2.0], [1.0, -1.0])):
@@ -325,6 +337,21 @@ class TestBlasPin:
             assert rep.mean_estimate == 1.0
             assert caller_threads() == threads
 
+    def test_population_fit_runs_on_one_thread(self, caller_threads,
+                                               monkeypatch):
+        threads, seen = caller_threads(), []
+
+        def fit(*args):
+            seen.append(caller_threads())
+            raise RuntimeError("population fit")
+
+        monkeypatch.setattr(sim, "fit_super_model", fit)
+        with pytest.raises(RuntimeError, match="population fit"):
+            coefficient_mc(joint_spec("linear"), [0.0], 5.0, None, pop_size=50,
+                           reps=2)
+        assert seen == [1]
+        assert caller_threads() == threads
+
     def test_count_is_restored_when_a_replicate_raises(self, caller_threads,
                                                        monkeypatch):
         threads = caller_threads()
@@ -333,3 +360,20 @@ class TestBlasPin:
             prediction_experiment(joint_spec("linear"), [0.0], 5.0, None,
                                   reps=2)
         assert caller_threads() == threads
+
+    def test_symbols_of_numpy_1_and_2_wheels(self):
+        def lib(prefix):
+            return SimpleNamespace(**{
+                f"{prefix}get_num_threads64_": lambda: 3,
+                f"{prefix}set_num_threads64_": lambda n: None})
+
+        for prefix in ("scipy_openblas_", "openblas_"):
+            get, put = _thread_functions(lib(prefix))
+            assert get() == 3
+        assert _thread_functions(lib("")) is None
+
+    def test_pin_is_a_no_op_without_openblas(self, monkeypatch):
+        spec = scenario_spec(2, 20)
+        pinned = scenario_mc(spec, 5.0, 5.0, reps=4, seed=0)
+        monkeypatch.setattr(sim, "_openblas_threads", lambda: None)
+        assert scenario_mc(spec, 5.0, 5.0, reps=4, seed=0) == pinned
