@@ -45,8 +45,16 @@ def _parse_grid(text):
     return [float(lo + i * step) for i in range((hi - lo) // step + 1)]
 
 
-def _parse_floats(text):
-    return tuple(float(p) for p in text.split(",")) if text else ()
+def _parse_floats(text, option):
+    """Comma-separated finite numbers given to ``option`` ('' gives ())."""
+    try:
+        values = tuple(float(p) for p in text.split(",")) if text else ()
+    except ValueError:
+        values = (math.nan,)
+    if not all(map(math.isfinite, values)):
+        raise InvalidInput(f"malformed {option} {text!r}: expected "
+                           "comma-separated finite numbers")
+    return values
 
 
 def _parse_assignments(pairs):
@@ -137,9 +145,9 @@ def _cmd_fit(args):
     data = build_super_dataset(survival, longitudinal, grid, args.w,
                                covariate_names=names,
                                extend_tail=args.extend_tail)
-    boundary = _parse_floats(args.boundary) or (grid[0], grid[-1])
+    boundary = _parse_floats(args.boundary, "--boundary") or (grid[0], grid[-1])
     scale = args.scale if args.scale else boundary[1] - boundary[0]
-    spec = SplineSpec(interior_knots=_parse_floats(args.knots),
+    spec = SplineSpec(interior_knots=_parse_floats(args.knots, "--knots"),
                       boundary_knots=boundary, standardization_scale=scale)
     layout = BasisLayout(tuple(spec for _ in range(len(data.covariate_names) + 1)))
     fit = fit_super_model(data, layout, link=_link_of(args.link))

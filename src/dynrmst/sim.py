@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate, optimize, stats
+from scipy import integrate, optimize, special
 
 from .errors import InvalidInput, NoConvergence
 from .evaluate import evaluate_on_validation
@@ -60,8 +60,15 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 HAZARD_PANELS = 160
 # panels (even, for Simpson) when integrating survival for true cRMST values
 SURVIVAL_PANELS = 128
-# hazard nodes per truth-table chunk (subjects x nodes), about 2 MB of floats
+# hazard nodes in one working array (subjects x nodes), about 2 MB of floats
 _TABLE_CELLS = 1 << 18
+# panels tabulated at a time by the event-time bracket search
+_BRACKET_PANELS = 8
+# subjects per Newton solve of the event times (working arrays of 81,920
+# nodes).  BLAS computes the last few rows of a matrix-vector product with
+# another kernel, which can move the last bit of a result, so a subject's
+# event time depends on its row in the solve: keep this size fixed.
+_NEWTON_SUBJECTS = 8192
 INVERSION_TOL = 1e-12
 INVERSION_MAX_ITER = 200
 
@@ -368,7 +375,7 @@ class JointTruth:
         u = (mid[:, None] + half * _GL_NODES).ravel()
         wt = np.tile(half * _GL_WEIGHTS, panels)
         out = np.empty(self.c0.size)
-        for lo, hi in _chunks(self.c0.size):
+        for lo, hi in _chunks(self.c0.size, u.size):
             tt = t[lo:hi, None] * u
             base = self.lam * np.where(tt > 0, tt, 1.0) ** (self.lam - 1.0)
             base[tt <= 0] = 0.0
@@ -410,8 +417,8 @@ class JointTruth:
         per_gap = 2 * np.ceil(np.diff(bounds) * panels / (2.0 * cover)
                               - 1e-9).astype(np.int64)
         out = np.empty((self.c0.size, s.size))
-        size = max(1, _TABLE_CELLS // int(per_gap.sum() * _GL_NODES.size))
-        for lo, hi in _chunks(self.c0.size, size):
+        for lo, hi in _chunks(self.c0.size,
+                              int(per_gap.sum() * _GL_NODES.size)):
             sub = self.subset(slice(lo, hi))
             gap_int = np.zeros((hi - lo, per_gap.size))
             gap_inc = np.zeros((hi - lo, per_gap.size))
@@ -439,72 +446,112 @@ class JointTruth:
         return self.true_crmst(0.0, tau, panels=panels)
 
 
-def _chunks(n, size=8192):
+def _chunks(n, nodes):
+    """(lo, hi) subject ranges sized so that a working array of ``nodes``
+    hazard nodes per subject holds at most ``_TABLE_CELLS`` values."""
+    size = max(1, _TABLE_CELLS // nodes)
     for lo in range(0, n, size):
         yield lo, min(lo + size, n)
+
+
+def _bracket_panels(truth, e, edges):
+    """Panel k of ``edges`` whose cumulative hazard brackets e_i, per subject.
+
+    Returns (k, H_i(edges[k]), has_event).  k is the first table index with
+    H_i > e_i, minus one; a subject with H_i(edges[-1]) = e_i exactly has its
+    event in the last panel, and one with H_i(edges[-1]) < e_i has none.
+    The table is built ``_BRACKET_PANELS`` panels at a time, only for
+    subjects whose running sum has not yet passed e_i.  The running sum is
+    the first column of each block's cumsum, so every H value is bitwise
+    what one cumsum over the full table gives.
+    """
+    n = e.size
+    panels = edges.size - 1
+    k = np.full(n, panels - 1)
+    h_k = np.empty(n)
+    live = np.arange(n)
+    run = np.zeros(n)
+    for p in range(0, panels, _BRACKET_PANELS):
+        q = min(p + _BRACKET_PANELS, panels)
+        inc = truth.subset(live)._cum_increments(edges[p:q], edges[p + 1:q + 1])
+        cum = np.cumsum(np.concatenate([run[:, None], inc], axis=1), axis=1)
+        above = cum > e[live, None]
+        crossed = above[:, -1]
+        # column 0 is the running sum, still <= e_i, so j >= 1
+        j = np.argmax(above[crossed], axis=1)
+        k[live[crossed]] = p + j - 1
+        h_k[live[crossed]] = cum[crossed, j - 1]
+        live, run, last = live[~crossed], cum[~crossed, -1], cum[~crossed, -2]
+        if live.size == 0:
+            break
+    h_k[live] = last
+    has_event = np.ones(n, dtype=bool)
+    has_event[live] = run == e[live]
+    return k, h_k, has_event
 
 
 def _invert_event_times(truth, e, max_t, panels=HAZARD_PANELS):
     """Solve H_i(T) = e_i on [0, max_t] by bracketed Newton iteration.
 
     Returns (times, has_event); subjects with H_i(max_t) < e_i have no event
-    inside follow-up.  Residual |H_i(T) - e_i| is driven below 1e-12.
+    inside follow-up.  Residual |H_i(T) - e_i| is driven below 1e-12.  The
+    brackets come from ``_bracket_panels`` in chunks within the cell budget;
+    the Newton solve runs ``_NEWTON_SUBJECTS`` subjects at a time.
     """
     n = truth.c0.size
-    times = np.full(n, np.inf)
-    has_event = np.zeros(n, dtype=bool)
     edges = np.linspace(0.0, max_t, panels + 1)
-    for lo, hi in _chunks(n):
-        sub = truth.subset(slice(lo, hi))
-        inc = sub._cum_increments(edges[:-1], edges[1:])
-        cum = np.concatenate([np.zeros((inc.shape[0], 1)),
-                              np.cumsum(inc, axis=1)], axis=1)
-        ev = cum[:, -1] >= e[lo:hi]
-        has_event[lo:hi] = ev
-        if not np.any(ev):
-            continue
-        sub = sub.subset(ev)
-        ee = e[lo:hi][ev]
-        k = np.clip(np.sum(cum[ev] <= ee[:, None], axis=1) - 1, 0, panels - 1)
-        anchor = edges[k]
-        h_anchor = cum[ev][np.arange(k.size), k]
-        blo, bhi = edges[k], edges[k + 1]
-        t = (blo + bhi) / 2.0
-        lam = truth.lam
-
-        def residual(tt):
-            mid = (anchor + tt) / 2.0
-            half = (tt - anchor) / 2.0
-            nodes = mid[:, None] + half[:, None] * _GL_NODES
-            base = lam * np.where(nodes > 0, nodes, 1.0) ** (lam - 1.0)
-            base[nodes <= 0] = 0.0
-            hv = base * np.exp(sub.c0[:, None] + sub.c1[:, None] * nodes
-                               + sub.c2[:, None] * nodes * nodes)
-            return h_anchor + half * (hv @ _GL_WEIGHTS) - ee
-
-        f = residual(t)
-        for _ in range(INVERSION_MAX_ITER):
-            done = np.abs(f) <= INVERSION_TOL
-            if np.all(done):
-                break
-            bhi = np.where(~done & (f > 0), t, bhi)
-            blo = np.where(~done & (f <= 0), t, blo)
-            # Newton step from the hazard at t, safeguarded by the bracket
-            hz = lam * np.where(t > 0, t, 1.0) ** (lam - 1.0)
-            hz = np.where(t > 0, hz, 0.0) * np.exp(sub.c0 + sub.c1 * t
-                                                   + sub.c2 * t * t)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand = t - f / hz
-            bad = ~np.isfinite(cand) | (cand <= blo) | (cand >= bhi)
-            cand = np.where(bad, (blo + bhi) / 2.0, cand)
-            t = np.where(done, t, cand)
-            f = np.where(done, f, residual(t))
-        worst = float(np.max(np.abs(f)))
-        if worst > 1e-8:
-            raise NoConvergence(INVERSION_MAX_ITER, worst)
-        full = np.where(ev)[0] + lo
-        times[full] = t
+    k = np.empty(n, dtype=np.int64)
+    h_k = np.empty(n)
+    has_event = np.empty(n, dtype=bool)
+    for lo, hi in _chunks(n, _BRACKET_PANELS * _GL_NODES.size):
+        k[lo:hi], h_k[lo:hi], has_event[lo:hi] = _bracket_panels(
+            truth.subset(slice(lo, hi)), e[lo:hi], edges)
+    times = np.full(n, np.inf)
+    for lo in range(0, n, _NEWTON_SUBJECTS):
+        ev = lo + np.flatnonzero(has_event[lo:lo + _NEWTON_SUBJECTS])
+        if ev.size:
+            times[ev] = _newton(truth.subset(ev), e[ev], edges, k[ev], h_k[ev])
     return times, has_event
+
+
+def _newton(sub, ee, edges, k, h_anchor):
+    """T_i in panel k_i with H_i(T_i) = e_i, given h_anchor = H_i(edges[k_i])."""
+    anchor = edges[k]
+    blo, bhi = edges[k], edges[k + 1]
+    t = (blo + bhi) / 2.0
+    lam = sub.lam
+
+    def residual(tt):
+        mid = (anchor + tt) / 2.0
+        half = (tt - anchor) / 2.0
+        nodes = mid[:, None] + half[:, None] * _GL_NODES
+        base = lam * np.where(nodes > 0, nodes, 1.0) ** (lam - 1.0)
+        base[nodes <= 0] = 0.0
+        hv = base * np.exp(sub.c0[:, None] + sub.c1[:, None] * nodes
+                           + sub.c2[:, None] * nodes * nodes)
+        return h_anchor + half * (hv @ _GL_WEIGHTS) - ee
+
+    f = residual(t)
+    for _ in range(INVERSION_MAX_ITER):
+        done = np.abs(f) <= INVERSION_TOL
+        if np.all(done):
+            break
+        bhi = np.where(~done & (f > 0), t, bhi)
+        blo = np.where(~done & (f <= 0), t, blo)
+        # Newton step from the hazard at t, safeguarded by the bracket
+        hz = lam * np.where(t > 0, t, 1.0) ** (lam - 1.0)
+        hz = np.where(t > 0, hz, 0.0) * np.exp(sub.c0 + sub.c1 * t
+                                               + sub.c2 * t * t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = t - f / hz
+        bad = ~np.isfinite(cand) | (cand <= blo) | (cand >= bhi)
+        cand = np.where(bad, (blo + bhi) / 2.0, cand)
+        t = np.where(done, t, cand)
+        f = np.where(done, f, residual(t))
+    worst = float(np.max(np.abs(f)))
+    if worst > 1e-8:
+        raise NoConvergence(INVERSION_MAX_ITER, worst)
+    return t
 
 
 @dataclass(frozen=True)
@@ -660,7 +707,7 @@ def mc_metrics(estimates, variances, truth, alpha=0.05):
     if np.any(var < 0):
         raise InvalidInput("negative variance")
     se = np.sqrt(var)
-    zq = float(stats.norm.ppf(1.0 - alpha / 2.0))
+    zq = float(special.ndtri(1.0 - alpha / 2.0))  # stats.norm.ppf
     mean_est = float(np.mean(est))
     bias = mean_est - truth
     emp_se = float(np.std(est, ddof=1))
@@ -840,7 +887,8 @@ def _prediction_rep(spec, grid, w, layout, n_train, n_val, rng):
     fit = fit_super_model(_joint_dataset(train, grid, w), layout)
     rows = evaluate_on_validation(fit, *train, *val.columns(), extend_tail=True,
                                   truth=val.truth)
-    # a None C-index (fewer than two at risk, or no usable pair) becomes NaN
+    # a None C-index or PE (fewer than two at risk, or no usable pair)
+    # becomes NaN, which the means in prediction_experiment skip
     return tuple(np.array([getattr(r, k) for r in rows], dtype=float)
                  for k in ("c_index_dynamic", "c_index_static",
                            "pe_dynamic", "pe_static"))
@@ -871,7 +919,7 @@ def prediction_experiment(spec, grid, w, layout, n_train=500, n_val=300,
         landmark=s_j,
         c_index_dynamic=float(np.nanmean(c_dyn[:, j])),
         c_index_static=float(np.nanmean(c_stat[:, j])),
-        pe_dynamic=float(np.mean(pe_dyn[:, j])),
-        pe_static=float(np.mean(pe_stat[:, j])),
+        pe_dynamic=float(np.nanmean(pe_dyn[:, j])),
+        pe_static=float(np.nanmean(pe_stat[:, j])),
         n_reps=reps,
     ) for j, s_j in enumerate(grid))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dynrmst import dataio
+from dynrmst import cli, dataio
 from dynrmst.cli import _parse_grid, main
 from dynrmst.errors import InvalidInput
 from dynrmst.gee import DynamicModelFit
@@ -232,11 +232,25 @@ class TestInputDiagnostics:
         err = json.loads(captured.err)
         assert err["error"] == "InvalidInput" and "x2" in err["message"]
 
-    def test_unexpected_exception_is_an_error_record(self, tmp_path, capsys):
-        # float("x") in the knot list raises a bare ValueError
+    @pytest.mark.parametrize("option, value", [("--knots", "x"),
+                                               ("--knots", "1,nan"),
+                                               ("--boundary", "0,")])
+    def test_bad_knot_list_is_an_error_record(self, tmp_path, capsys, option,
+                                              value):
         surv, long = joint_csvs(tmp_path, n=50)
-        argv = ["fit", "--input", surv, "--grid", "0:4:1", "--w", "5",
-                "--knots", "x", "--output", tmp_path / "model.json"]
+        assert run(["fit", "--input", surv, "--grid", "0:4:1", "--w", "5",
+                    option, value, "--output", tmp_path / "model.json"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInput" and option in err["message"]
+
+    def test_unexpected_exception_is_an_error_record(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def broken(args):
+            raise ValueError("could not convert string to float: 'x'")
+
+        monkeypatch.setattr(cli, "_cmd_fit", broken)
+        argv = ["fit", "--input", tmp_path / "surv.csv", "--grid", "0:4:1",
+                "--w", "5", "--output", tmp_path / "model.json"]
         assert run(argv) == 1
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err

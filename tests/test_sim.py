@@ -120,6 +120,33 @@ class TestJointModel:
         assert abs(frac - 0.30) < 0.02
 
 
+def _full_table_bracket(truth, e, edges):
+    """Reference bracket search: the whole cumulative-hazard table for every
+    subject, then k = #{table entries <= e_i} - 1, clipped to the panels."""
+    inc = truth._cum_increments(edges[:-1], edges[1:])
+    cum = np.concatenate([np.zeros((inc.shape[0], 1)),
+                          np.cumsum(inc, axis=1)], axis=1)
+    k = np.clip(np.sum(cum <= e[:, None], axis=1) - 1, 0, edges.size - 2)
+    return k, cum[np.arange(k.size), k], cum[:, -1] >= e
+
+
+def _full_table_inversion(truth, e, max_t, panels=sim.HAZARD_PANELS):
+    """Reference inversion: the full-table bracket and the Newton solve,
+    8,192 subjects at a time."""
+    n = truth.c0.size
+    times, has_event = np.full(n, np.inf), np.zeros(n, dtype=bool)
+    edges = np.linspace(0.0, max_t, panels + 1)
+    for lo in range(0, n, 8192):
+        sub = truth.subset(slice(lo, lo + 8192))
+        ee = e[lo:lo + 8192]
+        k, h_k, ev = _full_table_bracket(sub, ee, edges)
+        has_event[lo:lo + 8192] = ev
+        if np.any(ev):
+            times[lo + np.flatnonzero(ev)] = sim._newton(
+                sub.subset(ev), ee[ev], edges, k[ev], h_k[ev])
+    return times, has_event
+
+
 class TestEventTimeInversion:
     def test_quadrature_halving(self):
         truth = simulate_joint(joint_spec("quadratic"), 500, 6).truth
@@ -138,6 +165,63 @@ class TestEventTimeInversion:
         sub = truth.subset(has_event)
         resid = np.abs(sub.cumulative_hazard(t[has_event]) - e[has_event])
         assert np.max(resid) <= 1e-8
+
+    @pytest.mark.parametrize("trajectory", ["linear", "quadratic"])
+    @pytest.mark.parametrize("alpha", [1.0, 0.3, -0.5])
+    def test_samples_match_full_table_bitwise(self, trajectory, alpha,
+                                              monkeypatch):
+        # 10,000 subjects span several chunks of the lazy bracket search;
+        # at seed 10,000 a Newton solve over those chunks instead of 8,192-
+        # subject blocks moves one linear-design event time by one ulp
+        per_chunk = sim._TABLE_CELLS // (sim._BRACKET_PANELS * _GL_NODES.size)
+        assert per_chunk < 10_000
+        fields = ("time", "status", "x1", "x2", "visit_times", "visit_values")
+        for censor_upper in (None, 25.0):
+            spec = joint_spec(trajectory, censor_upper=censor_upper,
+                              alpha=alpha)
+            for n in (1, 7, 500, 3000, 10_000):
+                with monkeypatch.context() as m:
+                    m.setattr(sim, "_invert_event_times", _full_table_inversion)
+                    want = simulate_joint(spec, n, n)
+                got = simulate_joint(spec, n, n)
+                for field in fields:
+                    assert (getattr(got, field).tobytes()
+                            == getattr(want, field).tobytes()), (n, field)
+
+    def test_bracket_edge_cases(self):
+        truth = simulate_joint(joint_spec("linear"), 40, 4).truth
+        edges = np.linspace(0.0, 20.0, sim.HAZARD_PANELS + 1)
+        inc = truth._cum_increments(edges[:-1], edges[1:])
+        cum = np.concatenate([np.zeros((40, 1)), np.cumsum(inc, axis=1)],
+                             axis=1)
+        e = np.random.default_rng(4).exponential(size=40)
+        e[0] = 0.0
+        e[1] = cum[1, -1]  # event exactly at max_t: the last panel
+        e[2] = cum[2, -1] * 2.0 + 1.0  # no event in follow-up
+        e[3] = cum[3, sim._BRACKET_PANELS]  # equal to a block's first entry
+        k, h_k, ev = sim._bracket_panels(truth, e, edges)
+        k_ref, h_ref, ev_ref = _full_table_bracket(truth, e, edges)
+        assert np.array_equal(ev, ev_ref) and not ev[2] and ev[1]
+        assert np.array_equal(k[ev], k_ref[ev])
+        assert h_k[ev].tobytes() == h_ref[ev].tobytes()
+        assert k[0] == 0 and k[1] == sim.HAZARD_PANELS - 1
+        assert k[3] == sim._BRACKET_PANELS
+        t, has_event = _invert_event_times(truth, e, 20.0)
+        t_ref, has_ref = _full_table_inversion(truth, e, 20.0)
+        assert t.tobytes() == t_ref.tobytes()
+        assert np.array_equal(has_event, has_ref) and t[2] == np.inf
+
+    def test_tabulation_stays_within_the_cell_budget(self, monkeypatch):
+        cells = []
+        increments = JointTruth._cum_increments
+
+        def recorded(self, left, right):
+            cells.append(self.c0.size * left.size * _GL_NODES.size)
+            return increments(self, left, right)
+
+        monkeypatch.setattr(JointTruth, "_cum_increments", recorded)
+        simulate_joint(joint_spec("quadratic"), 10_000, 5)
+        assert cells and max(cells) <= sim._TABLE_CELLS
 
     def test_truth_simpson_accuracy_contract(self):
         """Against an adaptive-quadrature oracle: near machine precision away
@@ -303,6 +387,21 @@ class TestPredictionExperiment:
                 [b.c_index_dynamic, b.c_index_static, b.pe_dynamic, b.pe_static],
                 equal_nan=True)
             assert a.n_reps == b.n_reps == 3
+
+    def test_mean_pe_skips_replicates_with_nobody_at_risk(self):
+        sp = SplineSpec((2.0,), (0.0, 4.0), standardization_scale=4.0)
+        args = (joint_spec("linear"), (0.0, 2.0, 4.0), 5.0,
+                BasisLayout((sp,) * 4))
+        rows = prediction_experiment(*args, n_train=300, n_val=3, reps=8,
+                                     seed=3)
+        _, _, pe_dyn, pe_stat = sim._replicate(sim._prediction_rep,
+                                               (*args, 300, 3), 8, 3)
+        # some replicate has fewer than two validation subjects at s = 4
+        assert np.isnan(pe_dyn[:, 2]).any() and np.isnan(pe_stat[:, 2]).any()
+        for j, row in enumerate(rows):
+            assert row.pe_dynamic == np.nanmean(pe_dyn[:, j])
+            assert row.pe_static == np.nanmean(pe_stat[:, j])
+            assert np.isfinite([row.pe_dynamic, row.pe_static]).all()
 
 
 def _blas_threads_rep(spec, s, w, rng):

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
+
+from dynrmst import surv
 
 from dynrmst.errors import EmptyRiskSet, InvalidInput, TailUndefined
-from dynrmst.surv import (SurvivalRecord, crmst_km, crmst_km_ratio, crmst_pseudo,
+from dynrmst.surv import (CRmstEstimate, SurvivalRecord, crmst_km, crmst_km_ratio, crmst_pseudo,
                           crmstd_test, km_fit, pseudo_observations)
 
 
@@ -199,6 +202,24 @@ class TestCRmstdTest:
         assert_allclose(res.delta, e1.value - e0.value)
         assert_allclose(res.se, np.sqrt(e0.variance + e1.variance))
         assert_allclose(res.z, res.delta / res.se)
+
+    @pytest.mark.parametrize("z", [0.0, 1.3, 40.0, np.inf])
+    def test_normal_tail_and_quantile_are_scipy_stats_bitwise(self, z,
+                                                              monkeypatch):
+        # group "a" carries the variance and group "b" the difference; with
+        # se = 0.5 the division gives z back exactly
+        se, delta = (0.0, 1.0) if np.isinf(z) else (0.5, z * 0.5)
+        est = {"a": CRmstEstimate(0.0, 1.0, 0.0, se**2, 10),
+               "b": CRmstEstimate(0.0, 1.0, delta, 0.0, 10)}
+        monkeypatch.setattr(surv, "crmst_pseudo",
+                            lambda group, s, w, extend_tail: est[group])
+        for alpha in (0.05, 0.2):
+            res = surv.crmstd_test("a", "b", 0.0, 1.0, alpha=alpha)
+            zq = float(stats.norm.ppf(1.0 - alpha / 2.0))
+            assert res.z == z
+            assert res.p_value == float(2.0 * stats.norm.sf(abs(z)))
+            assert res.ci_lower == delta - zq * se
+            assert res.ci_upper == delta + zq * se
 
     def test_alpha_validation(self):
         g = records([1, 2, 3], [1, 1, 1])
