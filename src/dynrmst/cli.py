@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dataio
+from ._blas import _one_blas_thread
 from .basis import BasisLayout, SplineSpec
 from .errors import DynRmstError, InvalidInput
 from .evaluate import evaluate_on_validation, predict
@@ -338,7 +339,8 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except Exception as exc:
         if args.debug:
             traceback.print_exc()

@@ -82,6 +82,8 @@ def _interval(fit, x, s, alpha):
 def predict(fit: DynamicModelFit, covariates, s, alpha=0.05):
     """Predicted cRMST for covariate vector Z(s) at prediction time s, with
     the delta-method standard error and a t-based confidence interval."""
+    if not 0.0 < alpha < 1.0:
+        raise InvalidInput("alpha must be in (0, 1)")
     _check_range(fit, s)
     z = np.asarray(covariates, dtype=float)
     if z.shape != (fit.layout.n_paths - 1,):

@@ -2,18 +2,32 @@
 individual-clustered sandwich covariance.
 
 The working covariance is the independence structure (V_i = identity), so
-the identity link solves in a single dense least-squares step and the log
-link uses damped Fisher scoring.  Robustness against the (wrong) working
+the identity link solves in a single least-squares step and the log link
+uses damped Fisher scoring.  Robustness against the (wrong) working
 covariance comes from the sandwich; the clustered mode sums score
 contributions within each subject before the outer products, the
 naive_rowwise mode treats every stacked row as its own cluster and is kept
 only for the old-vs-corrected comparison harness.
+
+The super-model design is never built.  Its rows at landmark s_j are
+Z*_j H(s_j) with Z*_j = [1, Z] over that landmark's rows (van Houwelingen,
+Scand J Stat 2007), so every solve works on per-landmark blocks (Z*_j,
+H_j).  The identity link takes the thin QR Z*_j = Q_j R_j of each block:
+the design is then blockdiag(Q_j) A with A the stacked R_j H_j (at most
+(P+1) J x q rows), a TSQR factorisation (Demmel et al., arXiv:0808.2664).
+The design and A share their singular values, so the rank check of
+``_lstsq_checked`` runs on A, and beta = A+ [Q_j' y_j].  The log link's
+score and Fisher information, the bread and both meats of the sandwich are
+sums of per-block terms H_j' (Z*_j' diag(.) Z*_j) H_j; the clustered meat
+adds each block's scores into one n_subjects x q array.  The dense-array
+API is the one-block case, Z* = x and H = I.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,35 +160,79 @@ class DynamicModelFit:
         )
 
 
+class _Block(NamedTuple):
+    """Rows of one landmark: the design rows are z @ h, and ``cluster`` holds
+    each row's nondecreasing cluster (subject) index."""
+
+    z: np.ndarray  # (n_j, k): Z*_j
+    y: np.ndarray  # (n_j,)
+    h: np.ndarray  # (k, q): H(s_j)
+    cluster: np.ndarray  # (n_j,)
+
+
 def _lstsq_checked(x, y):
     u, sv, vt = np.linalg.svd(x, full_matrices=False)
-    if sv[0] == 0.0 or sv[-1] < RANK_RTOL * sv[0]:
+    # with fewer rows than columns the missing singular values are zero
+    smallest = sv[-1] if sv.size == x.shape[1] else 0.0
+    if sv[0] == 0.0 or smallest < RANK_RTOL * sv[0]:
         raise SingularDesign(
             f"design matrix is rank deficient (singular values span "
-            f"{sv[-1]:.3e} .. {sv[0]:.3e})"
+            f"{smallest:.3e} .. {sv[0]:.3e})"
         )
     return vt.T @ ((u.T @ y) / sv)
 
 
-def _solve_ee(x, y, link, eps_floor):
+def _block_lstsq(blocks, ys):
+    """Least-squares beta for responses ``ys`` (one array per block) over
+    the design rows z_j @ h_j, from the thin QR of each z_j."""
+    a, b = [], []
+    for blk, y in zip(blocks, ys):
+        q_j, r_j = np.linalg.qr(blk.z)
+        a.append(r_j @ blk.h)
+        b.append(q_j.T @ y)
+    return _lstsq_checked(np.vstack(a), np.concatenate(b))
+
+
+def _fitted(blocks, link, beta):
+    """(dginv(eta), y - ginv(eta)) of each block at beta."""
+    out = []
+    for blk in blocks:
+        eta = blk.z @ (blk.h @ beta)
+        out.append((link.dginv(eta), blk.y - link.ginv(eta)))
+    return out
+
+
+def _score(blocks, fitted):
+    """X' (d * resid), summed over the blocks."""
+    return sum(blk.h.T @ (blk.z.T @ (d * r)) for blk, (d, r) in zip(blocks, fitted))
+
+
+def _weighted_gram(blocks, weights):
+    """X' diag(weights) X, summed over the blocks."""
+    return sum(blk.h.T @ (((blk.z * wt[:, None]).T @ blk.z) @ blk.h)
+               for blk, wt in zip(blocks, weights))
+
+
+def _solve_ee(blocks, link, eps_floor):
     """Solve the V = identity estimating equation; returns (beta, iters, score norm)."""
     if link.kind == "identity":
-        beta = _lstsq_checked(x, y)
-        score = x.T @ (y - x @ beta)
+        beta = _block_lstsq(blocks, [blk.y for blk in blocks])
+        score = _score(blocks, _fitted(blocks, link, beta))
         return beta, 1, float(np.max(np.abs(score)))
 
-    beta = _lstsq_checked(x, np.log(np.maximum(y, eps_floor)))
+    beta = _block_lstsq(blocks, [np.log(np.maximum(blk.y, eps_floor))
+                                 for blk in blocks])
 
     def score_of(b):
-        mu = np.exp(x @ b)
-        return x.T @ (mu * (y - mu)), mu
+        fitted = _fitted(blocks, link, b)
+        return _score(blocks, fitted), [d for d, _ in fitted]  # d = mu
 
     score, mu = score_of(beta)
     norm = float(np.max(np.abs(score)))
     for iteration in range(1, MAX_ITER + 1):
         if norm <= SCORE_TOL:
             return beta, iteration - 1, norm
-        info = (x * (mu**2)[:, None]).T @ x
+        info = _weighted_gram(blocks, [m**2 for m in mu])
         try:
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError:
@@ -192,14 +250,24 @@ def _solve_ee(x, y, link, eps_floor):
     return beta, MAX_ITER, norm
 
 
-def _sandwich(x, y, link, beta, cluster_starts):
-    eta = x @ beta
-    d = link.dginv(eta)
-    resid = y - link.ginv(eta)
-    scores = (d * resid)[:, None] * x
-    bread = (x * (d**2)[:, None]).T @ x
-    grouped = np.add.reduceat(scores, cluster_starts[:-1], axis=0)
-    meat = grouped.T @ grouped
+def _sandwich(blocks, link, beta, n_clusters):
+    """Sandwich covariance at beta.  Scores are summed within each of
+    ``n_clusters`` clusters before the outer products; ``n_clusters=None``
+    makes every row its own cluster."""
+    fitted = _fitted(blocks, link, beta)
+    bread = _weighted_gram(blocks, [d**2 for d, _ in fitted])
+    if n_clusters is None:
+        meat = _weighted_gram(blocks, [(d * r) ** 2 for d, r in fitted])
+    else:
+        grouped = np.zeros((n_clusters, bread.shape[0]))
+        for blk, (d, r) in zip(blocks, fitted):
+            scores = (d * r)[:, None] * blk.z
+            runs = np.flatnonzero(np.diff(blk.cluster, prepend=-1))
+            if runs.size < scores.shape[0]:
+                scores = np.add.reduceat(scores, runs, axis=0)
+            # one row per cluster in a block, so the fancy-index sum is exact
+            grouped[blk.cluster[runs]] += scores @ blk.h
+        meat = grouped.T @ grouped
     try:
         binv = np.linalg.solve(bread, np.eye(bread.shape[0]))
     except np.linalg.LinAlgError:
@@ -208,25 +276,31 @@ def _sandwich(x, y, link, beta, cluster_starts):
     return (cov + cov.T) / 2.0
 
 
+def _array_block(x, y, cluster_starts):
+    """A dense design as one block with H = I, and its cluster count."""
+    x = np.asarray(x, dtype=float)
+    starts = np.asarray(cluster_starts, dtype=np.int64)
+    cluster = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+    block = _Block(x, np.asarray(y, dtype=float), np.eye(x.shape[1]), cluster)
+    return [block], starts.size - 1
+
+
 def fit_arrays(x, y, cluster_starts, link=IDENTITY, eps_floor=None):
     """Array-level solver: design x, responses y, cluster_starts as in
     SuperDataset.arrays().  Returns (beta, covariance, iterations, score_norm)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    starts = np.asarray(cluster_starts, dtype=np.int64)
+    blocks, n_clusters = _array_block(x, y, cluster_starts)
     if eps_floor is None:
-        eps_floor = 1e-6 * max(float(np.max(np.abs(y))), 1.0)
-    beta, iters, norm = _solve_ee(x, y, link, eps_floor)
-    cov = _sandwich(x, y, link, beta, starts)
+        eps_floor = 1e-6 * max(float(np.max(np.abs(blocks[0].y))), 1.0)
+    beta, iters, norm = _solve_ee(blocks, link, eps_floor)
+    cov = _sandwich(blocks, link, beta, n_clusters)
     return beta, cov, iters, norm
 
 
 def sandwich_arrays(x, y, cluster_starts, link, beta):
     """Sandwich covariance at a given beta; rowwise clustering is obtained by
     passing cluster_starts = arange(n + 1)."""
-    return _sandwich(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
-                     link, np.asarray(beta, dtype=float),
-                     np.asarray(cluster_starts, dtype=np.int64))
+    blocks, n_clusters = _array_block(x, y, cluster_starts)
+    return _sandwich(blocks, link, np.asarray(beta, dtype=float), n_clusters)
 
 
 def fit_landmark_model(data, link=IDENTITY):
@@ -239,32 +313,37 @@ def fit_landmark_model(data, link=IDENTITY):
     return fit_super_model(data, layout, link=link)
 
 
-def _super_design(data, layout):
-    lm, pv, z, starts = data.arrays()
-    n = lm.size
+def _landmark_blocks(data, layout):
+    """One block per landmark with rows: Z*_j = [1, Z] over its rows and
+    H(s_j), each row clustered by its subject."""
+    lm, y, z, starts = data.arrays()
     if layout.n_paths != z.shape[1] + 1:
         raise InvalidInput(
             f"layout has {layout.n_paths} paths but data has {z.shape[1]} covariates"
         )
-    zstar = np.column_stack([np.ones(n), z])
-    x = np.empty((n, layout.q))
+    subject = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+    blocks = []
     for s_j in data.landmark_grid:
-        mask = lm == s_j
-        if np.any(mask):
-            x[mask] = zstar[mask] @ h_matrix(layout, s_j)
-    return x, pv, starts
+        rows = np.flatnonzero(lm == s_j)
+        if rows.size:
+            blocks.append(_Block(np.column_stack([np.ones(rows.size), z[rows]]),
+                                 y[rows], h_matrix(layout, s_j), subject[rows]))
+    return blocks
 
 
 def fit_super_model(data, layout, link=IDENTITY):
     """Solve the stacked estimating equation on the super prediction dataset."""
-    x, y, starts = _super_design(data, layout)
-    if y.size <= layout.q:
-        raise InvalidInput(f"need more rows ({y.size}) than coefficients ({layout.q})")
-    beta, iters, norm = _solve_ee(x, y, link, eps_floor=1e-6 * data.w)
-    cov = _sandwich(x, y, link, beta, starts)
+    blocks = _landmark_blocks(data, layout)
+    if len(data) <= layout.q:
+        raise InvalidInput(f"need more rows ({len(data)}) than coefficients ({layout.q})")
+    if data.n_subjects <= layout.q:
+        raise InvalidInput(f"need more subjects ({data.n_subjects}) than "
+                           f"coefficients ({layout.q})")
+    beta, iters, norm = _solve_ee(blocks, link, eps_floor=1e-6 * data.w)
+    cov = _sandwich(blocks, link, beta, data.n_subjects)
     return DynamicModelFit(beta=beta, covariance=cov, layout=layout, link=link,
                            grid=data.landmark_grid, w=data.w,
-                           n_subjects=data.n_subjects, n_rows=y.size,
+                           n_subjects=data.n_subjects, n_rows=len(data),
                            iterations=iters, score_norm=norm,
                            covariate_names=data.covariate_names)
 
@@ -278,7 +357,6 @@ def sandwich_cov(data, layout, link, beta, mode="clustered"):
     """
     if mode not in ("clustered", "naive_rowwise"):
         raise InvalidInput(f"unknown sandwich mode {mode!r}")
-    x, y, starts = _super_design(data, layout)
-    if mode == "naive_rowwise":
-        starts = np.arange(y.size + 1, dtype=np.int64)
-    return _sandwich(x, y, link, np.asarray(beta, dtype=float), starts)
+    n_clusters = data.n_subjects if mode == "clustered" else None
+    return _sandwich(_landmark_blocks(data, layout), link,
+                     np.asarray(beta, dtype=float), n_clusters)

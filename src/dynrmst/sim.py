@@ -17,17 +17,13 @@ not depend on the number of cores either.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import glob
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate, optimize, special
 
+from ._blas import _one_blas_thread
 from .errors import InvalidInput, NoConvergence
 from .evaluate import evaluate_on_validation
 from .gee import IDENTITY, fit_super_model, sandwich_cov
@@ -700,6 +696,8 @@ class MetricsReport:
 def mc_metrics(estimates, variances, truth, alpha=0.05):
     """bias / relative bias / RMSE / Rel SE / CP / rejection rate over
     replicates; rel_bias is NaN when truth is exactly 0 (undefined ratio)."""
+    if not 0.0 < alpha < 1.0:
+        raise InvalidInput("alpha must be in (0, 1)")
     est = np.asarray(estimates, dtype=float)
     var = np.asarray(variances, dtype=float)
     if est.shape != var.shape or est.ndim != 1 or est.size < 2:
@@ -728,62 +726,6 @@ def mc_metrics(estimates, variances, truth, alpha=0.05):
         rejection_rate=float(np.mean(reject)),
         alpha=float(alpha),
     )
-
-
-# thread-count symbols of the OpenBLAS that numpy wheels bundle: numpy >= 2
-# ships scipy-openblas, numpy 1.x an ILP64 OpenBLAS without the prefix
-_OPENBLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-)
-
-
-def _thread_functions(lib):
-    """(get, set) thread-count functions of a loaded OpenBLAS, or None."""
-    for get_name, set_name in _OPENBLAS_SYMBOLS:
-        try:
-            get, put = getattr(lib, get_name), getattr(lib, set_name)
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) thread-count functions of the OpenBLAS bundled with
-    numpy, or None when numpy carries no such library."""
-    root = os.path.dirname(np.__file__)
-    for pattern in (os.path.join(root, os.pardir, "numpy.libs", "*openblas*"),
-                    os.path.join(root, ".dylibs", "*openblas*")):
-        for path in sorted(glob.glob(pattern)):
-            try:
-                fns = _thread_functions(ctypes.CDLL(path))
-            except OSError:
-                continue
-            if fns is not None:
-                return fns
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Pin numpy's OpenBLAS to one thread, restoring the caller's count on
-    exit: BLAS results then do not depend on the core count, and pooled
-    workers do not oversubscribe the cores.  A no-op without OpenBLAS."""
-    fns = _openblas_threads()
-    if fns is None:
-        yield
-        return
-    get, put = fns
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
 
 
 def _replicate_chunk(payload):

@@ -18,6 +18,7 @@ from dynrmst.sim import (JointTruth, _invert_event_times, coefficient_mc,
                          joint_spec, prediction_experiment, scenario_mc,
                          scenario_spec, simulate_joint)
 from dynrmst.surv import SurvivalRecord, crmst_km, crmst_km_ratio, pseudo_observations
+from gee_oracle import dense_design
 
 SEED = 20260824
 WORKERS = max(2, min(4, os.cpu_count() or 1))
@@ -135,8 +136,6 @@ def test_criterion_5_coverage(null_cell):
 
 
 def test_criterion_6_gee_oracle():
-    from dynrmst.gee import _super_design
-
     rng = np.random.default_rng(SEED + 4)
     worst = 0.0
     for _ in range(100):
@@ -152,7 +151,7 @@ def test_criterion_6_gee_oracle():
         sp = SplineSpec((1.0,), (0.0, 2.0))
         layout = BasisLayout((sp, None))
         fit = fit_super_model(data, layout)
-        x, y, _ = _super_design(data, layout)
+        x, y, _ = dense_design(data, layout)
         want = np.linalg.lstsq(x, y, rcond=None)[0]
         worst = max(worst, float(np.max(np.abs(fit.beta - want))))
     report(6, worst <= 1e-10,

@@ -90,6 +90,17 @@ class TestFitPredictRoundTrip:
         assert doc["se"] == res.se
         assert doc["ci_lower"] == res.ci_lower
 
+    def test_predict_alpha_outside_unit_interval(self, tmp_path, capsys):
+        surv, long = joint_csvs(tmp_path)
+        model = fitted_model_path(tmp_path, surv, long)
+        assert run(["predict", "--model", model, "--s", 1, "--alpha", 3,
+                    "--covariates", "x1=1", "x2=0.3", "marker=2.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err == {"error": "InvalidInput",
+                       "message": "alpha must be in (0, 1)"}
+
     def test_predict_missing_covariate(self, tmp_path, capsys):
         surv, long = joint_csvs(tmp_path)
         model = fitted_model_path(tmp_path, surv, long)
@@ -134,6 +145,29 @@ class TestFitPredictRoundTrip:
                             "pe_dynamic,pe_static,reference_kind")
         assert lines[-1] == "4,,,,,pseudo_value"
         assert "nan" not in out.read_text()
+
+
+def test_fit_and_evaluate_run_on_one_blas_thread(tmp_path, monkeypatch,
+                                                 blas_threads):
+    threads, seen = blas_threads(), []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            seen.append((fn.__name__, blas_threads()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fit_super_model", "evaluate_on_validation"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    surv, long = joint_csvs(tmp_path)
+    model = fitted_model_path(tmp_path, surv, long)
+    assert blas_threads() == threads
+    assert run(["evaluate", "--model", model, "--train", surv,
+                "--train-longitudinal", long, "--val", surv,
+                "--val-longitudinal", long, "--extend-tail",
+                "--output", tmp_path / "eval.csv"]) == 0
+    assert seen == [("fit_super_model", 1), ("evaluate_on_validation", 1)]
+    assert blas_threads() == threads
 
 
 class TestInputDiagnostics:

@@ -92,6 +92,14 @@ class TestPredict:
         with pytest.raises(OutOfRange):
             predict(fit, [0.0], -0.1)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, 3.0, -1.0, float("nan")])
+    def test_alpha_outside_unit_interval(self, alpha):
+        fit = fitted_model(np.random.default_rng(5))
+        with pytest.raises(InvalidInput, match="alpha"):
+            predict(fit, [0.0], 1.0, alpha=alpha)
+        with pytest.raises(InvalidInput, match="alpha"):
+            predict_landmark(fit, [0.0], alpha=alpha)
+
     def test_covariate_length_check(self):
         fit = fitted_model(np.random.default_rng(4))
         with pytest.raises(InvalidInput):

@@ -1,5 +1,7 @@
 """Estimating-equation solver and sandwich covariance."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +13,7 @@ from dynrmst.gee import (IDENTITY, LOG, DynamicModelFit, LinkSpec, fit_arrays,
                          sandwich_cov)
 from dynrmst.landmark import SuperDataset, build_super_dataset
 from dynrmst.surv import SurvivalRecord
+from gee_oracle import dense_design, dense_lstsq
 
 
 def landmark_data(y, z, s=0.0):
@@ -172,12 +175,39 @@ class TestSuperModel:
         sp = SplineSpec((1.0,), (0.0, 2.0))
         layout = BasisLayout((sp, None))
         fit = fit_super_model(data, layout)
-        from dynrmst.gee import _super_design
-
-        x, y, _ = _super_design(data, layout)
+        x, y, _ = dense_design(data, layout)
         want, *_ = np.linalg.lstsq(x, y, rcond=None)
         assert_allclose(fit.beta, want, atol=1e-10)
         assert fit.df == data.n_subjects - layout.q
+
+    def test_needs_more_subjects_than_params(self):
+        # 90 rows but only 10 subjects for q = 12: df would be -2
+        rng = np.random.default_rng(0)
+        surv = [SurvivalRecord(i, float(4.5 + rng.exponential(3.0)), i % 2,
+                               covariates={"x": float(rng.normal())})
+                for i in range(10)]
+        data = build_super_dataset(surv, [], [0.5 * k for k in range(9)], 3.0,
+                                   covariate_names=["x"], extend_tail=True)
+        sp = SplineSpec((0.8, 1.6, 2.4, 3.2), (0.0, 4.0))
+        assert len(data) == 90
+        with pytest.raises(InvalidInput, match="subjects"):
+            fit_super_model(data, BasisLayout((sp, sp)))
+
+    def test_rank_deficiency_raises_in_both_solves(self):
+        rng = np.random.default_rng(12)
+        data = random_super(rng, n=60)
+        sp = SplineSpec((1.0,), (0.0, 2.0))
+        zero = replace(data, covariates=np.zeros_like(data.covariates))
+        one_landmark = build_super_dataset(
+            [SurvivalRecord(i, 5.0, 1, covariates={"x": float(rng.normal())})
+             for i in range(20)], [], [1.0], 3.0, covariate_names=["x"])
+        # the second has fewer stacked R_j H_j rows (2) than coefficients (4)
+        for case in (zero, one_landmark):
+            x, y, _ = dense_design(case, BasisLayout((sp, None)))
+            with pytest.raises(SingularDesign):
+                fit_super_model(case, BasisLayout((sp, None)))
+            with pytest.raises(SingularDesign):
+                dense_lstsq(x, y)
 
     def test_layout_shape_mismatch(self):
         data = random_super(np.random.default_rng(9))

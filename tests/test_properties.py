@@ -1,16 +1,19 @@
 """Property tests of the columnar landmark core, the pseudo-value tail
-rule and the two Kaplan-Meier cRMST routes."""
+rule, the two Kaplan-Meier cRMST routes and the block super-model solver."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dynrmst.errors import DynRmstError
-from dynrmst.landmark import (LongitudinalRecord, MarkerTable,
+from dynrmst.basis import BasisLayout, SplineSpec
+from dynrmst.errors import DynRmstError, NoConvergence, SingularDesign
+from dynrmst.gee import IDENTITY, LOG, fit_super_model, sandwich_cov
+from dynrmst.landmark import (LongitudinalRecord, MarkerTable, SuperDataset,
                               build_super_dataset)
 from dynrmst.sim import joint_spec, simulate_joint
 from dynrmst.surv import (SurvivalRecord, as_survival_data, crmst_km,
                           crmst_km_ratio, pseudo_observations)
+from gee_oracle import dense_design, dense_sandwich, dense_solve
 
 # obs times on a coarse lattice so ties with the landmark and between
 # measurements of one subject are common
@@ -98,3 +101,67 @@ def test_kaplan_meier_routes_agree(case, extend_tail):
         ratio = crmst_km_ratio(records, s, w, **kwargs)
         assert restart.n_at_risk == ratio.n_at_risk
         assert abs(restart.value - ratio.value) <= 1e-12 * w
+
+
+LATTICE = st.integers(0, 10).map(lambda k: k / 2.0)
+SPLINES = st.builds(
+    SplineSpec,
+    interior_knots=st.lists(st.sampled_from([1.0, 2.5, 4.0]), max_size=2,
+                            unique=True).map(sorted).map(tuple),
+    boundary_knots=st.just((0.0, 5.0)),
+    standardization_scale=st.sampled_from([1.0, 5.0]))
+
+
+@st.composite
+def super_models(draw):
+    """A layout mixing constant and spline paths, and a SuperDataset of
+    subjects at risk at the first 1..J of 1-6 landmarks (so late landmarks
+    often hold fewer rows than Z* has columns), with positive responses."""
+    p = draw(st.integers(1, 3))
+    layout = BasisLayout(tuple(draw(st.none() | SPLINES) for _ in range(p + 1)))
+    grid = sorted(draw(st.sets(LATTICE, min_size=1, max_size=6)))
+    n = draw(st.integers(layout.q + 1, layout.q + 30))
+    n_at = np.array(draw(st.lists(st.integers(1, len(grid)), min_size=n,
+                                  max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    starts = np.concatenate(([0], np.cumsum(n_at)))
+    lm = np.concatenate([grid[:k] for k in n_at])
+    z = rng.normal(size=(lm.size, p))
+    if draw(st.integers(0, 4)) == 0:
+        z[:, draw(st.integers(0, p - 1))] = 0.0  # rank deficient
+    y = np.exp(0.5 + 0.2 * z[:, 0] + 0.05 * lm + rng.normal(0.0, 0.3, lm.size))
+    data = SuperDataset(landmarks=lm, pseudo_values=y, covariates=z,
+                        cluster_starts=starts, subjects=np.arange(n),
+                        landmark_grid=tuple(grid), w=5.0,
+                        covariate_names=tuple(f"z{k}" for k in range(p)))
+    return data, layout
+
+
+def _relative(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(super_models(), st.sampled_from([IDENTITY, LOG]))
+def test_block_solve_matches_dense_svd_solve(case, link):
+    data, layout = case
+    x, y, starts = dense_design(data, layout)
+    block = _raised(fit_super_model, data, layout, link=link)
+    assert block == _raised(dense_solve, x, y, link, 1e-6 * data.w)
+    if block is not None:
+        assert block in (SingularDesign, NoConvergence)
+        return
+    fit = fit_super_model(data, layout, link=link)
+    beta = dense_solve(x, y, link, 1e-6 * data.w)
+    # two double-precision solves agree only to about cond(X)^2 * 2.2e-16 on
+    # the covariance, which inverts X'WX; both are held to the bounds below
+    # where the weighted design sqrt(W) X has condition number under 1e3
+    sv = np.linalg.svd(x * link.dginv(x @ beta)[:, None], compute_uv=False)
+    if sv[0] / sv[-1] >= 1e3:
+        return
+    assert _relative(fit.beta, beta) <= 1e-10
+    assert _relative(fit.covariance,
+                     dense_sandwich(x, y, link, beta, starts)) <= 1e-8
+    rowwise = sandwich_cov(data, layout, link, fit.beta, mode="naive_rowwise")
+    assert _relative(rowwise, dense_sandwich(x, y, link, beta,
+                                             np.arange(y.size + 1))) <= 1e-8

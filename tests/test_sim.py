@@ -7,12 +7,12 @@ from types import SimpleNamespace
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
-from dynrmst import sim
+from dynrmst import _blas, sim
 from dynrmst.basis import BasisLayout, SplineSpec
 from dynrmst.errors import InvalidInput
+from dynrmst._blas import _openblas_threads, _thread_functions
 from dynrmst.sim import (_GL_NODES, _GL_WEIGHTS, JointModelSpec, JointTruth,
-                         _invert_event_times, _openblas_threads,
-                         _thread_functions, _true_crmst_arm,
+                         _invert_event_times, _true_crmst_arm,
                          calibrate_joint_censoring, coefficient_mc, joint_spec,
                          mc_metrics, prediction_experiment, scenario_mc,
                          scenario_spec, simulate_joint, simulate_scenario,
@@ -359,6 +359,9 @@ class TestMcMetrics:
             mc_metrics([1.0, 2.0], [1.0, -1.0], 0.0)
         with pytest.raises(InvalidInput):
             mc_metrics([1.0, 2.0], [1.0], 0.0)
+        for alpha in (0.0, 1.0, 1.5, 3.0, -1.0, float("nan")):
+            with pytest.raises(InvalidInput, match="alpha"):
+                mc_metrics([1.0, 2.0], [1.0, 1.0], 0.0, alpha=alpha)
 
 
 class TestScenarioMc:
@@ -414,34 +417,22 @@ def _failing_rep(*args):
 
 
 class TestBlasPin:
-    @pytest.fixture
-    def caller_threads(self):
-        """The caller's OpenBLAS thread count, set above 1 for the test."""
-        # numpy wheels bundle scipy-openblas, whose symbols must be found
-        fns = _openblas_threads()
-        assert fns is not None
-        get, put = fns
-        before = get()
-        put(max(before, 2))
-        yield get
-        put(before)
-
     def test_replicates_run_on_one_thread_and_count_is_restored(
-            self, caller_threads, monkeypatch):
-        threads = caller_threads()
+            self, blas_threads, monkeypatch):
+        threads = blas_threads()
         monkeypatch.setattr(sim, "_scenario_rep", _blas_threads_rep)
         for workers in (1, 2):
             rep = scenario_mc(scenario_spec(1, 10), 5.0, 5.0, reps=4, seed=0,
                               workers=workers)
             assert rep.mean_estimate == 1.0
-            assert caller_threads() == threads
+            assert blas_threads() == threads
 
-    def test_population_fit_runs_on_one_thread(self, caller_threads,
+    def test_population_fit_runs_on_one_thread(self, blas_threads,
                                                monkeypatch):
-        threads, seen = caller_threads(), []
+        threads, seen = blas_threads(), []
 
         def fit(*args):
-            seen.append(caller_threads())
+            seen.append(blas_threads())
             raise RuntimeError("population fit")
 
         monkeypatch.setattr(sim, "fit_super_model", fit)
@@ -449,16 +440,16 @@ class TestBlasPin:
             coefficient_mc(joint_spec("linear"), [0.0], 5.0, None, pop_size=50,
                            reps=2)
         assert seen == [1]
-        assert caller_threads() == threads
+        assert blas_threads() == threads
 
-    def test_count_is_restored_when_a_replicate_raises(self, caller_threads,
+    def test_count_is_restored_when_a_replicate_raises(self, blas_threads,
                                                        monkeypatch):
-        threads = caller_threads()
+        threads = blas_threads()
         monkeypatch.setattr(sim, "_prediction_rep", _failing_rep)
         with pytest.raises(RuntimeError, match="replicate failed"):
             prediction_experiment(joint_spec("linear"), [0.0], 5.0, None,
                                   reps=2)
-        assert caller_threads() == threads
+        assert blas_threads() == threads
 
     def test_symbols_of_numpy_1_and_2_wheels(self):
         def lib(prefix):
@@ -474,5 +465,5 @@ class TestBlasPin:
     def test_pin_is_a_no_op_without_openblas(self, monkeypatch):
         spec = scenario_spec(2, 20)
         pinned = scenario_mc(spec, 5.0, 5.0, reps=4, seed=0)
-        monkeypatch.setattr(sim, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(_blas, "_openblas_threads", lambda: None)
         assert scenario_mc(spec, 5.0, 5.0, reps=4, seed=0) == pinned
