@@ -4,6 +4,15 @@ The Monte Carlo harnesses and the command-line entry point run their BLAS
 work on one thread: results then do not depend on the core count, pooled
 workers do not oversubscribe the cores, and small solves avoid the slow
 multithreaded mode of OpenBLAS.
+
+A process pool is pinned once, by the process that starts it: forked
+workers inherit the one-thread setting and must leave it alone.  In a
+forked child any call to the OpenBLAS setter, even one that sets the count
+it already has, restarts the BLAS thread server, so the worker then runs
+with a second OS thread and pooled work takes about twice its CPU time in
+wall time.  ``_one_blas_thread_in_worker`` is the pool initializer for
+spawn and forkserver starts, whose workers begin with OpenBLAS's default
+count; it calls the setter only when the count is not already 1.
 """
 
 from __future__ import annotations
@@ -70,3 +79,12 @@ def _one_blas_thread():
         yield
     finally:
         put(before)
+
+
+def _one_blas_thread_in_worker():
+    """Pool initializer: pin numpy's OpenBLAS of a fresh worker to one
+    thread, never calling the setter when the count is already 1 (a forked
+    worker that inherited the pin)."""
+    fns = _openblas_threads()
+    if fns is not None and fns[0]() != 1:
+        fns[1](1)

@@ -12,7 +12,10 @@ Determinism: every replicate draws from its own
 are bitwise identical for any worker count.  The population draw of
 ``coefficient_mc`` uses ``spawn_key=(0,)``.  Replicates and that
 population fit run numpy's bundled OpenBLAS on one thread, so results do
-not depend on the number of cores either.
+not depend on the number of cores either.  The process that starts a
+worker pool takes that pin once, around the whole pool: forked workers
+inherit one BLAS thread, and a worker never calls the OpenBLAS setter when
+it already has one thread (see ``_blas``).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import integrate, optimize, special
 
-from ._blas import _one_blas_thread
+from ._blas import _one_blas_thread, _one_blas_thread_in_worker
 from .errors import InvalidInput, NoConvergence
 from .evaluate import evaluate_on_validation
 from .gee import IDENTITY, fit_super_model, sandwich_cov
@@ -693,11 +696,23 @@ class MetricsReport:
     alpha: float
 
 
+def _check_alpha(alpha):
+    if not 0.0 < alpha < 1.0:
+        raise InvalidInput("alpha must be in (0, 1)")
+
+
+def _check_runs(reps, workers, least):
+    """Reject replicate and worker counts before any replicate runs."""
+    if reps < least:
+        raise InvalidInput(f"reps must be at least {least}, got {reps}")
+    if workers < 1:
+        raise InvalidInput(f"workers must be at least 1, got {workers}")
+
+
 def mc_metrics(estimates, variances, truth, alpha=0.05):
     """bias / relative bias / RMSE / Rel SE / CP / rejection rate over
     replicates; rel_bias is NaN when truth is exactly 0 (undefined ratio)."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInput("alpha must be in (0, 1)")
+    _check_alpha(alpha)
     est = np.asarray(estimates, dtype=float)
     var = np.asarray(variances, dtype=float)
     if est.shape != var.shape or est.ndim != 1 or est.size < 2:
@@ -730,22 +745,25 @@ def mc_metrics(estimates, variances, truth, alpha=0.05):
 
 def _replicate_chunk(payload):
     fn, args, seed, lo, hi = payload
-    with _one_blas_thread():
-        return [fn(*args, _rep_rng(seed, rep)) for rep in range(lo, hi)]
+    return [fn(*args, _rep_rng(seed, rep)) for rep in range(lo, hi)]
 
 
 def _replicate(fn, args, reps, seed, workers=1):
     """Run ``fn(*args, rng)`` once per replicate on the replicate's own
     stream, in chunks over ``workers`` processes; returns one array per
-    output of ``fn``, stacked in replicate order."""
+    output of ``fn``, stacked in replicate order.  BLAS runs on one thread,
+    pinned here, before any worker starts."""
     size = max(1, -(-reps // max(1, workers * 4)))
     payloads = [(fn, args, seed, lo, min(lo + size, reps))
                 for lo in range(0, reps, size)]
-    if workers <= 1:
-        chunks = [_replicate_chunk(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_replicate_chunk, payloads))
+    with _one_blas_thread():
+        if workers <= 1:
+            chunks = [_replicate_chunk(p) for p in payloads]
+        else:
+            with ProcessPoolExecutor(
+                    max_workers=workers,
+                    initializer=_one_blas_thread_in_worker) as pool:
+                chunks = list(pool.map(_replicate_chunk, payloads))
     outputs = [out for chunk in chunks for out in chunk]
     return tuple(np.array(col) for col in zip(*outputs))
 
@@ -760,6 +778,8 @@ def _scenario_rep(spec, s, w, rng):
 
 def scenario_mc(spec, s, w, reps, seed, alpha=0.05, workers=1):
     """Replicated cRMSTd tests on one design; truth from the closed form."""
+    _check_alpha(alpha)
+    _check_runs(reps, workers, 2)
     deltas, variances = _replicate(_scenario_rep, (spec, s, w), reps, seed,
                                    workers)
     truth = true_crmstd(spec, s, w, method="closed_form")
@@ -800,6 +820,8 @@ def coefficient_mc(spec, grid, w, layout, n_subjects=500, reps=1000,
     """Sandwich-calibration experiment: fit the landmark super-model on
     ``reps`` fresh datasets of ``n_subjects``, and compare both sandwich
     modes against the coefficient vector of one ``pop_size``-subject fit."""
+    _check_alpha(alpha)
+    _check_runs(reps, workers, 2)
     grid = tuple(float(s) for s in grid)
     pop_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(0,))
@@ -853,6 +875,7 @@ def prediction_experiment(spec, grid, w, layout, n_train=500, n_val=300,
                           reps=200, seed=0, workers=1):
     """Train/validate replicates comparing the dynamic landmark model with a
     static baseline-covariate RMST regression refit at each horizon s_j + w."""
+    _check_runs(reps, workers, 1)
     grid = tuple(float(s) for s in grid)
     c_dyn, c_stat, pe_dyn, pe_stat = _replicate(
         _prediction_rep, (spec, grid, w, layout, n_train, n_val), reps, seed,

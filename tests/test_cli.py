@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dynrmst import cli, dataio
+from dynrmst import cli, dataio, sim
 from dynrmst.cli import _parse_grid, main
 from dynrmst.errors import InvalidInput
 from dynrmst.gee import DynamicModelFit
@@ -323,6 +323,24 @@ class TestMcCommand:
         row = dict(zip(header, lines[2].split(",")))
         assert row["scenario"] == "1" and row["reps"] == "30"
         assert 0.0 <= float(row["coverage"]) <= 1.0
+
+    @pytest.mark.parametrize("option, value", [("--reps", 0), ("--reps", 1),
+                                               ("--workers", 0),
+                                               ("--alpha", 3)])
+    def test_bad_argument_is_an_error_record_before_any_replicate(
+            self, tmp_path, capsys, monkeypatch, option, value):
+        def replicate(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(sim, "_scenario_rep", replicate)
+        argv = {"--scenario": 1, "--n": 60, "--s": 2, "--w": 5, "--reps": 30,
+                option: value}
+        assert run(["mc", *(x for kv in argv.items() for x in kv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidInput"
+        assert option[2:] in err["message"]
 
 
 class TestKmAndCrmst:

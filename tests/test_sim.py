@@ -1,5 +1,10 @@
 """Simulation designs, numerical truth, and Monte Carlo metrics."""
 
+import functools
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -416,6 +421,44 @@ def _failing_rep(*args):
     raise RuntimeError("replicate failed")
 
 
+def _thread_counts(rng):
+    """The OpenBLAS and OS thread counts of the process running a
+    replicate."""
+    return _openblas_threads()[0](), len(os.listdir("/proc/self/task"))
+
+
+def _must_not_run(*args):
+    raise AssertionError("a replicate ran before the arguments were checked")
+
+
+class TestHarnessArguments:
+    @pytest.fixture(autouse=True)
+    def no_replicates(self, monkeypatch):
+        for name in ("_scenario_rep", "_coefficient_rep", "_prediction_rep",
+                     "simulate_joint"):
+            monkeypatch.setattr(sim, name, _must_not_run)
+
+    @pytest.mark.parametrize("bad", [
+        {"alpha": 0.0}, {"alpha": 1.0}, {"alpha": 3.0}, {"alpha": float("nan")},
+        {"reps": 1}, {"reps": 0}, {"workers": 0}, {"workers": -2}])
+    def test_scenario_and_coefficient_mc(self, bad):
+        kwargs = {"reps": 4, "seed": 0, "alpha": 0.05, "workers": 1, **bad}
+        (name,) = bad
+        with pytest.raises(InvalidInput, match=name):
+            scenario_mc(scenario_spec(1, 10), 5.0, 5.0, **kwargs)
+        with pytest.raises(InvalidInput, match=name):
+            coefficient_mc(joint_spec("linear"), [0.0], 5.0, None,
+                           pop_size=50, **kwargs)
+
+    @pytest.mark.parametrize("bad", [{"reps": 0}, {"reps": -1},
+                                     {"workers": 0}, {"workers": -2}])
+    def test_prediction_experiment(self, bad):
+        (name,) = bad
+        with pytest.raises(InvalidInput, match=name):
+            prediction_experiment(joint_spec("linear"), [0.0], 5.0, None,
+                                  **{"reps": 2, "workers": 1, **bad})
+
+
 class TestBlasPin:
     def test_replicates_run_on_one_thread_and_count_is_restored(
             self, blas_threads, monkeypatch):
@@ -450,6 +493,27 @@ class TestBlasPin:
             prediction_experiment(joint_spec("linear"), [0.0], 5.0, None,
                                   reps=2)
         assert blas_threads() == threads
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc to count OS threads")
+    def test_forked_workers_run_one_os_thread(self, blas_threads):
+        # a forked worker that calls the OpenBLAS setter restarts its BLAS
+        # thread server and runs with a second OS thread
+        blas, os_threads = sim._replicate(_thread_counts, (), 16, 0,
+                                          workers=2)
+        assert blas.tolist() == [1] * 16
+        assert os_threads.tolist() == [1] * 16
+
+    def test_spawned_workers_run_one_blas_thread(self, blas_threads,
+                                                 monkeypatch):
+        spec = scenario_spec(2, 20)
+        serial = scenario_mc(spec, 5.0, 5.0, reps=8, seed=0, workers=1)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+        blas, _ = sim._replicate(_blas_threads_rep, (spec, 5.0, 5.0), 4, 0,
+                                 workers=2)
+        assert blas.tolist() == [1.0] * 4
+        assert scenario_mc(spec, 5.0, 5.0, reps=8, seed=0, workers=2) == serial
 
     def test_symbols_of_numpy_1_and_2_wheels(self):
         def lib(prefix):
