@@ -3,12 +3,14 @@
 Subcommands: km, crmst, test, fit, predict, evaluate, simulate, mc.  Outputs
 are CSV or JSON artifacts embedding the resolved configuration; any failure
 prints a machine-readable JSON error record to stderr and exits 1 (with the
-traceback too under ``--debug``).
+traceback too under ``--debug``); a malformed command line is an
+``InvalidInput`` record like any other.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -73,8 +75,7 @@ def _parse_assignments(pairs):
 
 
 def _config_of(args):
-    skip = {"func", "debug"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    return {k: v for k, v in sorted(vars(args).items()) if k != "debug"}
 
 
 def _emit_json(args, payload):
@@ -109,11 +110,11 @@ def _cmd_km(args):
 
 
 def _cmd_crmst(args):
-    records = dataio.read_survival(args.input)
+    data = dataio.read_survival(args.input)
     if args.method == "km":
-        est = crmst_km(records, args.s, args.w, extend_tail=args.extend_tail)
+        est = crmst_km(data, args.s, args.w, extend_tail=args.extend_tail)
     else:
-        est = crmst_pseudo(records, args.s, args.w, extend_tail=args.extend_tail)
+        est = crmst_pseudo(data, args.s, args.w, extend_tail=args.extend_tail)
     _emit_json(args, {"s": est.s, "w": est.w, "value": est.value,
                       "variance": est.variance, "n_at_risk": est.n_at_risk,
                       "method": args.method})
@@ -121,12 +122,12 @@ def _cmd_crmst(args):
 
 
 def _cmd_test(args):
-    records = dataio.read_survival(args.input)
-    groups = sorted({r.group for r in records}, key=str)
+    data = dataio.read_survival(args.input)
+    labels = [None] if data.group is None else data.group.tolist()
+    groups = sorted(set(labels), key=str)
     if len(groups) != 2:
         raise DynRmstError(f"need exactly 2 groups, found {groups}")
-    g0 = [r for r in records if r.group == groups[0]]
-    g1 = [r for r in records if r.group == groups[1]]
+    g0, g1 = (data.subset(data.group == g) for g in groups)
     res = crmstd_test(g0, g1, args.s, args.w, alpha=args.alpha,
                       extend_tail=args.extend_tail)
     _emit_json(args, {"group0": groups[0], "group1": groups[1],
@@ -152,7 +153,7 @@ def _cmd_fit(args):
                       boundary_knots=boundary, standardization_scale=scale)
     layout = BasisLayout(tuple(spec for _ in range(len(data.covariate_names) + 1)))
     fit = fit_super_model(data, layout, link=_link_of(args.link))
-    dataio.write_json_artifact(args.output, {"model": json.loads(fit.to_json())},
+    dataio.write_json_artifact(args.output, {"model": fit.to_dict()},
                                config=_config_of(args))
     return 0
 
@@ -160,7 +161,7 @@ def _cmd_fit(args):
 def _load_model(path):
     with open(path) as fh:
         doc = json.load(fh)
-    return DynamicModelFit.from_json(json.dumps(doc["model"]))
+    return DynamicModelFit.from_dict(doc["model"])
 
 
 def _cmd_predict(args):
@@ -242,8 +243,19 @@ def _cmd_mc(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as InvalidInput rather than printing
+    usage and exiting 2; the subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise InvalidInput(f"{self.prog}: {message}")
+
+
+@functools.cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    """The argument parser, built once per process: a command runs the
+    ``_cmd_<command>`` this module holds when it is called."""
+    parser = _Parser(
         prog="dynrmst",
         description="Dynamic restricted-mean-survival-time analysis via "
                     "pseudo-observations and landmarking.")
@@ -251,26 +263,20 @@ def _build_parser():
                         help="print the traceback of a failure")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=fn)
-        return p
-
-    p = add("km", _cmd_km, "Kaplan-Meier curve")
+    p = sub.add_parser("km", help="Kaplan-Meier curve")
     p.add_argument("--input", required=True)
     p.add_argument("--start", type=float, default=0.0)
     p.add_argument("--output")
 
-    for name, fn in (("crmst", _cmd_crmst),):
-        p = add(name, fn, "conditional RMST at (s, w)")
-        p.add_argument("--input", required=True)
-        p.add_argument("--s", type=float, required=True)
-        p.add_argument("--w", type=float, required=True)
-        p.add_argument("--method", choices=["pseudo", "km"], default="pseudo")
-        p.add_argument("--extend-tail", action="store_true")
-        p.add_argument("--output")
+    p = sub.add_parser("crmst", help="conditional RMST at (s, w)")
+    p.add_argument("--input", required=True)
+    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--w", type=float, required=True)
+    p.add_argument("--method", choices=["pseudo", "km"], default="pseudo")
+    p.add_argument("--extend-tail", action="store_true")
+    p.add_argument("--output")
 
-    p = add("test", _cmd_test, "two-sample cRMSTd test")
+    p = sub.add_parser("test", help="two-sample cRMSTd test")
     p.add_argument("--input", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--w", type=float, required=True)
@@ -278,7 +284,7 @@ def _build_parser():
     p.add_argument("--extend-tail", action="store_true")
     p.add_argument("--output")
 
-    p = add("fit", _cmd_fit, "fit the landmark super-model")
+    p = sub.add_parser("fit", help="fit the landmark super-model")
     p.add_argument("--input", required=True)
     p.add_argument("--longitudinal")
     p.add_argument("--grid", required=True,
@@ -292,7 +298,7 @@ def _build_parser():
     p.add_argument("--extend-tail", action="store_true")
     p.add_argument("--output", required=True)
 
-    p = add("predict", _cmd_predict, "predict cRMST from a fitted model")
+    p = sub.add_parser("predict", help="predict cRMST from a fitted model")
     p.add_argument("--model", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--covariates", nargs="+", required=True,
@@ -300,7 +306,7 @@ def _build_parser():
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--output")
 
-    p = add("evaluate", _cmd_evaluate, "dynamic vs static out-of-sample")
+    p = sub.add_parser("evaluate", help="dynamic vs static out-of-sample")
     p.add_argument("--model", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--train-longitudinal")
@@ -309,7 +315,7 @@ def _build_parser():
     p.add_argument("--extend-tail", action="store_true")
     p.add_argument("--output", required=True)
 
-    p = add("simulate", _cmd_simulate, "draw a synthetic dataset")
+    p = sub.add_parser("simulate", help="draw a synthetic dataset")
     p.add_argument("--design", choices=["scenario", "joint"], required=True)
     p.add_argument("--scenario", type=int, default=1)
     p.add_argument("--trajectory", choices=["linear", "quadratic"],
@@ -321,7 +327,8 @@ def _build_parser():
     p.add_argument("--output", required=True)
     p.add_argument("--longitudinal-output")
 
-    p = add("mc", _cmd_mc, "replicated cRMSTd metrics for one design cell")
+    p = sub.add_parser("mc",
+                       help="replicated cRMSTd metrics for one design cell")
     p.add_argument("--scenario", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cen", type=float, default=0.0)
@@ -337,12 +344,14 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    debug = False
     try:
+        args = _build_parser().parse_args(argv)
+        debug = args.debug
         with _one_blas_thread():
-            return args.func(args)
+            return globals()[f"_cmd_{args.command}"](args)
     except Exception as exc:
-        if args.debug:
+        if debug:
             traceback.print_exc()
         error = "OSError" if isinstance(exc, OSError) else type(exc).__name__
         json.dump({"error": error, "message": str(exc)}, sys.stderr)

@@ -7,6 +7,14 @@ longitudinal CSV  id,obs_time,name,value
 metrics CSV       one row per experiment cell, config embedded as a leading
                   ``# config: {...}`` comment line
 
+The readers return columns: ``read_survival`` a ``SurvivalData`` (subjects
+sorted by id) and ``read_longitudinal`` a ``MarkerTable`` of the subjects
+with measurements.  Each file is split into cells once and each numeric
+column parsed with ``float``; every check runs on whole columns, and when
+one fails a scan of the rows in file order reports the first malformed
+line.  Records (``SurvivalRecord``, ``LongitudinalRecord``) are the input
+adapter for library callers and what the writers take.
+
 Floats are written with 17 significant digits so a write/read round trip is
 bit-exact; malformed rows, including non-finite numbers, are reported with
 their line number.
@@ -19,9 +27,11 @@ import json
 import math
 import warnings
 
+import numpy as np
+
 from .errors import InvalidInput
-from .landmark import LongitudinalRecord
-from .surv import SurvivalRecord
+from .landmark import MarkerTable
+from .surv import SurvivalData, _objects
 
 __all__ = [
     "FORMAT_VERSION",
@@ -35,6 +45,7 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+_STATUS = {"0": 0, "1": 1}
 
 
 def fmt_float(x):
@@ -53,82 +64,130 @@ def _parse_float(text, line, column):
     return value
 
 
-def _reader(path):
+def _reader(path, required):
+    """(header, line numbers, rows) of the data rows of a CSV, skipping blank
+    and ``#`` comment lines; the header must name every required column."""
     with open(path, newline="") as fh:
-        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh))
-                if row and not row[0].lstrip().startswith("#")]
-    if not rows:
+        rows = list(csv.reader(fh))
+    lines = [i for i, row in enumerate(rows, 1)
+             if row and not row[0].lstrip().startswith("#")]
+    if not lines:
         raise InvalidInput(f"{path}: empty file")
-    header = [c.strip() for c in rows[0][1]]
-    return header, rows[1:]
-
-
-def read_survival(path):
-    """Parse survival records; extra columns become float covariates."""
-    header, rows = _reader(path)
-    required = ["id", "time", "status"]
+    header = [c.strip() for c in rows[lines[0] - 1]]
     for col in required:
         if col not in header:
             raise InvalidInput(f"{path}: missing column {col!r}")
-    pos = {c: header.index(c) for c in header}
-    extra = [c for c in header if c not in required + ["group"]]
-    records = []
+    return header, lines[1:], [rows[i - 1] for i in lines[1:]]
+
+
+def _cells(header, rows):
+    """Column name -> tuple of its cells (the first column of a repeated
+    name); ValueError when a row has another number of fields."""
+    if set(map(len, rows)) - {len(header)}:
+        raise ValueError("ragged rows")
+    cols = list(zip(*rows)) or [()] * len(header)
+    return {c: cols[header.index(c)] for c in header}
+
+
+def _floats(cells):
+    """Finite float column of the cells; ValueError otherwise."""
+    values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite number")
+    return values
+
+
+def _stripped(cells):
+    """Object array of the cells without surrounding whitespace."""
+    return _objects(map(str.strip, cells))
+
+
+def _raise_first_error(lines, rows, width, checks, unique=None):
+    """Raise the InvalidInput of the first malformed row in file order.
+    ``checks`` holds (position, column, kind) with kind "finite",
+    "nonnegative" or "status"; ``unique`` is the position of a column whose
+    values must not repeat."""
     seen = {}
-    for line, row in rows:
-        if len(row) != len(header):
-            raise InvalidInput(f"line {line}: expected {len(header)} fields, "
+    for line, row in zip(lines, rows):
+        if len(row) != width:
+            raise InvalidInput(f"line {line}: expected {width} fields, "
                                f"got {len(row)}")
         cells = [c.strip() for c in row]
-        sid = cells[pos["id"]]
-        if sid in seen:
-            raise InvalidInput(f"line {line}: duplicate id {sid!r} "
-                               f"(first seen on line {seen[sid]})")
-        seen[sid] = line
-        time = _parse_float(cells[pos["time"]], line, "time")
-        if time < 0:
-            raise InvalidInput(f"line {line}: negative time {time}")
-        status_text = cells[pos["status"]]
-        if status_text not in ("0", "1"):
-            raise InvalidInput(f"line {line}: status must be 0 or 1, "
-                               f"got {status_text!r}")
-        group = cells[pos["group"]] if "group" in pos else None
-        cov = {c: _parse_float(cells[pos[c]], line, c) for c in extra}
-        records.append(SurvivalRecord(id=sid, time=time, status=int(status_text),
-                                      group=group, covariates=cov))
-    return records
+        if unique is not None:
+            sid = cells[unique]
+            if sid in seen:
+                raise InvalidInput(f"line {line}: duplicate id {sid!r} "
+                                   f"(first seen on line {seen[sid]})")
+            seen[sid] = line
+        for pos, column, kind in checks:
+            if kind == "status":
+                if cells[pos] not in _STATUS:
+                    raise InvalidInput(f"line {line}: status must be 0 or 1, "
+                                       f"got {cells[pos]!r}")
+                continue
+            value = _parse_float(cells[pos], line, column)
+            if kind == "nonnegative" and value < 0:
+                raise InvalidInput(f"line {line}: negative {column} {value}")
+
+
+def read_survival(path):
+    """SurvivalData of a survival CSV, subjects sorted by id; ``group`` holds
+    the group labels when the file has that column, and every other extra
+    column becomes a float covariate."""
+    header, lines, rows = _reader(path, ("id", "time", "status"))
+    if not rows:
+        raise InvalidInput(f"{path}: no records")
+    extra = [c for c in dict.fromkeys(header)
+             if c not in ("id", "time", "status", "group")]
+    try:
+        cells = _cells(header, rows)
+        ids = _stripped(cells["id"])
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        time = _floats(cells["time"])
+        status = np.fromiter((_STATUS.get(c.strip(), -1)
+                              for c in cells["status"]),
+                             dtype=np.int64, count=len(rows))
+        if (ids[1:] == ids[:-1]).any() or (time < 0).any() or (status < 0).any():
+            raise ValueError("invalid survival rows")
+        covariates = {c: _floats(cells[c])[order] for c in extra}
+    except ValueError:
+        pos = {c: header.index(c) for c in header}
+        checks = [(pos["time"], "time", "nonnegative"),
+                  (pos["status"], "status", "status")]
+        _raise_first_error(lines, rows, len(header),
+                           checks + [(pos[c], c, "finite") for c in extra],
+                           unique=pos["id"])
+        raise
+    group = _stripped(cells["group"])[order] if "group" in cells else None
+    return SurvivalData(ids, time[order], status[order], covariates, group)
 
 
 def read_longitudinal(path):
-    """Parse biomarker measurements; rows out of time order within a subject
-    are accepted and sorted, with a warning."""
-    header, rows = _reader(path)
-    for col in ("id", "obs_time", "name", "value"):
-        if col not in header:
-            raise InvalidInput(f"{path}: missing column {col!r}")
-    pos = {c: header.index(c) for c in header}
-    parsed = []
-    last_time = {}
-    out_of_order = False
-    for line, row in rows:
-        if len(row) != len(header):
-            raise InvalidInput(f"line {line}: expected {len(header)} fields, "
-                               f"got {len(row)}")
-        cells = [c.strip() for c in row]
-        sid = cells[pos["id"]]
-        t = _parse_float(cells[pos["obs_time"]], line, "obs_time")
-        if t < 0:
-            raise InvalidInput(f"line {line}: negative obs_time {t}")
-        if last_time.get(sid, -1.0) > t:
-            out_of_order = True
-        last_time[sid] = t
-        parsed.append((sid, t, cells[pos["name"]],
-                       _parse_float(cells[pos["value"]], line, "value")))
-    if out_of_order:
+    """MarkerTable of a longitudinal CSV, covering the subjects with at least
+    one measurement; rows out of time order within a subject are accepted
+    and sorted, with a warning."""
+    header, lines, rows = _reader(path, ("id", "obs_time", "name", "value"))
+    try:
+        cells = _cells(header, rows)
+        times = _floats(cells["obs_time"])
+        values = _floats(cells["value"])
+        if (times < 0).any():
+            raise ValueError("negative obs_time")
+    except ValueError:
+        pos = {c: header.index(c) for c in header}
+        _raise_first_error(lines, rows, len(header),
+                           [(pos["obs_time"], "obs_time", "nonnegative"),
+                            (pos["value"], "value", "finite")])
+        raise
+    ids, subject = np.unique(_stripped(cells["id"]), return_inverse=True)
+    by_subject = np.argsort(subject, kind="stable")
+    s, t = subject[by_subject], times[by_subject]
+    if ((s[1:] == s[:-1]) & (t[1:] < t[:-1])).any():
         warnings.warn(f"{path}: longitudinal rows out of time order for at "
                       "least one subject; sorted on read", stacklevel=2)
-    parsed.sort(key=lambda r: (r[0], r[1]))
-    return [LongitudinalRecord(id=sid, obs_time=t, values={name: value})
-            for sid, t, name, value in parsed]
+    return MarkerTable.from_columns(ids, subject, times,
+                                    _stripped(cells["name"]), values)
 
 
 def _config_line(config):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import _kernels
 from .basis import h_matrix
@@ -73,7 +73,8 @@ def _interval(fit, x, s, alpha):
     value = float(fit.link.ginv(eta))
     grad = float(fit.link.dginv(eta)) * x
     se = float(np.sqrt(max(grad @ fit.covariance @ grad, 0.0)))
-    tq = float(stats.t.ppf(1.0 - alpha / 2.0, fit.df))
+    # the t quantile stats.t.ppf computes, without importing scipy.stats
+    tq = float(special.stdtrit(fit.df, 1.0 - alpha / 2.0))
     return PredictionResult(s=float(s), value=value, se=se,
                             ci_lower=value - tq * se, ci_upper=value + tq * se,
                             df=fit.df, alpha=float(alpha))

@@ -101,7 +101,8 @@ class DynamicModelFit:
         """beta(s) = H(s) beta: one value per covariate path at time s."""
         return h_matrix(self.layout, s) @ self.beta
 
-    def to_json(self):
+    def to_dict(self):
+        """The versioned model document (``from_dict`` reads it back)."""
         def spec_dict(sp):
             if sp is None:
                 return None
@@ -112,28 +113,24 @@ class DynamicModelFit:
                 "include_intercept_column": sp.include_intercept_column,
             }
 
-        return json.dumps(
-            {
-                "format_version": 1,
-                "link": self.link.kind,
-                "layout": [spec_dict(sp) for sp in self.layout.specs],
-                "grid": list(self.grid),
-                "w": self.w,
-                "beta": self.beta.tolist(),
-                "covariance": self.covariance.tolist(),
-                "n_subjects": self.n_subjects,
-                "n_rows": self.n_rows,
-                "df": self.df,
-                "iterations": self.iterations,
-                "score_norm": self.score_norm,
-                "covariate_names": list(self.covariate_names),
-            },
-            indent=2,
-        )
+        return {
+            "format_version": 1,
+            "link": self.link.kind,
+            "layout": [spec_dict(sp) for sp in self.layout.specs],
+            "grid": list(self.grid),
+            "w": self.w,
+            "beta": self.beta.tolist(),
+            "covariance": self.covariance.tolist(),
+            "n_subjects": self.n_subjects,
+            "n_rows": self.n_rows,
+            "df": self.df,
+            "iterations": self.iterations,
+            "score_norm": self.score_norm,
+            "covariate_names": list(self.covariate_names),
+        }
 
     @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
+    def from_dict(cls, obj):
         if obj.get("format_version") != 1:
             raise InvalidInput("unsupported model format_version")
         specs = tuple(
@@ -158,6 +155,13 @@ class DynamicModelFit:
             score_norm=obj["score_norm"],
             covariate_names=tuple(obj["covariate_names"]),
         )
+
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2)
+
+    @classmethod
+    def from_json(cls, text):
+        return cls.from_dict(json.loads(text))
 
 
 class _Block(NamedTuple):

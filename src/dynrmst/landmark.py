@@ -2,9 +2,12 @@
 van Houwelingen, "Dynamic prediction by landmarking in event history
 analysis" (Scand J Stat 2007), clustered by subject.
 
-Input is converted once into columns; each landmark is then one vectorized
-pass: the strict risk set ``Y > s``, one jackknife call, and biomarkers
-resolved by last observation carried forward (ties at the landmark count).
+Input arrives as columns (``SurvivalData`` and ``MarkerTable``, as the CSV
+readers and the simulators return them) or as records, the input adapter
+for library callers, converted once.  The biomarker table is aligned with
+the survival subjects by id.  Each landmark is then one vectorized pass: the
+strict risk set ``Y > s``, one jackknife call, and biomarkers resolved by
+last observation carried forward (ties at the landmark count).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRiskSet, InvalidInput, MissingCovariate
-from .surv import SurvivalData, as_survival_data, risk_set_pseudo
+from .surv import SurvivalData, _objects, as_survival_data, risk_set_pseudo
 # pseudo_observations is bound here for perfbench's instrumentation self-test
 from .surv import pseudo_observations  # noqa: F401
 
@@ -38,33 +41,72 @@ class LongitudinalRecord:
 
 @dataclass(frozen=True)
 class MarkerTable:
-    """Biomarker measurements aligned with the subjects of a SurvivalData:
+    """Biomarker measurements of the subjects ``ids`` (ascending):
     ``columns[name]`` is (times, values, offsets) with rows sorted by
-    (subject, obs_time) and subject i's rows at ``offsets[i]:offsets[i + 1]``.
+    (subject, obs_time, value) and subject i's rows at
+    ``offsets[i]:offsets[i + 1]``.
     """
 
     columns: dict
+    ids: np.ndarray
+
+    @classmethod
+    def from_columns(cls, ids, subject, times, names, values):
+        """Table from one entry per measurement, in any order: ``subject``
+        indexes the ascending ``ids``, ``names`` holds biomarker names and
+        ``times`` the nonnegative observation times."""
+        columns = {}
+        for name in sorted(set(names.tolist())):
+            rows = np.flatnonzero(names == name)
+            keys = (values[rows], times[rows], subject[rows])
+            order = rows[np.lexsort(keys)]
+            counts = np.bincount(subject[order], minlength=ids.size)
+            columns[name] = (times[order], values[order],
+                             np.concatenate(([0], np.cumsum(counts))))
+        return cls(columns, ids)
 
     @classmethod
     def from_records(cls, records, ids):
-        """Table for the subjects ``ids`` (ascending, as in SurvivalData);
+        """Table of LongitudinalRecords, the input adapter for library
+        callers, for the subjects ``ids`` (ascending, as in SurvivalData);
         measurements of other subjects are ignored."""
-        position = {sid: i for i, sid in enumerate(ids.tolist())}
-        rows = {}
         for rec in records:
             if rec.obs_time < 0:
                 raise InvalidInput(f"negative obs_time for subject {rec.id!r}")
-            i = position.get(rec.id, -1)
-            for name, value in rec.values.items():
-                rows.setdefault(name, []).append((i, rec.obs_time, value))
+        rows = [(rec.id, rec.obs_time, name, value)
+                for rec in records for name, value in rec.values.items()]
+        try:
+            subjects, subject = np.unique(_objects(r[0] for r in rows),
+                                          return_inverse=True)
+        except TypeError:
+            raise InvalidInput("subject ids must be mutually orderable") from None
+        table = cls.from_columns(subjects, subject,
+                                 np.array([r[1] for r in rows], dtype=float),
+                                 _objects(r[2] for r in rows),
+                                 np.array([r[3] for r in rows], dtype=float))
+        return table.align(ids)
+
+    def align(self, ids):
+        """The table of the subjects ``ids`` (ascending): rows of subjects not
+        in ``ids`` are dropped, and a subject without rows gets none."""
+        if self.ids is ids or (self.ids.size == ids.size
+                               and np.array_equal(self.ids, ids)):
+            return self
+        position = {sid: i for i, sid in enumerate(self.ids.tolist())}
+        pos = np.array([position.get(sid, -1) for sid in ids.tolist()],
+                       dtype=np.int64)
+        found = pos >= 0
         columns = {}
-        for name in sorted(rows):
-            subj, t, v = np.array(rows[name], dtype=float).reshape(-1, 3).T
-            order = np.lexsort((v, t, subj))[np.sum(subj < 0):]
-            counts = np.bincount(subj[order].astype(np.int64), minlength=ids.size)
-            columns[name] = (t[order], v[order],
-                             np.concatenate(([0], np.cumsum(counts))))
-        return cls(columns)
+        for name, (times, values, offsets) in self.columns.items():
+            first = offsets[pos[found]]
+            counts = np.zeros(ids.size, dtype=np.int64)
+            counts[found] = offsets[pos[found] + 1] - first
+            starts = np.concatenate(([0], np.cumsum(counts)))
+            # new row starts[i] + k is row first[i] + k of subject i
+            take = (np.repeat(first - starts[:-1][found], counts[found])
+                    + np.arange(starts[-1]))
+            columns[name] = (times[take], values[take], starts)
+        return MarkerTable(columns, ids)
 
     def locf(self, name, rows, s):
         """Last value of ``name`` at or before s for the subjects at positions
@@ -87,7 +129,8 @@ def _columns(survival, longitudinal, covariate_names=None):
         fixed = (survival.covariates if isinstance(survival, SurvivalData)
                  else survival[0].covariates if survival else ())
     surv = as_survival_data(survival, fixed)
-    markers = (longitudinal if isinstance(longitudinal, MarkerTable)
+    markers = (longitudinal.align(surv.ids)
+               if isinstance(longitudinal, MarkerTable)
                else MarkerTable.from_records(longitudinal or [], surv.ids))
     names = covariate_names
     if names is None:
@@ -143,12 +186,14 @@ def build_super_dataset(survival, longitudinal, grid, w, covariate_names=None,
                         extend_tail=False):
     """Stack the landmark datasets of a strictly increasing grid.
 
-    ``survival`` is a list of SurvivalRecord or a SurvivalData;
-    ``longitudinal`` a list of LongitudinalRecord or a MarkerTable aligned
-    with that SurvivalData.  A covariate name is time-dependent when it
-    appears in the longitudinal data (LOCF at each landmark) and time-fixed
-    otherwise.  A subject at risk at a landmark but lacking a required
-    value raises MissingCovariate rather than being dropped.
+    ``survival`` is a SurvivalData or a list of SurvivalRecord (the input
+    adapter for library callers); ``longitudinal`` a MarkerTable or a list
+    of LongitudinalRecord, aligned here with the survival subjects:
+    measurements of subjects absent from ``survival`` are dropped.  A
+    covariate name is time-dependent when it appears in the longitudinal
+    data (LOCF at each landmark) and time-fixed otherwise.  A subject at
+    risk at a landmark but lacking a required value raises MissingCovariate
+    rather than being dropped.
     """
     grid = [float(s) for s in grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):

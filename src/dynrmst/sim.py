@@ -580,7 +580,8 @@ class JointSample:
         seen = ~np.isnan(self.visit_times)
         offsets = np.concatenate(([0], np.cumsum(seen.sum(axis=1))))
         markers = MarkerTable({JOINT_COVARIATES[2]: (
-            self.visit_times[seen], self.visit_values[seen], offsets)})
+            self.visit_times[seen], self.visit_values[seen], offsets)},
+            self.ids)
         return surv, markers
 
     def to_records(self):

@@ -52,19 +52,28 @@ class SurvivalData:
     """Columnar survival input, subjects sorted by ascending id.
 
     ``covariates`` maps each time-fixed covariate name to its column; NaN
-    marks a value the subject does not have.
+    marks a value the subject does not have.  ``group`` holds each subject's
+    group label, or is None when the input has no groups.
     """
 
     ids: np.ndarray
     time: np.ndarray
     status: np.ndarray
     covariates: dict = field(default_factory=dict)
+    group: np.ndarray | None = None
+
+    def subset(self, rows):
+        """The subjects at ``rows``: a boolean mask or ascending positions."""
+        return SurvivalData(self.ids[rows], self.time[rows], self.status[rows],
+                            {n: c[rows] for n, c in self.covariates.items()},
+                            None if self.group is None else self.group[rows])
 
 
 def as_survival_data(survival, covariate_names=()):
     """SurvivalData from a list of SurvivalRecord (validated and sorted by
-    id), with a float column for each named time-fixed covariate; a
-    SurvivalData is returned unchanged."""
+    id), with a float column for each named time-fixed covariate and the
+    group labels when any record has one; a SurvivalData is returned
+    unchanged."""
     if isinstance(survival, SurvivalData):
         return survival
     if not survival:
@@ -84,9 +93,19 @@ def as_survival_data(survival, covariate_names=()):
         raise InvalidInput("status must be 0 or 1")
     covariates = {n: np.array([r.covariates.get(n, np.nan) for r in recs],
                               dtype=float) for n in covariate_names}
-    sorted_ids = np.empty(len(recs), dtype=object)
-    sorted_ids[:] = [r.id for r in recs]
-    return SurvivalData(sorted_ids, time, status, covariates)
+    group = None
+    if any(r.group is not None for r in recs):
+        group = _objects(r.group for r in recs)
+    return SurvivalData(_objects(r.id for r in recs), time, status, covariates,
+                        group)
+
+
+def _objects(items):
+    """1-D object array of the items."""
+    items = list(items)
+    out = np.empty(len(items), dtype=object)
+    out[:] = items
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 """Command-line contracts: artifacts, round trips, input diagnostics."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dynrmst
 from dynrmst import cli, dataio, sim
 from dynrmst.cli import _parse_grid, main
 from dynrmst.errors import InvalidInput
@@ -52,9 +57,9 @@ class TestSimulateAndTest:
         doc = json.loads("\n".join(l for l in lines if not l.startswith("#")))
         assert set(doc) >= {"delta", "se", "z", "p_value", "ci_lower",
                             "ci_upper", "group0", "group1"}
-        records = dataio.read_survival(data)
-        g0 = [r for r in records if r.group == doc["group0"]]
-        g1 = [r for r in records if r.group == doc["group1"]]
+        columns = dataio.read_survival(data)
+        g0 = columns.subset(columns.group == doc["group0"])
+        g1 = columns.subset(columns.group == doc["group1"])
         res = crmstd_test(g0, g1, 0.0, 10.0, extend_tail=True)
         assert doc["delta"] == res.delta
         assert doc["p_value"] == res.p_value
@@ -128,10 +133,14 @@ class TestFitPredictRoundTrip:
         surv, long = joint_csvs(tmp_path)
         vsurv, vlong = joint_csvs(tmp_path, n=30, seed=2, stem="val")
         # every validation subject censored at 3: nobody at risk at s = 4
-        records = [SurvivalRecord(r.id, min(r.time, 3.0),
-                                  r.status if r.time <= 3.0 else 0,
-                                  covariates=r.covariates)
-                   for r in dataio.read_survival(vsurv)]
+        val = dataio.read_survival(vsurv)
+        columns = (c.tolist() for c in val.covariates.values())
+        covariates = [dict(zip(val.covariates, values))
+                      for values in zip(*columns)]
+        records = [SurvivalRecord(sid, min(t, 3.0), d if t <= 3.0 else 0,
+                                  covariates=cov)
+                   for sid, t, d, cov in zip(val.ids, val.time.tolist(),
+                                             val.status.tolist(), covariates)]
         dataio.write_survival(vsurv, records)
         model = fitted_model_path(tmp_path, surv, long)
         out = tmp_path / "eval.csv"
@@ -210,8 +219,10 @@ class TestInputDiagnostics:
             "id,obs_time,name,value\na,2.0,m,1.0\na,1.0,m,2.0\n",
             name="long.csv")
         with pytest.warns(UserWarning, match="out of time order"):
-            recs = dataio.read_longitudinal(path)
-        times = [r.obs_time for r in recs if r.id == "a"]
+            table = dataio.read_longitudinal(path)
+        i = table.ids.tolist().index("a")
+        times, _, offsets = table.columns["m"]
+        times = times[offsets[i]:offsets[i + 1]].tolist()
         assert times == sorted(times)
 
     def test_non_finite_numbers_name_line_and_column(self, tmp_path):
@@ -295,10 +306,41 @@ class TestInputDiagnostics:
         assert captured.startswith("Traceback")
         assert json.loads(captured.splitlines()[-1])["error"] == "ValueError"
 
+    @pytest.mark.parametrize("argv, text", [
+        (["fit", "--input", "s.csv", "--grid", "0:4:1", "--w", "abc",
+          "--output", "m.json"], "argument --w: invalid float value: 'abc'"),
+        (["fit", "--grid", "0:4:1", "--w", "5", "--output", "m.json"],
+         "the following arguments are required: --input"),
+        (["km", "--input", "s.csv", "--frobnicate"], "--frobnicate"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_usage_error_is_an_error_record(self, capsys, argv, text):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidInput" and text in err["message"]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--help"])
+        assert exc.value.code == 0
+        assert "--longitudinal" in capsys.readouterr().out
+
     def test_missing_file_is_reported(self, tmp_path, capsys):
         assert run(["crmst", "--input", tmp_path / "nope.csv",
                     "--s", 0, "--w", 1]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "OSError"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(dynrmst.__file__).resolve().parents[1])
+    code = ("import sys, dynrmst, dynrmst.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 class TestMcCommand:

@@ -48,6 +48,16 @@ class TestPredict:
         tq = stats.t.ppf(0.95, fit.df)
         assert_allclose(res.ci_upper - res.value, tq * res.se, rtol=1e-12)
 
+    def test_t_quantile_is_scipy_stats_bitwise(self):
+        fit = fitted_model(np.random.default_rng(1))
+        for df in (1, 2, 3, 7, 30, 118, 1000, 10**6):
+            fit_df = replace(fit, n_subjects=df + fit.beta.size)
+            for alpha in (1e-6, 0.001, 0.05, 0.1, 0.5, 0.9, 0.999):
+                res = predict(fit_df, [0.3], 1.0, alpha=alpha)
+                tq = float(stats.t.ppf(1.0 - alpha / 2.0, df))
+                assert res.ci_lower == res.value - tq * res.se
+                assert res.ci_upper == res.value + tq * res.se
+
     def test_delta_method_against_finite_difference(self):
         """The reported variance must equal g_vec' Cov g_vec where g_vec is
         the numerical gradient of the prediction wrt beta."""
