@@ -51,7 +51,8 @@ def _parse_grid(text):
 def _parse_floats(text, option):
     """Comma-separated finite numbers given to ``option`` ('' gives ())."""
     try:
-        values = tuple(float(p) for p in text.split(",")) if text else ()
+        values = tuple(dataio._parse_numbers(text.split(",")).tolist()
+                       if text else ())
     except ValueError:
         values = (math.nan,)
     if not all(map(math.isfinite, values)):
@@ -65,7 +66,8 @@ def _parse_assignments(pairs):
     for pair in pairs:
         name, sep, text = pair.partition("=")
         try:
-            value = float(text) if sep else math.nan
+            value = (float(dataio._parse_numbers([text])[0]) if sep
+                     else math.nan)
         except ValueError:
             value = math.nan
         if not math.isfinite(value):

@@ -10,10 +10,12 @@ metrics CSV       one row per experiment cell, config embedded as a leading
 The readers return columns: ``read_survival`` a ``SurvivalData`` (subjects
 sorted by id) and ``read_longitudinal`` a ``MarkerTable`` of the subjects
 with measurements.  Each file is split into cells once and each numeric
-column parsed with ``float``; every check runs on whole columns, and when
-one fails a scan of the rows in file order reports the first malformed
-line.  Records (``SurvivalRecord``, ``LongitudinalRecord``) are the input
-adapter for library callers and what the writers take.
+column parsed with ``float``, whose underscore digit grouping ('1_0') is
+rejected; every check runs on whole columns, and when one fails a scan of
+the rows in file order reports the physical line on which the first
+malformed row starts.  Records (``SurvivalRecord``,
+``LongitudinalRecord``) are the input adapter for library callers and what
+the writers take.
 
 Floats are written with 17 significant digits so a write/read round trip is
 bit-exact; malformed rows, including non-finite numbers, are reported with
@@ -53,9 +55,17 @@ def fmt_float(x):
     return format(float(x), ".17g")
 
 
+def _parse_numbers(texts):
+    """Float array of number texts, read by ``float`` except that its
+    underscore digit grouping ('1_0' as 10.0) is a ValueError too."""
+    if "_" in "".join(texts):
+        raise ValueError("underscore in a number")
+    return np.fromiter(map(float, texts), dtype=float, count=len(texts))
+
+
 def _parse_float(text, line, column):
     try:
-        value = float(text)
+        value = float(_parse_numbers([text])[0])
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
@@ -65,19 +75,28 @@ def _parse_float(text, line, column):
 
 
 def _reader(path, required):
-    """(header, line numbers, rows) of the data rows of a CSV, skipping blank
-    and ``#`` comment lines; the header must name every required column."""
+    """(header, record numbers, rows) of the data rows of a CSV, skipping
+    blank and ``#`` comment lines; the header must name every required
+    column.  Record i is the file's i-th CSV record, counted from 0."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    lines = [i for i, row in enumerate(rows, 1)
-             if row and not row[0].lstrip().startswith("#")]
-    if not lines:
+    records = [i for i, row in enumerate(rows)
+               if row and not row[0].lstrip().startswith("#")]
+    if not records:
         raise InvalidInput(f"{path}: empty file")
-    header = [c.strip() for c in rows[lines[0] - 1]]
+    header = [c.strip() for c in rows[records[0]]]
     for col in required:
         if col not in header:
             raise InvalidInput(f"{path}: missing column {col!r}")
-    return header, lines[1:], [rows[i - 1] for i in lines[1:]]
+    return header, records[1:], [rows[i] for i in records[1:]]
+
+
+def _first_lines(path):
+    """Physical line on which each CSV record of the file starts (a quoted
+    cell may span lines)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        return [1] + [reader.line_num + 1 for _ in reader]
 
 
 def _cells(header, rows):
@@ -91,7 +110,7 @@ def _cells(header, rows):
 
 def _floats(cells):
     """Finite float column of the cells; ValueError otherwise."""
-    values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    values = _parse_numbers(cells)
     if not np.isfinite(values).all():
         raise ValueError("non-finite number")
     return values
@@ -102,13 +121,15 @@ def _stripped(cells):
     return _objects(map(str.strip, cells))
 
 
-def _raise_first_error(lines, rows, width, checks, unique=None):
-    """Raise the InvalidInput of the first malformed row in file order.
-    ``checks`` holds (position, column, kind) with kind "finite",
-    "nonnegative" or "status"; ``unique`` is the position of a column whose
-    values must not repeat."""
+def _raise_first_error(path, records, rows, width, checks, unique=None):
+    """Raise the InvalidInput of the first malformed row in file order,
+    naming the physical line it starts on.  ``checks`` holds (position,
+    column, kind) with kind "finite", "nonnegative" or "status"; ``unique``
+    is the position of a column whose values must not repeat."""
+    first_line = _first_lines(path)
     seen = {}
-    for line, row in zip(lines, rows):
+    for record, row in zip(records, rows):
+        line = first_line[record]
         if len(row) != width:
             raise InvalidInput(f"line {line}: expected {width} fields, "
                                f"got {len(row)}")
@@ -134,7 +155,7 @@ def read_survival(path):
     """SurvivalData of a survival CSV, subjects sorted by id; ``group`` holds
     the group labels when the file has that column, and every other extra
     column becomes a float covariate."""
-    header, lines, rows = _reader(path, ("id", "time", "status"))
+    header, records, rows = _reader(path, ("id", "time", "status"))
     if not rows:
         raise InvalidInput(f"{path}: no records")
     extra = [c for c in dict.fromkeys(header)
@@ -155,7 +176,7 @@ def read_survival(path):
         pos = {c: header.index(c) for c in header}
         checks = [(pos["time"], "time", "nonnegative"),
                   (pos["status"], "status", "status")]
-        _raise_first_error(lines, rows, len(header),
+        _raise_first_error(path, records, rows, len(header),
                            checks + [(pos[c], c, "finite") for c in extra],
                            unique=pos["id"])
         raise
@@ -167,7 +188,7 @@ def read_longitudinal(path):
     """MarkerTable of a longitudinal CSV, covering the subjects with at least
     one measurement; rows out of time order within a subject are accepted
     and sorted, with a warning."""
-    header, lines, rows = _reader(path, ("id", "obs_time", "name", "value"))
+    header, records, rows = _reader(path, ("id", "obs_time", "name", "value"))
     try:
         cells = _cells(header, rows)
         times = _floats(cells["obs_time"])
@@ -176,7 +197,7 @@ def read_longitudinal(path):
             raise ValueError("negative obs_time")
     except ValueError:
         pos = {c: header.index(c) for c in header}
-        _raise_first_error(lines, rows, len(header),
+        _raise_first_error(path, records, rows, len(header),
                            [(pos["obs_time"], "obs_time", "nonnegative"),
                             (pos["value"], "value", "finite")])
         raise

@@ -15,7 +15,10 @@ population fit run numpy's bundled OpenBLAS on one thread, so results do
 not depend on the number of cores either.  The process that starts a
 worker pool takes that pin once, around the whole pool: forked workers
 inherit one BLAS thread, and a worker never calls the OpenBLAS setter when
-it already has one thread (see ``_blas``).
+it already has one thread (see ``_blas``).  Joint-model draws do not depend
+on how many subjects one working array holds (``_TABLE_CELLS``): every
+hazard integral sums each panel's Gauss-Legendre nodes on its own, never
+through a BLAS product whose last bit depends on a subject's row.
 """
 
 from __future__ import annotations
@@ -63,11 +66,6 @@ SURVIVAL_PANELS = 128
 _TABLE_CELLS = 1 << 18
 # panels tabulated at a time by the event-time bracket search
 _BRACKET_PANELS = 8
-# subjects per Newton solve of the event times (working arrays of 81,920
-# nodes).  BLAS computes the last few rows of a matrix-vector product with
-# another kernel, which can move the last bit of a result, so a subject's
-# event time depends on its row in the solve: keep this size fixed.
-_NEWTON_SUBJECTS = 8192
 INVERSION_TOL = 1e-12
 INVERSION_MAX_ITER = 200
 
@@ -350,37 +348,41 @@ class JointTruth:
         return JointTruth(self.lam, self.c0[idx], self.c1[idx], self.c2[idx])
 
     def _hazard(self, t):
-        """Hazard values at shared times t (m,) for all subjects -> (n, m)."""
-        base = self.lam * t ** (self.lam - 1.0)
-        return base * np.exp(self.c0[:, None] + self.c1[:, None] * t
-                             + self.c2[:, None] * t * t)
+        """Hazard values -> (n, m) at times t shared by all subjects (m,) or
+        per subject (n, m); the hazard is zero at t <= 0."""
+        positive = t > 0
+        base = self.lam * np.where(positive, t, 1.0) ** (self.lam - 1.0)
+        return np.where(positive, base, 0.0) * np.exp(
+            self.c0[:, None] + self.c1[:, None] * t
+            + self.c2[:, None] * t * t)
 
     def _cum_increments(self, left, right):
-        """Integral of the hazard over each panel [left_p, right_p] -> (n, P)."""
+        """Integral of the hazard over each panel [left_p, right_p] -> (n, P),
+        for panel edges shared by all subjects (P,) or per subject (n, P).
+
+        The 10-node Gauss-Legendre rule of each panel is summed along its own
+        contiguous axis, so no subject's result depends on its row or on how
+        many subjects are in the call.
+        """
         mid = (left + right) / 2.0
         half = (right - left) / 2.0
-        t = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-        wt = (half[:, None] * _GL_WEIGHTS).ravel()
+        flat = left.shape[:-1] + (-1,)
+        t = (mid[..., None] + half[..., None] * _GL_NODES).reshape(flat)
+        wt = (half[..., None] * _GL_WEIGHTS).reshape(flat)
         hv = self._hazard(t) * wt
-        return hv.reshape(self.c0.size, left.size, _GL_NODES.size).sum(axis=2)
+        return hv.reshape(self.c0.size, left.shape[-1],
+                          _GL_NODES.size).sum(axis=2)
 
     def cumulative_hazard(self, t, panels=HAZARD_PANELS):
-        """H_i(t_i) for per-subject times t (scalar broadcast allowed)."""
+        """H_i(t_i) for per-subject times t (scalar broadcast allowed), over
+        ``panels`` equal panels of each [0, t_i]."""
         t = np.broadcast_to(np.asarray(t, dtype=float), self.c0.shape)
-        # map each [0, t_i] onto a shared composite rule on [0, 1]
-        u_edges = np.linspace(0.0, 1.0, panels + 1)
-        mid = (u_edges[:-1] + u_edges[1:]) / 2.0
-        half = (u_edges[1] - u_edges[0]) / 2.0
-        u = (mid[:, None] + half * _GL_NODES).ravel()
-        wt = np.tile(half * _GL_WEIGHTS, panels)
+        u = np.linspace(0.0, 1.0, panels + 1)
         out = np.empty(self.c0.size)
-        for lo, hi in _chunks(self.c0.size, u.size):
-            tt = t[lo:hi, None] * u
-            base = self.lam * np.where(tt > 0, tt, 1.0) ** (self.lam - 1.0)
-            base[tt <= 0] = 0.0
-            hv = base * np.exp(self.c0[lo:hi, None] + self.c1[lo:hi, None] * tt
-                               + self.c2[lo:hi, None] * tt * tt)
-            out[lo:hi] = (hv * wt).sum(axis=1) * t[lo:hi]
+        for lo, hi in _chunks(self.c0.size, panels * _GL_NODES.size):
+            edges = t[lo:hi, None] * u
+            out[lo:hi] = self.subset(slice(lo, hi))._cum_increments(
+                edges[:, :-1], edges[:, 1:]).sum(axis=1)
         return out
 
     def true_crmst(self, s, w, panels=SURVIVAL_PANELS):
@@ -489,16 +491,17 @@ def _bracket_panels(truth, e, edges):
     return k, h_k, has_event
 
 
-def _invert_event_times(truth, e, max_t, panels=HAZARD_PANELS):
+def _invert_event_times(truth, e, max_t):
     """Solve H_i(T) = e_i on [0, max_t] by bracketed Newton iteration.
 
     Returns (times, has_event); subjects with H_i(max_t) < e_i have no event
     inside follow-up.  Residual |H_i(T) - e_i| is driven below 1e-12.  The
-    brackets come from ``_bracket_panels`` in chunks within the cell budget;
-    the Newton solve runs ``_NEWTON_SUBJECTS`` subjects at a time.
+    brackets come from ``_bracket_panels`` on ``HAZARD_PANELS`` panels and the
+    Newton solve runs on the subjects with an event; both go in chunks within
+    the ``_TABLE_CELLS`` budget, and the times do not depend on chunk size.
     """
     n = truth.c0.size
-    edges = np.linspace(0.0, max_t, panels + 1)
+    edges = np.linspace(0.0, max_t, HAZARD_PANELS + 1)
     k = np.empty(n, dtype=np.int64)
     h_k = np.empty(n)
     has_event = np.empty(n, dtype=bool)
@@ -506,8 +509,8 @@ def _invert_event_times(truth, e, max_t, panels=HAZARD_PANELS):
         k[lo:hi], h_k[lo:hi], has_event[lo:hi] = _bracket_panels(
             truth.subset(slice(lo, hi)), e[lo:hi], edges)
     times = np.full(n, np.inf)
-    for lo in range(0, n, _NEWTON_SUBJECTS):
-        ev = lo + np.flatnonzero(has_event[lo:lo + _NEWTON_SUBJECTS])
+    for lo, hi in _chunks(n, _GL_NODES.size):
+        ev = lo + np.flatnonzero(has_event[lo:hi])
         if ev.size:
             times[ev] = _newton(truth.subset(ev), e[ev], edges, k[ev], h_k[ev])
     return times, has_event
@@ -518,17 +521,10 @@ def _newton(sub, ee, edges, k, h_anchor):
     anchor = edges[k]
     blo, bhi = edges[k], edges[k + 1]
     t = (blo + bhi) / 2.0
-    lam = sub.lam
 
     def residual(tt):
-        mid = (anchor + tt) / 2.0
-        half = (tt - anchor) / 2.0
-        nodes = mid[:, None] + half[:, None] * _GL_NODES
-        base = lam * np.where(nodes > 0, nodes, 1.0) ** (lam - 1.0)
-        base[nodes <= 0] = 0.0
-        hv = base * np.exp(sub.c0[:, None] + sub.c1[:, None] * nodes
-                           + sub.c2[:, None] * nodes * nodes)
-        return h_anchor + half * (hv @ _GL_WEIGHTS) - ee
+        return (h_anchor + sub._cum_increments(anchor[:, None],
+                                               tt[:, None])[:, 0] - ee)
 
     f = residual(t)
     for _ in range(INVERSION_MAX_ITER):
@@ -538,11 +534,8 @@ def _newton(sub, ee, edges, k, h_anchor):
         bhi = np.where(~done & (f > 0), t, bhi)
         blo = np.where(~done & (f <= 0), t, blo)
         # Newton step from the hazard at t, safeguarded by the bracket
-        hz = lam * np.where(t > 0, t, 1.0) ** (lam - 1.0)
-        hz = np.where(t > 0, hz, 0.0) * np.exp(sub.c0 + sub.c1 * t
-                                               + sub.c2 * t * t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            cand = t - f / hz
+            cand = t - f / sub._hazard(t[:, None])[:, 0]
         bad = ~np.isfinite(cand) | (cand <= blo) | (cand >= bhi)
         cand = np.where(bad, (blo + bhi) / 2.0, cand)
         t = np.where(done, t, cand)

@@ -265,7 +265,7 @@ class TestInputDiagnostics:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidInput" and "grid" in err["message"]
 
-    @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "2_5"])
     def test_bad_predict_covariate_is_an_error_record(self, tmp_path, capsys,
                                                       value):
         surv, long = joint_csvs(tmp_path)
@@ -279,6 +279,7 @@ class TestInputDiagnostics:
 
     @pytest.mark.parametrize("option, value", [("--knots", "x"),
                                                ("--knots", "1,nan"),
+                                               ("--knots", "0_2"),
                                                ("--boundary", "0,")])
     def test_bad_knot_list_is_an_error_record(self, tmp_path, capsys, option,
                                               value):

@@ -197,6 +197,13 @@ def test_write_then_read_is_bit_exact(tmp_path_factory, subjects, visits):
     ("# config: {}\nid,time,status\na,1,1\na,2,0\nc,3\n",
      "line 4: duplicate id 'a' (first seen on line 3)"),
     ("id,time,status,x\na,1,1,0.5\nb,-2,1,nan\n", "line 3: negative time -2.0"),
+    # float() reads underscore digit grouping: 1_0 would load as 10.0
+    ("id,time,status\na,1_0,1\nb,2.0,1\n", "line 2: column 'time'"),
+    ("id,time,status,x\na,1,1,0.5\nb,2,1,1_5\n", "line 3: column 'x'"),
+    # a quoted id spans lines 2 and 3, so the bad time is on line 4
+    ('id,time,status\n"a\nb",1.0,1\nc,x,1\n', "line 4: column 'time'"),
+    ('id,time,status\n"a\nb",1.0,1\n"a\nb",2.0,1\n',
+     "line 4: duplicate id 'a\\nb' (first seen on line 2)"),
 ])
 def test_survival_error_names_the_first_bad_line(tmp_path, text, message):
     path = tmp_path / "bad.csv"
@@ -211,6 +218,9 @@ def test_survival_error_names_the_first_bad_line(tmp_path, text, message):
      "line 3: column 'value'"),
     ("id,obs_time,name,value\na,0,m,1\na,-1,m,x\n",
      "line 3: negative obs_time -1.0"),
+    ("id,obs_time,name,value\na,0,m,1\na,1,m,2_5\n", "line 3: column 'value'"),
+    ('id,obs_time,name,value\na,0,"m\nn",1\na,x,m,1\n',
+     "line 4: column 'obs_time'"),
 ])
 def test_longitudinal_error_names_the_first_bad_line(tmp_path, text, message):
     path = tmp_path / "long.csv"

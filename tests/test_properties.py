@@ -1,10 +1,14 @@
 """Property tests of the columnar landmark core, the pseudo-value tail
-rule, the two Kaplan-Meier cRMST routes and the block super-model solver."""
+rule, the two Kaplan-Meier cRMST routes, the block super-model solver and
+the joint-model simulator's independence of its chunk size."""
+
+from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dynrmst import sim
 from dynrmst.basis import BasisLayout, SplineSpec
 from dynrmst.errors import DynRmstError, NoConvergence, SingularDesign
 from dynrmst.gee import IDENTITY, LOG, fit_super_model, sandwich_cov
@@ -165,3 +169,25 @@ def test_block_solve_matches_dense_svd_solve(case, link):
     rowwise = sandwich_cov(data, layout, link, fit.beta, mode="naive_rowwise")
     assert _relative(rowwise, dense_sandwich(x, y, link, beta,
                                              np.arange(y.size + 1))) <= 1e-8
+
+
+JOINT_FIELDS = ("time", "status", "x1", "x2", "visit_times", "visit_values")
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["linear", "quadratic"]),
+       st.sampled_from([1.0, 0.3, -0.5]), st.sampled_from([None, 25.0]),
+       st.integers(1, 3000), st.integers(0, 2**32 - 1))
+# a BLAS matrix-vector sum in the Newton residual moved this sample's last
+# bits with the chunk size
+@example("linear", 1.0, None, 10_000, 10_000)
+def test_joint_sample_does_not_depend_on_chunk_size(trajectory, alpha,
+                                                    censor_upper, n, seed):
+    spec = joint_spec(trajectory, censor_upper=censor_upper, alpha=alpha)
+    samples = []
+    for cells in (1 << 10, 1 << 14, 1 << 18):
+        with mock.patch.object(sim, "_TABLE_CELLS", cells):
+            samples.append(simulate_joint(spec, n, seed))
+    for field in JOINT_FIELDS:
+        want = getattr(samples[-1], field).tobytes()
+        assert all(getattr(s, field).tobytes() == want for s in samples), field

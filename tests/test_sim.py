@@ -175,9 +175,7 @@ class TestEventTimeInversion:
     @pytest.mark.parametrize("alpha", [1.0, 0.3, -0.5])
     def test_samples_match_full_table_bitwise(self, trajectory, alpha,
                                               monkeypatch):
-        # 10,000 subjects span several chunks of the lazy bracket search;
-        # at seed 10,000 a Newton solve over those chunks instead of 8,192-
-        # subject blocks moves one linear-design event time by one ulp
+        # 10,000 subjects span several chunks of the lazy bracket search
         per_chunk = sim._TABLE_CELLS // (sim._BRACKET_PANELS * _GL_NODES.size)
         assert per_chunk < 10_000
         fields = ("time", "status", "x1", "x2", "visit_times", "visit_values")
@@ -192,6 +190,19 @@ class TestEventTimeInversion:
                 for field in fields:
                     assert (getattr(got, field).tobytes()
                             == getattr(want, field).tobytes()), (n, field)
+
+    def test_newton_time_does_not_depend_on_row(self):
+        truth = simulate_joint(joint_spec("linear"), 2000, 2000).truth
+        e = np.random.default_rng(2000).exponential(size=2000)
+        edges = np.linspace(0.0, 20.0, sim.HAZARD_PANELS + 1)
+        k, h_k, ev = sim._bracket_panels(truth, e, edges)
+        sub, e, k, h_k = truth.subset(ev), e[ev], k[ev], h_k[ev]
+        whole = sim._newton(sub, e, edges, k, h_k)
+        # blocks of 7 put most subjects at another row of a shorter solve
+        blocks = [sim._newton(sub.subset(slice(i, i + 7)), e[i:i + 7], edges,
+                              k[i:i + 7], h_k[i:i + 7])
+                  for i in range(0, e.size, 7)]
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
     def test_bracket_edge_cases(self):
         truth = simulate_joint(joint_spec("linear"), 40, 4).truth
@@ -221,7 +232,7 @@ class TestEventTimeInversion:
         increments = JointTruth._cum_increments
 
         def recorded(self, left, right):
-            cells.append(self.c0.size * left.size * _GL_NODES.size)
+            cells.append(self.c0.size * left.shape[-1] * _GL_NODES.size)
             return increments(self, left, right)
 
         monkeypatch.setattr(JointTruth, "_cum_increments", recorded)
