@@ -33,13 +33,30 @@ from .surv import crmst_km, crmst_pseudo, crmstd_test, km_fit
 __all__ = ["main"]
 
 
+def _number(kind):
+    """argparse type: ``kind`` (float or int) of an option's text, which
+    must also pass ``dataio._parse_numbers`` (no '1_0' digit grouping)."""
+    def parse(text):
+        dataio._parse_numbers([text])
+        return kind(text)
+
+    parse.__name__ = kind.__name__  # argparse names it: "invalid float value"
+    return parse
+
+
+_FLOAT, _INT = _number(float), _number(int)
+
+
 def _parse_grid(text):
     """Landmarks from ``lo:hi:step`` (points lo + i * step computed exactly
-    from the decimal text, so 0:1:0.1 holds 0.3) or a comma-separated list."""
+    from the decimal text, so 0:1:0.1 holds 0.3) or a comma-separated list,
+    every part a number by the rule of ``dataio._parse_numbers``."""
     try:
         if ":" not in text:
-            return [float(p) for p in text.split(",")]
-        lo, hi, step = (Fraction(p) for p in text.split(":"))
+            return dataio._parse_numbers(text.split(",")).tolist()
+        parts = text.split(":")
+        dataio._parse_numbers(parts)  # Fraction alone takes '1_0' and '1/3'
+        lo, hi, step = (Fraction(p) for p in parts)
     except ValueError:
         raise InvalidInput(f"malformed --grid {text!r}: expected lo:hi:step "
                            "or comma-separated numbers") from None
@@ -267,22 +284,22 @@ def _build_parser():
 
     p = sub.add_parser("km", help="Kaplan-Meier curve")
     p.add_argument("--input", required=True)
-    p.add_argument("--start", type=float, default=0.0)
+    p.add_argument("--start", type=_FLOAT, default=0.0)
     p.add_argument("--output")
 
     p = sub.add_parser("crmst", help="conditional RMST at (s, w)")
     p.add_argument("--input", required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--w", type=float, required=True)
+    p.add_argument("--s", type=_FLOAT, required=True)
+    p.add_argument("--w", type=_FLOAT, required=True)
     p.add_argument("--method", choices=["pseudo", "km"], default="pseudo")
     p.add_argument("--extend-tail", action="store_true")
     p.add_argument("--output")
 
     p = sub.add_parser("test", help="two-sample cRMSTd test")
     p.add_argument("--input", required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--w", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--s", type=_FLOAT, required=True)
+    p.add_argument("--w", type=_FLOAT, required=True)
+    p.add_argument("--alpha", type=_FLOAT, default=0.05)
     p.add_argument("--extend-tail", action="store_true")
     p.add_argument("--output")
 
@@ -291,10 +308,10 @@ def _build_parser():
     p.add_argument("--longitudinal")
     p.add_argument("--grid", required=True,
                    help="lo:hi:step or comma-separated landmarks")
-    p.add_argument("--w", type=float, required=True)
+    p.add_argument("--w", type=_FLOAT, required=True)
     p.add_argument("--knots", default="", help="interior knots, comma-separated")
     p.add_argument("--boundary", default="", help="boundary knots lo,hi")
-    p.add_argument("--scale", type=float, default=0.0)
+    p.add_argument("--scale", type=_FLOAT, default=0.0)
     p.add_argument("--covariates", default="", help="covariate order")
     p.add_argument("--link", choices=["identity", "log"], default="identity")
     p.add_argument("--extend-tail", action="store_true")
@@ -302,10 +319,10 @@ def _build_parser():
 
     p = sub.add_parser("predict", help="predict cRMST from a fitted model")
     p.add_argument("--model", required=True)
-    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--s", type=_FLOAT, required=True)
     p.add_argument("--covariates", nargs="+", required=True,
                    help="name=value pairs")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_FLOAT, default=0.05)
     p.add_argument("--output")
 
     p = sub.add_parser("evaluate", help="dynamic vs static out-of-sample")
@@ -319,27 +336,27 @@ def _build_parser():
 
     p = sub.add_parser("simulate", help="draw a synthetic dataset")
     p.add_argument("--design", choices=["scenario", "joint"], required=True)
-    p.add_argument("--scenario", type=int, default=1)
+    p.add_argument("--scenario", type=_INT, default=1)
     p.add_argument("--trajectory", choices=["linear", "quadratic"],
                    default="linear")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cen", type=float, default=0.0)
-    p.add_argument("--censor-upper", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_INT, required=True)
+    p.add_argument("--cen", type=_FLOAT, default=0.0)
+    p.add_argument("--censor-upper", type=_FLOAT, default=None)
+    p.add_argument("--seed", type=_INT, default=0)
     p.add_argument("--output", required=True)
     p.add_argument("--longitudinal-output")
 
     p = sub.add_parser("mc",
                        help="replicated cRMSTd metrics for one design cell")
-    p.add_argument("--scenario", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cen", type=float, default=0.0)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--w", type=float, required=True)
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--scenario", type=_INT, required=True)
+    p.add_argument("--n", type=_INT, required=True)
+    p.add_argument("--cen", type=_FLOAT, default=0.0)
+    p.add_argument("--s", type=_FLOAT, required=True)
+    p.add_argument("--w", type=_FLOAT, required=True)
+    p.add_argument("--reps", type=_INT, required=True)
+    p.add_argument("--seed", type=_INT, default=0)
+    p.add_argument("--alpha", type=_FLOAT, default=0.05)
+    p.add_argument("--workers", type=_INT, default=1)
     p.add_argument("--output")
 
     return parser

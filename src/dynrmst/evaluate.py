@@ -18,8 +18,10 @@ from scipy import special
 from . import _kernels
 from .basis import h_matrix
 from .errors import InvalidInput, OutOfRange
-from .gee import IDENTITY, DynamicModelFit, fit_landmark_model
-from .landmark import _columns, _covariates_at, build_landmark_dataset
+from .gee import (IDENTITY, DynamicModelFit, _one_design_solver,
+                  fit_landmark_model)
+from .landmark import (_columns, _covariates_at, _landmark_pseudo,
+                       build_landmark_dataset)
 from .surv import as_survival_data, risk_set_pseudo
 
 __all__ = [
@@ -166,6 +168,22 @@ def static_rmst_model(survival, tau, longitudinal=None, link=IDENTITY,
     return fit_landmark_model(data, link=link)
 
 
+def _static_coefficients(surv, markers, names, taus, extend_tail):
+    """beta of the identity-link ``static_rmst_model`` at each horizon tau in
+    turn.  Every fit has the design Z*_0 = [1, Z(0)] over the subjects with
+    Y > 0 and only the pseudo-values change, so the design is read and
+    factorised once, at the first horizon; errors come in the order of one
+    ``static_rmst_model`` call per horizon."""
+    solve = None
+    for tau in taus:
+        at_0, y = _landmark_pseudo(surv, 0.0, tau, extend_tail)
+        if solve is None:
+            rows = np.flatnonzero(at_0)
+            z = _covariates_at(surv, markers, names, rows, 0.0)
+            solve = _one_design_solver(np.column_stack([np.ones(rows.size), z]))
+        yield solve(y)
+
+
 def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
                            val_survival, val_longitudinal, extend_tail=False,
                            truth=None):
@@ -188,27 +206,30 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
     val = _columns(val_survival, val_longitudinal, names)[:2]
     time, status = val[0].time, val[0].status
     kind = "pseudo_value" if truth is None else "true_value"
+    # risk sets are nested, so every later landmark reads rows of the
+    # subjects at risk at the first one
+    first = np.flatnonzero(time > grid[0])
     if truth is not None:
-        # risk sets are nested, so every later landmark reads rows of this
-        # table: column j holds cRMST(s_j, w), column J + j RMST(s_j + w)
-        first = np.flatnonzero(time > grid[0])
+        # column j holds cRMST(s_j, w), column J + j RMST(s_j + w)
         table = truth.subset(first).true_crmst(
             np.concatenate((grid, np.zeros(grid.size))),
             np.concatenate((np.full(grid.size, w), grid + w)))
+    static_betas = _static_coefficients(
+        *train, names, (s_j + w for s_j in dynamic_fit.grid), extend_tail)
     rows_out = []
     for j, s_j in enumerate(dynamic_fit.grid):
         tau = s_j + w
         rows = np.flatnonzero(time > s_j)
+        at_risk = time[first] > s_j
         dyn_pred = predict_values(
             dynamic_fit, _covariates_at(*val, names, rows, s_j), s_j)
-        static_fit = static_rmst_model(train[0], tau, longitudinal=train[1],
-                                       covariate_names=names,
-                                       extend_tail=extend_tail)
-        stat_pred = predict_values(static_fit,
-                                   _covariates_at(*val, names, rows, 0.0))
+        beta = next(static_betas)
+        if j == 0:  # the rows of ``first``
+            val_z0 = np.column_stack(
+                [np.ones(rows.size), _covariates_at(*val, names, rows, 0.0)])
+        stat_pred = val_z0[at_risk] @ beta
         refs = None
         if truth is not None and rows.size:
-            at_risk = time[first] > s_j
             refs = table[at_risk, j], table[at_risk, grid.size + j]
         elif truth is None and rows.size > 1:
             dyn_ref = risk_set_pseudo(time, status, s_j, w, extend_tail)[1]

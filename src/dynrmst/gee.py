@@ -174,7 +174,8 @@ class _Block(NamedTuple):
     cluster: np.ndarray  # (n_j,)
 
 
-def _lstsq_checked(x, y):
+def _checked_svd(x):
+    """Thin SVD (u, sv, vt) of x; SingularDesign when x is rank deficient."""
     u, sv, vt = np.linalg.svd(x, full_matrices=False)
     # with fewer rows than columns the missing singular values are zero
     smallest = sv[-1] if sv.size == x.shape[1] else 0.0
@@ -183,7 +184,17 @@ def _lstsq_checked(x, y):
             f"design matrix is rank deficient (singular values span "
             f"{smallest:.3e} .. {sv[0]:.3e})"
         )
+    return u, sv, vt
+
+
+def _svd_solve(svd, y):
+    """x+ y from the thin SVD of x."""
+    u, sv, vt = svd
     return vt.T @ ((u.T @ y) / sv)
+
+
+def _lstsq_checked(x, y):
+    return _svd_solve(_checked_svd(x), y)
 
 
 def _block_lstsq(blocks, ys):
@@ -195,6 +206,17 @@ def _block_lstsq(blocks, ys):
         a.append(r_j @ blk.h)
         b.append(q_j.T @ y)
     return _lstsq_checked(np.vstack(a), np.concatenate(b))
+
+
+def _one_design_solver(z):
+    """y -> beta for many responses on one design Z* = z, one row per
+    subject: the identity-link beta of ``fit_landmark_model`` (the
+    one-block ``_block_lstsq`` with H = I), from one thin QR of z and one
+    rank-checked SVD of its R."""
+    _check_size(z.shape[0], z.shape[0], z.shape[1])
+    q, r = np.linalg.qr(z)
+    svd = _checked_svd(r)
+    return lambda y: _svd_solve(svd, q.T @ y)
 
 
 def _fitted(blocks, link, beta):
@@ -335,14 +357,18 @@ def _landmark_blocks(data, layout):
     return blocks
 
 
+def _check_size(n_rows, n_subjects, q):
+    if n_rows <= q:
+        raise InvalidInput(f"need more rows ({n_rows}) than coefficients ({q})")
+    if n_subjects <= q:
+        raise InvalidInput(f"need more subjects ({n_subjects}) than "
+                           f"coefficients ({q})")
+
+
 def fit_super_model(data, layout, link=IDENTITY):
     """Solve the stacked estimating equation on the super prediction dataset."""
     blocks = _landmark_blocks(data, layout)
-    if len(data) <= layout.q:
-        raise InvalidInput(f"need more rows ({len(data)}) than coefficients ({layout.q})")
-    if data.n_subjects <= layout.q:
-        raise InvalidInput(f"need more subjects ({data.n_subjects}) than "
-                           f"coefficients ({layout.q})")
+    _check_size(len(data), data.n_subjects, layout.q)
     beta, iters, norm = _solve_ee(blocks, link, eps_floor=1e-6 * data.w)
     cov = _sandwich(blocks, link, beta, data.n_subjects)
     return DynamicModelFit(beta=beta, covariance=cov, layout=layout, link=link,

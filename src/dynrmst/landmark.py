@@ -182,6 +182,16 @@ def _covariates_at(surv, markers, names, rows, s):
     return z
 
 
+def _landmark_pseudo(surv, s, w, extend_tail):
+    """``risk_set_pseudo`` of a SurvivalData, naming the landmark of an empty
+    risk set."""
+    try:
+        return risk_set_pseudo(surv.time, surv.status, s, w,
+                               extend_tail=extend_tail)
+    except EmptyRiskSet as exc:
+        raise EmptyRiskSet(f"landmark s={s}: {exc}") from None
+
+
 def build_super_dataset(survival, longitudinal, grid, w, covariate_names=None,
                         extend_tail=False):
     """Stack the landmark datasets of a strictly increasing grid.
@@ -210,11 +220,7 @@ def build_super_dataset(survival, longitudinal, grid, w, covariate_names=None,
     pseudo = np.empty(n_rows)
     z = np.empty((n_rows, len(names)))
     for j, s in enumerate(grid):
-        try:
-            at_risk, pv = risk_set_pseudo(surv.time, surv.status, s, w,
-                                          extend_tail=extend_tail)
-        except EmptyRiskSet as exc:
-            raise EmptyRiskSet(f"landmark s={s}: {exc}") from None
+        at_risk, pv = _landmark_pseudo(surv, s, w, extend_tail)
         rows = np.flatnonzero(at_risk)
         dest = first_row[rows] + j
         landmarks[dest] = s

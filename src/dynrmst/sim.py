@@ -517,29 +517,34 @@ def _invert_event_times(truth, e, max_t):
 
 
 def _newton(sub, ee, edges, k, h_anchor):
-    """T_i in panel k_i with H_i(T_i) = e_i, given h_anchor = H_i(edges[k_i])."""
+    """T_i in panel k_i with H_i(T_i) = e_i, given h_anchor = H_i(edges[k_i]).
+    Each iteration evaluates only the rows not yet converged."""
     anchor = edges[k]
     blo, bhi = edges[k], edges[k + 1]
     t = (blo + bhi) / 2.0
 
-    def residual(tt):
-        return (h_anchor + sub._cum_increments(anchor[:, None],
-                                               tt[:, None])[:, 0] - ee)
+    def residual(part, rows, tt):
+        return (h_anchor[rows] + part._cum_increments(anchor[rows, None],
+                                                      tt[:, None])[:, 0]
+                - ee[rows])
 
-    f = residual(t)
+    live = np.arange(t.size)
+    f = residual(sub, live, t)
     for _ in range(INVERSION_MAX_ITER):
-        done = np.abs(f) <= INVERSION_TOL
-        if np.all(done):
+        live = live[~(np.abs(f[live]) <= INVERSION_TOL)]
+        if live.size == 0:
             break
-        bhi = np.where(~done & (f > 0), t, bhi)
-        blo = np.where(~done & (f <= 0), t, blo)
+        part = sub.subset(live)
+        tl, fl = t[live], f[live]
+        hi = np.where(fl > 0, tl, bhi[live])
+        lo = np.where(fl <= 0, tl, blo[live])
         # Newton step from the hazard at t, safeguarded by the bracket
         with np.errstate(divide="ignore", invalid="ignore"):
-            cand = t - f / sub._hazard(t[:, None])[:, 0]
-        bad = ~np.isfinite(cand) | (cand <= blo) | (cand >= bhi)
-        cand = np.where(bad, (blo + bhi) / 2.0, cand)
-        t = np.where(done, t, cand)
-        f = np.where(done, f, residual(t))
+            cand = tl - fl / part._hazard(tl[:, None])[:, 0]
+        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
+        cand = np.where(bad, (lo + hi) / 2.0, cand)
+        blo[live], bhi[live], t[live] = lo, hi, cand
+        f[live] = residual(part, live, cand)
     worst = float(np.max(np.abs(f)))
     if worst > 1e-8:
         raise NoConvergence(INVERSION_MAX_ITER, worst)

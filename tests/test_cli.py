@@ -257,7 +257,8 @@ class TestInputDiagnostics:
         assert _parse_grid("1,2.5") == [1.0, 2.5]
 
     @pytest.mark.parametrize("grid", ["0:10:0", "0:10:-1", "0:10", "0:a:1",
-                                      "0:10:nan", "1,x"])
+                                      "0:10:nan", "1,x", "1,1_0", "0:1_0:0.5",
+                                      "0:1:1/3"])
     def test_bad_grid_is_an_error_record(self, tmp_path, capsys, grid):
         surv, long = joint_csvs(tmp_path, n=50)
         assert run(["fit", "--input", surv, "--grid", grid, "--w", "5",
@@ -322,6 +323,20 @@ class TestInputDiagnostics:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["error"] == "InvalidInput" and text in err["message"]
+
+    @pytest.mark.parametrize("argv, text", [
+        (["crmst", "--input", "s.csv", "--s", "1_0", "--w", "2.5"],
+         "argument --s: invalid float value: '1_0'"),
+        (["simulate", "--design", "joint", "--n", "1_0", "--output", "s.csv"],
+         "argument --n: invalid int value: '1_0'"),
+    ])
+    def test_underscore_digit_grouping_is_an_error_record(self, capsys, argv,
+                                                          text):
+        assert run(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInput" and text in err["message"]
+        with pytest.raises(InvalidInput):
+            cli._build_parser().parse_args(argv)
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,14 +9,16 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from dynrmst.basis import BasisLayout, SplineSpec
-from dynrmst.errors import InvalidInput, OutOfRange
+from dynrmst.errors import (DynRmstError, EmptyRiskSet, InvalidInput,
+                            MissingCovariate, OutOfRange, SingularDesign,
+                            TailUndefined)
 from dynrmst.evaluate import (c_index, evaluate_on_validation, predict,
                               predict_landmark, predict_values,
                               prediction_error, static_rmst_model)
 from dynrmst.gee import LOG, fit_super_model
 from dynrmst.landmark import LongitudinalRecord, build_super_dataset
 from dynrmst.sim import joint_spec, simulate_joint
-from dynrmst.surv import SurvivalRecord, as_survival_data
+from dynrmst.surv import SurvivalRecord, as_survival_data, risk_set_pseudo
 
 
 def fitted_model(rng, link=None, n=80):
@@ -244,6 +246,84 @@ class TestStaticModel:
                 dyn - table[at_risk[first], j]))
             assert r.pe_static == np.mean(np.abs(
                 stat - table[at_risk[first], grid.size + j]))
+
+    def test_pseudo_value_references_match_static_oracle(self):
+        train, fit = self.joint_fit()
+        val = simulate_joint(joint_spec("linear"), 80, 2)
+        val_surv = val.columns()[0]
+        rows = evaluate_on_validation(fit, *train, *val.columns(),
+                                      extend_tail=True)
+        z = np.column_stack([val.x1, val.x2, val.visit_values[:, 0]])
+        for r in rows:
+            s = r.landmark
+            at_risk = val.time > s
+            stat_fit = static_rmst_model(train[0], s + 5.0,
+                                         longitudinal=train[1],
+                                         covariate_names=fit.covariate_names,
+                                         extend_tail=True)
+            stat = predict_values(stat_fit, z[at_risk])
+            at_0, pv = risk_set_pseudo(val.time, val.status, 0.0, s + 5.0,
+                                       extend_tail=True)
+            assert r.reference_kind == "pseudo_value"
+            assert r.pe_static == prediction_error(
+                stat, pv[val.time[at_0] > s], kind="pseudo_value")
+            assert r.c_index_static == c_index(stat, val_surv, s, 5.0)
+
+    def broken_training(self, fault):
+        """Training columns with one fault of the static baseline."""
+        surv, markers = simulate_joint(joint_spec("linear"), 150, 1).columns()
+        if fault == "no baseline marker":
+            times, values, offsets = markers.columns["marker"]
+            keep = np.ones(times.size, dtype=bool)
+            keep[offsets[3]] = False  # the fourth subject's visit at 0
+            counts = np.diff(offsets)
+            counts[3] -= 1
+            markers = replace(markers, columns={"marker": (
+                times[keep], values[keep],
+                np.concatenate(([0], np.cumsum(counts))))})
+        elif fault == "tail":
+            # censored at 8: the horizons 5 and 7 are defined, 9 is not
+            status = np.where(surv.time > 8.0, 0, surv.status)
+            surv = replace(surv, time=np.minimum(surv.time, 8.0),
+                           status=status)
+        elif fault == "constant covariate":
+            surv = replace(surv, covariates={**surv.covariates,
+                                             "x1": np.ones(surv.ids.size)})
+        elif fault == "too few subjects":
+            surv = surv.subset(np.arange(4))
+        elif fault == "one subject":
+            surv = surv.subset(np.arange(1))
+        return surv, markers
+
+    @pytest.mark.parametrize("fault, error", [
+        ("no baseline marker", MissingCovariate),
+        ("tail", TailUndefined),
+        ("constant covariate", SingularDesign),
+        ("too few subjects", InvalidInput),
+        ("one subject", EmptyRiskSet),
+    ])
+    def test_static_baseline_errors_match_static_oracle(self, fault, error):
+        _, fit = self.joint_fit()
+        train = self.broken_training(fault)
+        val = simulate_joint(joint_spec("linear"), 80, 2)
+        extend_tail = fault != "tail"
+        # the first error of the per-horizon static fits, in landmark order
+        want = None
+        for s in fit.grid:
+            try:
+                static_rmst_model(train[0], s + fit.w, longitudinal=train[1],
+                                  covariate_names=fit.covariate_names,
+                                  extend_tail=extend_tail)
+            except DynRmstError as exc:
+                want = exc
+                break
+        assert type(want) is error
+        if fault == "tail":
+            assert "cannot integrate to 9.0" in str(want)
+        with pytest.raises(error) as got:
+            evaluate_on_validation(fit, *train, *val.columns(),
+                                   extend_tail=extend_tail, truth=val.truth)
+        assert type(got.value) is error and str(got.value) == str(want)
 
     def test_too_few_at_risk_gives_no_c_index(self):
         train, fit = self.joint_fit()

@@ -1,6 +1,7 @@
 """Property tests of the columnar landmark core, the pseudo-value tail
-rule, the two Kaplan-Meier cRMST routes, the block super-model solver and
-the joint-model simulator's independence of its chunk size."""
+rule, the two Kaplan-Meier cRMST routes, the block super-model solver, the
+joint-model simulator's independence of its chunk size, and the estimates'
+independence of the time unit and of the order of the input records."""
 
 from unittest import mock
 
@@ -8,15 +9,16 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dynrmst import sim
+from dynrmst import _kernels, sim
 from dynrmst.basis import BasisLayout, SplineSpec
 from dynrmst.errors import DynRmstError, NoConvergence, SingularDesign
+from dynrmst.evaluate import evaluate_on_validation
 from dynrmst.gee import IDENTITY, LOG, fit_super_model, sandwich_cov
 from dynrmst.landmark import (LongitudinalRecord, MarkerTable, SuperDataset,
                               build_super_dataset)
 from dynrmst.sim import joint_spec, simulate_joint
-from dynrmst.surv import (SurvivalRecord, as_survival_data, crmst_km,
-                          crmst_km_ratio, pseudo_observations)
+from dynrmst.surv import (SurvivalData, SurvivalRecord, as_survival_data,
+                          crmst_km, crmst_km_ratio, pseudo_observations)
 from gee_oracle import dense_design, dense_sandwich, dense_solve
 
 # obs times on a coarse lattice so ties with the landmark and between
@@ -191,3 +193,66 @@ def test_joint_sample_does_not_depend_on_chunk_size(trajectory, alpha,
     for field in JOINT_FIELDS:
         want = getattr(samples[-1], field).tobytes()
         assert all(getattr(s, field).tobytes() == want for s in samples), field
+
+
+@st.composite
+def quarter_samples(draw):
+    """(times, status, s, w) on a lattice of quarters, so that scaling by
+    any factor keeps every tie and every strict order."""
+    n = draw(st.integers(2, 12))
+    quarters = st.lists(st.integers(1, 40), min_size=n, max_size=n)
+    times = np.array(draw(quarters)) / 4.0
+    status = np.array(draw(st.lists(st.integers(0, 1), min_size=n,
+                                     max_size=n)))
+    return (times, status, draw(st.integers(0, 20)) / 4.0,
+            draw(st.integers(1, 40)) / 4.0)
+
+
+def _in_unit(case, factor):
+    """Jackknife pseudo-values and restart-KM cRMST with every time, s and w
+    multiplied by ``factor``."""
+    times, status, s, w = case
+    t, s, w = times * factor, s * factor, w * factor
+    at_risk = t > s
+    pv = _kernels.jackknife_pseudo(t[at_risk], status[at_risk], s, w)
+    data = SurvivalData(np.arange(t.size), t, status)
+    return pv, crmst_km(data, s, w, extend_tail=True).value
+
+
+@settings(max_examples=300, deadline=None)
+@given(quarter_samples(), st.integers(-12, 12),
+       st.floats(1e-3, 1e3, allow_nan=False))
+def test_estimates_scale_with_the_time_unit(case, k, factor):
+    times, status, s, w = case
+    assume(np.sum(times > s) >= 2)
+    pv, km = _in_unit(case, 1.0)
+    # a power of two scales every sum and difference exactly
+    pv_k, km_k = _in_unit(case, 2.0**k)
+    assert pv_k.tobytes() == (pv * 2.0**k).tobytes() and km_k == km * 2.0**k
+    pv_f, km_f = _in_unit(case, factor)
+    scale = factor * max(w, float(np.max(np.abs(pv))))
+    assert np.max(np.abs(pv_f - pv * factor)) <= 1e-12 * scale
+    assert abs(km_f - km * factor) <= 1e-12 * scale
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**31), st.randoms(use_true_random=False))
+def test_results_do_not_depend_on_the_order_of_records(seed, rnd):
+    spec = joint_spec("linear")
+    val = simulate_joint(spec, 60, seed + 1)
+    inputs = [simulate_joint(spec, 120, seed).to_records(), val.to_records()]
+    shuffled = [[rnd.sample(recs, len(recs)) for recs in pair]
+                for pair in inputs]
+    grid, names = [0.0, 1.0, 2.5], ["x1", "x2", "marker"]
+    data = [build_super_dataset(*pair[0], grid, 5.0, covariate_names=names,
+                                extend_tail=True) for pair in (inputs, shuffled)]
+    for a, b in zip(data[0].arrays(), data[1].arrays()):
+        assert a.tobytes() == b.tobytes()
+    assert list(data[0].subjects) == list(data[1].subjects)
+    sp = SplineSpec((1.0,), (0.0, 2.5), standardization_scale=2.5)
+    fit = fit_super_model(data[0], BasisLayout((sp,) * 4))
+    for truth in (None, val.truth):
+        want, got = (evaluate_on_validation(fit, *pair[0], *pair[1],
+                                            extend_tail=True, truth=truth)
+                     for pair in (inputs, shuffled))
+        assert got == want

@@ -191,12 +191,38 @@ class TestEventTimeInversion:
                     assert (getattr(got, field).tobytes()
                             == getattr(want, field).tobytes()), (n, field)
 
-    def test_newton_time_does_not_depend_on_row(self):
+    @staticmethod
+    def newton_problem():
+        """(truth, draws, edges, panels, anchors) of 2,000 subjects' events."""
         truth = simulate_joint(joint_spec("linear"), 2000, 2000).truth
         e = np.random.default_rng(2000).exponential(size=2000)
         edges = np.linspace(0.0, 20.0, sim.HAZARD_PANELS + 1)
         k, h_k, ev = sim._bracket_panels(truth, e, edges)
-        sub, e, k, h_k = truth.subset(ev), e[ev], k[ev], h_k[ev]
+        return truth.subset(ev), e[ev], edges, k[ev], h_k[ev]
+
+    def test_newton_evaluates_only_unconverged_rows(self, monkeypatch):
+        sub, e, edges, k, h_k = self.newton_problem()
+        rows = []
+        increments = JointTruth._cum_increments
+
+        def counted(truth, left, right):
+            rows.append(truth.c0.size)
+            return increments(truth, left, right)
+
+        monkeypatch.setattr(JointTruth, "_cum_increments", counted)
+        times = sim._newton(sub, e, edges, k, h_k)
+        # the first residual covers every row, each later one only the rows
+        # still above the tolerance, down to a handful
+        assert rows[0] == e.size
+        assert all(b <= a for a, b in zip(rows, rows[1:]))
+        assert rows[-1] < e.size // 100
+        monkeypatch.undo()
+        residual = h_k + sub._cum_increments(edges[k][:, None],
+                                             times[:, None])[:, 0] - e
+        assert np.max(np.abs(residual)) <= sim.INVERSION_TOL
+
+    def test_newton_time_does_not_depend_on_row(self):
+        sub, e, edges, k, h_k = self.newton_problem()
         whole = sim._newton(sub, e, edges, k, h_k)
         # blocks of 7 put most subjects at another row of a shorter solve
         blocks = [sim._newton(sub.subset(slice(i, i + 7)), e[i:i + 7], edges,
