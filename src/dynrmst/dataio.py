@@ -9,13 +9,22 @@ metrics CSV       one row per experiment cell, config embedded as a leading
 
 The readers return columns: ``read_survival`` a ``SurvivalData`` (subjects
 sorted by id) and ``read_longitudinal`` a ``MarkerTable`` of the subjects
-with measurements.  Each file is split into cells once and each numeric
-column parsed with ``float``, whose underscore digit grouping ('1_0') is
-rejected; every check runs on whole columns, and when one fails a scan of
-the rows in file order reports the physical line on which the first
-malformed row starts.  Records (``SurvivalRecord``,
-``LongitudinalRecord``) are the input adapter for library callers and what
-the writers take.
+with measurements.  Files are UTF-8, with or without a leading byte-order
+mark; a byte that is not UTF-8 is an ``InvalidInput`` naming the file and
+its line.  Each file is read into one string and split into cells once.
+When no field starts with a quote, the text holds no NUL, and every CR
+starts a CRLF line end (as the writers and spreadsheets end lines), the
+lines are cut at LF or CRLF and the data lines are joined and split on ','
+in one call; any other file (quoted cells, lone CR line ends, NUL, a line
+longer than ``csv.field_size_limit()``) is read by ``csv.reader``.  Both
+give bit-identical columns, and a cell longer than that limit is an
+``InvalidInput`` naming its line on either path.  Each numeric column is parsed with ``float``, whose
+underscore digit grouping ('1_0') is rejected; every check runs on whole
+columns, and when one fails (a bad cell, or a row with another number of
+fields) a ``csv.reader`` scan of the rows in file order reports the
+physical line on which the first malformed row starts.  Records
+(``SurvivalRecord``, ``LongitudinalRecord``) are the input adapter for
+library callers and what the writers take, which write UTF-8.
 
 Floats are written with 17 significant digits so a write/read round trip is
 bit-exact; malformed rows, including non-finite numbers, are reported with
@@ -25,9 +34,11 @@ their line number.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
+from itertools import repeat
 
 import numpy as np
 
@@ -74,38 +85,107 @@ def _parse_float(text, line, column):
     return value
 
 
-def _reader(path, required):
-    """(header, record numbers, rows) of the data rows of a CSV, skipping
-    blank and ``#`` comment lines; the header must name every required
-    column.  Record i is the file's i-th CSV record, counted from 0."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    records = [i for i, row in enumerate(rows)
-               if row and not row[0].lstrip().startswith("#")]
-    if not records:
+def _read_text(path):
+    """Text of a UTF-8 file, without a leading byte-order mark."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is the file after any byte-order mark, and the bad
+        # byte is no line break, so it ends the last of these lines
+        line = len(exc.object[:exc.start + 1].splitlines())
+        raise InvalidInput(f"{path}: line {line}: not UTF-8 text (byte "
+                           f"0x{exc.object[exc.start]:02x})") from None
+
+
+def _plain(text):
+    """Whether csv.reader would cut the text where str.split does once its
+    CRLF line ends are made LF: no field starts with a quote, every CR is
+    the start of a CRLF pair (csv.reader ends a line at a lone CR too), and
+    there is no NUL (read differently by Python versions)."""
+    quoted = '"' in text and (text.startswith('"') or '\n"' in text
+                              or ',"' in text)
+    lone_cr = "\r" in text and text.count("\r") != text.count("\r\n")
+    return not (quoted or lone_cr or "\0" in text)
+
+
+def _split_columns(text):
+    """(header cells, data columns) of plain text: the data lines joined
+    and split on ',' once, the cells sliced into columns.  Columns are None
+    when a data line has another number of fields, and both None when the
+    text has no header.  None when a line is longer than csv.reader's field
+    limit, so that csv.reader decides whether one of its cells is."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    if "#" in text:
+        lines = [ln for ln in lines if not ln.lstrip().startswith("#")]
+    lines = list(filter(None, lines))
+    if not lines:
+        return None, None
+    header, rows = lines[0].split(","), lines[1:]
+    width = len(header)
+    if set(map(str.count, rows, repeat(","))) - {width - 1}:
+        return header, None
+    cells = ",".join(rows).split(",") if rows else []
+    return header, [cells[k::width] for k in range(width)]
+
+
+def _csv_records(text):
+    """(physical line it starts on, cells) of each record csv.reader reads
+    from the text, skipping blank and ``#`` comment records; a quoted cell
+    may span lines.  A record csv.reader cannot read (a cell longer than
+    its field limit) is an InvalidInput naming the line it starts on."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    records, line = [], 1
+    try:
+        for row in reader:
+            if row and not row[0].lstrip().startswith("#"):
+                records.append((line, row))
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise InvalidInput(f"line {line}: {exc}") from None
+    return records
+
+
+def _csv_columns(text):
+    """``_split_columns`` by csv.reader, for any text; the records are
+    read without the line count of ``_csv_records``, which is taken only
+    to name the line csv.reader cannot read."""
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text, newline=""))
+                if row and not row[0].lstrip().startswith("#")]
+    except csv.Error:
+        _csv_records(text)  # raises the InvalidInput naming the line
+        raise
+    if not rows:
+        return None, None
+    header, rows = rows[0], rows[1:]
+    if set(map(len, rows)) - {len(header)}:
+        return header, None
+    return header, list(zip(*rows)) or [()] * len(header)
+
+
+def _table(path, required):
+    """(text, header, columns) of a CSV: header names stripped, the header
+    naming every required column, and columns mapping each name to the
+    cells of its first column, or None when a data row has another number of
+    fields.  Plain text (``_plain``) is split once, any other by csv.reader;
+    both give the same cells."""
+    text = _read_text(path)
+    split = _split_columns(text) if _plain(text) else None
+    header, columns = split if split is not None else _csv_columns(text)
+    if header is None:
         raise InvalidInput(f"{path}: empty file")
-    header = [c.strip() for c in rows[records[0]]]
+    header = [c.strip() for c in header]
     for col in required:
         if col not in header:
             raise InvalidInput(f"{path}: missing column {col!r}")
-    return header, records[1:], [rows[i] for i in records[1:]]
-
-
-def _first_lines(path):
-    """Physical line on which each CSV record of the file starts (a quoted
-    cell may span lines)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        return [1] + [reader.line_num + 1 for _ in reader]
-
-
-def _cells(header, rows):
-    """Column name -> tuple of its cells (the first column of a repeated
-    name); ValueError when a row has another number of fields."""
-    if set(map(len, rows)) - {len(header)}:
-        raise ValueError("ragged rows")
-    cols = list(zip(*rows)) or [()] * len(header)
-    return {c: cols[header.index(c)] for c in header}
+    if columns is not None:
+        columns = {c: columns[header.index(c)] for c in header}
+    return text, header, columns
 
 
 def _floats(cells):
@@ -121,32 +201,44 @@ def _stripped(cells):
     return _objects(map(str.strip, cells))
 
 
-def _raise_first_error(path, records, rows, width, checks, unique=None):
-    """Raise the InvalidInput of the first malformed row in file order,
-    naming the physical line it starts on.  ``checks`` holds (position,
-    column, kind) with kind "finite", "nonnegative" or "status"; ``unique``
-    is the position of a column whose values must not repeat."""
-    first_line = _first_lines(path)
+def _factorise(cells):
+    """(ascending distinct ids as an object array, index of each cell's id)
+    of the cells without surrounding whitespace: the result of
+    ``np.unique(..., return_inverse=True)``, as both compare Python str, with
+    no sort of an object array."""
+    stripped = list(map(str.strip, cells))
+    ids = sorted(set(stripped))
+    index = dict(zip(ids, range(len(ids))))
+    return _objects(ids), np.fromiter(map(index.__getitem__, stripped),
+                                      dtype=np.intp, count=len(stripped))
+
+
+def _raise_first_error(text, header, checks, unique=None):
+    """Raise the InvalidInput of the first malformed data row in file order,
+    read by csv.reader, naming the physical line it starts on.  ``checks``
+    holds (column, kind) with kind "finite", "nonnegative" or "status";
+    ``unique`` names a column whose values must not repeat."""
+    pos = {c: header.index(c) for c in header}
     seen = {}
-    for record, row in zip(records, rows):
-        line = first_line[record]
-        if len(row) != width:
-            raise InvalidInput(f"line {line}: expected {width} fields, "
+    for line, row in _csv_records(text)[1:]:
+        if len(row) != len(header):
+            raise InvalidInput(f"line {line}: expected {len(header)} fields, "
                                f"got {len(row)}")
         cells = [c.strip() for c in row]
         if unique is not None:
-            sid = cells[unique]
+            sid = cells[pos[unique]]
             if sid in seen:
                 raise InvalidInput(f"line {line}: duplicate id {sid!r} "
                                    f"(first seen on line {seen[sid]})")
             seen[sid] = line
-        for pos, column, kind in checks:
+        for column, kind in checks:
+            cell = cells[pos[column]]
             if kind == "status":
-                if cells[pos] not in _STATUS:
+                if cell not in _STATUS:
                     raise InvalidInput(f"line {line}: status must be 0 or 1, "
-                                       f"got {cells[pos]!r}")
+                                       f"got {cell!r}")
                 continue
-            value = _parse_float(cells[pos], line, column)
+            value = _parse_float(cell, line, column)
             if kind == "nonnegative" and value < 0:
                 raise InvalidInput(f"line {line}: negative {column} {value}")
 
@@ -155,32 +247,29 @@ def read_survival(path):
     """SurvivalData of a survival CSV, subjects sorted by id; ``group`` holds
     the group labels when the file has that column, and every other extra
     column becomes a float covariate."""
-    header, records, rows = _reader(path, ("id", "time", "status"))
-    if not rows:
+    text, header, columns = _table(path, ("id", "time", "status"))
+    if columns is not None and not len(columns["id"]):
         raise InvalidInput(f"{path}: no records")
     extra = [c for c in dict.fromkeys(header)
              if c not in ("id", "time", "status", "group")]
     try:
-        cells = _cells(header, rows)
-        ids = _stripped(cells["id"])
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        time = _floats(cells["time"])
-        status = np.fromiter((_STATUS.get(c.strip(), -1)
-                              for c in cells["status"]),
-                             dtype=np.int64, count=len(rows))
-        if (ids[1:] == ids[:-1]).any() or (time < 0).any() or (status < 0).any():
+        if columns is None:
+            raise ValueError("ragged rows")
+        ids, rank = _factorise(columns["id"])
+        order = np.argsort(rank)
+        time = _floats(columns["time"])
+        status = np.fromiter(map(_STATUS.get, map(str.strip, columns["status"]),
+                                 repeat(-1)),
+                             dtype=np.int64, count=rank.size)
+        if ids.size < rank.size or (time < 0).any() or (status < 0).any():
             raise ValueError("invalid survival rows")
-        covariates = {c: _floats(cells[c])[order] for c in extra}
+        covariates = {c: _floats(columns[c])[order] for c in extra}
     except ValueError:
-        pos = {c: header.index(c) for c in header}
-        checks = [(pos["time"], "time", "nonnegative"),
-                  (pos["status"], "status", "status")]
-        _raise_first_error(path, records, rows, len(header),
-                           checks + [(pos[c], c, "finite") for c in extra],
-                           unique=pos["id"])
+        _raise_first_error(text, header,
+                           [("time", "nonnegative"), ("status", "status")]
+                           + [(c, "finite") for c in extra], unique="id")
         raise
-    group = _stripped(cells["group"])[order] if "group" in cells else None
+    group = _stripped(columns["group"])[order] if "group" in columns else None
     return SurvivalData(ids, time[order], status[order], covariates, group)
 
 
@@ -188,27 +277,26 @@ def read_longitudinal(path):
     """MarkerTable of a longitudinal CSV, covering the subjects with at least
     one measurement; rows out of time order within a subject are accepted
     and sorted, with a warning."""
-    header, records, rows = _reader(path, ("id", "obs_time", "name", "value"))
+    text, header, columns = _table(path, ("id", "obs_time", "name", "value"))
     try:
-        cells = _cells(header, rows)
-        times = _floats(cells["obs_time"])
-        values = _floats(cells["value"])
+        if columns is None:
+            raise ValueError("ragged rows")
+        times = _floats(columns["obs_time"])
+        values = _floats(columns["value"])
         if (times < 0).any():
             raise ValueError("negative obs_time")
     except ValueError:
-        pos = {c: header.index(c) for c in header}
-        _raise_first_error(path, records, rows, len(header),
-                           [(pos["obs_time"], "obs_time", "nonnegative"),
-                            (pos["value"], "value", "finite")])
+        _raise_first_error(text, header, [("obs_time", "nonnegative"),
+                                          ("value", "finite")])
         raise
-    ids, subject = np.unique(_stripped(cells["id"]), return_inverse=True)
+    ids, subject = _factorise(columns["id"])
     by_subject = np.argsort(subject, kind="stable")
     s, t = subject[by_subject], times[by_subject]
     if ((s[1:] == s[:-1]) & (t[1:] < t[:-1])).any():
         warnings.warn(f"{path}: longitudinal rows out of time order for at "
                       "least one subject; sorted on read", stacklevel=2)
     return MarkerTable.from_columns(ids, subject, times,
-                                    _stripped(cells["name"]), values)
+                                    _stripped(columns["name"]), values)
 
 
 def _config_line(config):
@@ -218,7 +306,7 @@ def _config_line(config):
 def write_survival(path, records, config=None):
     extra = sorted({name for r in records for name in r.covariates})
     has_group = any(r.group is not None for r in records)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         if config is not None:
             fh.write(_config_line(config) + "\n")
         writer = csv.writer(fh)
@@ -233,7 +321,7 @@ def write_survival(path, records, config=None):
 
 
 def write_longitudinal(path, records, config=None):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         if config is not None:
             fh.write(_config_line(config) + "\n")
         writer = csv.writer(fh)
@@ -250,7 +338,7 @@ def write_json_artifact(path, payload, config=None):
     if config is not None:
         doc["config"] = config
     doc.update(payload)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, default=str)
         fh.write("\n")
 
@@ -261,7 +349,7 @@ def write_metrics_csv(path, rows, config=None):
     if not rows:
         raise InvalidInput("no metric rows")
     header = list(rows[0])
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         if config is not None:
             fh.write(_config_line(config) + "\n")
         writer = csv.writer(fh)

@@ -365,11 +365,17 @@ def _check_size(n_rows, n_subjects, q):
                            f"coefficients ({q})")
 
 
-def fit_super_model(data, layout, link=IDENTITY):
-    """Solve the stacked estimating equation on the super prediction dataset."""
+def _solve_super(data, layout, link=IDENTITY):
+    """(blocks, beta, iterations, score norm) of the stacked estimating
+    equation on the super prediction dataset, with no covariance."""
     blocks = _landmark_blocks(data, layout)
     _check_size(len(data), data.n_subjects, layout.q)
-    beta, iters, norm = _solve_ee(blocks, link, eps_floor=1e-6 * data.w)
+    return (blocks, *_solve_ee(blocks, link, eps_floor=1e-6 * data.w))
+
+
+def fit_super_model(data, layout, link=IDENTITY):
+    """Solve the stacked estimating equation on the super prediction dataset."""
+    blocks, beta, iters, norm = _solve_super(data, layout, link)
     cov = _sandwich(blocks, link, beta, data.n_subjects)
     return DynamicModelFit(beta=beta, covariance=cov, layout=layout, link=link,
                            grid=data.landmark_grid, w=data.w,

@@ -32,7 +32,7 @@ from scipy import integrate, optimize, special
 from ._blas import _one_blas_thread, _one_blas_thread_in_worker
 from .errors import InvalidInput, NoConvergence
 from .evaluate import evaluate_on_validation
-from .gee import IDENTITY, fit_super_model, sandwich_cov
+from .gee import IDENTITY, _solve_super, fit_super_model, sandwich_cov
 from .landmark import LongitudinalRecord, MarkerTable, build_super_dataset
 from .surv import SurvivalData, SurvivalRecord, crmstd_test
 
@@ -826,9 +826,9 @@ def coefficient_mc(spec, grid, w, layout, n_subjects=500, reps=1000,
         np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     )
     population = simulate_joint(spec, pop_size, pop_rng)
-    with _one_blas_thread():
-        beta_true = fit_super_model(
-            _joint_dataset(population.columns(), grid, w), layout).beta
+    with _one_blas_thread():  # beta alone: the sandwich is never read
+        beta_true = _solve_super(
+            _joint_dataset(population.columns(), grid, w), layout)[1]
 
     betas, var_cl, var_nv = _replicate(
         _coefficient_rep, (spec, grid, w, layout, n_subjects), reps, seed,

@@ -197,6 +197,15 @@ class TestInputDiagnostics:
         with pytest.raises(InvalidInput, match="line 3.*duplicate"):
             dataio.read_survival(path)
 
+    def test_non_utf8_byte_is_an_error_record(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("id,time,status\na,1.0,1\nJos\u00e9,2.0,0\n"
+                         .encode("latin-1"))
+        assert run(["km", "--input", path]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInput"
+        assert err["message"].startswith(f"{path}: line 3: not UTF-8")
+
     def test_missing_column(self, tmp_path, capsys):
         path = self.write(tmp_path, "id,time\na,1.0\n")
         assert run(["crmst", "--input", path, "--s", 0, "--w", 1]) == 1

@@ -15,6 +15,9 @@ from dynrmst.landmark import LongitudinalRecord, MarkerTable
 from dynrmst.surv import SurvivalRecord, as_survival_data
 
 IDS = st.text("ab1", min_size=1, max_size=3)
+# ids csv.reader must unquote: a ',', line break or quote between letters
+QUOTED_IDS = st.tuples(IDS, st.sampled_from([",", "\n", "\r\n", '"']),
+                       IDS).map("".join)
 # obs times on a coarse lattice so (id, obs_time) ties are common
 LATTICE = st.integers(0, 6).map(lambda k: k / 2.0)
 NUMBERS = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1.5])
@@ -32,20 +35,40 @@ def cell(draw, value):
 @st.composite
 def csv_text(draw, header, rows):
     """Header and rows with the columns in a drawn order, the rows shuffled,
-    and comment and blank lines inserted anywhere after the header."""
+    comment and blank lines inserted anywhere after the header, and lines
+    ended by LF, CRLF or CR.  A cell is quoted when it holds a ',', a quote
+    or a line break, and in some files any cell may be."""
+    quote_any = draw(st.sampled_from([False, False, True]))
+
+    def field(text):
+        if (any(c in text for c in ',"\r\n')
+                or quote_any and draw(st.booleans())):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
     order = draw(st.permutations(range(len(header))))
-    lines = [",".join(row[k] for k in order)
+    lines = [",".join(field(row[k]) for k in order)
              for row in draw(st.permutations(rows))]
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(lines)))
         lines.insert(at, draw(st.sampled_from(["# note", "  # x,y", ""])))
-    first = ["# config: {}"] if draw(st.booleans()) else []
-    return "\n".join(first + [",".join(header[k] for k in order)] + lines) + "\n"
+    first = draw(st.sampled_from([[], ["# config: {}"],
+                                  ['# config: {"a": ["b", 1.5], "c,d": 2}']]))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return end.join(first + [",".join(header[k] for k in order)] + lines) + end
+
+
+def split_once(text):
+    """Whether the reader takes the one-split path: every CR starts a CRLF
+    line end, and quotes appear only in ``#`` comment lines."""
+    return "\r" not in text.replace("\r\n", "") and all(
+        line.startswith("#") for line in text.split("\n") if '"' in line)
 
 
 @st.composite
 def survival_files(draw):
-    ids = draw(st.lists(IDS, min_size=1, max_size=8, unique=True))
+    ids = draw(st.lists(IDS | QUOTED_IDS if draw(st.booleans()) else IDS,
+                        min_size=1, max_size=8, unique=True))
     extra = draw(st.lists(st.sampled_from(["x", "z"]), max_size=2, unique=True))
     group = draw(st.booleans())
     header = ["id", "time", "status"] + (["group"] if group else []) + extra
@@ -132,8 +155,10 @@ def test_readers_equal_the_record_reference(tmp_path_factory, data):
     long_text = data.draw(marker_files(ids))
     work = tmp_path_factory.mktemp("csv")
     surv_path, long_path = work / "surv.csv", work / "long.csv"
-    surv_path.write_text(surv_text)
-    long_path.write_text(long_text)
+    surv_path.write_bytes(surv_text.encode())
+    long_path.write_bytes(long_text.encode())
+    for text in (surv_text, long_text):
+        assert dataio._plain(text) == split_once(text)
 
     surv = dataio.read_survival(surv_path)
     assert_same_survival(surv, reference_survival(surv_path))
@@ -183,6 +208,58 @@ def test_write_then_read_is_bit_exact(tmp_path_factory, subjects, visits):
     dataio.write_longitudinal(work / "long.csv", long)
     assert_same_table(dataio.read_longitudinal(work / "long.csv"),
                       reference_table(long))
+    for name in ("surv.csv", "long.csv"):
+        # the writers end lines with CRLF, which the one-split path reads
+        assert dataio._plain((work / name).read_bytes().decode())
+
+
+def _write_table(path, rows, quoted, end, bom):
+    """The rows as a CSV with the given line end, plain or with every cell
+    quoted."""
+    quote = '"' if quoted else ""
+    text = "".join(",".join(quote + c + quote for c in row) + end
+                   for row in rows)
+    assert dataio._plain(text) is not quoted
+    path.write_bytes((("\ufeff" if bom else "") + text).encode())
+    return path
+
+
+SURVIVAL_ROWS = [["id", "time", "status", "group", "x"],
+                 ["b2", "2.5", "1", "B", "0.25"],
+                 ["a", " 1e-3", "0", "A", "-1.5"],
+                 ["b10", "7", "1", "B", "0.1"]]
+# subject a out of time order
+MARKER_ROWS = [["id", "obs_time", "name", "value"],
+               ["a", "2.0", "m", "1.5"], ["b2", "0", "m", "0.3"],
+               ["a", "1.0", "m", "-2"], ["a", "0.5", "n", "4"]]
+
+
+@pytest.mark.parametrize("quoted, end, bom", [
+    (False, "\r\n", False), (False, "\n", True),
+    (True, "\r\n", False), (True, "\r\n", True)])
+def test_plain_quoted_crlf_and_bom_files_read_alike(tmp_path, quoted, end,
+                                                    bom):
+    """One table written plain with LF line ends, and written plain or
+    quoted with CRLF line ends, reads to bitwise-equal columns, with or
+    without a UTF-8 byte-order mark, and rows out of time order warn exactly
+    once on either path."""
+    def read(name, quoted, end, bom):
+        surv = dataio.read_survival(_write_table(
+            tmp_path / f"{name}.csv", SURVIVAL_ROWS, quoted, end, bom))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table = dataio.read_longitudinal(_write_table(
+                tmp_path / f"{name}_long.csv", MARKER_ROWS, quoted, end, bom))
+        assert [str(w.message).endswith("out of time order for at least one "
+                                        "subject; sorted on read")
+                for w in caught] == [True]
+        return surv, table
+
+    want_surv, want_table = read("plain", False, "\n", False)
+    got_surv, got_table = read("other", quoted, end, bom)
+    assert want_surv.ids.tolist() == ["a", "b10", "b2"]
+    assert_same_survival(got_surv, want_surv)
+    assert_same_table(got_table, want_table)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -204,6 +281,11 @@ def test_write_then_read_is_bit_exact(tmp_path_factory, subjects, visits):
     ('id,time,status\n"a\nb",1.0,1\nc,x,1\n', "line 4: column 'time'"),
     ('id,time,status\n"a\nb",1.0,1\n"a\nb",2.0,1\n',
      "line 4: duplicate id 'a\\nb' (first seen on line 2)"),
+    # CRLF line ends, and quoted cells on one line each
+    ("id,time,status\r\na,1,1\r\nb,2\r\nc,x,1\r\n",
+     "line 3: expected 3 fields"),
+    ('"id","time","status"\n"a","1.0","1"\n"b","1.0","7"\n',
+     "line 3: status must be 0 or 1"),
 ])
 def test_survival_error_names_the_first_bad_line(tmp_path, text, message):
     path = tmp_path / "bad.csv"
@@ -221,6 +303,10 @@ def test_survival_error_names_the_first_bad_line(tmp_path, text, message):
     ("id,obs_time,name,value\na,0,m,1\na,1,m,2_5\n", "line 3: column 'value'"),
     ('id,obs_time,name,value\na,0,"m\nn",1\na,x,m,1\n',
      "line 4: column 'obs_time'"),
+    ("id,obs_time,name,value\r\na,0,m,1\r\na,-1,m,1\r\n",
+     "line 3: negative obs_time -1.0"),
+    ('id,obs_time,name,value\n"a",0,"m",1\n"a","1","m","2_5"\n',
+     "line 3: column 'value'"),
 ])
 def test_longitudinal_error_names_the_first_bad_line(tmp_path, text, message):
     path = tmp_path / "long.csv"
@@ -228,6 +314,19 @@ def test_longitudinal_error_names_the_first_bad_line(tmp_path, text, message):
     with pytest.raises(InvalidInput) as exc:
         dataio.read_longitudinal(path)
     assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+@pytest.mark.parametrize("tail", ["", "c,x,1\n"])
+def test_cell_over_the_field_limit_is_invalid_input(tmp_path, quote, tail):
+    """A cell longer than csv.reader's field limit is rejected on either
+    path, naming its line, with or without a bad row after it."""
+    cell = quote + "a" * (csv.field_size_limit() + 1) + quote
+    path = tmp_path / "long_cell.csv"
+    path.write_text(f"id,time,status\nb,1.0,1\n{cell},2.0,1\n{tail}")
+    with pytest.raises(InvalidInput, match="^line 3: field larger than "
+                                           "field limit"):
+        dataio.read_survival(path)
 
 
 def test_survival_file_without_rows(tmp_path):

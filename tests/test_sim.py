@@ -515,7 +515,7 @@ class TestBlasPin:
             seen.append(blas_threads())
             raise RuntimeError("population fit")
 
-        monkeypatch.setattr(sim, "fit_super_model", fit)
+        monkeypatch.setattr(sim, "_solve_super", fit)
         with pytest.raises(RuntimeError, match="population fit"):
             coefficient_mc(joint_spec("linear"), [0.0], 5.0, None, pop_size=50,
                            reps=2)
