@@ -1,6 +1,8 @@
 """The two hot kernels, in numpy: jackknife pseudo-values of the cRMST and
 Harrell concordance pair counts.  ``tests/test_kernels.py`` checks both
-against brute-force oracles.
+against brute-force oracles, and the jackknife against its earlier
+sort-and-branch form to the bit: the tabulated leave-one-out integrals are
+the same float expressions, read by a gather instead of per-branch masks.
 """
 
 from __future__ import annotations
@@ -18,23 +20,30 @@ def jackknife_pseudo(times, status, s, w):
     input subject, in input order.
 
     Exactness: the result equals a brute-force refit of the Kaplan-Meier
-    estimator with each subject removed, computed here in O(N log N) via
-    prefix products over the distinct event times.
+    estimator with each subject removed, computed here in O(N log D) via
+    prefix products over the D distinct event times.  One search gives each
+    subject's count c of event times <= its time, and from the counts the
+    at-risk sizes; a leave-one-out integral depends only on c and on
+    whether the subject is an event inside the window, so it is tabulated
+    once per distinct event time (D + 1 censored-like entries, D event
+    entries) and read with one gather.
     """
     t = np.ascontiguousarray(times, dtype=np.float64)
     d = np.ascontiguousarray(status, dtype=np.int64)
     n = t.shape[0]
     horizon = s + w
 
-    event_mask = (d == 1) & (t < horizon)
-    ut, dk = np.unique(t[event_mask], return_counts=True)
+    is_event = (d == 1) & (t < horizon)
+    ut, dk = np.unique(t[is_event], return_counts=True)
     n_events = ut.shape[0]
     if n_events == 0:
         # flat curve: every leave-one-out curve is flat too
         return np.full(n, w, dtype=np.float64)
 
-    t_sorted = np.sort(t)
-    yk = n - np.searchsorted(t_sorted, ut, side="left")
+    # c[i] = number of distinct event times <= t[i]; subject i is at risk
+    # at event time k exactly when k < c[i]
+    c = np.searchsorted(ut, t, side="right")
+    yk = n - np.cumsum(np.bincount(c, minlength=n_events + 1))[:n_events]
     dk = dk.astype(np.float64)
     ykf = yk.astype(np.float64)
 
@@ -62,32 +71,27 @@ def jackknife_pseudo(times, status, s, w):
 
     mu = l_pre + suf_sl[0]
 
-    # leave-one-out integrals by subject type
-    mu_loo = np.empty(n)
-    is_event = (d == 1) & (t < horizon)
+    # leave-one-out integrals: entry c of the first D + 1 is a censored-like
+    # subject (censored, or event at/after the horizon) with count c, entry
+    # D + c an event subject at the (c-1)-th distinct event time
+    loo = np.empty(2 * n_events + 1)
+    # every event time <= Y_i gets the at-risk adjustment; c == 0: not at
+    # risk at any event time, curve unchanged; c == D: no curve after Y_i
+    loo[:n_events + 1] = cum_a
+    loo[0] += suf_sl[0]
+    loo[1:n_events] += ak[:-1] / sk[:-1] * suf_sl[1:n_events]
 
-    # censored-like subjects (censored, or event at/after the horizon):
-    # every event time <= Y_i gets the at-risk adjustment
-    c = np.searchsorted(ut, t[~is_event], side="right")
-    vals = cum_a[c]
-    # c == 0: not at risk at any event time, curve unchanged
-    vals[c == 0] += suf_sl[0]
-    inner = (c >= 1) & (c <= n_events - 1)
-    ci = c[inner]
-    vals[inner] += ak[ci - 1] / sk[ci - 1] * suf_sl[ci]
-    mu_loo[~is_event] = vals
-
-    # event subjects at the m-th distinct event time
-    m = np.searchsorted(ut, t[is_event])
-    a_prev = np.where(m > 0, ak[np.maximum(m - 1, 0)], 1.0)
     # sk[m] == 0 can only happen at the last event time (risk set exhausted);
     # there the remaining curve covers just the final interval
-    tail = np.zeros(m.shape[0])
-    pos = sk[m] > 0.0
-    tail[pos] = suf_sl[m[pos]] / sk[m[pos]]
-    tail[~pos & (m == n_events - 1)] = lk[-1]
-    mu_loo[is_event] = cum_a[m] + a_prev * g_event[m] * tail
+    a_prev = np.concatenate(([1.0], ak[:-1]))
+    tail = np.zeros(n_events)
+    pos = sk > 0.0
+    tail[pos] = suf_sl[:-1][pos] / sk[pos]
+    if not pos[-1]:
+        tail[-1] = lk[-1]
+    loo[n_events + 1:] = cum_a[:-1] + a_prev * g_event * tail
 
+    mu_loo = loo[c + n_events * is_event]
     return n * mu - (n - 1) * mu_loo
 
 

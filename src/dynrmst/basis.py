@@ -127,12 +127,18 @@ class BasisLayout:
 
 
 def h_matrix(layout: BasisLayout, s):
-    """H(s): row p carries h_p(s) in that path's columns, zeros elsewhere."""
-    h = np.zeros((layout.n_paths, layout.q))
+    """H(s): row p carries h_p(s) in that path's columns, zeros elsewhere.
+
+    A scalar s gives one (P+1) x q matrix; an array of s gives one per
+    element, stacked on the leading axes, each bitwise the scalar call's
+    (the spline basis is evaluated elementwise).
+    """
+    s = np.asarray(s, dtype=float)
+    h = np.zeros(s.shape + (layout.n_paths, layout.q))
     # paths usually share one spec: evaluate each distinct spec once
     basis = {sp: ncs_eval(sp, s) for sp in set(layout.specs) if sp is not None}
     for p, (sp, sl) in enumerate(zip(layout.specs, layout.slices())):
-        h[p, sl] = 1.0 if sp is None else basis[sp]
+        h[..., p, sl] = 1.0 if sp is None else basis[sp]
     return h
 
 

@@ -178,9 +178,19 @@ def _cmd_fit(args):
 
 
 def _load_model(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    return DynamicModelFit.from_dict(doc["model"])
+    """The fit in a ``fit`` artifact; InvalidInput naming the file when it
+    is not JSON or its model document is malformed."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # undecodable text or not JSON
+        raise InvalidInput(f"{path}: not a JSON model artifact ({exc})") from None
+    try:
+        if not isinstance(doc, dict) or "model" not in doc:
+            raise InvalidInput("no model document")
+        return DynamicModelFit.from_dict(doc["model"])
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from None
 
 
 def _cmd_predict(args):

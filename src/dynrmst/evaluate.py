@@ -108,9 +108,13 @@ def predict_values(fit, covariates, s=None):
     only one of a one-landmark fit)."""
     s = fit.grid[0] if s is None else s
     _check_range(fit, s)
+    return _path_values(fit, covariates, fit.coefficient_path(s))
+
+
+def _path_values(fit, covariates, path):
+    """ginv([1, Z] beta(s)) for the rows of Z, given beta(s) = ``path``."""
     z = np.asarray(covariates, dtype=float)
-    return fit.link.ginv(np.column_stack([np.ones(z.shape[0]), z])
-                         @ fit.coefficient_path(s))
+    return fit.link.ginv(np.column_stack([np.ones(z.shape[0]), z]) @ path)
 
 
 def c_index(predictions, survival, s, w):
@@ -216,13 +220,15 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
             np.concatenate((np.full(grid.size, w), grid + w)))
     static_betas = _static_coefficients(
         *train, names, (s_j + w for s_j in dynamic_fit.grid), extend_tail)
+    hs = h_matrix(dynamic_fit.layout, grid)
     rows_out = []
     for j, s_j in enumerate(dynamic_fit.grid):
         tau = s_j + w
         rows = np.flatnonzero(time > s_j)
         at_risk = time[first] > s_j
-        dyn_pred = predict_values(
-            dynamic_fit, _covariates_at(*val, names, rows, s_j), s_j)
+        dyn_pred = _path_values(dynamic_fit,
+                                _covariates_at(*val, names, rows, s_j),
+                                hs[j] @ dynamic_fit.beta)
         beta = next(static_betas)
         if j == 0:  # the rows of ``first``
             val_z0 = np.column_stack(

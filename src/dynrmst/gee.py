@@ -131,21 +131,45 @@ class DynamicModelFit:
 
     @classmethod
     def from_dict(cls, obj):
+        """The fit of a model document.  Raises InvalidInput, naming the
+        field, unless every key is present with its type, beta has q
+        entries and the covariance is q x q, every number is finite, the
+        grid is non-empty and strictly increasing, w > 0 and n_subjects is
+        an integer greater than q."""
+        if not isinstance(obj, dict):
+            raise InvalidInput("model must be a JSON object")
         if obj.get("format_version") != 1:
             raise InvalidInput("unsupported model format_version")
-        specs = tuple(
-            None if sp is None else SplineSpec(
-                interior_knots=tuple(sp["interior_knots"]),
-                boundary_knots=tuple(sp["boundary_knots"]),
-                standardization_scale=sp["standardization_scale"],
-                include_intercept_column=sp["include_intercept_column"],
-            )
-            for sp in obj["layout"]
-        )
+        missing = [k for k in _MODEL_KEYS if k not in obj]
+        if missing:
+            raise InvalidInput(f"model lacks {', '.join(missing)}")
+        if not isinstance(obj["layout"], list) or not obj["layout"]:
+            raise InvalidInput("model layout must be a non-empty list")
+        layout = BasisLayout(tuple(_spec_from_dict(sp) for sp in obj["layout"]))
+        q = layout.q
+        grid = _finite_array(obj["grid"], "grid", (None,))
+        if grid.size == 0 or np.any(np.diff(grid) <= 0):
+            raise InvalidInput("model grid must be a non-empty, strictly "
+                               "increasing list")
+        if not _is_number(obj["w"]) or not 0 < obj["w"] < np.inf:
+            raise InvalidInput("model w must be a positive finite number")
+        if not _is_integer(obj["n_subjects"]) or obj["n_subjects"] <= q:
+            raise InvalidInput(f"model n_subjects must be an integer greater "
+                               f"than q = {q}")
+        for key in ("n_rows", "iterations"):
+            if not _is_integer(obj[key]) or obj[key] < 0:
+                raise InvalidInput(f"model {key} must be a non-negative integer")
+        if not _is_number(obj["score_norm"]) or not np.isfinite(obj["score_norm"]):
+            raise InvalidInput("model score_norm must be a finite number")
+        names = obj["covariate_names"]
+        if (not isinstance(names, list) or len(names) != layout.n_paths - 1
+                or not all(isinstance(n, str) for n in names)):
+            raise InvalidInput(f"model covariate_names must be a list of "
+                               f"{layout.n_paths - 1} names")
         return cls(
-            beta=np.array(obj["beta"], dtype=float),
-            covariance=np.array(obj["covariance"], dtype=float),
-            layout=BasisLayout(specs),
+            beta=_finite_array(obj["beta"], "beta", (q,)),
+            covariance=_finite_array(obj["covariance"], "covariance", (q, q)),
+            layout=layout,
             link=LinkSpec(obj["link"]),
             grid=tuple(obj["grid"]),
             w=obj["w"],
@@ -153,7 +177,7 @@ class DynamicModelFit:
             n_rows=obj["n_rows"],
             iterations=obj["iterations"],
             score_norm=obj["score_norm"],
-            covariate_names=tuple(obj["covariate_names"]),
+            covariate_names=tuple(names),
         )
 
     def to_json(self):
@@ -162,6 +186,59 @@ class DynamicModelFit:
     @classmethod
     def from_json(cls, text):
         return cls.from_dict(json.loads(text))
+
+
+_MODEL_KEYS = ("link", "layout", "grid", "w", "beta", "covariance",
+               "n_subjects", "n_rows", "iterations", "score_norm",
+               "covariate_names")
+_SPEC_KEYS = ("interior_knots", "boundary_knots", "standardization_scale",
+              "include_intercept_column")
+
+
+def _is_number(value):
+    return type(value) in (int, float)
+
+
+def _is_integer(value):
+    return type(value) is int
+
+
+def _finite_array(value, name, shape):
+    """``value`` (nested JSON lists of numbers) as a float array of
+    ``shape`` (None: any length on that axis), every entry finite;
+    InvalidInput naming ``name`` otherwise."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if (arr is None or arr.dtype.kind not in "iuf"
+            or arr.ndim != len(shape)
+            or any(k not in (None, m) for m, k in zip(arr.shape, shape))):
+        want = "a list" if shape == (None,) else f"an array of shape {shape}"
+        raise InvalidInput(f"model {name} must be {want} of numbers")
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise InvalidInput(f"model {name} holds a value that is not finite")
+    return arr
+
+
+def _spec_from_dict(sp):
+    if sp is None:
+        return None
+    if not isinstance(sp, dict) or any(k not in sp for k in _SPEC_KEYS):
+        raise InvalidInput(f"model layout entries must be null or objects "
+                           f"with {', '.join(_SPEC_KEYS)}")
+    _finite_array(sp["interior_knots"], "interior_knots", (None,))
+    _finite_array(sp["boundary_knots"], "boundary_knots", (2,))
+    scale = sp["standardization_scale"]
+    if not _is_number(scale) or not np.isfinite(scale):
+        raise InvalidInput("model standardization_scale must be a finite number")
+    if not isinstance(sp["include_intercept_column"], bool):
+        raise InvalidInput("model include_intercept_column must be true or false")
+    return SplineSpec(interior_knots=tuple(sp["interior_knots"]),
+                      boundary_knots=tuple(sp["boundary_knots"]),
+                      standardization_scale=scale,
+                      include_intercept_column=sp["include_intercept_column"])
 
 
 class _Block(NamedTuple):
@@ -276,15 +353,18 @@ def _solve_ee(blocks, link, eps_floor):
     return beta, MAX_ITER, norm
 
 
-def _sandwich(blocks, link, beta, n_clusters):
+def _sandwich(blocks, link, beta, n_clusters, with_rowwise=False):
     """Sandwich covariance at beta.  Scores are summed within each of
     ``n_clusters`` clusters before the outer products; ``n_clusters=None``
-    makes every row its own cluster."""
+    makes every row its own cluster.  ``with_rowwise=True`` returns the pair
+    (that covariance, the row-wise one), which share the fitted values and
+    the bread."""
     fitted = _fitted(blocks, link, beta)
     bread = _weighted_gram(blocks, [d**2 for d, _ in fitted])
-    if n_clusters is None:
-        meat = _weighted_gram(blocks, [(d * r) ** 2 for d, r in fitted])
-    else:
+
+    def meat(n_clusters):
+        if n_clusters is None:
+            return _weighted_gram(blocks, [(d * r) ** 2 for d, r in fitted])
         grouped = np.zeros((n_clusters, bread.shape[0]))
         for blk, (d, r) in zip(blocks, fitted):
             scores = (d * r)[:, None] * blk.z
@@ -293,13 +373,20 @@ def _sandwich(blocks, link, beta, n_clusters):
                 scores = np.add.reduceat(scores, runs, axis=0)
             # one row per cluster in a block, so the fancy-index sum is exact
             grouped[blk.cluster[runs]] += scores @ blk.h
-        meat = grouped.T @ grouped
+        return grouped.T @ grouped
+
     try:
         binv = np.linalg.solve(bread, np.eye(bread.shape[0]))
     except np.linalg.LinAlgError:
         raise SingularInformation("information matrix is singular") from None
-    cov = binv @ meat @ binv
-    return (cov + cov.T) / 2.0
+
+    def cov(n_clusters):
+        c = binv @ meat(n_clusters) @ binv
+        return (c + c.T) / 2.0
+
+    if with_rowwise:
+        return cov(n_clusters), cov(None)
+    return cov(n_clusters)
 
 
 def _array_block(x, y, cluster_starts):
@@ -348,12 +435,13 @@ def _landmark_blocks(data, layout):
             f"layout has {layout.n_paths} paths but data has {z.shape[1]} covariates"
         )
     subject = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+    hs = h_matrix(layout, data.landmark_grid)
     blocks = []
-    for s_j in data.landmark_grid:
+    for s_j, h_j in zip(data.landmark_grid, hs):
         rows = np.flatnonzero(lm == s_j)
         if rows.size:
             blocks.append(_Block(np.column_stack([np.ones(rows.size), z[rows]]),
-                                 y[rows], h_matrix(layout, s_j), subject[rows]))
+                                 y[rows], h_j, subject[rows]))
     return blocks
 
 

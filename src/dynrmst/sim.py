@@ -32,7 +32,7 @@ from scipy import integrate, optimize, special
 from ._blas import _one_blas_thread, _one_blas_thread_in_worker
 from .errors import InvalidInput, NoConvergence
 from .evaluate import evaluate_on_validation
-from .gee import IDENTITY, _solve_super, fit_super_model, sandwich_cov
+from .gee import IDENTITY, _sandwich, _solve_super, fit_super_model
 from .landmark import LongitudinalRecord, MarkerTable, build_super_dataset
 from .surv import SurvivalData, SurvivalRecord, crmstd_test
 
@@ -349,12 +349,25 @@ class JointTruth:
 
     def _hazard(self, t):
         """Hazard values -> (n, m) at times t shared by all subjects (m,) or
-        per subject (n, m); the hazard is zero at t <= 0."""
+        per subject (n, m); the hazard is zero at t <= 0.
+
+        The values are built in one (n, m) buffer: the exponent c1 t, plus
+        c0, plus (c2 t) t, then its exp in place, then the factor
+        lam t^(lam-1) (zero at t <= 0), which has the shape of t.  These
+        are the sums and products of lam t^(lam-1) exp(c0 + c1 t + c2 t t)
+        with their operands swapped, so every value is the same to the
+        bit.  When every c2 is zero (the linear trajectory) the quadratic
+        term is skipped: adding (0 t) t changes no exponent's exp.
+        """
         positive = t > 0
         base = self.lam * np.where(positive, t, 1.0) ** (self.lam - 1.0)
-        return np.where(positive, base, 0.0) * np.exp(
-            self.c0[:, None] + self.c1[:, None] * t
-            + self.c2[:, None] * t * t)
+        out = self.c1[:, None] * t
+        out += self.c0[:, None]
+        if self.c2.any():
+            out += (self.c2[:, None] * t) * t
+        np.exp(out, out=out)
+        out *= np.where(positive, base, 0.0)
+        return out
 
     def _cum_increments(self, left, right):
         """Integral of the hazard over each panel [left_p, right_p] -> (n, P),
@@ -369,7 +382,8 @@ class JointTruth:
         flat = left.shape[:-1] + (-1,)
         t = (mid[..., None] + half[..., None] * _GL_NODES).reshape(flat)
         wt = (half[..., None] * _GL_WEIGHTS).reshape(flat)
-        hv = self._hazard(t) * wt
+        hv = self._hazard(t)
+        hv *= wt
         return hv.reshape(self.c0.size, left.shape[-1],
                           _GL_NODES.size).sum(axis=2)
 
@@ -798,9 +812,12 @@ def _joint_dataset(columns, grid, w):
 def _coefficient_rep(spec, grid, w, layout, n_subjects, rng):
     data = _joint_dataset(simulate_joint(spec, n_subjects, rng).columns(),
                           grid, w)
-    fit = fit_super_model(data, layout)
-    cov_nv = sandwich_cov(data, layout, IDENTITY, fit.beta, mode="naive_rowwise")
-    return fit.beta, np.diag(fit.covariance), np.diag(cov_nv)
+    # the covariances of fit_super_model and of sandwich_cov's
+    # naive_rowwise mode, from one set of blocks and one bread
+    blocks, beta = _solve_super(data, layout)[:2]
+    cov_cl, cov_nv = _sandwich(blocks, IDENTITY, beta, data.n_subjects,
+                               with_rowwise=True)
+    return beta, np.diag(cov_cl), np.diag(cov_nv)
 
 
 @dataclass(frozen=True)

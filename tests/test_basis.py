@@ -102,6 +102,19 @@ class TestLayout:
         assert np.all(h[0, 1:] == 0) and np.all(h[2, :4] == 0)
         assert_allclose(h[1, 1:4], ncs_eval(sp, 4.0))
 
+    def test_h_matrix_of_a_grid_is_each_scalar_call_bitwise(self):
+        a = SplineSpec((2.0, 4.0, 6.0), (0.0, 10.0), standardization_scale=10.0)
+        b = SplineSpec((1.5,), (0.0, 5.0), include_intercept_column=False)
+        layout = BasisLayout((a, None, b, a, None))
+        grid = np.concatenate([0.5 * np.arange(21),
+                               np.random.default_rng(3).uniform(-2, 14, 19)])
+        hs = h_matrix(layout, grid)
+        assert hs.shape == (grid.size, 5, layout.q)
+        for s, h in zip(grid, hs):
+            assert np.array_equal(h, h_matrix(layout, s))
+        assert np.array_equal(h_matrix(layout, grid.reshape(2, -1)),
+                              hs.reshape(2, -1, 5, layout.q))
+
     def test_column_index(self):
         layout = BasisLayout((None, SplineSpec((2.0,), (0.0, 10.0))))
         assert layout.column_index(0, 0) == 0

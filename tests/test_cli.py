@@ -433,3 +433,94 @@ class TestKmAndCrmst:
         assert np.isclose(results["pseudo"]["value"], results["km"]["value"],
                           atol=1e-10)
         assert results["pseudo"]["variance"] > 0
+
+
+@pytest.fixture(scope="module")
+def model_text(tmp_path_factory):
+    """The text of a valid ``fit`` artifact (grid 0..4, three covariates)."""
+    tmp = tmp_path_factory.mktemp("model")
+    return fitted_model_path(tmp, *joint_csvs(tmp)).read_text()
+
+
+def _set(path, value):
+    """A mutation of the model document that sets (or, for value None,
+    removes) the field at ``path``."""
+    def mutate(doc):
+        *outer, last = path
+        for key in outer:
+            doc = doc[key]
+        if value is None:
+            del doc[last]
+        else:
+            doc[last] = value
+    return mutate
+
+
+def _whole_model(value):
+    def mutate(doc):
+        doc["model"] = value
+    return mutate
+
+
+def _short_beta(doc):
+    doc["model"]["beta"].pop()
+
+
+def _nan_beta(doc):
+    doc["model"]["beta"][1] = float("nan")
+
+
+class TestMalformedModel:
+    """``predict`` on a valid artifact with one field changed ends in an
+    InvalidInput record that names the file and the field."""
+
+    CASES = {
+        "layout_missing": (_set(("model", "layout"), None), "layout"),
+        "model_is_a_list": (_whole_model([1, 2]), "model"),
+        "beta_one_short": (_short_beta, "beta"),
+        "beta_a_string": (_set(("model", "beta"), "1.0"), "beta"),
+        "beta_nan": (_nan_beta, "beta"),
+        "covariance_not_square": (_set(("model", "covariance"), [[1.0]]),
+                                  "covariance"),
+        "grid_empty": (_set(("model", "grid"), []), "grid"),
+        "grid_holds_a_string": (_set(("model", "grid"), [0.0, "1"]), "grid"),
+        "grid_not_increasing": (_set(("model", "grid"), [0.0, 2.0, 1.0]),
+                                "grid"),
+        "n_subjects_a_string": (_set(("model", "n_subjects"), "5"),
+                                "n_subjects"),
+        "n_subjects_not_above_q": (_set(("model", "n_subjects"), 3),
+                                   "n_subjects"),
+        "w_negative": (_set(("model", "w"), -1), "w"),
+        "knot_not_finite": (_set(("model", "layout", 0, "boundary_knots"),
+                                 [0.0, float("inf")]), "boundary_knots"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_is_an_invalid_input_record(self, case, model_text, tmp_path,
+                                        capsys):
+        mutate, field = self.CASES[case]
+        doc = json.loads(model_text)
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["predict", "--model", path, "--s", 1, "--covariates",
+                    "x1=1", "x2=0.3", "marker=2.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidInput"
+        assert err["message"].startswith(f"{path}: ")
+        assert field in err["message"]
+
+    def test_text_that_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        assert run(["predict", "--model", path, "--s", 1, "--covariates",
+                    "x1=1", "x2=0.3", "marker=2.0"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInput"
+        assert err["message"].startswith(f"{path}: ")
+
+    def test_valid_model_reads_back_unchanged(self, model_text):
+        doc = json.loads(model_text)["model"]
+        assert DynamicModelFit.from_dict(doc).to_dict() == doc

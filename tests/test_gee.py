@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 
 from dynrmst.basis import BasisLayout, SplineSpec
 from dynrmst.errors import InvalidInput, SingularDesign
-from dynrmst.gee import (IDENTITY, LOG, DynamicModelFit, LinkSpec, fit_arrays,
+from dynrmst.gee import (IDENTITY, LOG, DynamicModelFit, LinkSpec,
+                         _landmark_blocks, _sandwich, fit_arrays,
                          fit_landmark_model, fit_super_model, sandwich_arrays,
                          sandwich_cov)
 from dynrmst.landmark import SuperDataset, build_super_dataset
@@ -146,6 +147,10 @@ class TestSandwich:
                           mode="naive_rowwise")
         assert_allclose(cl, fit.covariance, atol=0)
         assert not np.allclose(cl, nv)  # repeated subjects must matter
+        # both modes from one set of blocks and one bread
+        both = _sandwich(_landmark_blocks(data, layout), IDENTITY, fit.beta,
+                         data.n_subjects, with_rowwise=True)
+        assert np.array_equal(both[0], cl) and np.array_equal(both[1], nv)
         with pytest.raises(InvalidInput):
             sandwich_cov(data, layout, IDENTITY, fit.beta, mode="bogus")
 
@@ -224,6 +229,10 @@ class TestSuperModel:
 
         assert_allclose(fit.coefficient_path(1.3),
                         h_matrix(layout, 1.3) @ fit.beta)
+        # a path read from H(grid) is the scalar path to the bit
+        hs = h_matrix(layout, np.array(fit.grid))
+        for s_j, h_j in zip(fit.grid, hs):
+            assert np.array_equal(fit.coefficient_path(s_j), h_j @ fit.beta)
 
 
 class TestSerialization:

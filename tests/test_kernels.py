@@ -1,9 +1,74 @@
 """Numpy kernels against brute-force oracles."""
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dynrmst import _kernels
+
+
+def reference_jackknife_pseudo(times, status, s, w):
+    """The jackknife kernel as it was before it tabulated the leave-one-out
+    integrals: a full sort for the at-risk counts, a second search and one
+    masked branch per subject type.  ``_kernels.jackknife_pseudo`` must
+    equal it to the bit."""
+    t = np.ascontiguousarray(times, dtype=np.float64)
+    d = np.ascontiguousarray(status, dtype=np.int64)
+    n = t.shape[0]
+    horizon = s + w
+
+    event_mask = (d == 1) & (t < horizon)
+    ut, dk = np.unique(t[event_mask], return_counts=True)
+    n_events = ut.shape[0]
+    if n_events == 0:
+        return np.full(n, w, dtype=np.float64)
+
+    t_sorted = np.sort(t)
+    yk = n - np.searchsorted(t_sorted, ut, side="left")
+    dk = dk.astype(np.float64)
+    ykf = yk.astype(np.float64)
+
+    fk = 1.0 - dk / ykf
+    sk = np.cumprod(fk)
+
+    l_pre = ut[0] - s
+    lk = np.empty(n_events)
+    lk[:-1] = np.diff(ut)
+    lk[-1] = horizon - ut[-1]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fprime = np.where(ykf > 1.0, (ykf - 1.0 - dk) / (ykf - 1.0), 1.0)
+        g_event = np.where(ykf > 1.0, (ykf - dk) / (ykf - 1.0), 1.0)
+    ak = np.cumprod(fprime)
+
+    sl = sk * lk
+    cum_a = np.cumsum(np.concatenate(([l_pre], ak * lk)))
+    suf_sl = np.zeros(n_events + 1)
+    suf_sl[:-1] = np.cumsum(sl[::-1])[::-1]
+
+    mu = l_pre + suf_sl[0]
+
+    mu_loo = np.empty(n)
+    is_event = (d == 1) & (t < horizon)
+
+    c = np.searchsorted(ut, t[~is_event], side="right")
+    vals = cum_a[c]
+    vals[c == 0] += suf_sl[0]
+    inner = (c >= 1) & (c <= n_events - 1)
+    ci = c[inner]
+    vals[inner] += ak[ci - 1] / sk[ci - 1] * suf_sl[ci]
+    mu_loo[~is_event] = vals
+
+    m = np.searchsorted(ut, t[is_event])
+    a_prev = np.where(m > 0, ak[np.maximum(m - 1, 0)], 1.0)
+    tail = np.zeros(m.shape[0])
+    pos = sk[m] > 0.0
+    tail[pos] = suf_sl[m[pos]] / sk[m[pos]]
+    tail[~pos & (m == n_events - 1)] = lk[-1]
+    mu_loo[is_event] = cum_a[m] + a_prev * g_event[m] * tail
+
+    return n * mu - (n - 1) * mu_loo
 
 
 def brute_force_pseudo(times, status, s, w):
@@ -110,3 +175,63 @@ def test_concordance_no_usable_pairs():
     usable, score = _kernels.concordance_stats(t, np.array([1, 1, 1]),
                                                np.array([1.0, 2.0, 3.0]))
     assert usable == 0 and score == 0.0
+
+
+@st.composite
+def risk_sets(draw):
+    """(times, status, s, w) of a risk set at s.  Times sit on a lattice
+    (step 1/2, 1/3 or a random one) so ties, also between an event and a
+    censoring, are common, and they reach past s + w so events fall at and
+    beyond the horizon.  ``exhaust`` makes every subject at the last time
+    inside the window an event, so the curve reaches 0 there; ``no_events``
+    leaves no event inside the window."""
+    n = draw(st.integers(2, 30))
+    s = draw(st.sampled_from([0.0, 0.5, 1.25]))
+    step = draw(st.sampled_from([0.5, 1.0 / 3.0,
+                                 draw(st.floats(0.05, 2.0))]))
+    k = np.array(draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)))
+    t = s + k * step
+    d = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                 dtype=np.int64)
+    w = step * draw(st.integers(1, 14))
+    mode = draw(st.sampled_from(["free", "exhaust", "no_events"]))
+    if mode == "exhaust":
+        w = max(w, t.max() - s + step)
+        d[t == t.max()] = 1
+    elif mode == "no_events":
+        d[t < s + w] = 0
+    return t, d, s, w
+
+
+# a tie of an event with a censoring; events at and after the horizon; the
+# whole risk set dying at the last event time; no event at all
+JACKKNIFE_EXAMPLES = [
+    (np.array([1.5, 1.5, 2.0, 3.0]), np.array([1, 0, 1, 0]), 1.0, 2.0),
+    (np.array([1.5, 3.0, 4.0, 2.0]), np.array([1, 1, 1, 0]), 1.0, 2.0),
+    (np.array([1.5, 2.0, 2.5, 2.5]), np.array([0, 1, 1, 1]), 1.0, 4.0),
+    (np.array([1.5, 2.0, 3.5]), np.array([0, 0, 1]), 1.0, 1.0),
+]
+
+
+def _with_examples(test):
+    for case in JACKKNIFE_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@_with_examples
+@given(risk_sets())
+def test_jackknife_is_the_reference_kernel_bitwise(case):
+    t, d, s, w = case
+    assert np.array_equal(_kernels.jackknife_pseudo(t, d, s, w),
+                          reference_jackknife_pseudo(t, d, s, w))
+
+
+@settings(max_examples=150, deadline=None)
+@_with_examples
+@given(risk_sets())
+def test_jackknife_is_a_leave_one_out_refit(case):
+    t, d, s, w = case
+    assert_allclose(_kernels.jackknife_pseudo(t, d, s, w),
+                    brute_force_pseudo(t, d, s, w), rtol=0, atol=1e-9)

@@ -8,6 +8,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from types import SimpleNamespace
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
@@ -15,6 +17,7 @@ from scipy import integrate, stats
 from dynrmst import _blas, sim
 from dynrmst.basis import BasisLayout, SplineSpec
 from dynrmst.errors import InvalidInput
+from dynrmst.gee import IDENTITY, fit_super_model, sandwich_cov
 from dynrmst._blas import _openblas_threads, _thread_functions
 from dynrmst.sim import (_GL_NODES, _GL_WEIGHTS, JointModelSpec, JointTruth,
                          _invert_event_times, _true_crmst_arm,
@@ -123,6 +126,73 @@ class TestJointModel:
         sample = simulate_joint(replace(spec, censor_upper=a), 50_000, 9)
         frac = float(np.mean(sample.status == 0))
         assert abs(frac - 0.30) < 0.02
+
+
+def reference_hazard(truth, t):
+    """The hazard as one expression, lam t^(lam-1) exp(c0 + c1 t + c2 t t)
+    (zero at t <= 0): ``JointTruth._hazard`` must equal it to the bit."""
+    positive = t > 0
+    base = truth.lam * np.where(positive, t, 1.0) ** (truth.lam - 1.0)
+    return np.where(positive, base, 0.0) * np.exp(
+        truth.c0[:, None] + truth.c1[:, None] * t
+        + truth.c2[:, None] * t * t)
+
+
+def reference_cum_increments(truth, left, right):
+    """``JointTruth._cum_increments`` on ``reference_hazard``."""
+    mid = (left + right) / 2.0
+    half = (right - left) / 2.0
+    flat = left.shape[:-1] + (-1,)
+    t = (mid[..., None] + half[..., None] * _GL_NODES).reshape(flat)
+    wt = (half[..., None] * _GL_WEIGHTS).reshape(flat)
+    hv = reference_hazard(truth, t) * wt
+    return hv.reshape(truth.c0.size, left.shape[-1], _GL_NODES.size).sum(axis=2)
+
+
+@st.composite
+def hazard_cases(draw):
+    """A JointTruth with random coefficients (every c2 zero, or mixed) and
+    times shared by all subjects, shape (m,), or per subject, shape (n, m),
+    some of them <= 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    c2 = rng.normal(0.0, 0.1, n)
+    if draw(st.booleans()):
+        c2[:] = 0.0
+    else:
+        c2[rng.random(n) < 0.3] = 0.0
+    truth = JointTruth(lam=draw(st.sampled_from([0.5, 1.0, 3.0,
+                                                  draw(st.floats(0.2, 4.0))])),
+                       c0=rng.normal(-4.0, 2.0, n), c1=rng.normal(0.0, 0.3, n),
+                       c2=c2)
+    shape = (m,) if draw(st.booleans()) else (n, m)
+    t = rng.uniform(-2.0, 12.0, shape)
+    t[rng.random(shape) < 0.1] = 0.0
+    return truth, t
+
+
+class TestHazardOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(hazard_cases())
+    def test_hazard_and_increments_are_the_reference_bitwise(self, case):
+        truth, t = case
+        assert np.array_equal(truth._hazard(t), reference_hazard(truth, t))
+        left = np.sort(np.abs(t), axis=-1)
+        right = left + np.abs(t)
+        assert np.array_equal(truth._cum_increments(left, right),
+                              reference_cum_increments(truth, left, right))
+
+    @pytest.mark.parametrize("trajectory", ["linear", "quadratic"])
+    def test_event_times_are_the_reference_runs(self, trajectory,
+                                                 monkeypatch):
+        spec = joint_spec(trajectory, censor_upper=25.0)
+        got = simulate_joint(spec, 400, 11)
+        monkeypatch.setattr(JointTruth, "_hazard", reference_hazard)
+        monkeypatch.setattr(JointTruth, "_cum_increments",
+                            reference_cum_increments)
+        want = simulate_joint(spec, 400, 11)
+        assert np.array_equal(got.time, want.time)
+        assert np.array_equal(got.status, want.status)
 
 
 def _full_table_bracket(truth, e, edges):
@@ -415,6 +485,24 @@ class TestScenarioMc:
         assert a.n_reps == 40
         assert 0.0 <= a.coverage <= 1.0
         assert a.truth == true_crmstd(spec, 5.0, 5.0, method="closed_form")
+
+
+class TestCoefficientReplicate:
+    def test_covariances_are_the_fit_and_rowwise_sandwich_bitwise(self):
+        spec, grid, w = joint_spec("linear"), (0.0, 1.0, 2.0, 3.0), 5.0
+        sp = SplineSpec((1.5,), (0.0, 3.0), standardization_scale=3.0)
+        layout = BasisLayout((sp, None, sp, sp))
+        beta, var_cl, var_nv = sim._coefficient_rep(
+            spec, grid, w, layout, 300, np.random.default_rng(4))
+        data = sim._joint_dataset(
+            simulate_joint(spec, 300, np.random.default_rng(4)).columns(),
+            grid, w)
+        fit = fit_super_model(data, layout)
+        rowwise = sandwich_cov(data, layout, IDENTITY, fit.beta,
+                               mode="naive_rowwise")
+        assert np.array_equal(beta, fit.beta)
+        assert np.array_equal(var_cl, np.diag(fit.covariance))
+        assert np.array_equal(var_nv, np.diag(rowwise))
 
 
 class TestPredictionExperiment:
