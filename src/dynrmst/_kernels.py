@@ -10,14 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def jackknife_pseudo(times, status, s, w):
+def jackknife_pseudo(times, status, s, w, starts=None):
     """Leave-one-out pseudo-values of the conditional RMST over [s, s+w].
 
     ``times``/``status`` describe the risk set at ``s`` (every time must be
-    > s, N >= 2).  The Kaplan-Meier curve is restarted at ``s`` and, where a
-    leave-one-out curve ends before ``s + w`` with survival above zero, it
-    is carried forward at its last value.  Returns one pseudo-value per
-    input subject, in input order.
+    > s, N >= 2).  With ``starts`` they hold K such risk sets one after
+    another, risk set k beginning at offset ``starts[k]`` (``starts[0]`` is
+    0), all for the same (s, w).  The Kaplan-Meier curve is restarted at
+    ``s`` and, where a leave-one-out curve ends before ``s + w`` with
+    survival above zero, it is carried forward at its last value.  Returns
+    one pseudo-value per input subject, in input order; the values of each
+    risk set are bitwise those of a call on that risk set alone.
 
     Exactness: the result equals a brute-force refit of the Kaplan-Meier
     estimator with each subject removed, computed here in O(N log D) via
@@ -26,7 +29,14 @@ def jackknife_pseudo(times, status, s, w):
     at-risk sizes; a leave-one-out integral depends only on c and on
     whether the subject is an event inside the window, so it is tabulated
     once per distinct event time (D + 1 censored-like entries, D event
-    entries) and read with one gather.
+    entries) and read with one gather.  The tables have one row per risk
+    set and D columns, D the most distinct event times of any risk set; a
+    shorter row is padded with event times at s + w and no events.  Its
+    padded intervals have length 0.0, so its prefix and suffix sums are
+    those of the one-risk-set call, and its padded factors are 1.0, which
+    reach only entries that no subject reads.  The prefix sequences are
+    taken with ``ufunc.accumulate``, the loop behind ``np.cumsum`` and
+    ``np.cumprod`` without their wrappers' fixed cost.
     """
     t = np.ascontiguousarray(times, dtype=np.float64)
     d = np.ascontiguousarray(status, dtype=np.int64)
@@ -34,65 +44,117 @@ def jackknife_pseudo(times, status, s, w):
     horizon = s + w
 
     is_event = (d == 1) & (t < horizon)
-    ut, dk = np.unique(t[is_event], return_counts=True)
-    n_events = ut.shape[0]
-    if n_events == 0:
-        # flat curve: every leave-one-out curve is flat too
+    ev = np.sort(t[is_event])
+    if ev.shape[0] == 0:
+        # flat curves: every leave-one-out curve is flat too
         return np.full(n, w, dtype=np.float64)
+    # the distinct event times and their event counts, as np.unique gives
+    # them but without its fixed cost, which dominates on a few dozen
+    # subjects
+    bounds = np.empty(ev.shape[0] + 1, dtype=bool)
+    bounds[0] = bounds[-1] = True
+    np.not_equal(ev[1:], ev[:-1], out=bounds[1:-1])
+    first = np.flatnonzero(bounds)
+    ut = ev[first[:-1]]
+    dk = first[1:] - first[:-1]
 
-    # c[i] = number of distinct event times <= t[i]; subject i is at risk
-    # at event time k exactly when k < c[i]
+    # c[i] = number of distinct event times <= t[i] in subject i's risk
+    # set; subject i is at risk at event time k exactly when k < c[i]
     c = np.searchsorted(ut, t, side="right")
-    yk = n - np.cumsum(np.bincount(c, minlength=n_events + 1))[:n_events]
+    if starts is None:
+        n_events = ut.shape[0]
+        yk = n - np.add.accumulate(
+            np.bincount(c, minlength=n_events + 1))[:n_events]
+        ut, dk, yk = ut[None], dk[None], yk[None]
+    else:
+        k = len(starts)
+        sizes = np.diff(starts, append=n)
+        row = np.repeat(np.arange(k), sizes)
+        # the distinct event times of risk set j are the keys
+        # j * r + (rank among all r distinct event times)
+        r = ut.shape[0]
+        ukey, counts = np.unique(row[is_event] * r + (c[is_event] - 1),
+                                 return_counts=True)
+        offset = np.searchsorted(ukey, np.arange(k) * r)
+        c = np.searchsorted(ukey, row * r + c) - offset[row]
+        per_set = np.diff(offset, append=ukey.shape[0])
+        n_events = int(per_set.max())
+        key_row = ukey // r
+        cell = (key_row, np.arange(ukey.shape[0]) - offset[key_row])
+        table = np.full((k, n_events), horizon)
+        table[cell] = ut[ukey - key_row * r]
+        ut = table
+        dk = np.zeros((k, n_events), dtype=np.int64)
+        dk[cell] = counts
+        at_or_before = np.add.accumulate(np.bincount(
+            row * (n_events + 1) + c, minlength=k * (n_events + 1)
+        ).reshape(k, n_events + 1), axis=1)[:, :n_events]
+        # a padded entry has nobody at risk: count 1, so its factors are 1.0
+        yk = np.maximum(sizes[:, None] - at_or_before, 1)
     dk = dk.astype(np.float64)
     ykf = yk.astype(np.float64)
+    rows = ut.shape[0]
 
     fk = 1.0 - dk / ykf
-    sk = np.cumprod(fk)
+    sk = np.multiply.accumulate(fk, axis=1)
 
     # interval lengths: [s, t_0), [t_0, t_1), ..., [t_{D-1}, s+w]
-    l_pre = ut[0] - s
-    lk = np.empty(n_events)
-    lk[:-1] = np.diff(ut)
-    lk[-1] = horizon - ut[-1]
+    l_pre = ut[:, 0] - s
+    lk = np.empty(ut.shape)
+    np.subtract(ut[:, 1:], ut[:, :-1], out=lk[:, :-1])
+    np.subtract(horizon, ut[:, -1], out=lk[:, -1])
 
-    # adjusted factors after removing one at-risk subject
     with np.errstate(divide="ignore", invalid="ignore"):
-        fprime = np.where(ykf > 1.0, (ykf - 1.0 - dk) / (ykf - 1.0), 1.0)
-        g_event = np.where(ykf > 1.0, (ykf - dk) / (ykf - 1.0), 1.0)
-    ak = np.cumprod(fprime)
+        # adjusted factors after removing one at-risk subject
+        more = ykf > 1.0
+        less_one = ykf - 1.0
+        fprime = np.where(more, (less_one - dk) / less_one, 1.0)
+        g_event = np.where(more, (ykf - dk) / less_one, 1.0)
+        ak = np.multiply.accumulate(fprime, axis=1)
 
-    sl = sk * lk
-    # cum_a[m] = l_pre + sum_{j<m} a_j * l_j   (m = 0..D)
-    cum_a = np.cumsum(np.concatenate(([l_pre], ak * lk)))
-    # suf_sl[m] = sum_{j>=m} s_j * l_j         (m = 0..D)
-    suf_sl = np.zeros(n_events + 1)
-    suf_sl[:-1] = np.cumsum(sl[::-1])[::-1]
+        sl = sk * lk
+        # cum_a[m] = l_pre + sum_{j<m} a_j * l_j   (m = 0..D)
+        cum_a = np.empty((rows, n_events + 1))
+        cum_a[:, 0] = l_pre
+        np.multiply(ak, lk, out=cum_a[:, 1:])
+        cum_a = np.add.accumulate(cum_a, axis=1)
+        # suf_sl[m] = sum_{j>=m} s_j * l_j         (m = 0..D)
+        suf_sl = np.zeros((rows, n_events + 1))
+        suf_sl[:, :-1] = np.add.accumulate(sl[:, ::-1], axis=1)[:, ::-1]
 
-    mu = l_pre + suf_sl[0]
+        mu = l_pre + suf_sl[:, 0]
 
-    # leave-one-out integrals: entry c of the first D + 1 is a censored-like
-    # subject (censored, or event at/after the horizon) with count c, entry
-    # D + c an event subject at the (c-1)-th distinct event time
-    loo = np.empty(2 * n_events + 1)
-    # every event time <= Y_i gets the at-risk adjustment; c == 0: not at
-    # risk at any event time, curve unchanged; c == D: no curve after Y_i
-    loo[:n_events + 1] = cum_a
-    loo[0] += suf_sl[0]
-    loo[1:n_events] += ak[:-1] / sk[:-1] * suf_sl[1:n_events]
+        # leave-one-out integrals: entry c of the first D + 1 is a
+        # censored-like subject (censored, or event at/after the horizon)
+        # with count c, entry D + c an event subject at the (c-1)-th
+        # distinct event time
+        loo = np.empty((rows, 2 * n_events + 1))
+        # every event time <= Y_i gets the at-risk adjustment; c == 0: not
+        # at risk at any event time, curve unchanged; c == D: no curve
+        # after Y_i.  In a padded row entry c = D_k gains 0.0 (suf_sl is 0
+        # from D_k on), or NaN where S reaches 0 at its last event time; no
+        # subject reads it then, as every subject at risk there is an event
+        loo[:, :n_events + 1] = cum_a
+        loo[:, 0] += suf_sl[:, 0]
+        loo[:, 1:n_events] += ak[:, :-1] / sk[:, :-1] * suf_sl[:, 1:n_events]
 
-    # sk[m] == 0 can only happen at the last event time (risk set exhausted);
-    # there the remaining curve covers just the final interval
-    a_prev = np.concatenate(([1.0], ak[:-1]))
-    tail = np.zeros(n_events)
-    pos = sk > 0.0
-    tail[pos] = suf_sl[:-1][pos] / sk[pos]
-    if not pos[-1]:
-        tail[-1] = lk[-1]
-    loo[n_events + 1:] = cum_a[:-1] + a_prev * g_event * tail
+        # sk[m] == 0 can only happen at the last event time (risk set
+        # exhausted); there the remaining curve covers just the final
+        # interval
+        tail = np.where(sk > 0.0, suf_sl[:, :-1] / sk, lk)
+        a_prev = np.empty(ut.shape)
+        a_prev[:, 0] = 1.0
+        a_prev[:, 1:] = ak[:, :-1]
+        loo[:, n_events + 1:] = cum_a[:, :-1] + a_prev * g_event * tail
 
-    mu_loo = loo[c + n_events * is_event]
-    return n * mu - (n - 1) * mu_loo
+    at = c + n_events * is_event
+    if starts is None:
+        return n * mu[0] - (n - 1) * loo[0][at]
+    n_row = sizes[row]
+    out = n_row * mu[row] - (n_row - 1) * loo[row, at]
+    # a risk set with no event inside the window has a flat curve
+    out[per_set[row] == 0] = w
+    return out
 
 
 def concordance_stats(times, status, preds):

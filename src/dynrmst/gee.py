@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -203,17 +204,26 @@ def _is_integer(value):
     return type(value) is int
 
 
+def _holds_bool(value, ndim):
+    """Whether ``value``, JSON lists nested ``ndim`` deep, holds a boolean."""
+    for _ in range(ndim - 1):
+        value = chain.from_iterable(value)
+    return bool in map(type, value)
+
+
 def _finite_array(value, name, shape):
     """``value`` (nested JSON lists of numbers) as a float array of
     ``shape`` (None: any length on that axis), every entry finite;
-    InvalidInput naming ``name`` otherwise."""
+    InvalidInput naming ``name`` otherwise.  A boolean is not a number,
+    also where numpy would read true beside a float as 1.0."""
     try:
         arr = np.array(value)
     except ValueError:  # ragged nesting
         arr = None
     if (arr is None or arr.dtype.kind not in "iuf"
             or arr.ndim != len(shape)
-            or any(k not in (None, m) for m, k in zip(arr.shape, shape))):
+            or any(k not in (None, m) for m, k in zip(arr.shape, shape))
+            or _holds_bool(value, arr.ndim)):
         want = "a list" if shape == (None,) else f"an array of shape {shape}"
         raise InvalidInput(f"model {name} must be {want} of numbers")
     arr = arr.astype(float)

@@ -29,12 +29,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import integrate, optimize, special
 
+from . import _kernels
 from ._blas import _one_blas_thread, _one_blas_thread_in_worker
 from .errors import InvalidInput, NoConvergence
 from .evaluate import evaluate_on_validation
 from .gee import IDENTITY, _sandwich, _solve_super, fit_super_model
 from .landmark import LongitudinalRecord, MarkerTable, build_super_dataset
-from .surv import SurvivalData, SurvivalRecord, crmstd_test
+from .surv import (SurvivalData, SurvivalRecord, _check_risk_set,
+                   _check_window, _difference, _jackknife_moments)
 
 __all__ = [
     "ScenarioSpec",
@@ -116,6 +118,11 @@ class ScenarioSpec:
         for bound in (self.censor_a, self.censor_b):
             if bound is not None and bound <= 0:
                 raise InvalidInput("censoring bounds must be positive")
+        # each arm's (breaks, rates, cumulative hazard at the breaks), which
+        # every inverse-transform draw reads
+        object.__setattr__(self, "_arm_tables", tuple(
+            (b, r, _pw_cum_at_breaks(b, r))
+            for b, r in map(self.arm_hazard, (0, 1))))
 
     @property
     def control_rate(self):
@@ -136,9 +143,9 @@ def _pw_cum_at_breaks(breaks, rates):
     return np.concatenate(([0.0], np.cumsum(rates[:-1] * gaps)))
 
 
-def _pw_invert(breaks, rates, e):
-    """t with cumulative hazard(t) = e, for piecewise-constant rates."""
-    cum = _pw_cum_at_breaks(breaks, rates)
+def _pw_invert(breaks, rates, cum, e):
+    """t with cumulative hazard(t) = e, for piecewise-constant rates with
+    cumulative hazard ``cum`` at the breaks."""
     j = np.searchsorted(cum, e, side="right") - 1
     return breaks[j] + (e - cum[j]) / rates[j]
 
@@ -196,27 +203,37 @@ def scenario_spec(number, n_per_arm, censor_target=0.0, control_median=10.0):
     return spec
 
 
-def _draw_arms(spec, rng):
-    """(time, status) arrays of the control arm, then the treatment arm."""
+def _draw_arms(spec, rngs):
+    """(time, status) arrays of the control arm, then the treatment arm,
+    with one row of ``n_per_arm`` subjects per generator.  Each generator
+    draws its control arm's event times and censoring times, then its
+    treatment arm's; the draws are then transformed all at once."""
+    bounds = (spec.censor_a, spec.censor_b)
+    n = spec.n_per_arm
+    e = np.empty((2, len(rngs), n))
+    c = np.empty_like(e)
+    for row, rng in enumerate(rngs):
+        for arm, bound in enumerate(bounds):
+            e[arm, row] = rng.exponential(size=n)
+            if bound is not None:
+                c[arm, row] = rng.uniform(0.0, bound, size=n)
     arms = []
-    for arm, bound in ((0, spec.censor_a), (1, spec.censor_b)):
-        breaks, rates = spec.arm_hazard(arm)
-        t = _pw_invert(breaks, rates, rng.exponential(size=spec.n_per_arm))
+    for arm, (table, bound) in enumerate(zip(spec._arm_tables, bounds)):
+        t = _pw_invert(*table, e[arm])
         if bound is None:
-            arms.append((t, np.ones(spec.n_per_arm, dtype=np.int64)))
+            arms.append((t, np.ones(t.shape, dtype=np.int64)))
         else:
-            c = rng.uniform(0.0, bound, size=spec.n_per_arm)
-            arms.append((np.minimum(t, c), (t < c).astype(np.int64)))
+            arms.append((np.minimum(t, c[arm]), (t < c[arm]).astype(np.int64)))
     return arms
 
 
 def simulate_scenario(spec, seed):
     """One dataset: (control records, treatment records), ids 'c<i>'/'t<i>'."""
     out = []
-    for arm, (y, d) in enumerate(_draw_arms(spec, _rng_of(seed))):
+    for arm, (y, d) in enumerate(_draw_arms(spec, [_rng_of(seed)])):
         out.append([
-            SurvivalRecord(id=f"{'ct'[arm]}{i:06d}", time=float(y[i]),
-                           status=int(d[i]), group=arm)
+            SurvivalRecord(id=f"{'ct'[arm]}{i:06d}", time=float(y[0, i]),
+                           status=int(d[0, i]), group=arm)
             for i in range(spec.n_per_arm)
         ])
     return out[0], out[1]
@@ -243,9 +260,8 @@ def true_crmstd(spec, s, w, method="monte_carlo", n_draws=1_000_000, seed=0):
         raise InvalidInput(f"unknown method {method!r}")
     rng = _rng_of(seed)
     mus = []
-    for arm in (0, 1):
-        breaks, rates = spec.arm_hazard(arm)
-        t = _pw_invert(breaks, rates, rng.exponential(size=int(n_draws)))
+    for table in spec._arm_tables:
+        t = _pw_invert(*table, rng.exponential(size=int(n_draws)))
         alive = t > s
         mus.append(float(np.mean(np.minimum(t[alive] - s, w))))
     return mus[1] - mus[0]
@@ -758,14 +774,23 @@ def mc_metrics(estimates, variances, truth, alpha=0.05):
 
 def _replicate_chunk(payload):
     fn, args, seed, lo, hi = payload
-    return [fn(*args, _rep_rng(seed, rep)) for rep in range(lo, hi)]
+    return fn(*args, [_rep_rng(seed, rep) for rep in range(lo, hi)])
+
+
+def _each_stream(rep, *args):
+    """Chunk function running ``rep(*args[:-1], rng)`` for each stream of
+    the chunk, ``args[-1]``, one replicate at a time."""
+    *args, rngs = args
+    return [rep(*args, rng) for rng in rngs]
 
 
 def _replicate(fn, args, reps, seed, workers=1):
-    """Run ``fn(*args, rng)`` once per replicate on the replicate's own
-    stream, in chunks over ``workers`` processes; returns one array per
-    output of ``fn``, stacked in replicate order.  BLAS runs on one thread,
-    pinned here, before any worker starts."""
+    """Run the replicates in chunks over ``workers`` processes, one call
+    ``fn(*args, rngs)`` per chunk: ``rngs`` holds the chunk's replicate
+    streams in replicate order, and ``fn`` returns a list with one output
+    per stream.  Returns one array per element of an output, stacked in
+    replicate order.  BLAS runs on one thread, pinned here, before any
+    worker starts."""
     size = max(1, -(-reps // max(1, workers * 4)))
     payloads = [(fn, args, seed, lo, min(lo + size, reps))
                 for lo in range(0, reps, size)]
@@ -781,20 +806,41 @@ def _replicate(fn, args, reps, seed, workers=1):
     return tuple(np.array(col) for col in zip(*outputs))
 
 
-def _scenario_rep(spec, s, w, rng):
-    # each arm's columns in draw order, the id order of simulate_scenario
-    arms = [SurvivalData(np.arange(y.size), y, d)
-            for y, d in _draw_arms(spec, rng)]
-    res = crmstd_test(*arms, s, w, extend_tail=True)
-    return res.delta, res.se**2
+def _scenario_chunk(spec, s, w, rngs):
+    """(delta, se**2) of the cRMSTd test with carried-forward tails, for
+    each stream's replicate.  Each replicate's arms are drawn from its own
+    stream; the risk sets of all the arms go through one jackknife call,
+    and each arm's mean and variance are taken over its own slice, so each
+    pair is bitwise what ``crmstd_test`` gives on that replicate's arms.
+    Raises ``EmptyRiskSet`` at the first arm, in replicate order, with
+    fewer than two subjects at risk."""
+    _check_window(s, w)
+    (y0, d0), (y1, d1) = _draw_arms(spec, rngs)
+    # one row per arm, in replicate order: control, treatment, control, ...
+    y = np.stack((y0, y1), axis=1).reshape(-1, spec.n_per_arm)
+    d = np.stack((d0, d1), axis=1).reshape(-1, spec.n_per_arm)
+    at_risk = y > s
+    sizes = at_risk.sum(axis=1).tolist()
+    for size in sizes:
+        _check_risk_set(size, s)
+    starts = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    pv = _kernels.jackknife_pseudo(y[at_risk], d[at_risk], float(s),
+                                   float(w), starts[:-1])
+    moments = [_jackknife_moments(pv[lo:hi])
+               for lo, hi in zip(starts[:-1], starts[1:])]
+    out = []
+    for control, treated in zip(moments[::2], moments[1::2]):
+        delta, se = _difference(*control, *treated)
+        out.append((delta, se**2))
+    return out
 
 
 def scenario_mc(spec, s, w, reps, seed, alpha=0.05, workers=1):
     """Replicated cRMSTd tests on one design; truth from the closed form."""
     _check_alpha(alpha)
     _check_runs(reps, workers, 2)
-    deltas, variances = _replicate(_scenario_rep, (spec, s, w), reps, seed,
-                                   workers)
+    deltas, variances = _replicate(_scenario_chunk, (spec, s, w), reps,
+                                   seed, workers)
     truth = true_crmstd(spec, s, w, method="closed_form")
     return mc_metrics(deltas, variances, truth, alpha=alpha)
 
@@ -848,8 +894,8 @@ def coefficient_mc(spec, grid, w, layout, n_subjects=500, reps=1000,
             _joint_dataset(population.columns(), grid, w), layout)[1]
 
     betas, var_cl, var_nv = _replicate(
-        _coefficient_rep, (spec, grid, w, layout, n_subjects), reps, seed,
-        workers)
+        _each_stream, (_coefficient_rep, spec, grid, w, layout, n_subjects),
+        reps, seed, workers)
 
     clustered = tuple(mc_metrics(betas[:, j], var_cl[:, j], beta_true[j], alpha)
                       for j in range(layout.q))
@@ -894,8 +940,8 @@ def prediction_experiment(spec, grid, w, layout, n_train=500, n_val=300,
     _check_runs(reps, workers, 1)
     grid = tuple(float(s) for s in grid)
     c_dyn, c_stat, pe_dyn, pe_stat = _replicate(
-        _prediction_rep, (spec, grid, w, layout, n_train, n_val), reps, seed,
-        workers)
+        _each_stream, (_prediction_rep, spec, grid, w, layout, n_train, n_val),
+        reps, seed, workers)
     return tuple(PredictionRow(
         landmark=s_j,
         c_index_dynamic=float(np.nanmean(c_dyn[:, j])),

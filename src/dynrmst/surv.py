@@ -265,8 +265,7 @@ def risk_set_pseudo(time, status, s, w, extend_tail=False):
     _check_window(s, w)
     at_risk = time > s
     t, d = time[at_risk], status[at_risk]
-    if t.size < 2:
-        raise EmptyRiskSet(f"risk set at s={s} has {t.size} subject(s)")
+    _check_risk_set(t.size, s)
     # tail policy is enforced on the full risk-set curve, whose survival
     # reaches 0 exactly when every subject at the last time is an event;
     # leave-one-out curves are always carried forward at their last value
@@ -279,6 +278,12 @@ def risk_set_pseudo(time, status, s, w, extend_tail=False):
     return at_risk, _kernels.jackknife_pseudo(t, d, float(s), float(w))
 
 
+def _check_risk_set(size, s):
+    """EmptyRiskSet unless the risk set at s has at least two subjects."""
+    if size < 2:
+        raise EmptyRiskSet(f"risk set at s={s} has {size} subject(s)")
+
+
 def crmst_pseudo(records, s, w, extend_tail=False):
     """Pseudo-observation estimator: mean of the pseudo-values, with the
     jackknife variance sum (mu_i - mu)^2 / (N_s (N_s - 1))."""
@@ -288,10 +293,21 @@ def crmst_pseudo(records, s, w, extend_tail=False):
 
 def _estimate_from_pseudo(pset):
     v = pset.values()
+    mu, var = _jackknife_moments(v)
+    return CRmstEstimate(s=pset.s, w=pset.w, value=mu, variance=var,
+                         n_at_risk=v.size)
+
+
+def _jackknife_moments(v):
+    """(mean, jackknife variance of the mean) of the pseudo-values ``v``."""
     n = v.size
     mu = float(np.sum(v) / n)
-    var = float(np.sum((v - mu) ** 2) / (n * (n - 1)))
-    return CRmstEstimate(s=pset.s, w=pset.w, value=mu, variance=var, n_at_risk=n)
+    return mu, float(np.sum((v - mu) ** 2) / (n * (n - 1)))
+
+
+def _difference(mu0, var0, mu1, var1):
+    """(mu1 - mu0, its standard error) from two independent estimates."""
+    return mu1 - mu0, float(np.sqrt(var0 + var1))
 
 
 def crmstd_test(group0, group1, s, w, alpha=0.05, extend_tail=False):
@@ -300,8 +316,8 @@ def crmstd_test(group0, group1, s, w, alpha=0.05, extend_tail=False):
         raise InvalidInput("alpha must be in (0, 1)")
     est0 = crmst_pseudo(group0, s, w, extend_tail=extend_tail)
     est1 = crmst_pseudo(group1, s, w, extend_tail=extend_tail)
-    delta = est1.value - est0.value
-    se = float(np.sqrt(est0.variance + est1.variance))
+    delta, se = _difference(est0.value, est0.variance, est1.value,
+                            est1.variance)
     if se == 0.0:
         z = 0.0 if delta == 0.0 else float(np.sign(delta)) * np.inf
     else:

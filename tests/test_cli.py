@@ -399,7 +399,7 @@ class TestMcCommand:
         def replicate(*args):
             raise AssertionError("a replicate ran")
 
-        monkeypatch.setattr(sim, "_scenario_rep", replicate)
+        monkeypatch.setattr(sim, "_scenario_chunk", replicate)
         argv = {"--scenario": 1, "--n": 60, "--s": 2, "--w": 5, "--reps": 30,
                 option: value}
         assert run(["mc", *(x for kv in argv.items() for x in kv)]) == 1
@@ -470,6 +470,12 @@ def _nan_beta(doc):
     doc["model"]["beta"][1] = float("nan")
 
 
+def _boolean_beta(doc):
+    # np.array([True, 0.5]) is a float array, so only a per-entry check
+    # tells the boolean from the number 1.0
+    doc["model"]["beta"][0] = True
+
+
 class TestMalformedModel:
     """``predict`` on a valid artifact with one field changed ends in an
     InvalidInput record that names the file and the field."""
@@ -480,6 +486,7 @@ class TestMalformedModel:
         "beta_one_short": (_short_beta, "beta"),
         "beta_a_string": (_set(("model", "beta"), "1.0"), "beta"),
         "beta_nan": (_nan_beta, "beta"),
+        "beta_holds_a_boolean": (_boolean_beta, "beta"),
         "covariance_not_square": (_set(("model", "covariance"), [[1.0]]),
                                   "covariance"),
         "grid_empty": (_set(("model", "grid"), []), "grid"),

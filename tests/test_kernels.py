@@ -178,29 +178,52 @@ def test_concordance_no_usable_pairs():
 
 
 @st.composite
-def risk_sets(draw):
+def risk_sets(draw, window=None):
     """(times, status, s, w) of a risk set at s.  Times sit on a lattice
     (step 1/2, 1/3 or a random one) so ties, also between an event and a
     censoring, are common, and they reach past s + w so events fall at and
     beyond the horizon.  ``exhaust`` makes every subject at the last time
     inside the window an event, so the curve reaches 0 there; ``no_events``
-    leaves no event inside the window."""
+    leaves no event inside the window.  ``window`` = (s, step, w), with w a
+    multiple of step and at least 2 steps, fixes the window and lattice, so
+    that several risk sets share one (s, w); ``exhaust`` then keeps every
+    time inside the window instead of widening it."""
     n = draw(st.integers(2, 30))
-    s = draw(st.sampled_from([0.0, 0.5, 1.25]))
-    step = draw(st.sampled_from([0.5, 1.0 / 3.0,
-                                 draw(st.floats(0.05, 2.0))]))
+    if window is None:
+        s = draw(st.sampled_from([0.0, 0.5, 1.25]))
+        step = draw(st.sampled_from([0.5, 1.0 / 3.0,
+                                     draw(st.floats(0.05, 2.0))]))
+    else:
+        s, step, w = window
     k = np.array(draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)))
     t = s + k * step
     d = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
                  dtype=np.int64)
-    w = step * draw(st.integers(1, 14))
+    if window is None:
+        w = step * draw(st.integers(1, 14))
     mode = draw(st.sampled_from(["free", "exhaust", "no_events"]))
     if mode == "exhaust":
-        w = max(w, t.max() - s + step)
+        if window is None:
+            w = max(w, t.max() - s + step)
+        else:
+            t = s + np.minimum(k, round(w / step) - 1) * step
         d[t == t.max()] = 1
     elif mode == "no_events":
         d[t < s + w] = 0
     return t, d, s, w
+
+
+@st.composite
+def shared_window_risk_sets(draw):
+    """([(times, status), ...], s, w): 1 to 6 ``risk_sets`` cases on one
+    (s, w), some of them cut to two subjects."""
+    s = draw(st.sampled_from([0.0, 0.5, 1.25]))
+    step = draw(st.sampled_from([0.5, 1.0 / 3.0, draw(st.floats(0.05, 2.0))]))
+    w = step * draw(st.integers(2, 14))
+    case = risk_sets((s, step, w))
+    pair = case.map(lambda c: (c[0][:2], c[1][:2]))
+    cases = draw(st.lists(st.one_of(case, pair), min_size=1, max_size=6))
+    return [c[:2] for c in cases], s, w
 
 
 # a tie of an event with a censoring; events at and after the horizon; the
@@ -235,3 +258,17 @@ def test_jackknife_is_a_leave_one_out_refit(case):
     t, d, s, w = case
     assert_allclose(_kernels.jackknife_pseudo(t, d, s, w),
                     brute_force_pseudo(t, d, s, w), rtol=0, atol=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@example(([c[:2] for c in JACKKNIFE_EXAMPLES], 1.0, 2.0))
+@given(shared_window_risk_sets())
+def test_risk_sets_in_one_call_are_each_alone_bitwise(case):
+    sets, s, w = case
+    times = np.concatenate([t for t, _ in sets])
+    status = np.concatenate([d for _, d in sets])
+    starts = np.cumsum([0] + [t.size for t, _ in sets[:-1]])
+    want = np.concatenate([reference_jackknife_pseudo(t, d, s, w)
+                           for t, d in sets])
+    assert np.array_equal(
+        _kernels.jackknife_pseudo(times, status, s, w, starts), want)

@@ -16,8 +16,9 @@ from scipy import integrate, stats
 
 from dynrmst import _blas, sim
 from dynrmst.basis import BasisLayout, SplineSpec
-from dynrmst.errors import InvalidInput
+from dynrmst.errors import EmptyRiskSet, InvalidInput
 from dynrmst.gee import IDENTITY, fit_super_model, sandwich_cov
+from dynrmst.surv import SurvivalData, crmstd_test
 from dynrmst._blas import _openblas_threads, _thread_functions
 from dynrmst.sim import (_GL_NODES, _GL_WEIGHTS, JointModelSpec, JointTruth,
                          _invert_event_times, _true_crmst_arm,
@@ -487,6 +488,83 @@ class TestScenarioMc:
         assert a.truth == true_crmstd(spec, 5.0, 5.0, method="closed_form")
 
 
+def reference_draw_arms(spec, rng):
+    """One replicate's arms drawn and transformed one arm at a time, as
+    before the draws of a chunk were transformed together."""
+    arms = []
+    for arm, bound in ((0, spec.censor_a), (1, spec.censor_b)):
+        breaks, rates = spec.arm_hazard(arm)
+        cum = sim._pw_cum_at_breaks(breaks, rates)
+        t = sim._pw_invert(breaks, rates, cum,
+                           rng.exponential(size=spec.n_per_arm))
+        if bound is None:
+            arms.append((t, np.ones(spec.n_per_arm, dtype=np.int64)))
+        else:
+            c = rng.uniform(0.0, bound, size=spec.n_per_arm)
+            arms.append((np.minimum(t, c), (t < c).astype(np.int64)))
+    return arms
+
+
+def reference_scenario_rep(spec, s, w, rng):
+    """One scenario replicate scored as before replicates were scored a
+    chunk at a time: its two arms through ``crmstd_test``.
+    ``sim._scenario_chunk`` must give the same (delta, se**2) to the bit."""
+    # each arm's columns in draw order, the id order of simulate_scenario
+    arms = [SurvivalData(np.arange(y.size), y, d)
+            for y, d in reference_draw_arms(spec, rng)]
+    res = crmstd_test(*arms, s, w, extend_tail=True)
+    return res.delta, res.se**2
+
+
+def _streams(seed, reps):
+    return [sim._rep_rng(seed, rep) for rep in range(reps)]
+
+
+class TestScenarioChunk:
+    def assert_is_the_reference(self, spec, s, w, seed, reps):
+        want = [reference_scenario_rep(spec, s, w, rng)
+                for rng in _streams(seed, reps)]
+        got = sim._scenario_chunk(spec, s, w, _streams(seed, reps))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("number", [1, 2, 3, 4])
+    @pytest.mark.parametrize("censor_target", [0.0, 0.3])
+    def test_scenarios_are_crmstd_test_bitwise(self, number, censor_target):
+        for n, s in ((10, 0.0), (60, 5.0), (200, 2.0)):
+            spec = scenario_spec(number, n, censor_target=censor_target)
+            self.assert_is_the_reference(spec, s, 5.0, seed=number + n,
+                                         reps=25)
+
+    def test_arm_with_no_event_in_the_window(self):
+        # the treated arm's hazard is so small that it has no event in
+        # (1, 2]: its pseudo-values are all w and its variance 0
+        spec = sim.ScenarioSpec(control_median=2.0, hr_pieces=((0.0, 1e-9),),
+                                censor_a=None, censor_b=3.0, n_per_arm=15)
+        _, (y, d) = sim._draw_arms(spec, _streams(5, 10))
+        assert not np.any((d == 1) & (y > 1.0) & (y <= 2.0))
+        self.assert_is_the_reference(spec, 1.0, 1.0, seed=5, reps=10)
+
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_empty_risk_set_is_raised_at_the_first_replicate(self, seed):
+        # with 4 subjects per arm about one replicate in six has an arm with
+        # fewer than two at risk at s = 5; in these streams the first such
+        # arm has 1 subject and a later one 0 (seed 2), or the other way
+        # round (seed 4), so the message tells which replicate raised
+        spec = scenario_spec(1, 4)
+        for lo in range(0, 12, 3):
+            with pytest.raises(EmptyRiskSet) as want:
+                for rng in _streams(seed, 30)[lo:]:
+                    reference_scenario_rep(spec, 5.0, 5.0, rng)
+            with pytest.raises(EmptyRiskSet) as got:
+                sim._scenario_chunk(spec, 5.0, 5.0, _streams(seed, 30)[lo:])
+            assert str(got.value) == str(want.value)
+
+    def test_invalid_window_is_rejected(self):
+        with pytest.raises(InvalidInput, match="window"):
+            sim._scenario_chunk(scenario_spec(1, 10), 1.0, 0.0,
+                                _streams(0, 2))
+
+
 class TestCoefficientReplicate:
     def test_covariances_are_the_fit_and_rowwise_sandwich_bitwise(self):
         spec, grid, w = joint_spec("linear"), (0.0, 1.0, 2.0, 3.0), 5.0
@@ -527,8 +605,8 @@ class TestPredictionExperiment:
                 BasisLayout((sp,) * 4))
         rows = prediction_experiment(*args, n_train=300, n_val=3, reps=8,
                                      seed=3)
-        _, _, pe_dyn, pe_stat = sim._replicate(sim._prediction_rep,
-                                               (*args, 300, 3), 8, 3)
+        _, _, pe_dyn, pe_stat = sim._replicate(
+            sim._each_stream, (sim._prediction_rep, *args, 300, 3), 8, 3)
         # some replicate has fewer than two validation subjects at s = 4
         assert np.isnan(pe_dyn[:, 2]).any() and np.isnan(pe_stat[:, 2]).any()
         for j, row in enumerate(rows):
@@ -537,19 +615,21 @@ class TestPredictionExperiment:
             assert np.isfinite([row.pe_dynamic, row.pe_static]).all()
 
 
-def _blas_threads_rep(spec, s, w, rng):
-    """A scenario replicate that reports the BLAS thread count it ran with."""
-    return float(_openblas_threads()[0]()), 1.0
+def _blas_threads_chunk(spec, s, w, rngs):
+    """Scenario replicates that report the BLAS thread count they ran
+    with."""
+    return [(float(_openblas_threads()[0]()), 1.0)] * len(rngs)
 
 
 def _failing_rep(*args):
     raise RuntimeError("replicate failed")
 
 
-def _thread_counts(rng):
-    """The OpenBLAS and OS thread counts of the process running a
-    replicate."""
-    return _openblas_threads()[0](), len(os.listdir("/proc/self/task"))
+def _thread_counts(rngs):
+    """The OpenBLAS and OS thread counts of the process running a chunk of
+    replicates, once per replicate."""
+    counts = _openblas_threads()[0](), len(os.listdir("/proc/self/task"))
+    return [counts] * len(rngs)
 
 
 def _must_not_run(*args):
@@ -559,7 +639,7 @@ def _must_not_run(*args):
 class TestHarnessArguments:
     @pytest.fixture(autouse=True)
     def no_replicates(self, monkeypatch):
-        for name in ("_scenario_rep", "_coefficient_rep", "_prediction_rep",
+        for name in ("_scenario_chunk", "_coefficient_rep", "_prediction_rep",
                      "simulate_joint"):
             monkeypatch.setattr(sim, name, _must_not_run)
 
@@ -588,7 +668,7 @@ class TestBlasPin:
     def test_replicates_run_on_one_thread_and_count_is_restored(
             self, blas_threads, monkeypatch):
         threads = blas_threads()
-        monkeypatch.setattr(sim, "_scenario_rep", _blas_threads_rep)
+        monkeypatch.setattr(sim, "_scenario_chunk", _blas_threads_chunk)
         for workers in (1, 2):
             rep = scenario_mc(scenario_spec(1, 10), 5.0, 5.0, reps=4, seed=0,
                               workers=workers)
@@ -635,7 +715,7 @@ class TestBlasPin:
         serial = scenario_mc(spec, 5.0, 5.0, reps=8, seed=0, workers=1)
         monkeypatch.setattr(sim, "ProcessPoolExecutor", functools.partial(
             ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
-        blas, _ = sim._replicate(_blas_threads_rep, (spec, 5.0, 5.0), 4, 0,
+        blas, _ = sim._replicate(_blas_threads_chunk, (spec, 5.0, 5.0), 4, 0,
                                  workers=2)
         assert blas.tolist() == [1.0] * 4
         assert scenario_mc(spec, 5.0, 5.0, reps=8, seed=0, workers=2) == serial
