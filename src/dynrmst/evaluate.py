@@ -20,9 +20,9 @@ from .basis import h_matrix
 from .errors import InvalidInput, OutOfRange
 from .gee import (IDENTITY, DynamicModelFit, _one_design_solver,
                   fit_landmark_model)
-from .landmark import (_columns, _covariates_at, _landmark_pseudo,
-                       build_landmark_dataset)
-from .surv import as_survival_data, risk_set_pseudo
+from .landmark import (_columns, _covariates_at, _landmark_error,
+                       _pair_starts, build_landmark_dataset)
+from .surv import _first_failing_window, as_survival_data
 
 __all__ = [
     "PredictionResult",
@@ -172,20 +172,17 @@ def static_rmst_model(survival, tau, longitudinal=None, link=IDENTITY,
     return fit_landmark_model(data, link=link)
 
 
-def _static_coefficients(surv, markers, names, taus, extend_tail):
-    """beta of the identity-link ``static_rmst_model`` at each horizon tau in
-    turn.  Every fit has the design Z*_0 = [1, Z(0)] over the subjects with
-    Y > 0 and only the pseudo-values change, so the design is read and
-    factorised once, at the first horizon; errors come in the order of one
-    ``static_rmst_model`` call per horizon."""
-    solve = None
-    for tau in taus:
-        at_0, y = _landmark_pseudo(surv, 0.0, tau, extend_tail)
-        if solve is None:
-            rows = np.flatnonzero(at_0)
-            z = _covariates_at(surv, markers, names, rows, 0.0)
-            solve = _one_design_solver(np.column_stack([np.ones(rows.size), z]))
-        yield solve(y)
+def _static_solver(surv, markers, names):
+    """(rows, y -> beta): the subjects with Y > 0 and the identity-link beta
+    of ``static_rmst_model`` on them, for any horizon's pseudo-values.
+    Every horizon's fit has the design Z*_0 = [1, Z(0)] over those subjects
+    and only the pseudo-values change, so the design is read and
+    factorised once."""
+    rows = np.flatnonzero(surv.time > 0.0)
+    z, _, missing = _covariates_at(surv, markers, names, rows, [0.0])
+    if missing is not None:
+        raise missing
+    return rows, _one_design_solver(np.column_stack([np.ones(rows.size), z]))
 
 
 def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
@@ -202,47 +199,100 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
     fewer than two validation subjects at risk gets C-index None, and PE
     None when it has no reference: fewer than two at risk for pseudo-values
     (they are undefined there), none at risk for true values.
+
+    Every landmark is built at once: Z(s_j) of the validation subjects by
+    one LOCF search, the static baselines' pseudo-values at all horizons
+    s_j + w by one jackknife call, and the validation pseudo-value
+    references by two.  Errors come in the order of one landmark at a
+    time: Z(s_j), the static fit at s_j + w (at the first landmark also
+    its time-0 design), the validation Z(0) at the first landmark, then the
+    references.
     """
     names = dynamic_fit.covariate_names
     w = dynamic_fit.w
     grid = np.asarray(dynamic_fit.grid)
+    n_lm = grid.size
     train = _columns(train_survival, train_longitudinal, names)[:2]
     val = _columns(val_survival, val_longitudinal, names)[:2]
     time, status = val[0].time, val[0].status
     kind = "pseudo_value" if truth is None else "true_value"
     # risk sets are nested, so every later landmark reads rows of the
-    # subjects at risk at the first one
+    # subjects at risk at the first one, and validation subject i is at
+    # risk at the first n_at[i] landmarks
     first = np.flatnonzero(time > grid[0])
+    n_at = np.searchsorted(grid, time, side="left")
     if truth is not None:
         # column j holds cRMST(s_j, w), column J + j RMST(s_j + w)
         table = truth.subset(first).true_crmst(
             np.concatenate((grid, np.zeros(grid.size))),
             np.concatenate((np.full(grid.size, w), grid + w)))
-    static_betas = _static_coefficients(
-        *train, names, (s_j + w for s_j in dynamic_fit.grid), extend_tail)
+    taus = [s_j + w for s_j in dynamic_fit.grid]
     hs = h_matrix(dynamic_fit.layout, grid)
+
+    # the first landmark at which each check fails (n_lm when none)
+    z_dyn, bad_z, missing = _covariates_at(*val, names,
+                                           np.arange(time.size),
+                                           dynamic_fit.grid, n_at)
+    bad_static, static_error = _first_failing_window(
+        train[0].time, train[0].status, 0.0, taus, extend_tail)
+    # pseudo-value references exist at the landmarks with two or more at risk
+    n_ref = 0
+    if truth is None:
+        n_ref = int(np.sum(np.sum(time[:, None] > grid, axis=0) > 1))
+    bad_dyn, dyn_error = _first_failing_window(time, status, grid[:n_ref], w,
+                                               extend_tail)
+    bad_ref, ref_error = _first_failing_window(time, status, 0.0,
+                                               taus[:n_ref], extend_tail)
+    if bad_dyn <= bad_ref:  # at one landmark, (s_j, w) before (0, s_j + w)
+        bad_ref, ref_error = bad_dyn, dyn_error
+    bad_ref = bad_ref if bad_ref < n_ref else n_lm
+
+    def error_at(j):
+        """The first error at landmark j, one of those found above."""
+        if bad_z == j:
+            return missing
+        if bad_static == j:
+            return _landmark_error(static_error, 0.0)
+        return ref_error
+
+    if min(bad_z, bad_static) == 0:
+        raise error_at(0)
+    train_rows, solve = _static_solver(*train, names)
+    val_z0, _, missing_0 = _covariates_at(*val, names, first, [0.0])
+    if missing_0 is not None:
+        raise missing_0
+    if min(bad_z, bad_static, bad_ref) < n_lm:
+        raise error_at(min(bad_z, bad_static, bad_ref))
+
+    val_z0 = np.column_stack([np.ones(first.size), val_z0])
+    static_pv = _kernels.jackknife_pseudo(
+        train[0].time[train_rows], train[0].status[train_rows], 0.0, taus
+    ).reshape(train_rows.size, n_lm)
+    starts = _pair_starts(n_at)
+    if n_ref:
+        ref_starts = _pair_starts(np.minimum(n_at, n_ref))
+        dyn_ref = _kernels.jackknife_pseudo(time, status, grid[:n_ref], w)
+        at_0 = time > 0.0
+        stat_ref = _kernels.jackknife_pseudo(
+            time[at_0], status[at_0], 0.0, taus[:n_ref]
+        ).reshape(-1, n_ref)
     rows_out = []
     for j, s_j in enumerate(dynamic_fit.grid):
-        tau = s_j + w
-        rows = np.flatnonzero(time > s_j)
+        rows = np.flatnonzero(n_at > j)
         at_risk = time[first] > s_j
-        dyn_pred = _path_values(dynamic_fit,
-                                _covariates_at(*val, names, rows, s_j),
+        dyn_pred = _path_values(dynamic_fit, z_dyn[starts[rows] + j],
                                 hs[j] @ dynamic_fit.beta)
-        beta = next(static_betas)
-        if j == 0:  # the rows of ``first``
-            val_z0 = np.column_stack(
-                [np.ones(rows.size), _covariates_at(*val, names, rows, 0.0)])
-        stat_pred = val_z0[at_risk] @ beta
+        # a contiguous copy of the column: BLAS may sum a strided vector in
+        # another order
+        stat_pred = val_z0[at_risk] @ solve(np.array(static_pv[:, j]))
         refs = None
         if truth is not None and rows.size:
             refs = table[at_risk, j], table[at_risk, grid.size + j]
-        elif truth is None and rows.size > 1:
-            dyn_ref = risk_set_pseudo(time, status, s_j, w, extend_tail)[1]
+        elif j < n_ref:
             # static pseudo-values cover every subject with Y > 0; keep
             # those at risk at s_j
-            at_0, pv = risk_set_pseudo(time, status, 0.0, tau, extend_tail)
-            refs = dyn_ref, pv[time[at_0] > s_j]
+            refs = (dyn_ref[ref_starts[rows] + j],
+                    stat_ref[time[at_0] > s_j, j])
         pe_dyn = pe_stat = c_dyn = c_stat = None
         if refs is not None:
             pe_dyn = prediction_error(dyn_pred, refs[0], kind=kind)

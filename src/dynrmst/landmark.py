@@ -5,9 +5,10 @@ analysis" (Scand J Stat 2007), clustered by subject.
 Input arrives as columns (``SurvivalData`` and ``MarkerTable``, as the CSV
 readers and the simulators return them) or as records, the input adapter
 for library callers, converted once.  The biomarker table is aligned with
-the survival subjects by id.  Each landmark is then one vectorized pass: the
-strict risk set ``Y > s``, one jackknife call, and biomarkers resolved by
-last observation carried forward (ties at the landmark count).
+the survival subjects by id.  The whole grid is then one vectorized pass:
+one jackknife call for the strict risk sets ``Y > s`` of every landmark,
+and per biomarker one search that resolves it by last observation carried
+forward (ties at the landmark count) at every landmark.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import EmptyRiskSet, InvalidInput, MissingCovariate
-from .surv import SurvivalData, _objects, as_survival_data, risk_set_pseudo
+from .surv import (SurvivalData, _first_failing_window, _objects,
+                   as_survival_data)
 # pseudo_observations is bound here for perfbench's instrumentation self-test
 from .surv import pseudo_observations  # noqa: F401
 
@@ -108,16 +111,39 @@ class MarkerTable:
             columns[name] = (times[take], values[take], starts)
         return MarkerTable(columns, ids)
 
-    def locf(self, name, rows, s):
-        """Last value of ``name`` at or before s for the subjects at positions
-        ``rows``; NaN for a subject without one."""
+    def locf(self, name, rows, grid, n_at=None):
+        """Last value of ``name`` at or before each landmark of ``grid``
+        (strictly increasing; a scalar is one landmark) for the subjects at
+        positions ``rows``, in (subject, landmark) order: subject rows[i] at
+        the first n_at[i] landmarks (every landmark by default); NaN where
+        it has none.  A measurement is keyed subject * (J + 1) + the first
+        landmark at or after its time, so the keys ascend with the rows,
+        and one search of the pairs' keys finds each pair's last row."""
         times, values, offsets = self.columns[name]
-        seen = np.concatenate(([0], np.cumsum(times <= s)))
-        first = offsets[rows]
-        count = seen[offsets[rows + 1]] - seen[first]
-        out = np.full(rows.size, np.nan)
-        out[count > 0] = values[(first + count - 1)[count > 0]]
+        grid = np.atleast_1d(grid)
+        n_at = np.full(rows.size, grid.size) if n_at is None else n_at
+        stride = grid.size + 1
+        subject = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+        keys = subject * stride + np.searchsorted(grid, times, side="left")
+        pair_subject = np.repeat(rows, n_at)
+        last = np.searchsorted(
+            keys, pair_subject * stride + _landmark_of_pairs(n_at),
+            side="right") - 1
+        found = last >= offsets[pair_subject]
+        out = np.full(pair_subject.size, np.nan)
+        out[found] = values[last[found]]
         return out
+
+
+def _pair_starts(n_at):
+    """Position of subject i's first (subject, landmark) pair, in that
+    order, where subject i holds the first n_at[i] landmarks."""
+    return np.add.accumulate(n_at) - n_at
+
+
+def _landmark_of_pairs(n_at):
+    """Landmark index of each (subject, landmark) pair, in that order."""
+    return np.arange(n_at.sum()) - np.repeat(_pair_starts(n_at), n_at)
 
 
 def _columns(survival, longitudinal, covariate_names=None):
@@ -166,30 +192,39 @@ class SuperDataset:
         return self.landmarks, self.pseudo_values, self.covariates, self.cluster_starts
 
 
-def _covariates_at(surv, markers, names, rows, s):
-    """Z(s) for the subjects at positions ``rows``: LOCF for names in the
-    biomarker table, the time-fixed value otherwise."""
-    z = np.full((rows.size, len(names)), np.nan)
+def _covariates_at(surv, markers, names, rows, grid, n_at=None):
+    """(Z, j, error): Z(s) for the subjects at positions ``rows``, one row
+    per (subject, landmark) pair in that order, subject rows[i] at the first
+    n_at[i] landmarks of ``grid`` (every landmark by default); LOCF for
+    names in the biomarker table, the time-fixed value otherwise.  j is the
+    first landmark at which a subject lacks a value and error the
+    MissingCovariate that names the lowest such id, then the first such
+    name (len(grid) and None when no value is missing)."""
+    n_at = np.full(rows.size, len(grid)) if n_at is None else n_at
+    z = np.full((int(n_at.sum()), len(names)), np.nan)
     for k, name in enumerate(names):
         if name in markers.columns:
-            z[:, k] = markers.locf(name, rows, s)
+            z[:, k] = markers.locf(name, rows, np.asarray(grid, dtype=float),
+                                   n_at)
         elif name in surv.covariates:
-            z[:, k] = surv.covariates[name][rows]
+            z[:, k] = np.repeat(surv.covariates[name][rows], n_at)
     missing = np.argwhere(np.isnan(z))
-    if missing.size:
-        i, k = missing[0]  # lowest id first, then name order
-        raise MissingCovariate(surv.ids[rows[i:i + 1]].tolist()[0], names[k], s)
-    return z
+    if not missing.size:
+        return z, len(grid), None
+    landmark = _landmark_of_pairs(n_at)[missing[:, 0]]
+    pair, k = missing[np.argmin(landmark)]  # lowest id first, then name order
+    i = rows[np.searchsorted(np.add.accumulate(n_at), pair, side="right")]
+    j = int(landmark.min())
+    return z, j, MissingCovariate(surv.ids[i:i + 1].tolist()[0], names[k],
+                                  grid[j])
 
 
-def _landmark_pseudo(surv, s, w, extend_tail):
-    """``risk_set_pseudo`` of a SurvivalData, naming the landmark of an empty
-    risk set."""
-    try:
-        return risk_set_pseudo(surv.time, surv.status, s, w,
-                               extend_tail=extend_tail)
-    except EmptyRiskSet as exc:
-        raise EmptyRiskSet(f"landmark s={s}: {exc}") from None
+def _landmark_error(error, s):
+    """``error`` of the risk set at landmark s, an empty risk set named by
+    its landmark."""
+    if isinstance(error, EmptyRiskSet):
+        return EmptyRiskSet(f"landmark s={s}: {error}")
+    return error
 
 
 def build_super_dataset(survival, longitudinal, grid, w, covariate_names=None,
@@ -203,7 +238,8 @@ def build_super_dataset(survival, longitudinal, grid, w, covariate_names=None,
     covariate name is time-dependent when it appears in the longitudinal
     data (LOCF at each landmark) and time-fixed otherwise.  A subject at
     risk at a landmark but lacking a required value raises MissingCovariate
-    rather than being dropped.
+    rather than being dropped.  Errors come in landmark order, and within a
+    landmark as ``risk_set_pseudo`` raises them, then MissingCovariate.
     """
     grid = [float(s) for s in grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -211,24 +247,24 @@ def build_super_dataset(survival, longitudinal, grid, w, covariate_names=None,
                            f"increasing, got {grid}")
     surv, markers, names = _columns(survival, longitudinal, covariate_names)
 
+    # the covariates are resolved on the landmarks before the first whose
+    # pseudo-values fail, so a missing value there is the first error
+    n_ok, failure = _first_failing_window(surv.time, surv.status, grid, w,
+                                          extend_tail)
     # risk sets are nested, so subject i is at risk at exactly the first
     # n_at[i] landmarks and its rows are those landmarks in grid order
-    n_at = np.searchsorted(grid, surv.time, side="left")
-    first_row = np.concatenate(([0], np.cumsum(n_at)))
-    n_rows = int(first_row[-1])
-    landmarks = np.empty(n_rows)
-    pseudo = np.empty(n_rows)
-    z = np.empty((n_rows, len(names)))
-    for j, s in enumerate(grid):
-        at_risk, pv = _landmark_pseudo(surv, s, w, extend_tail)
-        rows = np.flatnonzero(at_risk)
-        dest = first_row[rows] + j
-        landmarks[dest] = s
-        pseudo[dest] = pv
-        z[dest] = _covariates_at(surv, markers, names, rows, s)
+    n_at = np.searchsorted(grid[:n_ok], surv.time, side="left")
+    z, _, missing = _covariates_at(surv, markers, names,
+                                   np.arange(surv.ids.size), grid[:n_ok], n_at)
+    if missing is not None:
+        raise missing
+    if failure is not None:
+        raise _landmark_error(failure, grid[n_ok])
+    pseudo = _kernels.jackknife_pseudo(surv.time, surv.status, grid, w)
     kept = n_at > 0
     starts = np.concatenate(([0], np.cumsum(n_at[kept]))).astype(np.int64)
-    return SuperDataset(landmarks=landmarks, pseudo_values=pseudo, covariates=z,
+    return SuperDataset(landmarks=np.array(grid)[_landmark_of_pairs(n_at)],
+                        pseudo_values=pseudo, covariates=z,
                         cluster_starts=starts, subjects=surv.ids[kept],
                         landmark_grid=tuple(grid), w=float(w),
                         covariate_names=names)

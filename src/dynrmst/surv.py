@@ -262,26 +262,57 @@ def pseudo_observations(records, s, w, extend_tail=False):
 def risk_set_pseudo(time, status, s, w, extend_tail=False):
     """Pseudo-values on the risk set {i : time_i > s} of id-sorted columns:
     returns (at-risk mask, pseudo-values of the at-risk subjects in order)."""
-    _check_window(s, w)
+    _, error = _first_failing_window(time, status, s, w, extend_tail)
+    if error is not None:
+        raise error
     at_risk = time > s
-    t, d = time[at_risk], status[at_risk]
-    _check_risk_set(t.size, s)
-    # tail policy is enforced on the full risk-set curve, whose survival
-    # reaches 0 exactly when every subject at the last time is an event;
-    # leave-one-out curves are always carried forward at their last value
-    last = t.max()
-    if not extend_tail and s + w > last and np.any(d[t == last] == 0):
-        raise TailUndefined(
-            f"risk-set curve at s={s} ends at {last} with survival > 0; "
-            f"cannot integrate to {s + w} (pass extend_tail=True to carry "
-            f"the curve forward)")
-    return at_risk, _kernels.jackknife_pseudo(t, d, float(s), float(w))
+    return at_risk, _kernels.jackknife_pseudo(time[at_risk], status[at_risk],
+                                              float(s), float(w))
 
 
 def _check_risk_set(size, s):
     """EmptyRiskSet unless the risk set at s has at least two subjects."""
     if size < 2:
         raise EmptyRiskSet(f"risk set at s={s} has {size} subject(s)")
+
+
+def _first_failing_window(time, status, s, w, extend_tail=False):
+    """(j, error): the first window (s_j, w_j) whose pseudo-values are
+    undefined and the error that says why, or (number of windows, None).
+    ``s`` and ``w`` are scalars or sequences, broadcast together, and the
+    error names its window by the caller's own values.  Within a window the
+    checks come in this order: the window itself, a risk set of fewer than
+    two subjects, then, unless ``extend_tail``, a risk-set curve that ends
+    before s + w with survival above zero.  The window checks run first,
+    so the risk sets are looked at only before the first invalid window."""
+    s_all, w_all = np.broadcast_arrays(np.asarray(s, dtype=float),
+                                       np.asarray(w, dtype=float))
+    valid = _valid_window(s_all.ravel(), w_all.ravel())
+    n_valid = valid.size if valid.all() else int(np.argmin(valid))
+    s_ok, w_ok = s_all.ravel()[:n_valid], w_all.ravel()[:n_valid]
+    n_at = (time[:, None] > s_ok).sum(axis=0)
+    fails = n_at < 2
+    # the tail policy is enforced on the full risk-set curve, whose survival
+    # reaches 0 exactly when every subject at the last time is an event; a
+    # risk set of two or more holds the largest time, so its curve ends
+    # there.  Leave-one-out curves are always carried forward.
+    last = time.max(initial=-np.inf)
+    if not extend_tail and np.any(status[time == last] == 0):
+        fails |= s_ok + w_ok > last
+    j = int(np.argmax(fails)) if fails.any() else n_valid
+    if j == valid.size:
+        return j, None
+    s_j = s if np.ndim(s) == 0 else s[j]
+    w_j = w if np.ndim(w) == 0 else w[j]
+    if j == n_valid:
+        return j, InvalidInput(
+            f"invalid prediction time/window (s={s_j}, w={w_j})")
+    if n_at[j] < 2:
+        return j, EmptyRiskSet(f"risk set at s={s_j} has {n_at[j]} subject(s)")
+    return j, TailUndefined(
+        f"risk-set curve at s={s_j} ends at {last} with survival > 0; "
+        f"cannot integrate to {s_j + w_j} (pass extend_tail=True to carry "
+        f"the curve forward)")
 
 
 def crmst_pseudo(records, s, w, extend_tail=False):
@@ -333,6 +364,11 @@ def crmstd_test(group0, group1, s, w, alpha=0.05, extend_tail=False):
     )
 
 
+def _valid_window(s, w):
+    """Whether each window (s, w) is one: s >= 0 and w > 0, both finite."""
+    return (s >= 0) & (w > 0) & np.isfinite(s) & np.isfinite(w)
+
+
 def _check_window(s, w):
-    if s < 0 or w <= 0 or not np.isfinite(s) or not np.isfinite(w):
+    if not _valid_window(s, w):
         raise InvalidInput(f"invalid prediction time/window (s={s}, w={w})")

@@ -20,6 +20,10 @@ from dynrmst.landmark import LongitudinalRecord, build_super_dataset
 from dynrmst.sim import joint_spec, simulate_joint
 from dynrmst.surv import SurvivalRecord, as_survival_data, risk_set_pseudo
 
+# a 0/0 or a divide by zero that escapes np.errstate (say, in the padded
+# jackknife tables) fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def fitted_model(rng, link=None, n=80):
     t = np.maximum(rng.exponential(6.0, n), 0.1)
@@ -269,23 +273,32 @@ class TestStaticModel:
                 stat, pv[val.time[at_0] > s], kind="pseudo_value")
             assert r.c_index_static == c_index(stat, val_surv, s, 5.0)
 
+    @staticmethod
+    def without_baseline(markers, i):
+        """The markers without subject i's first visit (its visit at 0)."""
+        times, values, offsets = markers.columns["marker"]
+        keep = np.ones(times.size, dtype=bool)
+        keep[offsets[i]] = False
+        counts = np.diff(offsets)
+        counts[i] -= 1
+        return replace(markers, columns={"marker": (
+            times[keep], values[keep],
+            np.concatenate(([0], np.cumsum(counts))))})
+
+    @staticmethod
+    def censored_at(surv, time):
+        """The survival columns with every subject censored at ``time``."""
+        status = np.where(surv.time > time, 0, surv.status)
+        return replace(surv, time=np.minimum(surv.time, time), status=status)
+
     def broken_training(self, fault):
         """Training columns with one fault of the static baseline."""
         surv, markers = simulate_joint(joint_spec("linear"), 150, 1).columns()
         if fault == "no baseline marker":
-            times, values, offsets = markers.columns["marker"]
-            keep = np.ones(times.size, dtype=bool)
-            keep[offsets[3]] = False  # the fourth subject's visit at 0
-            counts = np.diff(offsets)
-            counts[3] -= 1
-            markers = replace(markers, columns={"marker": (
-                times[keep], values[keep],
-                np.concatenate(([0], np.cumsum(counts))))})
+            markers = self.without_baseline(markers, 3)  # the fourth subject
         elif fault == "tail":
             # censored at 8: the horizons 5 and 7 are defined, 9 is not
-            status = np.where(surv.time > 8.0, 0, surv.status)
-            surv = replace(surv, time=np.minimum(surv.time, 8.0),
-                           status=status)
+            surv = self.censored_at(surv, 8.0)
         elif fault == "constant covariate":
             surv = replace(surv, covariates={**surv.covariates,
                                              "x1": np.ones(surv.ids.size)})
@@ -324,6 +337,38 @@ class TestStaticModel:
             evaluate_on_validation(fit, *train, *val.columns(),
                                    extend_tail=extend_tail, truth=val.truth)
         assert type(got.value) is error and str(got.value) == str(want)
+
+    @pytest.mark.parametrize("train_fault, val_fault, error, message", [
+        # the validation references fail at the second landmark (horizon
+        # 7.0), the static fit at the third (horizon 9.0)
+        ("tail", ("censored", 6.5), TailUndefined,
+         "risk-set curve at s=2.0 ends at 6.5 with survival > 0; cannot "
+         "integrate to 7.0 (pass extend_tail=True to carry the curve "
+         "forward)"),
+        # a missing validation marker at the first landmark, before both
+        ("tail", ("no baseline marker", 5), MissingCovariate,
+         "subject 5 has no observation of 'marker' at or before landmark "
+         "0.0"),
+        # the static fit's time-0 design before the first landmark's
+        # references
+        ("no baseline marker", ("censored", 3.0), MissingCovariate,
+         "subject 3 has no observation of 'marker' at or before landmark "
+         "0.0"),
+    ])
+    def test_errors_come_in_landmark_order(self, train_fault, val_fault,
+                                           error, message):
+        _, fit = self.joint_fit()
+        train = self.broken_training(train_fault)
+        val_surv, val_markers = simulate_joint(joint_spec("linear"), 80,
+                                               2).columns()
+        fault, arg = val_fault
+        if fault == "censored":
+            val_surv = self.censored_at(val_surv, arg)
+        else:
+            val_markers = self.without_baseline(val_markers, arg)
+        with pytest.raises(error) as got:
+            evaluate_on_validation(fit, *train, val_surv, val_markers)
+        assert str(got.value) == message
 
     def test_too_few_at_risk_gives_no_c_index(self):
         train, fit = self.joint_fit()

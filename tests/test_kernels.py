@@ -1,11 +1,16 @@
 """Numpy kernels against brute-force oracles."""
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dynrmst import _kernels
+
+# a 0/0 or a divide by zero that escapes np.errstate (say, in the padded
+# jackknife tables) fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def reference_jackknife_pseudo(times, status, s, w):
@@ -272,3 +277,66 @@ def test_risk_sets_in_one_call_are_each_alone_bitwise(case):
                            for t, d in sets])
     assert np.array_equal(
         _kernels.jackknife_pseudo(times, status, s, w, starts), want)
+
+
+@st.composite
+def window_grids(draw):
+    """(times, status, s, w) of J windows on one set of subjects, with
+    times on a lattice as in ``risk_sets``: a landmark grid (s increasing,
+    one w) or horizons (one s, w increasing; s then is a scalar or
+    repeated).  Landmarks and horizons sit on the lattice too, so times tie
+    with both.  ``exhaust`` makes every subject at the last time an event,
+    so the curves that reach it end at 0; ``gap`` leaves the first window
+    without an event.  The windows are kept while two or more subjects are
+    at risk, so the last landmark often holds just two."""
+    n = draw(st.integers(2, 30))
+    step = draw(st.sampled_from([0.5, 1.0 / 3.0, draw(st.floats(0.05, 2.0))]))
+    t = step * np.array(draw(st.lists(st.integers(1, 16), min_size=n,
+                                      max_size=n)))
+    d = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                 dtype=np.int64)
+    ks = np.array(sorted(draw(st.sets(st.integers(0, 16), min_size=2,
+                                      max_size=8))))
+    if draw(st.booleans()):
+        s, w = step * ks, step * draw(st.integers(1, 14))
+    else:
+        s, w = step * draw(st.integers(0, 3)), step * (ks + 1)
+        if draw(st.booleans()):
+            s = np.full(w.size, s)
+    mode = draw(st.sampled_from(["free", "exhaust", "gap"]))
+    s_j, w_j = np.broadcast_arrays(s, w)
+    if mode == "exhaust":
+        d[t == t.max()] = 1
+    elif mode == "gap":
+        d[(t > s_j[0]) & (t < s_j[0] + w_j[0])] = 0
+    n_risk = np.sum(t[:, None] > s_j, axis=0)
+    assume(n_risk[0] >= 2)
+    keep = int(np.sum(n_risk >= 2))  # s is nondecreasing: a prefix
+    return (t, d, s[:keep] if np.ndim(s) else s,
+            w[:keep] if np.ndim(w) else w)
+
+
+@settings(max_examples=300, deadline=None)
+# a landmark with an event at it, one whose risk set is the last two
+# subjects, and horizons past the last time, where the curve ends at 0
+@example((np.array([1.0, 2.0, 2.0, 3.0, 4.0]), np.array([1, 1, 0, 1, 1]),
+          np.array([0.0, 1.0, 2.0]), 1.5))
+@example((np.array([1.0, 2.0, 2.0, 3.0]), np.array([0, 1, 1, 1]), 0.5,
+          np.array([1.0, 2.5, 5.0])))
+@given(window_grids())
+def test_windows_in_one_call_are_each_alone_bitwise(case):
+    t, d, s, w = case
+    s_j, w_j = np.broadcast_arrays(s, w)
+    # subject i holds the first n_at[i] windows, in (subject, window) order
+    n_at = np.searchsorted(s_j, t, side="left")
+    first = np.add.accumulate(n_at) - n_at
+    want = np.empty(n_at.sum())
+    for j in range(s_j.size):
+        at = t > s_j[j]
+        want[first[at] + j] = reference_jackknife_pseudo(
+            t[at], d[at], float(s_j[j]), float(w_j[j]))
+    assert np.array_equal(_kernels.jackknife_pseudo(t, d, s, w), want)
+    if s_j.size == 1:  # one window: the call on its risk set alone
+        at = t > s_j[0]
+        assert np.array_equal(_kernels.jackknife_pseudo(
+            t[at], d[at], float(s_j[0]), float(w_j[0])), want)

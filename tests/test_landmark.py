@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dynrmst.errors import (EmptyRiskSet, InvalidInput, MissingCovariate,
-                            TailUndefined)
+from dynrmst.errors import (DynRmstError, EmptyRiskSet, InvalidInput,
+                            MissingCovariate, TailUndefined)
 from dynrmst.landmark import (LongitudinalRecord, build_landmark_dataset,
                               build_super_dataset)
 from dynrmst.surv import SurvivalRecord, pseudo_observations
+
+# a 0/0 or a divide by zero that escapes np.errstate (say, in the padded
+# jackknife tables) fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def survival4():
@@ -106,6 +110,9 @@ class TestRiskSet:
                             covariate_names=["x"], extend_tail=True)
 
 
+MISSING_C = "subject 'c' has no observation of 'm' at or before landmark 1.0"
+
+
 class TestSuperDataset:
     LONG = TestLocf.LONG
 
@@ -137,12 +144,39 @@ class TestSuperDataset:
             build_super_dataset(survival4(), self.LONG, [1.0, 1.0], 2.0)
         with pytest.raises(InvalidInput):
             build_super_dataset(survival4(), self.LONG, [], 2.0)
+        # a grid whose order check passes but whose windows are invalid
+        for grid in ([0.0, np.nan, 1.0], [0.0, np.inf], [-1.0, 0.0]):
+            with pytest.raises(InvalidInput, match="invalid prediction"):
+                build_super_dataset(survival4(), self.LONG, grid, 2.0,
+                                    extend_tail=True)
 
     def test_empty_risk_set_names_landmark(self):
         with pytest.raises(EmptyRiskSet) as err:
             build_super_dataset(survival4(), self.LONG, [1.0, 20.0], 2.0,
                                 extend_tail=True)
         assert "20" in str(err.value)
+
+    @pytest.mark.parametrize("grid, w, error, message", [
+        # a missing marker at the first landmark before a tail, an empty risk
+        # set or an invalid window at a later one
+        ([1.0, 4.0, 7.5], 2.0, MissingCovariate, MISSING_C),
+        ([1.0, 4.0, 20.0], 2.0, MissingCovariate, MISSING_C),
+        ([1.0, np.nan], 2.0, MissingCovariate, MISSING_C),
+        # within one landmark the pseudo-values fail first
+        ([1.0, 4.0], 10.0, TailUndefined,
+         "risk-set curve at s=1.0 ends at 9.0 with survival > 0; cannot "
+         "integrate to 11.0 (pass extend_tail=True to carry the curve "
+         "forward)"),
+    ])
+    def test_errors_come_in_landmark_order(self, grid, w, error, message):
+        late_c = [r for r in self.LONG if (r.id, r.obs_time) != ("c", 0.0)]
+        with pytest.raises(error) as err:
+            build_super_dataset(survival4(), late_c, grid, w)
+        assert str(err.value) == message
+        # with c's marker, the later landmark's error
+        with pytest.raises(DynRmstError) as err:
+            build_super_dataset(survival4(), self.LONG, grid, w)
+        assert type(err.value) is not MissingCovariate
 
     def test_cluster_label_invariance(self):
         """Renaming subjects permutes rows but leaves (pseudo, covariate)

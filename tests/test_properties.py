@@ -6,6 +6,7 @@ independence of the time unit and of the order of the input records."""
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -15,11 +16,15 @@ from dynrmst.errors import DynRmstError, NoConvergence, SingularDesign
 from dynrmst.evaluate import evaluate_on_validation
 from dynrmst.gee import IDENTITY, LOG, fit_super_model, sandwich_cov
 from dynrmst.landmark import (LongitudinalRecord, MarkerTable, SuperDataset,
-                              build_super_dataset)
+                              build_landmark_dataset, build_super_dataset)
 from dynrmst.sim import joint_spec, simulate_joint
 from dynrmst.surv import (SurvivalData, SurvivalRecord, as_survival_data,
                           crmst_km, crmst_km_ratio, pseudo_observations)
 from gee_oracle import dense_design, dense_sandwich, dense_solve
+
+# a 0/0 or a divide by zero that escapes np.errstate (say, in the padded
+# jackknife tables) fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # obs times on a coarse lattice so ties with the landmark and between
 # measurements of one subject are common
@@ -28,31 +33,47 @@ TIMES = st.integers(0, 8).map(lambda k: k / 2.0)
 
 @st.composite
 def marker_histories(draw):
+    """(ids, records, s, grid, n_at): 0-4 measurements per subject, a
+    landmark s, and a landmark grid of which subject i (in id order) is at
+    risk at the first n_at[i] landmarks."""
     n = draw(st.integers(1, 6))
     ids = draw(st.lists(st.text("abc", min_size=1, max_size=2), min_size=n,
                         max_size=n, unique=True))
     records = [LongitudinalRecord(sid, draw(TIMES),
                                   {"m": float(draw(st.integers(-50, 50)))})
                for sid in ids for _ in range(draw(st.integers(0, 4)))]
-    return ids, draw(st.permutations(records)), draw(TIMES)
+    grid = sorted(draw(st.sets(TIMES, min_size=1, max_size=5)))
+    n_at = draw(st.lists(st.integers(0, len(grid)), min_size=n, max_size=n))
+    return ids, draw(st.permutations(records)), draw(TIMES), grid, n_at
 
 
 @settings(max_examples=200, deadline=None)
 @given(marker_histories())
 def test_locf_matches_brute_force_lookup(case):
-    ids, records, s = case
+    ids, records, s, grid, n_at = case
     assume(records)
     surv = as_survival_data([SurvivalRecord(sid, 10.0, 0) for sid in ids])
     table = MarkerTable.from_records(records, surv.ids)
-    value = table.locf("m", np.arange(len(ids)), s)
-    for i, sid in enumerate(surv.ids):
+
+    def check(value, sid, s):
         # ties at s count as observed; equal times resolve to the larger value
         seen = sorted((r.obs_time, r.values["m"]) for r in records
                       if r.id == sid and r.obs_time <= s)
         if seen:
-            assert value[i] == seen[-1][1]
+            assert value == seen[-1][1]
         else:
-            assert np.isnan(value[i])
+            assert np.isnan(value)
+
+    value = table.locf("m", np.arange(len(ids)), s)
+    for i, sid in enumerate(surv.ids):
+        check(value[i], sid, s)
+    # the whole grid at once, in (subject, landmark) order
+    values = table.locf("m", np.arange(len(ids)), np.array(grid),
+                        np.array(n_at, dtype=np.int64))
+    assert values.size == sum(n_at)
+    pairs = [(sid, s_j) for sid, k in zip(surv.ids, n_at) for s_j in grid[:k]]
+    for value, (sid, s_j) in zip(values, pairs):
+        check(value, sid, s_j)
 
 
 @settings(max_examples=10, deadline=None)
@@ -68,6 +89,62 @@ def test_records_and_columns_build_identical_arrays(seed, n):
     for a, b in zip(from_records.arrays(), from_columns.arrays()):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert list(from_records.subjects) == list(from_columns.subjects)
+
+
+@st.composite
+def landmark_inputs(draw):
+    """(survival records, marker records, grid, w, extend_tail) on the
+    half-unit lattice: up to 10 subjects, so late landmarks hold few or
+    none; a time-fixed covariate a subject may lack; markers measured at 0
+    and later, or for some subjects only later; and a grid that may hold
+    one invalid landmark."""
+    n = draw(st.integers(1, 10))
+    rare = st.integers(0, 6 * n).map(lambda k: k == 0)
+    surv = [SurvivalRecord(i, draw(TIMES) + draw(TIMES) + 0.5,
+                           draw(st.integers(0, 1)),
+                           covariates={} if draw(rare) else {"x": 1.0 - i})
+            for i in range(n)]
+    markers = []
+    for i in range(n):
+        times = [] if draw(rare) else [0.0]
+        times += draw(st.lists(TIMES, max_size=2))
+        markers += [LongitudinalRecord(i, t, {"m": float(k)})
+                    for k, t in enumerate(times)]
+    grid = sorted(draw(st.sets(TIMES, min_size=1, max_size=4)))
+    bad = draw(st.sampled_from([None, np.nan, np.inf, -0.5]))
+    if bad is not None:
+        grid.insert(draw(st.integers(0, len(grid))), bad)
+    assume(not any(b <= a for a, b in zip(grid, grid[1:])))
+    return (surv, markers, grid, draw(st.integers(1, 16)) / 2.0,
+            draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(landmark_inputs())
+def test_grid_build_is_the_landmark_builds_in_turn(case):
+    """A grid's build raises the error of the first landmark whose own build
+    fails, and otherwise holds each landmark's build bitwise."""
+    surv, markers, grid, w, extend_tail = case
+    kwargs = dict(covariate_names=["x", "m"], extend_tail=extend_tail)
+    want, error = [], None
+    for s in grid:
+        try:
+            want.append(build_landmark_dataset(surv, markers, s, w, **kwargs))
+        except DynRmstError as exc:
+            error = exc
+            break
+    try:
+        got = build_super_dataset(surv, markers, grid, w, **kwargs)
+    except DynRmstError as exc:
+        assert (type(exc), str(exc)) == (type(error), str(error))
+        return
+    assert error is None
+    for s, one in zip(grid, want):
+        rows = got.landmarks == s
+        assert got.pseudo_values[rows].tobytes() == one.pseudo_values.tobytes()
+        assert got.covariates[rows].tobytes() == one.covariates.tobytes()
+        subjects = np.repeat(got.subjects, np.diff(got.cluster_starts))
+        assert list(subjects[rows]) == list(one.subjects)
 
 
 @st.composite

@@ -11,6 +11,10 @@ from dynrmst.errors import EmptyRiskSet, InvalidInput, TailUndefined
 from dynrmst.surv import (CRmstEstimate, SurvivalRecord, crmst_km, crmst_km_ratio, crmst_pseudo,
                           crmstd_test, km_fit, pseudo_observations)
 
+# a 0/0 or a divide by zero that escapes np.errstate (say, in the padded
+# jackknife tables) fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def records(times, status, prefix=""):
     return [SurvivalRecord(id=f"{prefix}{i}", time=float(t), status=int(d))
