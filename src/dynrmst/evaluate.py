@@ -18,11 +18,11 @@ from scipy import special
 from . import _kernels
 from .basis import h_matrix
 from .errors import InvalidInput, OutOfRange
-from .gee import (IDENTITY, DynamicModelFit, _one_design_solver,
-                  fit_landmark_model)
+from .gee import (IDENTITY, DynamicModelFit, _Block, _block_solver,
+                  _check_size, fit_landmark_model)
 from .landmark import (_columns, _covariates_at, _landmark_error,
                        _pair_starts, build_landmark_dataset)
-from .surv import _first_failing_window, as_survival_data
+from .surv import _check_alpha, _first_failing_window, as_survival_data
 
 __all__ = [
     "PredictionResult",
@@ -77,16 +77,19 @@ def _interval(fit, x, s, alpha):
     se = float(np.sqrt(max(grad @ fit.covariance @ grad, 0.0)))
     # the t quantile stats.t.ppf computes, without importing scipy.stats
     tq = float(special.stdtrit(fit.df, 1.0 - alpha / 2.0))
-    return PredictionResult(s=float(s), value=value, se=se,
-                            ci_lower=value - tq * se, ci_upper=value + tq * se,
-                            df=fit.df, alpha=float(alpha))
+    ci = (value - tq * se, value + tq * se)
+    if not np.isfinite((value, se, *ci)).all():
+        raise InvalidInput(f"prediction at s={s} is not finite (value "
+                           f"{value}, se {se}): the model or the covariates "
+                           f"overflow")
+    return PredictionResult(s=float(s), value=value, se=se, ci_lower=ci[0],
+                            ci_upper=ci[1], df=fit.df, alpha=float(alpha))
 
 
 def predict(fit: DynamicModelFit, covariates, s, alpha=0.05):
     """Predicted cRMST for covariate vector Z(s) at prediction time s, with
     the delta-method standard error and a t-based confidence interval."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInput("alpha must be in (0, 1)")
+    _check_alpha(alpha)
     _check_range(fit, s)
     z = np.asarray(covariates, dtype=float)
     if z.shape != (fit.layout.n_paths - 1,):
@@ -173,16 +176,19 @@ def static_rmst_model(survival, tau, longitudinal=None, link=IDENTITY,
 
 
 def _static_solver(surv, markers, names):
-    """(rows, y -> beta): the subjects with Y > 0 and the identity-link beta
-    of ``static_rmst_model`` on them, for any horizon's pseudo-values.
-    Every horizon's fit has the design Z*_0 = [1, Z(0)] over those subjects
-    and only the pseudo-values change, so the design is read and
-    factorised once."""
+    """(rows, [y] -> beta): the subjects with Y > 0 and the identity-link
+    beta of ``static_rmst_model`` on them, for any horizon's pseudo-values.
+    Every horizon's fit has the one block Z*_0 = [1, Z(0)] over those
+    subjects with H = I, and only the pseudo-values change, so the design
+    is read and factorised once."""
     rows = np.flatnonzero(surv.time > 0.0)
     z, _, missing = _covariates_at(surv, markers, names, rows, [0.0])
     if missing is not None:
         raise missing
-    return rows, _one_design_solver(np.column_stack([np.ones(rows.size), z]))
+    zstar = np.column_stack([np.ones(rows.size), z])
+    _check_size(rows.size, rows.size, zstar.shape[1])
+    return rows, _block_solver([_Block(zstar, None, np.eye(zstar.shape[1]),
+                                       None)])
 
 
 def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
@@ -284,7 +290,7 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
                                 hs[j] @ dynamic_fit.beta)
         # a contiguous copy of the column: BLAS may sum a strided vector in
         # another order
-        stat_pred = val_z0[at_risk] @ solve(np.array(static_pv[:, j]))
+        stat_pred = val_z0[at_risk] @ solve([np.array(static_pv[:, j])])
         refs = None
         if truth is not None and rows.size:
             refs = table[at_risk, j], table[at_risk, grid.size + j]

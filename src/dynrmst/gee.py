@@ -15,12 +15,14 @@ Scand J Stat 2007), so every solve works on per-landmark blocks (Z*_j,
 H_j).  The identity link takes the thin QR Z*_j = Q_j R_j of each block:
 the design is then blockdiag(Q_j) A with A the stacked R_j H_j (at most
 (P+1) J x q rows), a TSQR factorisation (Demmel et al., arXiv:0808.2664).
-The design and A share their singular values, so the rank check of
-``_lstsq_checked`` runs on A, and beta = A+ [Q_j' y_j].  The log link's
+The design and A share their singular values, so ``_block_solver`` runs
+the rank check on A, and beta = A+ [Q_j' y_j]; it is the one least-squares
+solve, also for the log link's starting value and the static baselines of
+``evaluate``, which factorise one design for many responses.  The log link's
 score and Fisher information, the bread and both meats of the sandwich are
 sums of per-block terms H_j' (Z*_j' diag(.) Z*_j) H_j; the clustered meat
-adds each block's scores into one n_subjects x q array.  The dense-array
-API is the one-block case, Z* = x and H = I.
+adds each block's scores into one n_subjects x q array.  ``fit_arrays``
+is the one-block case, Z* = x and H = I.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ __all__ = [
     "fit_landmark_model",
     "fit_super_model",
     "fit_arrays",
-    "sandwich_arrays",
     "sandwich_cov",
 ]
 
@@ -197,11 +198,12 @@ _SPEC_KEYS = ("interior_knots", "boundary_knots", "standardization_scale",
 
 
 def _is_number(value):
-    return type(value) in (int, float)
+    """A JSON float, or an integer numpy holds (int64), as in arrays."""
+    return type(value) is float or _is_integer(value)
 
 
 def _is_integer(value):
-    return type(value) is int
+    return type(value) is int and -2**63 <= value < 2**63
 
 
 def _holds_bool(value, ndim):
@@ -274,36 +276,20 @@ def _checked_svd(x):
     return u, sv, vt
 
 
-def _svd_solve(svd, y):
-    """x+ y from the thin SVD of x."""
-    u, sv, vt = svd
-    return vt.T @ ((u.T @ y) / sv)
+def _block_solver(blocks):
+    """ys -> the least-squares beta for responses ``ys`` (one array per
+    block) over the design rows z_j @ h_j, the package's one least-squares
+    solve.  One thin QR z_j = Q_j R_j per block and one rank-checked SVD
+    of the stacked R_j h_j serve every response."""
+    qs, rs = zip(*(np.linalg.qr(blk.z) for blk in blocks))
+    u, sv, vt = _checked_svd(np.vstack([r_j @ blk.h
+                                        for r_j, blk in zip(rs, blocks)]))
 
+    def solve(ys):
+        b = np.concatenate([q_j.T @ y for q_j, y in zip(qs, ys)])
+        return vt.T @ ((u.T @ b) / sv)
 
-def _lstsq_checked(x, y):
-    return _svd_solve(_checked_svd(x), y)
-
-
-def _block_lstsq(blocks, ys):
-    """Least-squares beta for responses ``ys`` (one array per block) over
-    the design rows z_j @ h_j, from the thin QR of each z_j."""
-    a, b = [], []
-    for blk, y in zip(blocks, ys):
-        q_j, r_j = np.linalg.qr(blk.z)
-        a.append(r_j @ blk.h)
-        b.append(q_j.T @ y)
-    return _lstsq_checked(np.vstack(a), np.concatenate(b))
-
-
-def _one_design_solver(z):
-    """y -> beta for many responses on one design Z* = z, one row per
-    subject: the identity-link beta of ``fit_landmark_model`` (the
-    one-block ``_block_lstsq`` with H = I), from one thin QR of z and one
-    rank-checked SVD of its R."""
-    _check_size(z.shape[0], z.shape[0], z.shape[1])
-    q, r = np.linalg.qr(z)
-    svd = _checked_svd(r)
-    return lambda y: _svd_solve(svd, q.T @ y)
+    return solve
 
 
 def _fitted(blocks, link, beta):
@@ -329,12 +315,12 @@ def _weighted_gram(blocks, weights):
 def _solve_ee(blocks, link, eps_floor):
     """Solve the V = identity estimating equation; returns (beta, iters, score norm)."""
     if link.kind == "identity":
-        beta = _block_lstsq(blocks, [blk.y for blk in blocks])
+        beta = _block_solver(blocks)([blk.y for blk in blocks])
         score = _score(blocks, _fitted(blocks, link, beta))
         return beta, 1, float(np.max(np.abs(score)))
 
-    beta = _block_lstsq(blocks, [np.log(np.maximum(blk.y, eps_floor))
-                                 for blk in blocks])
+    beta = _block_solver(blocks)([np.log(np.maximum(blk.y, eps_floor))
+                                  for blk in blocks])
 
     def score_of(b):
         fitted = _fitted(blocks, link, b)
@@ -399,31 +385,19 @@ def _sandwich(blocks, link, beta, n_clusters, with_rowwise=False):
     return cov(n_clusters)
 
 
-def _array_block(x, y, cluster_starts):
-    """A dense design as one block with H = I, and its cluster count."""
+def fit_arrays(x, y, cluster_starts, link=IDENTITY, eps_floor=None):
+    """Array-level solver: design x, responses y, cluster_starts as in
+    SuperDataset.arrays().  Returns (beta, covariance, iterations, score_norm).
+    The design is one block with H = I."""
     x = np.asarray(x, dtype=float)
     starts = np.asarray(cluster_starts, dtype=np.int64)
     cluster = np.repeat(np.arange(starts.size - 1), np.diff(starts))
-    block = _Block(x, np.asarray(y, dtype=float), np.eye(x.shape[1]), cluster)
-    return [block], starts.size - 1
-
-
-def fit_arrays(x, y, cluster_starts, link=IDENTITY, eps_floor=None):
-    """Array-level solver: design x, responses y, cluster_starts as in
-    SuperDataset.arrays().  Returns (beta, covariance, iterations, score_norm)."""
-    blocks, n_clusters = _array_block(x, y, cluster_starts)
+    blocks = [_Block(x, np.asarray(y, dtype=float), np.eye(x.shape[1]), cluster)]
     if eps_floor is None:
         eps_floor = 1e-6 * max(float(np.max(np.abs(blocks[0].y))), 1.0)
     beta, iters, norm = _solve_ee(blocks, link, eps_floor)
-    cov = _sandwich(blocks, link, beta, n_clusters)
+    cov = _sandwich(blocks, link, beta, starts.size - 1)
     return beta, cov, iters, norm
-
-
-def sandwich_arrays(x, y, cluster_starts, link, beta):
-    """Sandwich covariance at a given beta; rowwise clustering is obtained by
-    passing cluster_starts = arange(n + 1)."""
-    blocks, n_clusters = _array_block(x, y, cluster_starts)
-    return _sandwich(blocks, link, np.asarray(beta, dtype=float), n_clusters)
 
 
 def fit_landmark_model(data, link=IDENTITY):

@@ -13,6 +13,7 @@ forward (ties at the landmark count) at every landmark.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +73,22 @@ class MarkerTable:
     def from_records(cls, records, ids):
         """Table of LongitudinalRecords, the input adapter for library
         callers, for the subjects ``ids`` (ascending, as in SurvivalData);
-        measurements of other subjects are ignored."""
+        measurements of other subjects are ignored.  As in the CSV reader,
+        every obs_time must be finite and nonnegative and every value
+        finite, also for those subjects."""
         for rec in records:
             if rec.obs_time < 0:
                 raise InvalidInput(f"negative obs_time for subject {rec.id!r}")
+            if not math.isfinite(rec.obs_time):
+                raise InvalidInput(f"obs_time {rec.obs_time} of subject "
+                                   f"{rec.id!r} is not finite")
         rows = [(rec.id, rec.obs_time, name, value)
                 for rec in records for name, value in rec.values.items()]
+        values = np.array([r[3] for r in rows], dtype=float)
+        if not np.isfinite(values).all():
+            sid, _, name, value = rows[int(np.argmin(np.isfinite(values)))]
+            raise InvalidInput(f"value {value} of {name!r} for subject "
+                               f"{sid!r} is not finite")
         try:
             subjects, subject = np.unique(_objects(r[0] for r in rows),
                                           return_inverse=True)
@@ -85,8 +96,7 @@ class MarkerTable:
             raise InvalidInput("subject ids must be mutually orderable") from None
         table = cls.from_columns(subjects, subject,
                                  np.array([r[1] for r in rows], dtype=float),
-                                 _objects(r[2] for r in rows),
-                                 np.array([r[3] for r in rows], dtype=float))
+                                 _objects(r[2] for r in rows), values)
         return table.align(ids)
 
     def align(self, ids):

@@ -35,8 +35,9 @@ from .errors import InvalidInput, NoConvergence
 from .evaluate import evaluate_on_validation
 from .gee import IDENTITY, _sandwich, _solve_super, fit_super_model
 from .landmark import LongitudinalRecord, MarkerTable, build_super_dataset
-from .surv import (SurvivalData, SurvivalRecord, _check_risk_set,
-                   _check_window, _difference, _jackknife_moments)
+from .surv import (SurvivalData, SurvivalRecord, _check_alpha,
+                   _check_risk_set, _check_window, _difference,
+                   _jackknife_moments)
 
 __all__ = [
     "ScenarioSpec",
@@ -723,11 +724,6 @@ class MetricsReport:
     coverage: float
     rejection_rate: float
     alpha: float
-
-
-def _check_alpha(alpha):
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInput("alpha must be in (0, 1)")
 
 
 def _check_runs(reps, workers, least):

@@ -71,9 +71,9 @@ class SurvivalData:
 
 def as_survival_data(survival, covariate_names=()):
     """SurvivalData from a list of SurvivalRecord (validated and sorted by
-    id), with a float column for each named time-fixed covariate and the
-    group labels when any record has one; a SurvivalData is returned
-    unchanged."""
+    id), with a float column for each named time-fixed covariate (finite,
+    or NaN for a value the subject does not have) and the group labels
+    when any record has one; a SurvivalData is returned unchanged."""
     if isinstance(survival, SurvivalData):
         return survival
     if not survival:
@@ -93,6 +93,11 @@ def as_survival_data(survival, covariate_names=()):
         raise InvalidInput("status must be 0 or 1")
     covariates = {n: np.array([r.covariates.get(n, np.nan) for r in recs],
                               dtype=float) for n in covariate_names}
+    for n, column in covariates.items():
+        if np.isinf(column).any():  # NaN marks a missing value
+            sid = recs[int(np.argmax(np.isinf(column)))].id
+            raise InvalidInput(f"covariate {n!r} of subject {sid!r} is not "
+                               f"finite")
     group = None
     if any(r.group is not None for r in recs):
         group = _objects(r.group for r in recs)
@@ -224,8 +229,7 @@ def crmst_km(records, s, w, extend_tail=False):
     """cRMST by restarting the Kaplan-Meier estimator on the risk set at s."""
     _check_window(s, w)
     curve = km_fit(records, start=s)
-    if curve.n_at_risk < 2:
-        raise EmptyRiskSet(f"risk set at s={s} has {curve.n_at_risk} subject(s)")
+    _check_risk_set(curve.n_at_risk, s)
     value = curve.integral(s, s + w, extend_tail=extend_tail)
     return CRmstEstimate(s=float(s), w=float(w), value=value, variance=None,
                          n_at_risk=curve.n_at_risk)
@@ -240,8 +244,7 @@ def crmst_km_ratio(records, s, w, extend_tail=False):
     _check_window(s, w)
     data = as_survival_data(records)
     n_s = int(np.sum(data.time > s))
-    if n_s < 2:
-        raise EmptyRiskSet(f"risk set at s={s} has {n_s} subject(s)")
+    _check_risk_set(n_s, s)
     curve = km_fit(data, start=0.0)
     s_at = curve.survival_at(s)
     value = curve.integral(s, s + w, extend_tail=extend_tail) / s_at
@@ -319,10 +322,6 @@ def crmst_pseudo(records, s, w, extend_tail=False):
     """Pseudo-observation estimator: mean of the pseudo-values, with the
     jackknife variance sum (mu_i - mu)^2 / (N_s (N_s - 1))."""
     pset = pseudo_observations(records, s, w, extend_tail=extend_tail)
-    return _estimate_from_pseudo(pset)
-
-
-def _estimate_from_pseudo(pset):
     v = pset.values()
     mu, var = _jackknife_moments(v)
     return CRmstEstimate(s=pset.s, w=pset.w, value=mu, variance=var,
@@ -343,8 +342,7 @@ def _difference(mu0, var0, mu1, var1):
 
 def crmstd_test(group0, group1, s, w, alpha=0.05, extend_tail=False):
     """Two-sided test of mu_1(s, w) - mu_0(s, w) = 0 with normal reference."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInput("alpha must be in (0, 1)")
+    _check_alpha(alpha)
     est0 = crmst_pseudo(group0, s, w, extend_tail=extend_tail)
     est1 = crmst_pseudo(group1, s, w, extend_tail=extend_tail)
     delta, se = _difference(est0.value, est0.variance, est1.value,
@@ -367,6 +365,11 @@ def crmstd_test(group0, group1, s, w, alpha=0.05, extend_tail=False):
 def _valid_window(s, w):
     """Whether each window (s, w) is one: s >= 0 and w > 0, both finite."""
     return (s >= 0) & (w > 0) & np.isfinite(s) & np.isfinite(w)
+
+
+def _check_alpha(alpha):
+    if not 0.0 < alpha < 1.0:
+        raise InvalidInput("alpha must be in (0, 1)")
 
 
 def _check_window(s, w):

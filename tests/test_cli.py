@@ -1,18 +1,25 @@
 """Command-line contracts: artifacts, round trips, input diagnostics."""
 
+import importlib
+import io
 import json
+import math
 import os
+import pkgutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dynrmst
-from dynrmst import cli, dataio, sim
+from dynrmst import cli, dataio, errors, sim
 from dynrmst.cli import _parse_grid, main
-from dynrmst.errors import InvalidInput
+from dynrmst.errors import DynRmstError, InvalidInput
 from dynrmst.gee import DynamicModelFit
 from dynrmst.evaluate import predict
 from dynrmst.surv import SurvivalRecord, crmstd_test
@@ -368,6 +375,15 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("module", sorted(
+    m.name for m in pkgutil.iter_modules(dynrmst.__path__)))
+def test_every_name_in_all_resolves(module):
+    """A name left in ``__all__`` after its definition went fails no import,
+    only ``from dynrmst.<module> import *``."""
+    mod = importlib.import_module(f"dynrmst.{module}")
+    assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
+
+
 class TestMcCommand:
     def test_row_contents_and_worker_invariance(self, tmp_path):
         out1 = tmp_path / "mc1.csv"
@@ -500,6 +516,14 @@ class TestMalformedModel:
         "w_negative": (_set(("model", "w"), -1), "w"),
         "knot_not_finite": (_set(("model", "layout", 0, "boundary_knots"),
                                  [0.0, float("inf")]), "boundary_knots"),
+        # JSON integers beyond int64 (numpy cannot hold them as numbers)
+        "n_subjects_beyond_int64": (_set(("model", "n_subjects"), 2**63),
+                                    "n_subjects"),
+        "score_norm_beyond_int64": (_set(("model", "score_norm"), 10**400),
+                                    "score_norm"),
+        "scale_beyond_int64": (_set(("model", "layout", 0,
+                                     "standardization_scale"), 10**400),
+                               "standardization_scale"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -528,6 +552,86 @@ class TestMalformedModel:
         assert err["error"] == "InvalidInput"
         assert err["message"].startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("mutate", [
+        _set(("model", "layout", 0, "standardization_scale"), 1e-300),
+        _set(("model", "layout", 0, "boundary_knots"), [-1e308, 1e308]),
+    ])
+    def test_overflowing_prediction_is_an_invalid_input_record(
+            self, mutate, model_text, tmp_path, capsys):
+        doc = json.loads(model_text)
+        mutate(doc)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["predict", "--model", path, "--s", 1, "--covariates",
+                        "x1=1", "x2=0.3", "marker=2.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidInput"
+        assert err["message"].startswith("prediction at s=1.0 is not finite")
+
     def test_valid_model_reads_back_unchanged(self, model_text):
         doc = json.loads(model_text)["model"]
         assert DynamicModelFit.from_dict(doc).to_dict() == doc
+
+
+# the error names a failed command may report: the package's own errors and
+# file-system errors
+ERROR_NAMES = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, DynRmstError)}
+ERROR_NAMES.add("OSError")
+
+# numbers at the edges of what a double or an int64 holds
+EDGES = st.sampled_from([0, -1, 2**63, 10**400, 1e-300, 1e300, -1e300,
+                         float("nan"), float("inf")])
+NUMBERS = EDGES | st.integers() | st.floats()
+JSON_VALUES = (NUMBERS | st.none() | st.booleans() | st.text(max_size=4)
+               | st.lists(NUMBERS, max_size=3)
+               | st.dictionaries(st.text(max_size=3), NUMBERS, max_size=2))
+
+
+def _mutate(draw, doc):
+    """Change one field of ``doc["model"]``, at any depth: set it to a
+    drawn value, or delete it."""
+    node, key = doc, "model"
+    while True:
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child:
+            break
+        node, key = child, draw(st.sampled_from(
+            list(child) if isinstance(child, dict) else range(len(child))))
+        if draw(st.booleans()):  # stop here, or descend further
+            break
+    change = draw(st.sampled_from(["delete", "edge", "value"]))
+    if change == "delete":
+        del node[key]
+    else:
+        node[key] = draw(EDGES if change == "edge" else JSON_VALUES)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_predict_on_a_mutated_model_is_finite_or_a_typed_error(
+        model_text, fuzz_dir, data):
+    """``predict`` on a valid model document with one field changed exits 0
+    with finite numbers, or exits 1 with a package error or an OSError."""
+    doc = json.loads(model_text)
+    _mutate(data.draw, doc)
+    path = fuzz_dir / "model.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(["predict", "--model", path, "--s", 1, "--covariates",
+                    "x1=1", "x2=0.3", "marker=2.0"])
+    if code == 0:
+        result = json.loads(out.getvalue())
+        assert all(math.isfinite(v) for v in result.values()), result
+    else:
+        assert code == 1
+        assert json.loads(err.getvalue())["error"] in ERROR_NAMES, err.getvalue()

@@ -8,10 +8,9 @@ from numpy.testing import assert_allclose
 
 from dynrmst.basis import BasisLayout, SplineSpec
 from dynrmst.errors import InvalidInput, SingularDesign
-from dynrmst.gee import (IDENTITY, LOG, DynamicModelFit, LinkSpec,
+from dynrmst.gee import (IDENTITY, LOG, DynamicModelFit, LinkSpec, _Block,
                          _landmark_blocks, _sandwich, fit_arrays,
-                         fit_landmark_model, fit_super_model, sandwich_arrays,
-                         sandwich_cov)
+                         fit_landmark_model, fit_super_model, sandwich_cov)
 from dynrmst.landmark import SuperDataset, build_super_dataset
 from dynrmst.surv import SurvivalRecord
 from gee_oracle import dense_design, dense_lstsq
@@ -134,8 +133,9 @@ class TestSandwich:
         y = rng.normal(size=n)
         starts = np.arange(n + 1, dtype=np.int64)
         beta, cov, _, _ = fit_arrays(x, y, starts)
-        assert_allclose(cov, sandwich_arrays(x, y, starts, IDENTITY, beta),
-                        atol=0)
+        block = _Block(x, y, np.eye(2), np.arange(n))
+        assert np.array_equal(cov, _sandwich([block], IDENTITY, beta, n,
+                                             with_rowwise=True)[1])
 
     def test_modes_on_super_dataset(self):
         rng = np.random.default_rng(6)

@@ -202,3 +202,48 @@ class TestSuperDataset:
                                 extend_tail=True)
         for x, y in zip(a.arrays(), b.arrays()):
             assert np.array_equal(x, y)
+
+
+class TestRecordsAdapters:
+    """The records adapters apply the CSV readers' rule: obs_time finite
+    and nonnegative, marker values finite, a time-fixed covariate finite or
+    NaN for a missing value; InvalidInput names the subject otherwise."""
+
+    LONG = marker("a", [(0.0, 1.0)]) + marker("b", [(0.0, 2.0)]) + \
+        marker("c", [(0.0, 3.0)]) + marker("d", [(0.0, 4.0)])
+
+    @pytest.mark.parametrize("record, message", [
+        (LongitudinalRecord("a", float("nan"), {"m": 2.0}),
+         "obs_time nan of subject 'a' is not finite"),
+        (LongitudinalRecord("b", float("inf"), {"m": 3.0}),
+         "obs_time inf of subject 'b' is not finite"),
+        (LongitudinalRecord("c", float("nan"), {}),
+         "obs_time nan of subject 'c' is not finite"),
+        (LongitudinalRecord("b", 1.0, {"m": float("nan")}),
+         "value nan of 'm' for subject 'b' is not finite"),
+        (LongitudinalRecord("d", 1.0, {"m": -float("inf")}),
+         "value -inf of 'm' for subject 'd' is not finite"),
+        # a subject without survival record is checked too
+        (LongitudinalRecord("z", 1.0, {"m": float("inf")}),
+         "value inf of 'm' for subject 'z' is not finite"),
+        (LongitudinalRecord("a", -1.0, {"m": 1.0}),
+         "negative obs_time for subject 'a'"),
+    ])
+    def test_marker_record(self, record, message):
+        with pytest.raises(InvalidInput) as err:
+            build_super_dataset(survival4(), self.LONG + [record], [0.0, 2.0],
+                                2.0, extend_tail=True)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("value, error, message", [
+        (float("inf"), InvalidInput, "covariate 'x' of subject 'c' is not finite"),
+        (-float("inf"), InvalidInput, "covariate 'x' of subject 'c' is not finite"),
+        # NaN is a missing value
+        (float("nan"), MissingCovariate, "subject 'c' has no observation of 'x'"),
+    ])
+    def test_time_fixed_covariate(self, value, error, message):
+        surv = survival4()
+        surv[2] = SurvivalRecord("c", 6.0, 1, covariates={"x": value})
+        with pytest.raises(error) as err:
+            build_super_dataset(surv, [], [0.0, 2.0], 2.0, extend_tail=True)
+        assert str(err.value).startswith(message)
