@@ -212,7 +212,9 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
     references by two.  Errors come in the order of one landmark at a
     time: Z(s_j), the static fit at s_j + w (at the first landmark also
     its time-0 design), the validation Z(0) at the first landmark, then the
-    references.
+    references.  After them, a dynamic or static prediction that is not
+    finite (the model or the covariates overflow) raises InvalidInput at
+    the first landmark where one occurs, as ``predict`` does.
     """
     names = dynamic_fit.covariate_names
     w = dynamic_fit.w
@@ -291,6 +293,9 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
         # a contiguous copy of the column: BLAS may sum a strided vector in
         # another order
         stat_pred = val_z0[at_risk] @ solve([np.array(static_pv[:, j])])
+        if not (np.isfinite(dyn_pred).all() and np.isfinite(stat_pred).all()):
+            raise InvalidInput(f"prediction at s={s_j} is not finite: the "
+                               f"model or the covariates overflow")
         refs = None
         if truth is not None and rows.size:
             refs = table[at_risk, j], table[at_risk, grid.size + j]

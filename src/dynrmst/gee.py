@@ -140,7 +140,9 @@ class DynamicModelFit:
         an integer greater than q."""
         if not isinstance(obj, dict):
             raise InvalidInput("model must be a JSON object")
-        if obj.get("format_version") != 1:
+        # the JSON integer 1 only: not true, 1.0 or "1"
+        version = obj.get("format_version")
+        if type(version) is not int or version != 1:
             raise InvalidInput("unsupported model format_version")
         missing = [k for k in _MODEL_KEYS if k not in obj]
         if missing:
@@ -447,8 +449,15 @@ def _solve_super(data, layout, link=IDENTITY):
 
 def fit_super_model(data, layout, link=IDENTITY):
     """Solve the stacked estimating equation on the super prediction dataset."""
+    return _super_fit(data, layout, link, with_covariance=True)
+
+
+def _super_fit(data, layout, link=IDENTITY, with_covariance=False):
+    """``fit_super_model``'s fit, whose covariance is None unless
+    ``with_covariance``: a caller that never reads it skips the sandwich."""
     blocks, beta, iters, norm = _solve_super(data, layout, link)
-    cov = _sandwich(blocks, link, beta, data.n_subjects)
+    cov = (_sandwich(blocks, link, beta, data.n_subjects)
+           if with_covariance else None)
     return DynamicModelFit(beta=beta, covariance=cov, layout=layout, link=link,
                            grid=data.landmark_grid, w=data.w,
                            n_subjects=data.n_subjects, n_rows=len(data),

@@ -19,6 +19,15 @@ it already has one thread (see ``_blas``).  Joint-model draws do not depend
 on how many subjects one working array holds (``_TABLE_CELLS``): every
 hazard integral sums each panel's Gauss-Legendre nodes on its own, never
 through a BLAS product whose last bit depends on a subject's row.
+
+Event times come from inverting each subject's cumulative hazard.  A
+closed-form bound U_i >= H_i(max_t) (``_event_bound``, on 20 coarse
+panels) rules out every subject with U_i (1 + 1e-5) < e_i: it has no
+event, and no hazard table is built for it.  The other subjects' tables
+stop at the panel where their running sum passes e_i.  Since no subject's
+event time depends on another's, the replicates of one chunk make all
+their random draws first, from their own streams, and share one
+inversion (``_joint_samples``).
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from . import _kernels
 from ._blas import _one_blas_thread, _one_blas_thread_in_worker
 from .errors import InvalidInput, NoConvergence
 from .evaluate import evaluate_on_validation
-from .gee import IDENTITY, _sandwich, _solve_super, fit_super_model
+from .gee import IDENTITY, _sandwich, _solve_super, _super_fit
 from .landmark import LongitudinalRecord, MarkerTable, build_super_dataset
 from .surv import (SurvivalData, SurvivalRecord, _check_alpha,
                    _check_risk_set, _check_window, _difference,
@@ -69,6 +78,10 @@ SURVIVAL_PANELS = 128
 _TABLE_CELLS = 1 << 18
 # panels tabulated at a time by the event-time bracket search
 _BRACKET_PANELS = 8
+# coarse panels of the closed-form bound on H_i(max_t), and its relative
+# slack (see ``_event_bound``)
+_BOUND_PANELS = 20
+_BOUND_SLACK = 1e-5
 INVERSION_TOL = 1e-12
 INVERSION_MAX_ITER = 200
 
@@ -486,24 +499,67 @@ def _chunks(n, nodes):
         yield lo, min(lo + size, n)
 
 
+def _event_bound(truth, edges):
+    """U_i >= the table's H_i(edges[-1]), per subject, in closed form.
+
+    The bound's coarse panels [a, b] run between every
+    (panels / ``_BOUND_PANELS``)-th edge of the table, so each table panel
+    lies inside one of them.  For t >= 0 the exponent c0 + c1 t + c2 t^2 is
+    at most c0 + max(c1 a, c1 b) + max(c2 a^2, c2 b^2) on [a, b], and the
+    integral of lam t^(lam-1) over [a, b] is b^lam - a^lam, so U_i, the sum
+    over coarse panels of (b^lam - a^lam) exp(that maximum), bounds the
+    exact H_i(edges[-1]).
+
+    The table is a Gauss-Legendre sum with positive weights, so it is at
+    most the same sum with the rule's value of the integral of
+    lam t^(lam-1) in place of b^lam - a^lam.  The two differ only by the
+    rule's error.  On the ``HAZARD_PANELS`` = 160 panels of the table that
+    error is none for integer lam up to 20, negative for lam < 1, and at
+    most 1.23e-6 of the whole for lam in (0, 30] (its largest near
+    lam = 1.09, nearly all of it from the first panel, where t^(lam-1) is
+    not smooth).  U_i is that tight only when c1 and c2 are near 0, and
+    the rounding of either sum is orders of magnitude smaller, so a subject
+    with U_i (1 + ``_BOUND_SLACK``) < e_i, a slack of 1e-5, has
+    H_i(edges[-1]) < e_i in the table too.  A slack of 1e-6 would not do.
+    """
+    panels = edges.size - 1
+    a = edges[np.linspace(0, panels, min(panels, _BOUND_PANELS) + 1)
+              .round().astype(np.int64)]
+    lin = truth.c1[:, None] * a
+    quad = (truth.c2[:, None] * a) * a
+    top = (truth.c0[:, None] + np.maximum(lin[:, :-1], lin[:, 1:])
+           + np.maximum(quad[:, :-1], quad[:, 1:]))
+    # a bound that overflows to inf rules no subject out
+    with np.errstate(over="ignore"):
+        return np.exp(top) @ np.diff(a ** truth.lam)
+
+
 def _bracket_panels(truth, e, edges):
     """Panel k of ``edges`` whose cumulative hazard brackets e_i, per subject.
 
-    Returns (k, H_i(edges[k]), has_event).  k is the first table index with
-    H_i > e_i, minus one; a subject with H_i(edges[-1]) = e_i exactly has its
-    event in the last panel, and one with H_i(edges[-1]) < e_i has none.
-    The table is built ``_BRACKET_PANELS`` panels at a time, only for
-    subjects whose running sum has not yet passed e_i.  The running sum is
-    the first column of each block's cumsum, so every H value is bitwise
-    what one cumsum over the full table gives.
+    Returns (k, H_i(edges[k]), has_event), where k and H_i(edges[k]) hold
+    only for the subjects with an event.  k is the first table index with
+    H_i > e_i, minus one; a subject with H_i(edges[-1]) = e_i exactly has
+    its event in the last panel, and one with H_i(edges[-1]) < e_i has none.
+
+    A subject whose closed-form bound U_i (``_event_bound``) has
+    U_i (1 + ``_BOUND_SLACK``) < e_i has no event and gets no table.  For
+    the others the table is built ``_BRACKET_PANELS`` panels at a time,
+    only for subjects whose running sum has not yet passed e_i.  The
+    running sum is the first column of each block's cumsum, so every H
+    value is bitwise what one cumsum over the full table gives, and every
+    output is what the full table gives.
     """
     n = e.size
     panels = edges.size - 1
     k = np.full(n, panels - 1)
-    h_k = np.empty(n)
-    live = np.arange(n)
-    run = np.zeros(n)
+    h_k = np.full(n, np.nan)
+    has_event = ~(_event_bound(truth, edges) * (1.0 + _BOUND_SLACK) < e)
+    live = np.flatnonzero(has_event)
+    run = last = np.zeros(live.size)
     for p in range(0, panels, _BRACKET_PANELS):
+        if live.size == 0:
+            break
         q = min(p + _BRACKET_PANELS, panels)
         inc = truth.subset(live)._cum_increments(edges[p:q], edges[p + 1:q + 1])
         cum = np.cumsum(np.concatenate([run[:, None], inc], axis=1), axis=1)
@@ -514,10 +570,7 @@ def _bracket_panels(truth, e, edges):
         k[live[crossed]] = p + j - 1
         h_k[live[crossed]] = cum[crossed, j - 1]
         live, run, last = live[~crossed], cum[~crossed, -1], cum[~crossed, -2]
-        if live.size == 0:
-            break
     h_k[live] = last
-    has_event = np.ones(n, dtype=bool)
     has_event[live] = run == e[live]
     return k, h_k, has_event
 
@@ -527,9 +580,13 @@ def _invert_event_times(truth, e, max_t):
 
     Returns (times, has_event); subjects with H_i(max_t) < e_i have no event
     inside follow-up.  Residual |H_i(T) - e_i| is driven below 1e-12.  The
-    brackets come from ``_bracket_panels`` on ``HAZARD_PANELS`` panels and the
-    Newton solve runs on the subjects with an event; both go in chunks within
-    the ``_TABLE_CELLS`` budget, and the times do not depend on chunk size.
+    brackets come from ``_bracket_panels`` on ``HAZARD_PANELS`` panels: a
+    subject whose closed-form bound U_i on H_i(max_t) has U_i (1 + 1e-5) <
+    e_i is ruled out there, with no event and no table, and the others'
+    tables stop where their running sum passes e_i.  The Newton solve runs
+    on the subjects with an event.  Both go in chunks within the
+    ``_TABLE_CELLS`` budget, and each subject's time depends neither on the
+    chunk size nor on the other subjects of the call.
     """
     n = truth.c0.size
     edges = np.linspace(0.0, max_t, HAZARD_PANELS + 1)
@@ -628,16 +685,48 @@ class JointSample:
         return surv, long
 
 
-def simulate_joint(spec, n, seed):
-    """Draw n subjects: covariates, random effects, event time by numerical
-    inversion of the cumulative hazard, visit schedule and noisy biomarker
-    measurements.  Returns a JointSample (see ``to_records``)."""
-    rng = _rng_of(seed)
-    n = int(n)
+def _joint_draws(spec, n, rng):
+    """Every random draw of one n-subject sample, in stream order: x1, x2,
+    the random effects b, the exponential draws e, the visit times, the
+    measurement noise and the censoring times.  None depends on the event
+    times."""
     x1 = (rng.random(n) < spec.x1_prob).astype(float)
     x2 = rng.normal(spec.x2_mean, spec.x2_sd, size=n)
     chol = np.linalg.cholesky(np.array(spec.re_cov))
     b = rng.standard_normal((n, chol.shape[0])) @ chol.T
+    e = rng.exponential(size=n)
+    vt = np.empty((n, spec.max_visits))
+    vt[:, 0] = 0.0
+    if spec.max_visits > 1:
+        vt[:, 1:] = np.sort(rng.uniform(0.0, spec.max_followup,
+                                        size=(n, spec.max_visits - 1)), axis=1)
+    noise = rng.normal(0.0, spec.error_sd, size=vt.shape)
+    if spec.censor_upper is not None:
+        c = np.minimum(rng.uniform(0.0, spec.censor_upper, size=n),
+                       spec.max_followup)
+    else:
+        c = np.full(n, spec.max_followup)
+    return x1, x2, b, e, vt, noise, c
+
+
+def _joint_samples(spec, draws):
+    """One JointSample per (n, generator or seed) pair of ``draws``, in
+    order; a generator listed twice draws its samples one after the other.
+
+    Every sample makes its random draws first (``_joint_draws``), then one
+    ``_invert_event_times`` call gives the event times of all of them, and
+    the rest is built once over all subjects.  A subject's event time does
+    not depend on the other subjects of the call, and every other step is
+    elementwise, so each sample is bitwise what ``simulate_joint`` gives
+    on its stream alone."""
+    bounds = np.cumsum([0] + [int(n) for n, _ in draws])
+    parts = [_joint_draws(spec, int(n), _rng_of(rng)) for n, rng in draws]
+    # one sample's arrays are used as they are, not copied
+    x1, x2, b, e, vt, noise, c = (
+        col[0] if len(col) == 1 else np.concatenate(col)
+        for col in zip(*parts))
+    del parts
+    n = e.size
     b2 = b[:, 2] if spec.trajectory == "quadratic" else np.zeros(n)
 
     # trajectory m_i(t) = traj0 + traj1 t + traj2 t^2
@@ -651,34 +740,28 @@ def simulate_joint(spec, n, seed):
         c1=spec.alpha * traj1,
         c2=spec.alpha * traj2,
     )
-
-    e = rng.exponential(size=n)
     t_event, has_event = _invert_event_times(truth, e, spec.max_followup)
 
-    vt = np.empty((n, spec.max_visits))
-    vt[:, 0] = 0.0
-    if spec.max_visits > 1:
-        vt[:, 1:] = np.sort(rng.uniform(0.0, spec.max_followup,
-                                        size=(n, spec.max_visits - 1)), axis=1)
-    noise = rng.normal(0.0, spec.error_sd, size=vt.shape)
-
-    if spec.censor_upper is not None:
-        c = np.minimum(rng.uniform(0.0, spec.censor_upper, size=n),
-                       spec.max_followup)
-    else:
-        c = np.full(n, spec.max_followup)
     y = np.where(has_event, np.minimum(t_event, c), c)
     d = (has_event & (t_event < c)).astype(np.int64)
-
     observed = vt <= y[:, None]
     values = (traj0[:, None] + traj1[:, None] * vt + traj2[:, None] * vt * vt
               + noise)
     vt = np.where(observed, vt, np.nan)
     values = np.where(observed, values, np.nan)
 
-    return JointSample(spec=spec, ids=np.arange(n), time=y, status=d,
-                       x1=x1, x2=x2, visit_times=vt, visit_values=values,
-                       truth=truth)
+    return [JointSample(spec=spec, ids=np.arange(hi - lo), time=y[lo:hi],
+                        status=d[lo:hi], x1=x1[lo:hi], x2=x2[lo:hi],
+                        visit_times=vt[lo:hi], visit_values=values[lo:hi],
+                        truth=truth.subset(slice(lo, hi)))
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def simulate_joint(spec, n, seed):
+    """Draw n subjects: covariates, random effects, event time by numerical
+    inversion of the cumulative hazard, visit schedule and noisy biomarker
+    measurements.  Returns a JointSample (see ``to_records``)."""
+    return _joint_samples(spec, [(n, seed)])[0]
 
 
 def calibrate_joint_censoring(spec, target, pilot_n=100_000, seed=0):
@@ -773,13 +856,6 @@ def _replicate_chunk(payload):
     return fn(*args, [_rep_rng(seed, rep) for rep in range(lo, hi)])
 
 
-def _each_stream(rep, *args):
-    """Chunk function running ``rep(*args[:-1], rng)`` for each stream of
-    the chunk, ``args[-1]``, one replicate at a time."""
-    *args, rngs = args
-    return [rep(*args, rng) for rng in rngs]
-
-
 def _replicate(fn, args, reps, seed, workers=1):
     """Run the replicates in chunks over ``workers`` processes, one call
     ``fn(*args, rngs)`` per chunk: ``rngs`` holds the chunk's replicate
@@ -851,15 +927,19 @@ def _joint_dataset(columns, grid, w):
                                extend_tail=True)
 
 
-def _coefficient_rep(spec, grid, w, layout, n_subjects, rng):
-    data = _joint_dataset(simulate_joint(spec, n_subjects, rng).columns(),
-                          grid, w)
-    # the covariances of fit_super_model and of sandwich_cov's
-    # naive_rowwise mode, from one set of blocks and one bread
-    blocks, beta = _solve_super(data, layout)[:2]
-    cov_cl, cov_nv = _sandwich(blocks, IDENTITY, beta, data.n_subjects,
-                               with_rowwise=True)
-    return beta, np.diag(cov_cl), np.diag(cov_nv)
+def _coefficient_chunk(spec, grid, w, layout, n_subjects, rngs):
+    """(beta, clustered and rowwise sandwich variances) of each stream's
+    replicate; the chunk's samples share one event-time inversion."""
+    out = []
+    for sample in _joint_samples(spec, [(n_subjects, rng) for rng in rngs]):
+        data = _joint_dataset(sample.columns(), grid, w)
+        # the covariances of fit_super_model and of sandwich_cov's
+        # naive_rowwise mode, from one set of blocks and one bread
+        blocks, beta = _solve_super(data, layout)[:2]
+        cov_cl, cov_nv = _sandwich(blocks, IDENTITY, beta, data.n_subjects,
+                                   with_rowwise=True)
+        out.append((beta, np.diag(cov_cl), np.diag(cov_nv)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -890,8 +970,8 @@ def coefficient_mc(spec, grid, w, layout, n_subjects=500, reps=1000,
             _joint_dataset(population.columns(), grid, w), layout)[1]
 
     betas, var_cl, var_nv = _replicate(
-        _each_stream, (_coefficient_rep, spec, grid, w, layout, n_subjects),
-        reps, seed, workers)
+        _coefficient_chunk, (spec, grid, w, layout, n_subjects), reps, seed,
+        workers)
 
     clustered = tuple(mc_metrics(betas[:, j], var_cl[:, j], beta_true[j], alpha)
                       for j in range(layout.q))
@@ -901,19 +981,26 @@ def coefficient_mc(spec, grid, w, layout, n_subjects=500, reps=1000,
                                rowwise=rowwise, n_reps=reps)
 
 
-def _prediction_rep(spec, grid, w, layout, n_train, n_val, rng):
-    """One train/validate replicate scored by ``evaluate_on_validation``
-    against the validation subjects' true values."""
-    train = simulate_joint(spec, n_train, rng).columns()
-    val = simulate_joint(spec, n_val, rng)
-    fit = fit_super_model(_joint_dataset(train, grid, w), layout)
-    rows = evaluate_on_validation(fit, *train, *val.columns(), extend_tail=True,
-                                  truth=val.truth)
-    # a None C-index or PE (fewer than two at risk, or no usable pair)
-    # becomes NaN, which the means in prediction_experiment skip
-    return tuple(np.array([getattr(r, k) for r in rows], dtype=float)
-                 for k in ("c_index_dynamic", "c_index_static",
-                           "pe_dynamic", "pe_static"))
+def _prediction_chunk(spec, grid, w, layout, n_train, n_val, rngs):
+    """Each stream's train/validate replicate, scored by
+    ``evaluate_on_validation`` against the validation subjects' true
+    values.  Every stream draws its training sample, then its validation
+    sample, and all the chunk's samples share one event-time inversion.
+    The dynamic fit has no covariance: nothing here reads it."""
+    samples = _joint_samples(spec, [(n, rng) for rng in rngs
+                                    for n in (n_train, n_val)])
+    out = []
+    for train, val in zip(samples[::2], samples[1::2]):
+        columns = train.columns()
+        fit = _super_fit(_joint_dataset(columns, grid, w), layout)
+        rows = evaluate_on_validation(fit, *columns, *val.columns(),
+                                      extend_tail=True, truth=val.truth)
+        # a None C-index or PE (fewer than two at risk, or no usable pair)
+        # becomes NaN, which the means in prediction_experiment skip
+        out.append(tuple(np.array([getattr(r, k) for r in rows], dtype=float)
+                         for k in ("c_index_dynamic", "c_index_static",
+                                   "pe_dynamic", "pe_static")))
+    return out
 
 
 @dataclass(frozen=True)
@@ -936,8 +1023,8 @@ def prediction_experiment(spec, grid, w, layout, n_train=500, n_val=300,
     _check_runs(reps, workers, 1)
     grid = tuple(float(s) for s in grid)
     c_dyn, c_stat, pe_dyn, pe_stat = _replicate(
-        _each_stream, (_prediction_rep, spec, grid, w, layout, n_train, n_val),
-        reps, seed, workers)
+        _prediction_chunk, (spec, grid, w, layout, n_train, n_val), reps,
+        seed, workers)
     return tuple(PredictionRow(
         landmark=s_j,
         c_index_dynamic=float(np.nanmean(c_dyn[:, j])),

@@ -524,6 +524,13 @@ class TestMalformedModel:
         "scale_beyond_int64": (_set(("model", "layout", 0,
                                      "standardization_scale"), 10**400),
                                "standardization_scale"),
+        # only the JSON integer 1 is format version 1
+        "format_version_true": (_set(("model", "format_version"), True),
+                                "format_version"),
+        "format_version_a_float": (_set(("model", "format_version"), 1.0),
+                                   "format_version"),
+        "format_version_a_string": (_set(("model", "format_version"), "1"),
+                                    "format_version"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -567,6 +574,25 @@ class TestMalformedModel:
                         "x1=1", "x2=0.3", "marker=2.0"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidInput"
+        assert err["message"].startswith("prediction at s=1.0 is not finite")
+
+    def test_overflowing_evaluation_is_an_invalid_input_record(
+            self, tmp_path, capsys):
+        surv, long = joint_csvs(tmp_path)
+        doc = json.loads(fitted_model_path(tmp_path, surv, long).read_text())
+        _set(("model", "layout", 0, "standardization_scale"), 1e-300)(doc)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "eval.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["evaluate", "--model", path, "--train", surv,
+                        "--train-longitudinal", long, "--val", surv,
+                        "--val-longitudinal", long, "--extend-tail",
+                        "--output", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
         err = json.loads(captured.err)
         assert err["error"] == "InvalidInput"
         assert err["message"].startswith("prediction at s=1.0 is not finite")

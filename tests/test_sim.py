@@ -27,6 +27,8 @@ from dynrmst.sim import (_GL_NODES, _GL_WEIGHTS, JointModelSpec, JointTruth,
                          scenario_spec, simulate_joint, simulate_scenario,
                          true_crmstd)
 
+JOINT_FIELDS = ("time", "status", "x1", "x2", "visit_times", "visit_values")
+
 
 class TestScenarioDesigns:
     def test_control_median(self):
@@ -121,6 +123,31 @@ class TestJointModel:
         n_obs = int(np.sum(~np.isnan(sample.visit_times)))
         assert len(long) == n_obs
 
+    @pytest.mark.parametrize("trajectory", ["linear", "quadratic"])
+    @pytest.mark.parametrize("censor_upper", [None, 25.0])
+    def test_chunked_draws_are_separate_samples_bitwise(self, trajectory,
+                                                        censor_upper):
+        spec = joint_spec(trajectory, censor_upper=censor_upper)
+        sizes = (1, 7, 500)
+        # three streams, then one stream drawing two samples in turn (a
+        # prediction replicate's training and validation draws)
+        shared = np.random.default_rng(99)
+        chunk = sim._joint_samples(
+            spec, [(n, np.random.default_rng(n)) for n in sizes]
+            + [(7, shared), (500, shared)])
+        alone = [simulate_joint(spec, n, np.random.default_rng(n))
+                 for n in sizes]
+        shared = np.random.default_rng(99)
+        alone += [simulate_joint(spec, n, shared) for n in (7, 500)]
+        assert len(chunk) == len(alone)
+        for got, want in zip(chunk, alone):
+            for field in ("ids", *JOINT_FIELDS):
+                assert (getattr(got, field).tobytes()
+                        == getattr(want, field).tobytes()), (want.n, field)
+            for c in ("c0", "c1", "c2"):
+                assert (getattr(got.truth, c).tobytes()
+                        == getattr(want.truth, c).tobytes())
+
     def test_censoring_calibration(self):
         spec = joint_spec("linear")
         a = calibrate_joint_censoring(spec, 0.30, pilot_n=50_000, seed=0)
@@ -196,14 +223,45 @@ class TestHazardOracle:
         assert np.array_equal(got.status, want.status)
 
 
+def _full_table(truth, edges):
+    """The cumulative hazard at every edge, for every subject."""
+    inc = truth._cum_increments(edges[:-1], edges[1:])
+    return np.concatenate([np.zeros((inc.shape[0], 1)),
+                           np.cumsum(inc, axis=1)], axis=1)
+
+
 def _full_table_bracket(truth, e, edges):
     """Reference bracket search: the whole cumulative-hazard table for every
     subject, then k = #{table entries <= e_i} - 1, clipped to the panels."""
-    inc = truth._cum_increments(edges[:-1], edges[1:])
-    cum = np.concatenate([np.zeros((inc.shape[0], 1)),
-                          np.cumsum(inc, axis=1)], axis=1)
+    cum = _full_table(truth, edges)
     k = np.clip(np.sum(cum <= e[:, None], axis=1) - 1, 0, edges.size - 2)
     return k, cum[np.arange(k.size), k], cum[:, -1] >= e
+
+
+@st.composite
+def bound_cases(draw):
+    """(truth, e, edges): a Weibull shape in [0.2, 4] (the worst rule error
+    of the table is near 1.09), c1 all zero or mixed, c2 all zero, mixed
+    or all negative, and draws e from 0.5 to 2 times H_i(max_t)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    lam = draw(st.sampled_from([1.09, 3.0, draw(st.floats(0.2, 4.0))]))
+    # c1 and c2 down to 1e-9, where the bound is tight
+    c1 = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-9.0, 0.0, n)
+    c1[rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = 0.0
+    c2 = rng.normal(0.0, 0.1, n) * 10.0 ** rng.uniform(-9.0, 0.0, n)
+    c2_kind = draw(st.sampled_from(["zero", "mixed", "negative"]))
+    if c2_kind == "zero":
+        c2[:] = 0.0
+    elif c2_kind == "mixed":
+        c2[rng.random(n) < 0.3] = 0.0
+    else:
+        c2 = -np.abs(c2)
+    truth = JointTruth(lam=lam, c0=rng.normal(-4.0, 2.0, n), c1=c1, c2=c2)
+    edges = np.linspace(0.0, draw(st.sampled_from([20.0, 1.0, 7.3])),
+                        sim.HAZARD_PANELS + 1)
+    e = _full_table(truth, edges)[:, -1] * rng.uniform(0.5, 2.0, n)
+    return truth, e, edges
 
 
 def _full_table_inversion(truth, e, max_t, panels=sim.HAZARD_PANELS):
@@ -249,7 +307,6 @@ class TestEventTimeInversion:
         # 10,000 subjects span several chunks of the lazy bracket search
         per_chunk = sim._TABLE_CELLS // (sim._BRACKET_PANELS * _GL_NODES.size)
         assert per_chunk < 10_000
-        fields = ("time", "status", "x1", "x2", "visit_times", "visit_values")
         for censor_upper in (None, 25.0):
             spec = joint_spec(trajectory, censor_upper=censor_upper,
                               alpha=alpha)
@@ -258,7 +315,7 @@ class TestEventTimeInversion:
                     m.setattr(sim, "_invert_event_times", _full_table_inversion)
                     want = simulate_joint(spec, n, n)
                 got = simulate_joint(spec, n, n)
-                for field in fields:
+                for field in JOINT_FIELDS:
                     assert (getattr(got, field).tobytes()
                             == getattr(want, field).tobytes()), (n, field)
 
@@ -300,6 +357,30 @@ class TestEventTimeInversion:
                               k[i:i + 7], h_k[i:i + 7])
                   for i in range(0, e.size, 7)]
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(bound_cases())
+    def test_bound_rules_out_only_subjects_with_no_event(self, case):
+        truth, e, edges = case
+        bound = sim._event_bound(truth, edges) * (1.0 + sim._BOUND_SLACK)
+        assert np.all(bound >= _full_table(truth, edges)[:, -1])
+        k_ref, h_ref, ev_ref = _full_table_bracket(truth, e, edges)
+        assert not ev_ref[bound < e].any()
+        k, h_k, ev = sim._bracket_panels(truth, e, edges)
+        assert np.array_equal(ev, ev_ref)
+        assert np.array_equal(k[ev], k_ref[ev])
+        assert h_k[ev].tobytes() == h_ref[ev].tobytes()
+
+    def test_bound_rules_out_most_subjects_with_no_event(self):
+        for trajectory in ("linear", "quadratic"):
+            truth = simulate_joint(joint_spec(trajectory), 2000, 2000).truth
+            e = np.random.default_rng(2000).exponential(size=2000)
+            edges = np.linspace(0.0, 20.0, sim.HAZARD_PANELS + 1)
+            bound = sim._event_bound(truth, edges)
+            ruled = bound * (1.0 + sim._BOUND_SLACK) < e
+            no_event = ~_full_table_bracket(truth, e, edges)[2]
+            assert not ruled[~no_event].any()
+            assert ruled.sum() >= 0.8 * no_event.sum() > 0
 
     def test_bracket_edge_cases(self):
         truth = simulate_joint(joint_spec("linear"), 40, 4).truth
@@ -570,8 +651,8 @@ class TestCoefficientReplicate:
         spec, grid, w = joint_spec("linear"), (0.0, 1.0, 2.0, 3.0), 5.0
         sp = SplineSpec((1.5,), (0.0, 3.0), standardization_scale=3.0)
         layout = BasisLayout((sp, None, sp, sp))
-        beta, var_cl, var_nv = sim._coefficient_rep(
-            spec, grid, w, layout, 300, np.random.default_rng(4))
+        [(beta, var_cl, var_nv)] = sim._coefficient_chunk(
+            spec, grid, w, layout, 300, [np.random.default_rng(4)])
         data = sim._joint_dataset(
             simulate_joint(spec, 300, np.random.default_rng(4)).columns(),
             grid, w)
@@ -606,7 +687,7 @@ class TestPredictionExperiment:
         rows = prediction_experiment(*args, n_train=300, n_val=3, reps=8,
                                      seed=3)
         _, _, pe_dyn, pe_stat = sim._replicate(
-            sim._each_stream, (sim._prediction_rep, *args, 300, 3), 8, 3)
+            sim._prediction_chunk, (*args, 300, 3), 8, 3)
         # some replicate has fewer than two validation subjects at s = 4
         assert np.isnan(pe_dyn[:, 2]).any() and np.isnan(pe_stat[:, 2]).any()
         for j, row in enumerate(rows):
@@ -621,7 +702,7 @@ def _blas_threads_chunk(spec, s, w, rngs):
     return [(float(_openblas_threads()[0]()), 1.0)] * len(rngs)
 
 
-def _failing_rep(*args):
+def _failing_chunk(*args):
     raise RuntimeError("replicate failed")
 
 
@@ -639,8 +720,8 @@ def _must_not_run(*args):
 class TestHarnessArguments:
     @pytest.fixture(autouse=True)
     def no_replicates(self, monkeypatch):
-        for name in ("_scenario_chunk", "_coefficient_rep", "_prediction_rep",
-                     "simulate_joint"):
+        for name in ("_scenario_chunk", "_coefficient_chunk",
+                     "_prediction_chunk", "_joint_samples"):
             monkeypatch.setattr(sim, name, _must_not_run)
 
     @pytest.mark.parametrize("bad", [
@@ -693,7 +774,7 @@ class TestBlasPin:
     def test_count_is_restored_when_a_replicate_raises(self, blas_threads,
                                                        monkeypatch):
         threads = blas_threads()
-        monkeypatch.setattr(sim, "_prediction_rep", _failing_rep)
+        monkeypatch.setattr(sim, "_prediction_chunk", _failing_chunk)
         with pytest.raises(RuntimeError, match="replicate failed"):
             prediction_experiment(joint_spec("linear"), [0.0], 5.0, None,
                                   reps=2)
