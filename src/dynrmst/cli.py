@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import traceback
 from fractions import Fraction
@@ -68,28 +67,21 @@ def _parse_grid(text):
 def _parse_floats(text, option):
     """Comma-separated finite numbers given to ``option`` ('' gives ())."""
     try:
-        values = tuple(dataio._parse_numbers(text.split(",")).tolist()
-                       if text else ())
+        return tuple(dataio._floats(text.split(",")).tolist() if text else ())
     except ValueError:
-        values = (math.nan,)
-    if not all(map(math.isfinite, values)):
         raise InvalidInput(f"malformed {option} {text!r}: expected "
-                           "comma-separated finite numbers")
-    return values
+                           "comma-separated finite numbers") from None
 
 
 def _parse_assignments(pairs):
     out = {}
     for pair in pairs:
-        name, sep, text = pair.partition("=")
+        name, _, text = pair.partition("=")  # text '' when there is no '='
         try:
-            value = (float(dataio._parse_numbers([text])[0]) if sep
-                     else math.nan)
+            out[name.strip()] = float(dataio._floats([text])[0])
         except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise InvalidInput(f"expected name=<finite number>, got {pair!r}")
-        out[name.strip()] = value
+            raise InvalidInput(f"expected name=<finite number>, got "
+                               f"{pair!r}") from None
     return out
 
 
@@ -160,7 +152,7 @@ def _cmd_test(args):
 def _cmd_fit(args):
     survival = dataio.read_survival(args.input)
     longitudinal = (dataio.read_longitudinal(args.longitudinal)
-                    if args.longitudinal else [])
+                    if args.longitudinal else None)
     grid = _parse_grid(args.grid)
     names = args.covariates.split(",") if args.covariates else None
     data = build_super_dataset(survival, longitudinal, grid, args.w,
@@ -213,10 +205,10 @@ def _cmd_evaluate(args):
         fit,
         dataio.read_survival(args.train),
         dataio.read_longitudinal(args.train_longitudinal)
-        if args.train_longitudinal else [],
+        if args.train_longitudinal else None,
         dataio.read_survival(args.val),
         dataio.read_longitudinal(args.val_longitudinal)
-        if args.val_longitudinal else [],
+        if args.val_longitudinal else None,
         extend_tail=args.extend_tail,
     )
     # a None C-index or PE is written as an empty cell
@@ -235,16 +227,15 @@ def _cmd_evaluate(args):
 def _cmd_simulate(args):
     if args.design == "scenario":
         spec = scenario_spec(args.scenario, args.n, censor_target=args.cen)
-        g0, g1 = simulate_scenario(spec, args.seed)
-        dataio.write_survival(args.output, g0 + g1, config=_config_of(args))
+        dataio.write_survival(args.output, simulate_scenario(spec, args.seed),
+                              config=_config_of(args))
     else:
         spec = joint_spec(trajectory=args.trajectory,
                           censor_upper=args.censor_upper)
-        sample = simulate_joint(spec, args.n, args.seed)
-        surv, long = sample.to_records()
+        surv, markers = simulate_joint(spec, args.n, args.seed).columns()
         dataio.write_survival(args.output, surv, config=_config_of(args))
         if args.longitudinal_output:
-            dataio.write_longitudinal(args.longitudinal_output, long,
+            dataio.write_longitudinal(args.longitudinal_output, markers,
                                       config=_config_of(args))
     return 0
 

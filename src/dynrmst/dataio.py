@@ -22,13 +22,13 @@ give bit-identical columns, and a cell longer than that limit is an
 underscore digit grouping ('1_0') is rejected; every check runs on whole
 columns, and when one fails (a bad cell, or a row with another number of
 fields) a ``csv.reader`` scan of the rows in file order reports the
-physical line on which the first malformed row starts.  Records
-(``SurvivalRecord``, ``LongitudinalRecord``) are the input adapter for
-library callers and what the writers take, which write UTF-8.
+physical line on which the first malformed row starts.
 
-Floats are written with 17 significant digits so a write/read round trip is
-bit-exact; malformed rows, including non-finite numbers, are reported with
-their line number.
+The writers take the same columns and write UTF-8, floats with 17
+significant digits, so a write/read round trip is bit-exact.  A value the
+reader refuses (NaN, a missing covariate, among them) is an
+``InvalidInput`` naming the subject and the column, raised before the file
+is opened.  Records are the input adapter for library callers only.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import warnings
 from itertools import repeat
 
@@ -76,13 +75,10 @@ def _parse_numbers(texts):
 
 def _parse_float(text, line, column):
     try:
-        value = float(_parse_numbers([text])[0])
+        return float(_floats([text])[0])
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
         raise InvalidInput(f"line {line}: column {column!r} is not a finite "
-                           f"number: {text!r}")
-    return value
+                           f"number: {text!r}") from None
 
 
 def _read_text(path):
@@ -299,37 +295,64 @@ def read_longitudinal(path):
                                     _stripped(columns["name"]), values)
 
 
-def _config_line(config):
-    return "# config: " + json.dumps(config, sort_keys=True, default=str)
+def _check(ids, checks):
+    """InvalidInput naming the subject and the column of the first value
+    the reader refuses; ``checks`` holds (column, values, valid mask)."""
+    for column, values, valid in checks:
+        if not valid.all():
+            i = int(np.argmin(valid))
+            raise InvalidInput(f"subject {ids[i:i + 1].tolist()[0]!r}: column "
+                               f"{column!r} cannot hold {values[i]}")
 
 
-def write_survival(path, records, config=None):
-    extra = sorted({name for r in records for name in r.covariates})
-    has_group = any(r.group is not None for r in records)
+def _write_rows(path, header, rows, config):
+    """CSV of the header and rows, after a ``# config:`` line if any."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if config is not None:
-            fh.write(_config_line(config) + "\n")
+            fh.write("# config: " + json.dumps(config, sort_keys=True,
+                                               default=str) + "\n")
         writer = csv.writer(fh)
-        header = ["id", "time", "status"] + (["group"] if has_group else []) + extra
         writer.writerow(header)
-        for r in records:
-            row = [r.id, fmt_float(r.time), r.status]
-            if has_group:
-                row.append(r.group)
-            row.extend(fmt_float(r.covariates[c]) for c in extra)
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
-def write_longitudinal(path, records, config=None):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if config is not None:
-            fh.write(_config_line(config) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["id", "obs_time", "name", "value"])
-        for r in records:
-            for name in sorted(r.values):
-                writer.writerow([r.id, fmt_float(r.obs_time), name,
-                                 fmt_float(r.values[name])])
+def _texts(values):
+    return map(fmt_float, values.tolist())
+
+
+def write_survival(path, data, config=None):
+    """Survival CSV of a SurvivalData, rows in its ascending id order, then
+    its group column if any and its covariates in name order."""
+    time, status, names = data.time, data.status, sorted(data.covariates)
+    _check(data.ids, [("time", time, (0 <= time) & (time < np.inf)),
+                      ("status", status, (status == 0) | (status == 1))]
+           + [(n, data.covariates[n], np.isfinite(data.covariates[n]))
+              for n in names])
+    group = [] if data.group is None else [data.group.tolist()]
+    columns = [data.ids.tolist(), _texts(time), status.tolist(), *group,
+               *(_texts(data.covariates[n]) for n in names)]
+    _write_rows(path, ["id", "time", "status", *["group"] * len(group),
+                       *names], zip(*columns), config)
+
+
+def write_longitudinal(path, markers, config=None):
+    """Longitudinal CSV of a MarkerTable, rows in (id, obs_time, name) order
+    (a biomarker's rows at one time in table order)."""
+    names = sorted(markers.columns)
+    counts = [np.diff(markers.columns[n][2]) for n in names]
+    subject = np.concatenate([np.repeat(np.arange(markers.ids.size), c)
+                              for c in counts] + [np.empty(0, np.intp)])
+    times, values = (np.concatenate([markers.columns[n][k] for n in names]
+                                    + [np.empty(0)]) for k in (0, 1))
+    ids = markers.ids[subject]
+    _check(ids, [("obs_time", times, (0 <= times) & (times < np.inf)),
+                 ("value", values, np.isfinite(values))])
+    name = np.repeat(np.arange(len(names)), [c.sum() for c in counts])
+    order = np.lexsort((name, times, subject))
+    _write_rows(path, ["id", "obs_time", "name", "value"],
+                zip(ids[order].tolist(), _texts(times[order]),
+                    [names[k] for k in name[order].tolist()],
+                    _texts(values[order])), config)
 
 
 def write_json_artifact(path, payload, config=None):
@@ -349,11 +372,6 @@ def write_metrics_csv(path, rows, config=None):
     if not rows:
         raise InvalidInput("no metric rows")
     header = list(rows[0])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if config is not None:
-            fh.write(_config_line(config) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt_float(v) if isinstance(v, float) else v
-                             for v in (row[k] for k in header)])
+    _write_rows(path, header, ([fmt_float(v) if isinstance(v, float) else v
+                                for v in (row[k] for k in header)]
+                               for row in rows), config)

@@ -266,7 +266,11 @@ class _Block(NamedTuple):
 
 
 def _checked_svd(x):
-    """Thin SVD (u, sv, vt) of x; SingularDesign when x is rank deficient."""
+    """Thin SVD (u, sv, vt) of x; SingularDesign when x is rank deficient,
+    InvalidInput when it overflowed (a covariate far too large)."""
+    if not np.isfinite(x).all():
+        raise InvalidInput("design matrix is not finite: a covariate value "
+                           "is too large to fit")
     u, sv, vt = np.linalg.svd(x, full_matrices=False)
     # with fewer rows than columns the missing singular values are zero
     smallest = sv[-1] if sv.size == x.shape[1] else 0.0

@@ -43,10 +43,9 @@ from ._blas import _one_blas_thread, _one_blas_thread_in_worker
 from .errors import InvalidInput, NoConvergence
 from .evaluate import evaluate_on_validation
 from .gee import IDENTITY, _sandwich, _solve_super, _super_fit
-from .landmark import LongitudinalRecord, MarkerTable, build_super_dataset
-from .surv import (SurvivalData, SurvivalRecord, _check_alpha,
-                   _check_risk_set, _check_window, _difference,
-                   _jackknife_moments)
+from .landmark import MarkerTable, build_super_dataset
+from .surv import (SurvivalData, _check_alpha, _check_risk_set, _check_window,
+                   _difference, _jackknife_moments, _objects)
 
 __all__ = [
     "ScenarioSpec",
@@ -242,20 +241,21 @@ def _draw_arms(spec, rngs):
 
 
 def simulate_scenario(spec, seed):
-    """One dataset: (control records, treatment records), ids 'c<i>'/'t<i>'."""
-    out = []
-    for arm, (y, d) in enumerate(_draw_arms(spec, [_rng_of(seed)])):
-        out.append([
-            SurvivalRecord(id=f"{'ct'[arm]}{i:06d}", time=float(y[0, i]),
-                           status=int(d[0, i]), group=arm)
-            for i in range(spec.n_per_arm)
-        ])
-    return out[0], out[1]
+    """One SurvivalData of both arms, split by ``data.subset(data.group ==
+    arm)``: control ids 'c<i>' in group 0 and treatment ids 't<i>' in group
+    1, i zero-padded to six digits; rows in ascending id order."""
+    (y0, d0), (y1, d1) = _draw_arms(spec, [_rng_of(seed)])
+    n = spec.n_per_arm
+    ids = _objects(f"{arm}{i:06d}" for arm in "ct" for i in range(n))
+    data = SurvivalData(ids, np.concatenate((y0[0], y1[0])),
+                        np.concatenate((d0[0], d1[0])),
+                        group=np.repeat(np.arange(2), n))
+    # draw order is id order up to 10^6 per arm ('c1000000' < 'c200000')
+    return data.subset(np.argsort(ids, kind="stable")) if n > 10**6 else data
 
 
 def _true_crmst_arm(spec, arm, s, w):
-    breaks, rates = spec.arm_hazard(arm)
-    cum = _pw_cum_at_breaks(breaks, rates)
+    breaks, rates, cum = spec._arm_tables[arm]
     j = np.searchsorted(breaks, s, side="right") - 1
     s_at = np.exp(-(cum[j] + rates[j] * (s - breaks[j])))
     return _pw_surv_integral(breaks, rates, s, s + w) / s_at
@@ -670,20 +670,6 @@ class JointSample:
             self.ids)
         return surv, markers
 
-    def to_records(self):
-        """(survival records, longitudinal records) for the list-based API."""
-        surv = [SurvivalRecord(id=int(i), time=float(t), status=int(d),
-                               covariates={"x1": float(a), "x2": float(b)})
-                for i, t, d, a, b in zip(self.ids, self.time, self.status,
-                                         self.x1, self.x2)]
-        seen = ~np.isnan(self.visit_times)
-        visits = zip(self.ids[np.nonzero(seen)[0]], self.visit_times[seen],
-                     self.visit_values[seen])
-        long = [LongitudinalRecord(id=int(i), obs_time=float(t),
-                                   values={JOINT_COVARIATES[2]: float(v)})
-                for i, t, v in visits]
-        return surv, long
-
 
 def _joint_draws(spec, n, rng):
     """Every random draw of one n-subject sample, in stream order: x1, x2,
@@ -760,7 +746,7 @@ def _joint_samples(spec, draws):
 def simulate_joint(spec, n, seed):
     """Draw n subjects: covariates, random effects, event time by numerical
     inversion of the cumulative hazard, visit schedule and noisy biomarker
-    measurements.  Returns a JointSample (see ``to_records``)."""
+    measurements.  Returns a JointSample (see ``columns``)."""
     return _joint_samples(spec, [(n, seed)])[0]
 
 

@@ -1,5 +1,6 @@
 """Command-line contracts: artifacts, round trips, input diagnostics."""
 
+import hashlib
 import importlib
 import io
 import json
@@ -8,12 +9,14 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dynrmst
@@ -22,7 +25,7 @@ from dynrmst.cli import _parse_grid, main
 from dynrmst.errors import DynRmstError, InvalidInput
 from dynrmst.gee import DynamicModelFit
 from dynrmst.evaluate import predict
-from dynrmst.surv import SurvivalRecord, crmstd_test
+from dynrmst.surv import SurvivalData, crmstd_test
 
 
 def run(argv):
@@ -80,11 +83,42 @@ class TestSimulateAndTest:
 
     def test_group_count_enforced(self, tmp_path, capsys):
         path = tmp_path / "one_group.csv"
-        dataio.write_survival(path, [SurvivalRecord(i, 1.0 + i, 1, group=0)
-                                     for i in range(5)])
+        dataio.write_survival(path, SurvivalData(
+            np.arange(5), 1.0 + np.arange(5.0), np.ones(5, dtype=np.int64),
+            group=np.zeros(5, dtype=np.int64)))
         assert run(["test", "--input", path, "--s", 0, "--w", 2]) == 1
         err = json.loads(capsys.readouterr().err)
         assert "2 groups" in err["message"]
+
+
+# sha256 of every line after the ``# config:`` line (which embeds the
+# output paths) of each ``simulate`` artifact below: a change to the
+# simulators or the writers that moves one byte of a file fails here
+SIMULATE_DIGESTS = {
+    "scenario.csv":
+        "dcc0b1cda7001507841083f578d90a78012084cc2ab748e84c1d70e3fa122665",
+    "joint.csv":
+        "5bf670b3f34a43a086043572b41cbcd9f3ebf071edd368c8c2abb318357a4204",
+    "joint_long.csv":
+        "73ee353d7d86f9135d7c48d2de63d18092a3a49c4029a0e60e568044bef34c51",
+}
+
+
+def test_simulate_artifacts_keep_their_bytes(tmp_path):
+    common = ["--n", 40, "--seed", 11]
+    assert run(["simulate", "--design", "scenario", "--scenario", 3,
+                "--cen", 0.2, *common,
+                "--output", tmp_path / "scenario.csv"]) == 0
+    assert run(["simulate", "--design", "joint", "--trajectory", "quadratic",
+                "--censor-upper", 25, *common,
+                "--output", tmp_path / "joint.csv",
+                "--longitudinal-output", tmp_path / "joint_long.csv"]) == 0
+    digests = {}
+    for name in SIMULATE_DIGESTS:
+        config, body = (tmp_path / name).read_bytes().split(b"\n", 1)
+        assert config.startswith(b"# config: ")
+        digests[name] = hashlib.sha256(body).hexdigest()
+    assert digests == SIMULATE_DIGESTS
 
 
 class TestFitPredictRoundTrip:
@@ -141,14 +175,9 @@ class TestFitPredictRoundTrip:
         vsurv, vlong = joint_csvs(tmp_path, n=30, seed=2, stem="val")
         # every validation subject censored at 3: nobody at risk at s = 4
         val = dataio.read_survival(vsurv)
-        columns = (c.tolist() for c in val.covariates.values())
-        covariates = [dict(zip(val.covariates, values))
-                      for values in zip(*columns)]
-        records = [SurvivalRecord(sid, min(t, 3.0), d if t <= 3.0 else 0,
-                                  covariates=cov)
-                   for sid, t, d, cov in zip(val.ids, val.time.tolist(),
-                                             val.status.tolist(), covariates)]
-        dataio.write_survival(vsurv, records)
+        dataio.write_survival(vsurv, replace(
+            val, time=np.minimum(val.time, 3.0),
+            status=np.where(val.time <= 3.0, val.status, 0)))
         model = fitted_model_path(tmp_path, surv, long)
         out = tmp_path / "eval.csv"
         assert run(["evaluate", "--model", model, "--train", surv,
@@ -265,6 +294,26 @@ class TestInputDiagnostics:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidInput"
         assert f"line {len(lines)}" in err["message"]
+
+    def test_fit_with_an_overflowing_covariate_is_an_error_record(
+            self, tmp_path, capsys):
+        # x1 = 1e308 overflows the design rows, whose SVD would raise
+        # numpy's LinAlgError
+        surv, long = joint_csvs(tmp_path, n=60, seed=4)
+        lines = surv.read_text().splitlines()
+        cells = lines[3].split(",")
+        assert lines[1].split(",")[3] == "x1" and cells[0] == "1"
+        lines[3] = ",".join(cells[:3] + ["1e308"] + cells[4:])
+        surv.write_text("\n".join(lines) + "\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["fit", "--input", surv, "--longitudinal", long,
+                        "--grid", "0:4:1", "--w", "5", "--knots", "1,2,3",
+                        "--covariates", "x1,x2,marker", "--extend-tail",
+                        "--output", tmp_path / "model.json"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InvalidInput",
+                       "message": "design matrix is not finite: a covariate "
+                                  "value is too large to fit"}
 
     def test_grid_points_are_exact(self):
         assert _parse_grid("0:1:0.1")[3] == 0.3
@@ -661,3 +710,93 @@ def test_predict_on_a_mutated_model_is_finite_or_a_typed_error(
     else:
         assert code == 1
         assert json.loads(err.getvalue())["error"] in ERROR_NAMES, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def cell_inputs(tmp_path_factory):
+    """(survival CSV text, biomarker CSV text, model path): a valid joint
+    design at n = 60 and the model fitted on it."""
+    tmp = tmp_path_factory.mktemp("cells")
+    surv, long = joint_csvs(tmp, n=60, seed=4)
+    model = fitted_model_path(tmp, surv, long)
+    return surv.read_bytes().decode(), long.read_bytes().decode(), model
+
+
+# texts at the edges of what the readers take: non-finite, huge and tiny
+# numbers, a status or id out of place, and cells csv.reader must unquote
+CELL_EDGES = st.sampled_from([
+    "", " ", "nan", "inf", "-inf", "-1", "-0", "0", "1", "2", "0.5", "1e308",
+    "-1e308", "1e-308", "5e-324", "1e400", "1_0", "0x10", "abc", "x1",
+    "marker", "id", '"', '""', '"1,2"', "1,2", "é"])
+CELLS = (CELL_EDGES | st.floats().map(repr) | st.integers().map(str)
+         | st.text(max_size=4))
+
+
+def _with_cell(text, row, column, cell):
+    """``text`` with one cell replaced: of its header and data lines, the
+    ``row``-th modulo their number, and of that line's cells the
+    ``column``-th modulo theirs.  The ``# config:`` comment line is kept."""
+    lines = text.split("\n")  # the text ends with a line end
+    k = 1 + row % (len(lines) - 2)
+    cells = lines[k].rstrip("\r").split(",")
+    cells[column % len(cells)] = cell
+    lines[k] = ",".join(cells) + "\r"
+    return "\n".join(lines)
+
+
+def _finite_or_typed_error(code, err, numbers):
+    """A run exits 0 with finite numbers, or 1 with a package error or an
+    OSError."""
+    if code == 0:
+        assert all(map(math.isfinite, numbers())), numbers()
+    else:
+        assert code == 1
+        assert json.loads(err)["error"] in ERROR_NAMES, err
+
+
+def _model_numbers(path):
+    model = json.loads(path.read_text())["model"]
+    return model["beta"] + [v for row in model["covariance"] for v in row]
+
+
+def _metric_numbers(path):
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    cells = [l.split(",")[:-1] for l in lines[1:]]  # reference_kind is text
+    return [float(c) for row in cells for c in row if c]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.booleans(), st.integers(0), st.integers(0), CELLS)
+# subject 1's x1 = 1e308 overflows its design rows: an InvalidInput, not
+# numpy's LinAlgError from the SVD
+@example(True, 2, 3, "1e308")
+def test_fit_and_evaluate_on_a_mutated_cell_are_finite_or_a_typed_error(
+        cell_inputs, fuzz_dir, in_survival, row, column, cell):
+    """``fit`` and ``evaluate`` on a valid survival or biomarker CSV with one
+    cell changed each exit 0 with finite numbers, or exit 1 with a package
+    error or an OSError."""
+    surv_text, long_text, model = cell_inputs
+    if in_survival:
+        surv_text = _with_cell(surv_text, row, column, cell)
+    else:
+        long_text = _with_cell(long_text, row, column, cell)
+    surv, long = fuzz_dir / "surv.csv", fuzz_dir / "long.csv"
+    surv.write_text(surv_text, newline="")
+    long.write_text(long_text, newline="")
+    fitted, metrics = fuzz_dir / "fitted.json", fuzz_dir / "eval.csv"
+    for out in (fitted, metrics):
+        out.unlink(missing_ok=True)
+    runs = [(["fit", "--input", surv, "--longitudinal", long, "--grid",
+              "0:4:1", "--w", "5", "--knots", "1,2,3", "--covariates",
+              "x1,x2,marker", "--extend-tail", "--output", fitted],
+             lambda: _model_numbers(fitted)),
+            (["evaluate", "--model", model, "--train", surv,
+              "--train-longitudinal", long, "--val", surv,
+              "--val-longitudinal", long, "--extend-tail", "--output",
+              metrics], lambda: _metric_numbers(metrics))]
+    for argv, numbers in runs:
+        err = io.StringIO()
+        with redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # rows out of time order
+            code = run(argv)
+        _finite_or_typed_error(code, err.getvalue(), numbers)

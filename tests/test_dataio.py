@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from dynrmst import dataio
 from dynrmst.errors import InvalidInput
 from dynrmst.landmark import LongitudinalRecord, MarkerTable
-from dynrmst.surv import SurvivalRecord, as_survival_data
+from dynrmst.surv import SurvivalData, SurvivalRecord, as_survival_data
 
 IDS = st.text("ab1", min_size=1, max_size=3)
 # ids csv.reader must unquote: a ',', line break or quote between letters
@@ -190,7 +190,6 @@ def test_readers_equal_the_record_reference(tmp_path_factory, data):
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@pytest.mark.filterwarnings("ignore:.*out of time order")
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(IDS, st.floats(0.0, allow_infinity=False),
                           st.integers(0, 1), FINITE, st.sampled_from(["g", "h"])),
@@ -199,15 +198,18 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
                 max_size=10))
 def test_write_then_read_is_bit_exact(tmp_path_factory, subjects, visits):
     work = tmp_path_factory.mktemp("roundtrip")
-    records = [SurvivalRecord(sid, t, d, group=g, covariates={"x": x})
-               for sid, t, d, x, g in subjects]
-    dataio.write_survival(work / "surv.csv", records, config={"seed": 1})
-    assert_same_survival(dataio.read_survival(work / "surv.csv"),
-                         as_survival_data(records, ["x"]))
-    long = [LongitudinalRecord(sid, t, {"m": v}) for sid, t, v in visits]
-    dataio.write_longitudinal(work / "long.csv", long)
-    assert_same_table(dataio.read_longitudinal(work / "long.csv"),
-                      reference_table(long))
+    surv = as_survival_data([SurvivalRecord(sid, t, d, group=g,
+                                            covariates={"x": x})
+                             for sid, t, d, x, g in subjects], ["x"])
+    dataio.write_survival(work / "surv.csv", surv, config={"seed": 1})
+    assert_same_survival(dataio.read_survival(work / "surv.csv"), surv)
+    markers = reference_table([LongitudinalRecord(sid, t, {"m": v})
+                               for sid, t, v in visits])
+    dataio.write_longitudinal(work / "long.csv", markers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rows are written in time order
+        assert_same_table(dataio.read_longitudinal(work / "long.csv"),
+                          markers)
     for name in ("surv.csv", "long.csv"):
         # the writers end lines with CRLF, which the one-split path reads
         assert dataio._plain((work / name).read_bytes().decode())
@@ -334,3 +336,71 @@ def test_survival_file_without_rows(tmp_path):
     path.write_text("# config: {}\nid,time,status\n")
     with pytest.raises(InvalidInput, match="no records"):
         dataio.read_survival(path)
+
+
+def _two_subjects(time=1.0, x=0.5):
+    """SurvivalData of subjects 'a' and 'b'; b has the given time and x."""
+    return SurvivalData(np.array(["a", "b"], dtype=object),
+                        np.array([2.0, time]), np.array([1, 0]),
+                        {"x": np.array([-1.0, x])})
+
+
+def _markers(obs_time=1.0, value=0.5):
+    """MarkerTable of subjects 'a' and 'b'; b's second row has the given
+    obs_time and value."""
+    return MarkerTable.from_columns(np.array(["a", "b"], dtype=object),
+                                    np.array([0, 1, 1]),
+                                    np.array([0.0, 0.0, obs_time]),
+                                    np.array(["m"] * 3, dtype=object),
+                                    np.array([1.0, 2.0, value]))
+
+
+@pytest.mark.parametrize("write, data, message", [
+    # a record that lacks x becomes NaN in the columns
+    (dataio.write_survival,
+     as_survival_data([SurvivalRecord("a", 2.0, 1, covariates={"x": -1.0}),
+                       SurvivalRecord("b", 1.0, 0)], ["x"]),
+     "subject 'b': column 'x' cannot hold nan"),
+    (dataio.write_survival, _two_subjects(x=np.nan),
+     "subject 'b': column 'x' cannot hold nan"),
+    (dataio.write_survival, _two_subjects(x=-np.inf),
+     "subject 'b': column 'x' cannot hold -inf"),
+    (dataio.write_survival, _two_subjects(time=np.inf),
+     "subject 'b': column 'time' cannot hold inf"),
+    (dataio.write_survival, _two_subjects(time=-1.0),
+     "subject 'b': column 'time' cannot hold -1.0"),
+    (dataio.write_survival,
+     SurvivalData(np.arange(2), np.ones(2), np.array([1, 2])),
+     "subject 1: column 'status' cannot hold 2"),
+    (dataio.write_longitudinal, _markers(value=np.nan),
+     "subject 'b': column 'value' cannot hold nan"),
+    (dataio.write_longitudinal, _markers(obs_time=np.inf),
+     "subject 'b': column 'obs_time' cannot hold inf"),
+])
+def test_writers_refuse_what_the_reader_refuses(tmp_path, write, data,
+                                                message):
+    """A value the reader would refuse is an InvalidInput naming the subject
+    and the column, raised before an existing file is touched."""
+    path = tmp_path / "out.csv"
+    path.write_text("kept\n")
+    with pytest.raises(InvalidInput) as exc:
+        write(path, data)
+    assert str(exc.value) == message
+    assert path.read_text() == "kept\n"
+
+
+def test_writers_take_columns_in_any_row_order_of_the_table(tmp_path):
+    """Rows come out in (id, obs_time, name) order whatever biomarker they
+    belong to, and survival rows in the (ascending) id order of the data."""
+    markers = MarkerTable.from_columns(
+        np.array(["a", "b"], dtype=object), np.array([1, 0, 0, 1, 0]),
+        np.array([2.0, 1.0, 0.0, 0.5, 1.0]),
+        np.array(["n", "m", "n", "m", "n"], dtype=object),
+        np.array([1.0, 2.0, 3.0, 4.0, -5.0]))
+    dataio.write_longitudinal(tmp_path / "long.csv", markers)
+    assert (tmp_path / "long.csv").read_text().splitlines() == [
+        "id,obs_time,name,value", "a,0,n,3", "a,1,m,2", "a,1,n,-5",
+        "b,0.5,m,4", "b,2,n,1"]
+    dataio.write_survival(tmp_path / "surv.csv", _two_subjects())
+    assert (tmp_path / "surv.csv").read_text().splitlines() == [
+        "id,time,status,x", "a,2,1,-1", "b,1,0,0.5"]

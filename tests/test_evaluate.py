@@ -19,6 +19,7 @@ from dynrmst.gee import LOG, fit_super_model
 from dynrmst.landmark import LongitudinalRecord, build_super_dataset
 from dynrmst.sim import joint_spec, simulate_joint
 from dynrmst.surv import SurvivalRecord, as_survival_data, risk_set_pseudo
+from records import joint_records
 
 # a 0/0 or a divide by zero that escapes np.errstate (say, in the padded
 # jackknife tables) fails the test
@@ -194,8 +195,8 @@ class TestStaticModel:
         spec = joint_spec("linear")
         train = simulate_joint(spec, 150, 1)
         val = simulate_joint(spec, 100, 2)
-        tr_s, tr_l = train.to_records()
-        va_s, va_l = val.to_records()
+        tr_s, tr_l = joint_records(train)
+        va_s, va_l = joint_records(val)
         grid = [0.0, 2.0, 4.0]
         data = build_super_dataset(tr_s, tr_l, grid, 5.0,
                                    covariate_names=["x1", "x2", "marker"],

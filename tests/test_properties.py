@@ -21,6 +21,7 @@ from dynrmst.sim import joint_spec, simulate_joint
 from dynrmst.surv import (SurvivalData, SurvivalRecord, as_survival_data,
                           crmst_km, crmst_km_ratio, pseudo_observations)
 from gee_oracle import dense_design, dense_sandwich, dense_solve
+from records import joint_records
 
 # a 0/0 or a divide by zero that escapes np.errstate (say, in the padded
 # jackknife tables) fails the test
@@ -82,7 +83,7 @@ def test_records_and_columns_build_identical_arrays(seed, n):
     sample = simulate_joint(joint_spec("linear"), n, seed)
     grid = [0.0, 0.5, 1.5, 3.0]
     names = ["x1", "x2", "marker"]
-    from_records = build_super_dataset(*sample.to_records(), grid, 5.0,
+    from_records = build_super_dataset(*joint_records(sample), grid, 5.0,
                                        covariate_names=names, extend_tail=True)
     from_columns = build_super_dataset(*sample.columns(), grid, 5.0,
                                        covariate_names=names, extend_tail=True)
@@ -317,7 +318,8 @@ def test_estimates_scale_with_the_time_unit(case, k, factor):
 def test_results_do_not_depend_on_the_order_of_records(seed, rnd):
     spec = joint_spec("linear")
     val = simulate_joint(spec, 60, seed + 1)
-    inputs = [simulate_joint(spec, 120, seed).to_records(), val.to_records()]
+    inputs = [joint_records(simulate_joint(spec, 120, seed)),
+              joint_records(val)]
     shuffled = [[rnd.sample(recs, len(recs)) for recs in pair]
                 for pair in inputs]
     grid, names = [0.0, 1.0, 2.5], ["x1", "x2", "marker"]

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
-from dynrmst import _blas, sim
+from dynrmst import _blas, dataio, sim
 from dynrmst.basis import BasisLayout, SplineSpec
 from dynrmst.errors import EmptyRiskSet, InvalidInput
 from dynrmst.gee import IDENTITY, fit_super_model, sandwich_cov
@@ -30,19 +30,38 @@ from dynrmst.sim import (_GL_NODES, _GL_WEIGHTS, JointModelSpec, JointTruth,
 JOINT_FIELDS = ("time", "status", "x1", "x2", "visit_times", "visit_values")
 
 
+def scenario_arms(spec, seed):
+    """(control, treatment) SurvivalData of one ``simulate_scenario`` draw."""
+    data = simulate_scenario(spec, seed)
+    return tuple(data.subset(data.group == arm) for arm in (0, 1))
+
+
 class TestScenarioDesigns:
     def test_control_median(self):
         spec = scenario_spec(1, 200_000)
-        control, _ = simulate_scenario(spec, 7)
-        med = np.median([r.time for r in control])
-        assert abs(med - 10.0) < 0.15
+        control, _ = scenario_arms(spec, 7)
+        assert abs(np.median(control.time) - 10.0) < 0.15
 
     def test_null_scenario_arms_exchangeable(self):
         spec = scenario_spec(1, 20_000)
-        control, treat = simulate_scenario(spec, 11)
-        ks = stats.ks_2samp([r.time for r in control],
-                            [r.time for r in treat])
+        control, treat = scenario_arms(spec, 11)
+        ks = stats.ks_2samp(control.time, treat.time)
         assert ks.pvalue > 0.01
+
+    @pytest.mark.parametrize("censor_target", [0.0, 0.3])
+    def test_one_dataset_holds_both_arms_in_id_order(self, censor_target):
+        spec = scenario_spec(3, 50, censor_target=censor_target)
+        data = simulate_scenario(spec, 5)
+        ids = data.ids.tolist()
+        assert ids == sorted(ids) and len(set(ids)) == 100
+        assert ids[:2] == ["c000000", "c000001"] and ids[50] == "t000000"
+        assert data.group.tolist() == [0] * 50 + [1] * 50
+        assert data.covariates == {}
+        for arm, (y, d) in enumerate(sim._draw_arms(
+                spec, [np.random.default_rng(5)])):
+            part = data.subset(data.group == arm)
+            assert part.time.tobytes() == y[0].tobytes()
+            assert part.status.tobytes() == d[0].tobytes()
 
     def test_delayed_effect_coincides_before_split(self):
         # design 4 has hazard ratio 1 before t = 10
@@ -66,10 +85,8 @@ class TestScenarioDesigns:
     def test_censoring_fraction_hits_target(self):
         for number, target in ((2, 0.3), (3, 0.15)):
             spec = scenario_spec(number, 50_000, censor_target=target)
-            control, treat = simulate_scenario(spec, 13)
-            for arm in (control, treat):
-                frac = np.mean([1 - r.status for r in arm])
-                assert abs(frac - target) < 0.02
+            for arm in scenario_arms(spec, 13):
+                assert abs(np.mean(1 - arm.status) - target) < 0.02
 
     def test_truth_routes_agree(self):
         for number in (1, 2, 3, 4):
@@ -115,13 +132,29 @@ class TestJointModel:
         # baseline visit always observed
         assert np.all(sample.visit_times[:, 0] == 0.0)
 
-    def test_records_round_trip(self):
+    def test_columns_write_and_read_back_bitwise(self, tmp_path):
         sample = simulate_joint(joint_spec("linear"), 50, 5)
-        surv, long = sample.to_records()
-        assert len(surv) == 50
-        assert {r.id for r in surv} == set(range(50))
-        n_obs = int(np.sum(~np.isnan(sample.visit_times)))
-        assert len(long) == n_obs
+        surv, markers = sample.columns()
+        assert surv.ids.tolist() == list(range(50))
+        times, values, offsets = markers.columns["marker"]
+        assert times.size == np.sum(~np.isnan(sample.visit_times))
+        assert np.array_equal(offsets[1:] - offsets[:-1],
+                              np.sum(~np.isnan(sample.visit_times), axis=1))
+        dataio.write_survival(tmp_path / "surv.csv", surv)
+        dataio.write_longitudinal(tmp_path / "long.csv", markers)
+        back = dataio.read_survival(tmp_path / "surv.csv")
+        # the reader's ids are the text of the written ids, in text order
+        order = np.argsort(surv.ids.astype(str), kind="stable")
+        assert back.ids.tolist() == surv.ids.astype(str)[order].tolist()
+        for a, b in ((back.time, surv.time), (back.status, surv.status),
+                     (back.covariates["x1"], surv.covariates["x1"]),
+                     (back.covariates["x2"], surv.covariates["x2"])):
+            assert a.tobytes() == b[order].tobytes()
+        table = dataio.read_longitudinal(tmp_path / "long.csv")
+        want = markers.align(surv.ids)
+        got = table.align(surv.ids.astype(str).astype(object))
+        for a, b in zip(got.columns["marker"], want.columns["marker"]):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("trajectory", ["linear", "quadratic"])
     @pytest.mark.parametrize("censor_upper", [None, 25.0])
