@@ -15,12 +15,12 @@ def jackknife_pseudo(times, status, s, w, starts=None):
 
     ``s`` and ``w`` are scalars or arrays of J windows, s nondecreasing;
     window j's risk set is {i : times_i > s_j}, of N_j >= 2 subjects or
-    none.  The values come in (subject, window) order: subject i's values
-    at the windows that hold it, in window order.  A scalar window on the
-    risk set at s (every time > s) is the case J = 1, one value per subject
-    in input order.  With ``starts``, ``s`` and ``w`` are scalars and
+    none.  A scalar window on the risk set at s (every time > s) is the
+    case J = 1.  With ``starts``, ``s`` and ``w`` are scalars and
     ``times``/``status`` hold K risk sets at s one after another, risk set
-    k beginning at offset ``starts[k]`` (``starts[0]`` is 0).  The
+    k beginning at offset ``starts[k]`` (``starts[0]`` is 0).  Either form
+    returns its values one risk set after another, window after window or
+    set after set, each in input order.  The
     Kaplan-Meier curve is restarted at ``s`` and, where a leave-one-out
     curve ends before ``s + w`` with survival above zero, it is carried
     forward at its last value.  The values of each risk set are bitwise
@@ -56,7 +56,7 @@ def jackknife_pseudo(times, status, s, w, starts=None):
         sw[0], sw[1] = s, w
         s, w = sw
         # the values are computed on an N x J grid, one column per window,
-        # and returned at the cells of subjects at risk
+        # and returned at the cells of subjects at risk, window after window
         row = np.arange(s.size)
         at_risk = t[:, None] > s
         is_event = (d == 1) & (t < horizon.max())
@@ -139,7 +139,7 @@ def jackknife_pseudo(times, status, s, w, starts=None):
     # a risk set with no event inside its window has a flat curve
     flat = per_set[row] == 0
     out[..., flat] = w[flat] if windows else w
-    return out[at_risk] if windows else out
+    return out.T[at_risk.T] if windows else out
 
 
 def _loo_integrals(ut, dk, yk, s, horizon):

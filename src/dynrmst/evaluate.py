@@ -21,7 +21,7 @@ from .errors import InvalidInput, OutOfRange
 from .gee import (IDENTITY, DynamicModelFit, _Block, _block_solver,
                   _check_size, fit_landmark_model)
 from .landmark import (_columns, _covariates_at, _landmark_error,
-                       _pair_starts, build_landmark_dataset)
+                       _landmark_pairs, build_landmark_dataset)
 from .surv import _check_alpha, _first_failing_window, as_survival_data
 
 __all__ = [
@@ -182,7 +182,8 @@ def _static_solver(surv, markers, names):
     subjects with H = I, and only the pseudo-values change, so the design
     is read and factorised once."""
     rows = np.flatnonzero(surv.time > 0.0)
-    z, _, missing = _covariates_at(surv, markers, names, rows, [0.0])
+    z, _, missing = _covariates_at(surv, markers, names, [0.0],
+                                   np.zeros_like(rows), rows)
     if missing is not None:
         raise missing
     zstar = np.column_stack([np.ones(rows.size), z])
@@ -225,10 +226,11 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
     time, status = val[0].time, val[0].status
     kind = "pseudo_value" if truth is None else "true_value"
     # risk sets are nested, so every later landmark reads rows of the
-    # subjects at risk at the first one, and validation subject i is at
-    # risk at the first n_at[i] landmarks
-    first = np.flatnonzero(time > grid[0])
-    n_at = np.searchsorted(grid, time, side="left")
+    # subjects at risk at the first one; landmark j's rows of the
+    # landmark-major Z(s_j) are offsets[j]:offsets[j + 1]
+    landmark, position, offsets = _landmark_pairs(
+        np.searchsorted(grid, time, side="left"), n_lm)
+    first = position[:offsets[1]]
     if truth is not None:
         # column j holds cRMST(s_j, w), column J + j RMST(s_j + w)
         table = truth.subset(first).true_crmst(
@@ -238,15 +240,14 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
     hs = h_matrix(dynamic_fit.layout, grid)
 
     # the first landmark at which each check fails (n_lm when none)
-    z_dyn, bad_z, missing = _covariates_at(*val, names,
-                                           np.arange(time.size),
-                                           dynamic_fit.grid, n_at)
+    z_dyn, bad_z, missing = _covariates_at(*val, names, dynamic_fit.grid,
+                                           landmark, position)
     bad_static, static_error = _first_failing_window(
         train[0].time, train[0].status, 0.0, taus, extend_tail)
     # pseudo-value references exist at the landmarks with two or more at risk
     n_ref = 0
     if truth is None:
-        n_ref = int(np.sum(np.sum(time[:, None] > grid, axis=0) > 1))
+        n_ref = int(np.sum(np.diff(offsets) > 1))
     bad_dyn, dyn_error = _first_failing_window(time, status, grid[:n_ref], w,
                                                extend_tail)
     bad_ref, ref_error = _first_failing_window(time, status, 0.0,
@@ -266,7 +267,8 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
     if min(bad_z, bad_static) == 0:
         raise error_at(0)
     train_rows, solve = _static_solver(*train, names)
-    val_z0, _, missing_0 = _covariates_at(*val, names, first, [0.0])
+    val_z0, _, missing_0 = _covariates_at(*val, names, [0.0],
+                                          np.zeros_like(first), first)
     if missing_0 is not None:
         raise missing_0
     if min(bad_z, bad_static, bad_ref) < n_lm:
@@ -275,40 +277,37 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
     val_z0 = np.column_stack([np.ones(first.size), val_z0])
     static_pv = _kernels.jackknife_pseudo(
         train[0].time[train_rows], train[0].status[train_rows], 0.0, taus
-    ).reshape(train_rows.size, n_lm)
-    starts = _pair_starts(n_at)
+    ).reshape(n_lm, train_rows.size)
     if n_ref:
-        ref_starts = _pair_starts(np.minimum(n_at, n_ref))
+        # the reference risk sets are those of the first n_ref landmarks,
+        # so landmark j's values share the offsets of Z(s_j)
         dyn_ref = _kernels.jackknife_pseudo(time, status, grid[:n_ref], w)
         at_0 = time > 0.0
         stat_ref = _kernels.jackknife_pseudo(
             time[at_0], status[at_0], 0.0, taus[:n_ref]
-        ).reshape(-1, n_ref)
+        ).reshape(n_ref, -1)
     rows_out = []
     for j, s_j in enumerate(dynamic_fit.grid):
-        rows = np.flatnonzero(n_at > j)
+        lo, hi = offsets[j], offsets[j + 1]
         at_risk = time[first] > s_j
-        dyn_pred = _path_values(dynamic_fit, z_dyn[starts[rows] + j],
+        dyn_pred = _path_values(dynamic_fit, z_dyn[lo:hi],
                                 hs[j] @ dynamic_fit.beta)
-        # a contiguous copy of the column: BLAS may sum a strided vector in
-        # another order
-        stat_pred = val_z0[at_risk] @ solve([np.array(static_pv[:, j])])
+        stat_pred = val_z0[at_risk] @ solve([static_pv[j]])
         if not (np.isfinite(dyn_pred).all() and np.isfinite(stat_pred).all()):
             raise InvalidInput(f"prediction at s={s_j} is not finite: the "
                                f"model or the covariates overflow")
         refs = None
-        if truth is not None and rows.size:
+        if truth is not None and hi > lo:
             refs = table[at_risk, j], table[at_risk, grid.size + j]
         elif j < n_ref:
             # static pseudo-values cover every subject with Y > 0; keep
             # those at risk at s_j
-            refs = (dyn_ref[ref_starts[rows] + j],
-                    stat_ref[time[at_0] > s_j, j])
+            refs = dyn_ref[lo:hi], stat_ref[j, time[at_0] > s_j]
         pe_dyn = pe_stat = c_dyn = c_stat = None
         if refs is not None:
             pe_dyn = prediction_error(dyn_pred, refs[0], kind=kind)
             pe_stat = prediction_error(stat_pred, refs[1], kind=kind)
-        if rows.size > 1:
+        if hi - lo > 1:
             c_dyn = c_index(dyn_pred, val[0], s_j, w)
             c_stat = c_index(stat_pred, val[0], s_j, w)
         rows_out.append(EvalRow(

@@ -266,12 +266,15 @@ class _Block(NamedTuple):
 
 
 def _checked_svd(x):
-    """Thin SVD (u, sv, vt) of x; SingularDesign when x is rank deficient,
-    InvalidInput when it overflowed (a covariate far too large)."""
-    if not np.isfinite(x).all():
+    """Thin SVD (u, sv, vt) of x; InvalidInput when x or its largest
+    singular value overflowed (a covariate far too large), SingularDesign
+    when x is rank deficient."""
+    sv = None
+    if np.isfinite(x).all():  # the SVD of a non-finite x raises LinAlgError
+        u, sv, vt = np.linalg.svd(x, full_matrices=False)
+    if sv is None or not np.isfinite(sv[0]):
         raise InvalidInput("design matrix is not finite: a covariate value "
                            "is too large to fit")
-    u, sv, vt = np.linalg.svd(x, full_matrices=False)
     # with fewer rows than columns the missing singular values are zero
     smallest = sv[-1] if sv.size == x.shape[1] else 0.0
     if sv[0] == 0.0 or smallest < RANK_RTOL * sv[0]:
@@ -392,9 +395,9 @@ def _sandwich(blocks, link, beta, n_clusters, with_rowwise=False):
 
 
 def fit_arrays(x, y, cluster_starts, link=IDENTITY, eps_floor=None):
-    """Array-level solver: design x, responses y, cluster_starts as in
-    SuperDataset.arrays().  Returns (beta, covariance, iterations, score_norm).
-    The design is one block with H = I."""
+    """Array-level solver: design x, responses y, and cluster k's rows at
+    cluster_starts[k]:cluster_starts[k + 1].  Returns (beta, covariance,
+    iterations, score_norm).  The design is one block with H = I."""
     x = np.asarray(x, dtype=float)
     starts = np.asarray(cluster_starts, dtype=np.int64)
     cluster = np.repeat(np.arange(starts.size - 1), np.diff(starts))
@@ -419,20 +422,16 @@ def fit_landmark_model(data, link=IDENTITY):
 def _landmark_blocks(data, layout):
     """One block per landmark with rows: Z*_j = [1, Z] over its rows and
     H(s_j), each row clustered by its subject."""
-    lm, y, z, starts = data.arrays()
+    z = data.covariates
     if layout.n_paths != z.shape[1] + 1:
         raise InvalidInput(
             f"layout has {layout.n_paths} paths but data has {z.shape[1]} covariates"
         )
-    subject = np.repeat(np.arange(starts.size - 1), np.diff(starts))
     hs = h_matrix(layout, data.landmark_grid)
-    blocks = []
-    for s_j, h_j in zip(data.landmark_grid, hs):
-        rows = np.flatnonzero(lm == s_j)
-        if rows.size:
-            blocks.append(_Block(np.column_stack([np.ones(rows.size), z[rows]]),
-                                 y[rows], h_j, subject[rows]))
-    return blocks
+    off = data.offsets
+    return [_Block(np.column_stack([np.ones(hi - lo), z[lo:hi]]),
+                   data.pseudo_values[lo:hi], h_j, data.cluster[lo:hi])
+            for h_j, lo, hi in zip(hs, off[:-1], off[1:]) if hi > lo]
 
 
 def _check_size(n_rows, n_subjects, q):

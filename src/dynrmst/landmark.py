@@ -8,7 +8,8 @@ for library callers, converted once.  The biomarker table is aligned with
 the survival subjects by id.  The whole grid is then one vectorized pass:
 one jackknife call for the strict risk sets ``Y > s`` of every landmark,
 and per biomarker one search that resolves it by last observation carried
-forward (ties at the landmark count) at every landmark.
+forward (ties at the landmark count) at every landmark, in the
+landmark-major row order that ``_landmark_pairs`` alone decides.
 """
 
 from __future__ import annotations
@@ -121,39 +122,34 @@ class MarkerTable:
             columns[name] = (times[take], values[take], starts)
         return MarkerTable(columns, ids)
 
-    def locf(self, name, rows, grid, n_at=None):
-        """Last value of ``name`` at or before each landmark of ``grid``
-        (strictly increasing; a scalar is one landmark) for the subjects at
-        positions ``rows``, in (subject, landmark) order: subject rows[i] at
-        the first n_at[i] landmarks (every landmark by default); NaN where
-        it has none.  A measurement is keyed subject * (J + 1) + the first
-        landmark at or after its time, so the keys ascend with the rows,
-        and one search of the pairs' keys finds each pair's last row."""
+    def locf(self, name, grid, landmark, position):
+        """Last value of ``name`` at or before landmark ``grid[landmark[k]]``
+        (``grid`` strictly increasing; a scalar is one landmark) for the
+        subject at ``position[k]``, for each pair k; NaN where it has none.
+        A measurement is keyed subject * (J + 1) + the first landmark at or
+        after its time, so the keys ascend with the rows, and one search of
+        the pairs' keys finds each pair's last row."""
         times, values, offsets = self.columns[name]
         grid = np.atleast_1d(grid)
-        n_at = np.full(rows.size, grid.size) if n_at is None else n_at
         stride = grid.size + 1
         subject = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
         keys = subject * stride + np.searchsorted(grid, times, side="left")
-        pair_subject = np.repeat(rows, n_at)
-        last = np.searchsorted(
-            keys, pair_subject * stride + _landmark_of_pairs(n_at),
-            side="right") - 1
-        found = last >= offsets[pair_subject]
-        out = np.full(pair_subject.size, np.nan)
+        last = np.searchsorted(keys, position * stride + landmark,
+                               side="right") - 1
+        found = last >= offsets[position]
+        out = np.full(position.size, np.nan)
         out[found] = values[last[found]]
         return out
 
 
-def _pair_starts(n_at):
-    """Position of subject i's first (subject, landmark) pair, in that
-    order, where subject i holds the first n_at[i] landmarks."""
-    return np.add.accumulate(n_at) - n_at
-
-
-def _landmark_of_pairs(n_at):
-    """Landmark index of each (subject, landmark) pair, in that order."""
-    return np.arange(n_at.sum()) - np.repeat(_pair_starts(n_at), n_at)
+def _landmark_pairs(n_at, n_landmarks):
+    """(landmark, position, offsets): pair k is the subject at position[k]
+    at landmark[k], where the subject at position i is at risk at the first
+    n_at[i] landmarks, and landmark j's pairs, positions ascending, are
+    offsets[j]:offsets[j + 1]."""
+    landmark, position = np.nonzero(np.arange(n_landmarks)[:, None] < n_at)
+    return landmark, position, np.searchsorted(landmark,
+                                               np.arange(n_landmarks + 1))
 
 
 def _columns(survival, longitudinal, covariate_names=None):
@@ -176,55 +172,57 @@ def _columns(survival, longitudinal, covariate_names=None):
 
 @dataclass(frozen=True)
 class SuperDataset:
-    """Stacked landmark datasets: one row per (subject, landmark) with the
-    subject at risk, ordered by (id, landmark), each with its pseudo-value
-    and covariates Z(s_l).  Rows of the i-th of ``subjects`` (ascending ids)
-    occupy ``cluster_starts[i]:cluster_starts[i + 1]``."""
+    """Stacked landmark datasets: landmark j's rows are ``offsets[j]:
+    offsets[j + 1]``, one per subject at risk at s_j in ascending id order,
+    with its pseudo-value, covariates Z(s_j) and ``cluster``, its index into
+    ``subjects`` (the ascending ids of the subjects with a row)."""
 
-    landmarks: np.ndarray
     pseudo_values: np.ndarray
     covariates: np.ndarray
-    cluster_starts: np.ndarray
+    cluster: np.ndarray
+    offsets: np.ndarray
     subjects: np.ndarray
     landmark_grid: tuple
     w: float
     covariate_names: tuple
 
     def __len__(self):
-        return self.landmarks.size
+        return self.pseudo_values.size
 
     @property
     def n_subjects(self):
         return self.subjects.size
 
+    @property
+    def landmarks(self):
+        """Each row's landmark s_j."""
+        return np.repeat(np.array(self.landmark_grid), np.diff(self.offsets))
+
     def arrays(self):
-        """(landmarks, pseudo_values, Z matrix, cluster_starts)."""
-        return self.landmarks, self.pseudo_values, self.covariates, self.cluster_starts
+        """(landmarks, pseudo_values, Z matrix, cluster), aligned by row."""
+        return self.landmarks, self.pseudo_values, self.covariates, self.cluster
 
 
-def _covariates_at(surv, markers, names, rows, grid, n_at=None):
-    """(Z, j, error): Z(s) for the subjects at positions ``rows``, one row
-    per (subject, landmark) pair in that order, subject rows[i] at the first
-    n_at[i] landmarks of ``grid`` (every landmark by default); LOCF for
-    names in the biomarker table, the time-fixed value otherwise.  j is the
-    first landmark at which a subject lacks a value and error the
-    MissingCovariate that names the lowest such id, then the first such
-    name (len(grid) and None when no value is missing)."""
-    n_at = np.full(rows.size, len(grid)) if n_at is None else n_at
-    z = np.full((int(n_at.sum()), len(names)), np.nan)
+def _covariates_at(surv, markers, names, grid, landmark, position):
+    """(Z, j, error): Z(s) of each pair k, the subject at position[k] at
+    landmark grid[landmark[k]], with the pairs landmark-major and ascending
+    in position within a landmark; LOCF for names in the biomarker table,
+    the time-fixed value otherwise.  j is the first landmark at which a
+    subject lacks a value and error the MissingCovariate that names the
+    lowest such id, then the first such name (len(grid) and None when no
+    value is missing)."""
+    z = np.full((landmark.size, len(names)), np.nan)
     for k, name in enumerate(names):
         if name in markers.columns:
-            z[:, k] = markers.locf(name, rows, np.asarray(grid, dtype=float),
-                                   n_at)
+            z[:, k] = markers.locf(name, np.asarray(grid, dtype=float),
+                                   landmark, position)
         elif name in surv.covariates:
-            z[:, k] = np.repeat(surv.covariates[name][rows], n_at)
+            z[:, k] = surv.covariates[name][position]
     missing = np.argwhere(np.isnan(z))
     if not missing.size:
         return z, len(grid), None
-    landmark = _landmark_of_pairs(n_at)[missing[:, 0]]
-    pair, k = missing[np.argmin(landmark)]  # lowest id first, then name order
-    i = rows[np.searchsorted(np.add.accumulate(n_at), pair, side="right")]
-    j = int(landmark.min())
+    pair, k = missing[0]  # the lowest landmark, then id, then name
+    i, j = position[pair], int(landmark[pair])
     return z, j, MissingCovariate(surv.ids[i:i + 1].tolist()[0], names[k],
                                   grid[j])
 
@@ -262,20 +260,20 @@ def build_super_dataset(survival, longitudinal, grid, w, covariate_names=None,
     n_ok, failure = _first_failing_window(surv.time, surv.status, grid, w,
                                           extend_tail)
     # risk sets are nested, so subject i is at risk at exactly the first
-    # n_at[i] landmarks and its rows are those landmarks in grid order
+    # n_at[i] landmarks
     n_at = np.searchsorted(grid[:n_ok], surv.time, side="left")
-    z, _, missing = _covariates_at(surv, markers, names,
-                                   np.arange(surv.ids.size), grid[:n_ok], n_at)
+    landmark, position, offsets = _landmark_pairs(n_at, n_ok)
+    z, _, missing = _covariates_at(surv, markers, names, grid[:n_ok],
+                                   landmark, position)
     if missing is not None:
         raise missing
     if failure is not None:
         raise _landmark_error(failure, grid[n_ok])
     pseudo = _kernels.jackknife_pseudo(surv.time, surv.status, grid, w)
     kept = n_at > 0
-    starts = np.concatenate(([0], np.cumsum(n_at[kept]))).astype(np.int64)
-    return SuperDataset(landmarks=np.array(grid)[_landmark_of_pairs(n_at)],
-                        pseudo_values=pseudo, covariates=z,
-                        cluster_starts=starts, subjects=surv.ids[kept],
+    return SuperDataset(pseudo_values=pseudo, covariates=z,
+                        cluster=(np.cumsum(kept) - 1)[position],
+                        offsets=offsets, subjects=surv.ids[kept],
                         landmark_grid=tuple(grid), w=float(w),
                         covariate_names=names)
 

@@ -11,11 +11,11 @@ from dynrmst.gee import MAX_HALVINGS, MAX_ITER, RANK_RTOL, SCORE_TOL
 
 
 def dense_design(data, layout):
-    """(x, y, cluster_starts): row i of x is [1, Z_i] H(s_i)."""
-    lm, y, z, starts = data.arrays()
+    """(x, y, cluster): row i of x is [1, Z_i] H(s_i)."""
+    lm, y, z, cluster = data.arrays()
     x = np.array([np.concatenate(([1.0], z_i)) @ h_matrix(layout, s_i)
                   for s_i, z_i in zip(lm, z)]).reshape(lm.size, layout.q)
-    return x, y, starts
+    return x, y, cluster
 
 
 def dense_lstsq(x, y):
@@ -54,14 +54,15 @@ def dense_solve(x, y, link, eps_floor):
     return beta
 
 
-def dense_sandwich(x, y, link, beta, cluster_starts):
-    """Sandwich covariance with scores summed over contiguous clusters;
-    cluster_starts = arange(n + 1) gives the rowwise sandwich."""
+def dense_sandwich(x, y, link, beta, cluster):
+    """Sandwich covariance with scores summed by each row's cluster index;
+    cluster = arange(n) gives the rowwise sandwich."""
     eta = x @ beta
     d = link.dginv(eta)
     scores = (d * (y - link.ginv(eta)))[:, None] * x
     bread = (x * (d**2)[:, None]).T @ x
-    grouped = np.add.reduceat(scores, cluster_starts[:-1], axis=0)
+    grouped = np.zeros((cluster.max() + 1, x.shape[1]))
+    np.add.at(grouped, cluster, scores)
     binv = np.linalg.inv(bread)
     cov = binv @ (grouped.T @ grouped) @ binv
     return (cov + cov.T) / 2.0

@@ -315,6 +315,25 @@ class TestInputDiagnostics:
                        "message": "design matrix is not finite: a covariate "
                                   "value is too large to fit"}
 
+    def test_fit_whose_svd_overflows_is_an_invalid_input_record(
+            self, tmp_path, capsys):
+        # x2 = 1e308 leaves the design finite, but its largest singular
+        # value overflows to inf: too large to fit, not rank deficient
+        surv, long = joint_csvs(tmp_path, n=60, seed=4)
+        lines = surv.read_text().splitlines()
+        cells = lines[3].split(",")
+        assert lines[1].split(",")[4] == "x2" and cells[0] == "1"
+        lines[3] = ",".join(cells[:4] + ["1e308"] + cells[5:])
+        surv.write_text("\n".join(lines) + "\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["fit", "--input", surv, "--longitudinal", long,
+                        "--grid", "0:4:1", "--w", "5", "--extend-tail",
+                        "--output", tmp_path / "model.json"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InvalidInput",
+                       "message": "design matrix is not finite: a covariate "
+                                  "value is too large to fit"}
+
     def test_grid_points_are_exact(self):
         assert _parse_grid("0:1:0.1")[3] == 0.3
         assert _parse_grid("0:1:0.1") == [i / 10 for i in range(11)]

@@ -21,8 +21,8 @@ def landmark_data(y, z, s=0.0):
     y = np.asarray(y, dtype=float)
     n = y.size
     z = np.asarray(z, dtype=float).reshape(n, -1)
-    return SuperDataset(landmarks=np.full(n, s), pseudo_values=y, covariates=z,
-                        cluster_starts=np.arange(n + 1), subjects=np.arange(n),
+    return SuperDataset(pseudo_values=y, covariates=z, cluster=np.arange(n),
+                        offsets=np.array([0, n]), subjects=np.arange(n),
                         landmark_grid=(s,), w=1.0,
                         covariate_names=tuple(f"z{k}" for k in range(z.shape[1])))
 

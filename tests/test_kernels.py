@@ -327,14 +327,11 @@ def window_grids(draw):
 def test_windows_in_one_call_are_each_alone_bitwise(case):
     t, d, s, w = case
     s_j, w_j = np.broadcast_arrays(s, w)
-    # subject i holds the first n_at[i] windows, in (subject, window) order
-    n_at = np.searchsorted(s_j, t, side="left")
-    first = np.add.accumulate(n_at) - n_at
-    want = np.empty(n_at.sum())
-    for j in range(s_j.size):
-        at = t > s_j[j]
-        want[first[at] + j] = reference_jackknife_pseudo(
-            t[at], d[at], float(s_j[j]), float(w_j[j]))
+    # window after window, each window's risk set in input order
+    want = np.concatenate([
+        reference_jackknife_pseudo(t[t > s_j[j]], d[t > s_j[j]],
+                                   float(s_j[j]), float(w_j[j]))
+        for j in range(s_j.size)])
     assert np.array_equal(_kernels.jackknife_pseudo(t, d, s, w), want)
     if s_j.size == 1:  # one window: the call on its risk set alone
         at = t > s_j[0]

@@ -120,21 +120,29 @@ class TestSuperDataset:
         data = build_super_dataset(survival4(), self.LONG, [1.0, 4.0, 7.0],
                                    2.0, extend_tail=True)
         assert list(data.subjects) == sorted(data.subjects)
-        starts = data.cluster_starts
-        for i in range(data.n_subjects):
-            lms = data.landmarks[starts[i]:starts[i + 1]]
-            assert list(lms) == sorted(lms)
+        off = data.offsets
+        # each landmark's rows are one slice, in ascending id order
+        for j, s_j in enumerate(data.landmark_grid):
+            ids = list(data.subjects[data.cluster[off[j]:off[j + 1]]])
+            assert ids == sorted(ids)
+            assert list(data.landmarks[off[j]:off[j + 1]]) == \
+                [s_j] * (off[j + 1] - off[j])
         # a (Y=8): all 3 landmarks; b (Y=3): only s=1; c (Y=6): s=1,4; d: all
-        assert dict(zip(data.subjects, np.diff(starts))) == \
+        assert [list(data.subjects[data.cluster[lo:hi]])
+                for lo, hi in zip(off[:-1], off[1:])] == \
+            [["a", "b", "c", "d"], ["a", "c", "d"], ["a", "d"]]
+        assert dict(zip(data.subjects, np.bincount(data.cluster))) == \
             {"a": 3, "b": 1, "c": 2, "d": 3}
 
-    def test_arrays_cluster_starts(self):
+    def test_arrays_cluster_and_offsets(self):
         data = build_super_dataset(survival4(), self.LONG, [1.0, 4.0], 2.0,
                                    extend_tail=True)
-        lm, pv, z, starts = data.arrays()
-        assert starts[0] == 0 and starts[-1] == len(data)
-        assert starts.size == data.n_subjects + 1
-        assert lm.shape == pv.shape == (len(data),)
+        lm, pv, z, cluster = data.arrays()
+        assert data.offsets[0] == 0 and data.offsets[-1] == len(data)
+        assert data.offsets.size == len(data.landmark_grid) + 1
+        assert np.array_equal(cluster, data.cluster)
+        assert np.array_equal(np.unique(cluster), np.arange(data.n_subjects))
+        assert lm.shape == pv.shape == cluster.shape == (len(data),)
         assert z.shape == (len(data), 2)  # x and m
 
     def test_grid_validation(self):

@@ -65,14 +65,18 @@ def test_locf_matches_brute_force_lookup(case):
         else:
             assert np.isnan(value)
 
-    value = table.locf("m", np.arange(len(ids)), s)
+    value = table.locf("m", s, np.zeros(len(ids), dtype=np.int64),
+                       np.arange(len(ids)))
     for i, sid in enumerate(surv.ids):
         check(value[i], sid, s)
-    # the whole grid at once, in (subject, landmark) order
-    values = table.locf("m", np.arange(len(ids)), np.array(grid),
-                        np.array(n_at, dtype=np.int64))
+    # the whole grid at once, landmark-major: subject i at the first n_at[i]
+    # landmarks
+    landmark, position = np.nonzero(np.arange(len(grid))[:, None]
+                                    < np.array(n_at))
+    values = table.locf("m", np.array(grid), landmark, position)
     assert values.size == sum(n_at)
-    pairs = [(sid, s_j) for sid, k in zip(surv.ids, n_at) for s_j in grid[:k]]
+    pairs = [(sid, s_j) for j, s_j in enumerate(grid)
+             for sid, k in zip(surv.ids, n_at) if j < k]
     for value, (sid, s_j) in zip(values, pairs):
         check(value, sid, s_j)
 
@@ -140,12 +144,12 @@ def test_grid_build_is_the_landmark_builds_in_turn(case):
         assert (type(exc), str(exc)) == (type(error), str(error))
         return
     assert error is None
-    for s, one in zip(grid, want):
-        rows = got.landmarks == s
+    assert got.offsets[-1] == len(got)
+    for j, one in enumerate(want):
+        rows = slice(got.offsets[j], got.offsets[j + 1])
         assert got.pseudo_values[rows].tobytes() == one.pseudo_values.tobytes()
         assert got.covariates[rows].tobytes() == one.covariates.tobytes()
-        subjects = np.repeat(got.subjects, np.diff(got.cluster_starts))
-        assert list(subjects[rows]) == list(one.subjects)
+        assert list(got.subjects[got.cluster[rows]]) == list(one.subjects)
 
 
 @st.composite
@@ -208,14 +212,16 @@ def super_models(draw):
     n_at = np.array(draw(st.lists(st.integers(1, len(grid)), min_size=n,
                                   max_size=n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    starts = np.concatenate(([0], np.cumsum(n_at)))
-    lm = np.concatenate([grid[:k] for k in n_at])
+    # landmark-major: landmark j's rows are the subjects with n_at > j
+    landmark, cluster = np.nonzero(np.arange(len(grid))[:, None] < n_at)
+    offsets = np.searchsorted(landmark, np.arange(len(grid) + 1))
+    lm = np.array(grid)[landmark]
     z = rng.normal(size=(lm.size, p))
     if draw(st.integers(0, 4)) == 0:
         z[:, draw(st.integers(0, p - 1))] = 0.0  # rank deficient
     y = np.exp(0.5 + 0.2 * z[:, 0] + 0.05 * lm + rng.normal(0.0, 0.3, lm.size))
-    data = SuperDataset(landmarks=lm, pseudo_values=y, covariates=z,
-                        cluster_starts=starts, subjects=np.arange(n),
+    data = SuperDataset(pseudo_values=y, covariates=z, cluster=cluster,
+                        offsets=offsets, subjects=np.arange(n),
                         landmark_grid=tuple(grid), w=5.0,
                         covariate_names=tuple(f"z{k}" for k in range(p)))
     return data, layout
@@ -229,7 +235,7 @@ def _relative(a, b):
 @given(super_models(), st.sampled_from([IDENTITY, LOG]))
 def test_block_solve_matches_dense_svd_solve(case, link):
     data, layout = case
-    x, y, starts = dense_design(data, layout)
+    x, y, cluster = dense_design(data, layout)
     block = _raised(fit_super_model, data, layout, link=link)
     assert block == _raised(dense_solve, x, y, link, 1e-6 * data.w)
     if block is not None:
@@ -245,10 +251,10 @@ def test_block_solve_matches_dense_svd_solve(case, link):
         return
     assert _relative(fit.beta, beta) <= 1e-10
     assert _relative(fit.covariance,
-                     dense_sandwich(x, y, link, beta, starts)) <= 1e-8
+                     dense_sandwich(x, y, link, beta, cluster)) <= 1e-8
     rowwise = sandwich_cov(data, layout, link, fit.beta, mode="naive_rowwise")
     assert _relative(rowwise, dense_sandwich(x, y, link, beta,
-                                             np.arange(y.size + 1))) <= 1e-8
+                                             np.arange(y.size))) <= 1e-8
 
 
 JOINT_FIELDS = ("time", "status", "x1", "x2", "visit_times", "visit_values")
