@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 import traceback
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -103,12 +104,9 @@ def _link_of(name):
 
 def _cmd_km(args):
     curve = km_fit(dataio.read_survival(args.input), start=args.start)
-    rows = [
-        {"time": float(t), "survival": float(s), "at_risk": int(y),
-         "events": int(d)}
-        for t, s, y, d in zip(curve.event_times, curve.survival,
-                              curve.at_risk, curve.events)
-    ]
+    columns = (curve.event_times, curve.survival, curve.at_risk, curve.events)
+    rows = [{"time": t, "survival": s, "at_risk": y, "events": d}
+            for t, s, y, d in zip(*(c.tolist() for c in columns))]
     if args.output:
         dataio.write_metrics_csv(args.output, rows or
                                  [{"time": curve.start, "survival": 1.0,
@@ -126,9 +124,7 @@ def _cmd_crmst(args):
         est = crmst_km(data, args.s, args.w, extend_tail=args.extend_tail)
     else:
         est = crmst_pseudo(data, args.s, args.w, extend_tail=args.extend_tail)
-    _emit_json(args, {"s": est.s, "w": est.w, "value": est.value,
-                      "variance": est.variance, "n_at_risk": est.n_at_risk,
-                      "method": args.method})
+    _emit_json(args, {**asdict(est), "method": args.method})
     return 0
 
 
@@ -142,10 +138,7 @@ def _cmd_test(args):
     res = crmstd_test(g0, g1, args.s, args.w, alpha=args.alpha,
                       extend_tail=args.extend_tail)
     _emit_json(args, {"group0": groups[0], "group1": groups[1],
-                      "delta": res.delta, "se": res.se, "z": res.z,
-                      "p_value": res.p_value, "ci_lower": res.ci_lower,
-                      "ci_upper": res.ci_upper, "alpha": res.alpha,
-                      "s": res.s, "w": res.w})
+                      **asdict(res)})
     return 0
 
 
@@ -192,10 +185,7 @@ def _cmd_predict(args):
     if missing:
         raise DynRmstError(f"missing covariate value(s): {missing}")
     z = np.array([values[n] for n in fit.covariate_names])
-    res = predict(fit, z, args.s, alpha=args.alpha)
-    _emit_json(args, {"s": res.s, "value": res.value, "se": res.se,
-                      "ci_lower": res.ci_lower, "ci_upper": res.ci_upper,
-                      "df": res.df, "alpha": res.alpha})
+    _emit_json(args, asdict(predict(fit, z, args.s, alpha=args.alpha)))
     return 0
 
 
@@ -212,15 +202,8 @@ def _cmd_evaluate(args):
         extend_tail=args.extend_tail,
     )
     # a None C-index or PE is written as an empty cell
-    out = [
-        {"landmark": r.landmark,
-         "c_index_dynamic": r.c_index_dynamic,
-         "c_index_static": r.c_index_static,
-         "pe_dynamic": r.pe_dynamic, "pe_static": r.pe_static,
-         "reference_kind": r.reference_kind}
-        for r in rows
-    ]
-    dataio.write_metrics_csv(args.output, out, config=_config_of(args))
+    dataio.write_metrics_csv(args.output, [asdict(r) for r in rows],
+                             config=_config_of(args))
     return 0
 
 
@@ -230,12 +213,12 @@ def _cmd_simulate(args):
         dataio.write_survival(args.output, simulate_scenario(spec, args.seed),
                               config=_config_of(args))
     else:
-        spec = joint_spec(trajectory=args.trajectory,
-                          censor_upper=args.censor_upper)
-        surv, markers = simulate_joint(spec, args.n, args.seed).columns()
-        dataio.write_survival(args.output, surv, config=_config_of(args))
+        sample = simulate_joint(joint_spec(args.trajectory, args.censor_upper),
+                                args.n, args.seed)
+        dataio.write_survival(args.output, sample.survival,
+                              config=_config_of(args))
         if args.longitudinal_output:
-            dataio.write_longitudinal(args.longitudinal_output, markers,
+            dataio.write_longitudinal(args.longitudinal_output, sample.markers,
                                       config=_config_of(args))
     return 0
 
@@ -244,15 +227,10 @@ def _cmd_mc(args):
     spec = scenario_spec(args.scenario, args.n, censor_target=args.cen)
     report = scenario_mc(spec, args.s, args.w, args.reps, args.seed,
                          alpha=args.alpha, workers=args.workers)
+    metrics = asdict(report)
     row = {"scenario": args.scenario, "n_per_arm": args.n, "cen": args.cen,
-           "s": args.s, "w": args.w, "reps": report.n_reps,
-           "seed": args.seed, "truth": report.truth,
-           "mean_estimate": report.mean_estimate, "bias": report.bias,
-           "rel_bias": report.rel_bias, "rmse": report.rmse,
-           "empirical_se": report.empirical_se,
-           "mean_model_se": report.mean_model_se, "rel_se": report.rel_se,
-           "coverage": report.coverage,
-           "rejection_rate": report.rejection_rate, "alpha": report.alpha}
+           "s": args.s, "w": args.w, "reps": metrics.pop("n_reps"),
+           "seed": args.seed, **metrics}
     config = _config_of(args)
     config.pop("workers", None)  # worker count must not change the artifact
     if args.output:

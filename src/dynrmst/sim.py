@@ -32,8 +32,9 @@ inversion (``_joint_samples``).
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy import integrate, optimize, special
@@ -45,7 +46,7 @@ from .evaluate import evaluate_on_validation
 from .gee import IDENTITY, _sandwich, _solve_super, _super_fit
 from .landmark import MarkerTable, build_super_dataset
 from .surv import (SurvivalData, _check_alpha, _check_risk_set, _check_window,
-                   _difference, _jackknife_moments, _objects)
+                   _difference, _jackknife_moments, _objects, _valid_window)
 
 __all__ = [
     "ScenarioSpec",
@@ -85,14 +86,34 @@ INVERSION_TOL = 1e-12
 INVERSION_MAX_ITER = 200
 
 
-def _rng_of(seed):
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+def _check_size(n, least, name):
+    """InvalidInput unless ``n`` is an integer of at least ``least``."""
+    if not isinstance(n, numbers.Integral) or n < least:
+        raise InvalidInput(f"{name} must be an integer >= {least}, got {n!r}")
 
 
-def _rep_rng(master_seed, rep):
+def _check_fields(spec, positive):
+    """InvalidInput naming the first field of ``spec`` that holds a number
+    that is not finite, or one of the fields ``positive`` that is not
+    positive (text, integer and None fields are skipped)."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if value is None or isinstance(value, (str, numbers.Integral)):
+            continue
+        if not np.isfinite(value).all():
+            raise InvalidInput(f"{f.name} must be finite, got {value!r}")
+        if f.name in positive and value <= 0:
+            raise InvalidInput(f"{f.name} must be positive, got {value!r}")
+
+
+def _rng_of(seed, *spawn_key):
+    """The generator of a nonnegative integer ``seed``, or of its child
+    ``spawn_key``; a Generator without a key is used as it is."""
+    if isinstance(seed, np.random.Generator) and not spawn_key:
+        return seed
+    _check_size(seed, 0, "seed")
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(1, rep))
-    )
+        np.random.SeedSequence(entropy=int(seed), spawn_key=spawn_key))
 
 
 # ---------------------------------------------------------------------------
@@ -117,20 +138,15 @@ class ScenarioSpec:
     n_per_arm: int
 
     def __post_init__(self):
-        if self.control_median <= 0:
-            raise InvalidInput("control_median must be positive")
-        if self.n_per_arm < 2:
-            raise InvalidInput("n_per_arm must be at least 2")
+        _check_size(self.n_per_arm, 2, "n_per_arm")
         pieces = tuple((float(a), float(h)) for a, h in self.hr_pieces)
         object.__setattr__(self, "hr_pieces", pieces)
+        _check_fields(self, ("control_median", "censor_a", "censor_b"))
         starts = [a for a, _ in pieces]
         if not pieces or pieces[0][0] != 0.0 or starts != sorted(set(starts)):
             raise InvalidInput("hr_pieces must start at 0 with increasing starts")
         if any(h <= 0 for _, h in pieces):
             raise InvalidInput("hazard ratios must be positive")
-        for bound in (self.censor_a, self.censor_b):
-            if bound is not None and bound <= 0:
-                raise InvalidInput("censoring bounds must be positive")
         # each arm's (breaks, rates, cumulative hazard at the breaks), which
         # every inverse-transform draw reads
         object.__setattr__(self, "_arm_tables", tuple(
@@ -163,11 +179,10 @@ def _pw_invert(breaks, rates, cum, e):
     return breaks[j] + (e - cum[j]) / rates[j]
 
 
-def _pw_surv_integral(breaks, rates, a, b):
-    """Closed-form integral of exp(-cumhaz) over [a, b]."""
+def _pw_surv_integral(breaks, rates, cum, a, b):
+    """Integral of exp(-cumhaz) over [a, b]; ``cum`` is H at the breaks."""
     if b <= a:
         return 0.0
-    cum = _pw_cum_at_breaks(breaks, rates)
     total = 0.0
     edges = np.concatenate((breaks, [np.inf]))
     for j, r in enumerate(rates):
@@ -179,14 +194,23 @@ def _pw_surv_integral(breaks, rates, a, b):
     return total
 
 
-def _censor_bound_for(breaks, rates, target):
-    """U(0, a) upper bound giving censoring probability ``target`` against the
-    piecewise-exponential event distribution (closed form, no pilot draws)."""
+def _censor_bound_for(table, target):
+    """U(0, a) upper bound giving censoring probability ``target`` against an
+    arm's piecewise-exponential ``_arm_tables`` entry (no pilot draws)."""
 
     def rate(upper):
-        return _pw_surv_integral(breaks, rates, 0.0, upper) / upper - target
+        return _pw_surv_integral(*table, 0.0, upper) / upper - target
 
-    return float(optimize.brentq(rate, 1e-8, 1e8, xtol=1e-10))
+    return _censor_root(rate, 1e-8, 1e8, target)
+
+
+def _censor_root(excess, lo, hi, target):
+    """The censoring bound in [lo, hi] where the decreasing ``excess`` (the
+    censoring fraction minus ``target``) is zero."""
+    if not excess(lo) > 0 > excess(hi):
+        raise InvalidInput(f"censoring target {target} needs a censoring "
+                           f"bound outside [{lo:g}, {hi:g}]")
+    return float(optimize.brentq(excess, lo, hi, xtol=1e-10))
 
 
 _SCENARIO_PIECES = {
@@ -208,10 +232,9 @@ def scenario_spec(number, n_per_arm, censor_target=0.0, control_median=10.0):
         raise InvalidInput("censor_target must be in [0, 1)")
     spec = ScenarioSpec(control_median=float(control_median),
                         hr_pieces=_SCENARIO_PIECES[number],
-                        censor_a=None, censor_b=None, n_per_arm=int(n_per_arm))
+                        censor_a=None, censor_b=None, n_per_arm=n_per_arm)
     if censor_target > 0.0:
-        a = _censor_bound_for(*spec.arm_hazard(0), censor_target)
-        b = _censor_bound_for(*spec.arm_hazard(1), censor_target)
+        a, b = (_censor_bound_for(t, censor_target) for t in spec._arm_tables)
         spec = replace(spec, censor_a=a, censor_b=b)
     return spec
 
@@ -258,7 +281,7 @@ def _true_crmst_arm(spec, arm, s, w):
     breaks, rates, cum = spec._arm_tables[arm]
     j = np.searchsorted(breaks, s, side="right") - 1
     s_at = np.exp(-(cum[j] + rates[j] * (s - breaks[j])))
-    return _pw_surv_integral(breaks, rates, s, s + w) / s_at
+    return _pw_surv_integral(breaks, rates, cum, s, s + w) / s_at
 
 
 def true_crmstd(spec, s, w, method="monte_carlo", n_draws=1_000_000, seed=0):
@@ -268,14 +291,16 @@ def true_crmstd(spec, s, w, method="monte_carlo", n_draws=1_000_000, seed=0):
     draws; ``closed_form`` integrates the piecewise-exponential survival
     functions exactly.
     """
+    _check_window(s, w)
     if method == "closed_form":
         return _true_crmst_arm(spec, 1, s, w) - _true_crmst_arm(spec, 0, s, w)
     if method != "monte_carlo":
         raise InvalidInput(f"unknown method {method!r}")
+    _check_size(n_draws, 1, "n_draws")
     rng = _rng_of(seed)
     mus = []
     for table in spec._arm_tables:
-        t = _pw_invert(*table, rng.exponential(size=int(n_draws)))
+        t = _pw_invert(*table, rng.exponential(size=n_draws))
         alive = t > s
         mus.append(float(np.mean(np.minimum(t[alive] - s, w))))
     return mus[1] - mus[0]
@@ -319,6 +344,9 @@ class JointModelSpec:
     def __post_init__(self):
         if self.trajectory not in ("linear", "quadratic"):
             raise InvalidInput(f"unknown trajectory {self.trajectory!r}")
+        _check_size(self.max_visits, 1, "max_visits")
+        _check_fields(self, ("error_sd", "weibull_shape", "max_followup",
+                             "censor_upper"))
         d = np.array(self.re_cov, dtype=float)
         k = 3 if self.trajectory == "quadratic" else 2
         if d.shape != (k, k) or not np.allclose(d, d.T):
@@ -328,12 +356,8 @@ class JointModelSpec:
         except np.linalg.LinAlgError:
             raise InvalidInput("re_cov must be positive definite") from None
         object.__setattr__(self, "re_cov", tuple(map(tuple, d)))
-        if self.weibull_shape <= 0 or self.error_sd <= 0:
-            raise InvalidInput("weibull_shape and error_sd must be positive")
-        if self.max_followup <= 0 or self.max_visits < 1:
-            raise InvalidInput("max_followup/max_visits out of range")
-        if self.censor_upper is not None and self.censor_upper <= 0:
-            raise InvalidInput("censor_upper must be positive")
+        if self.x2_sd < 0:
+            raise InvalidInput("x2_sd must be nonnegative")
 
 
 # off-diagonals of the random-effects covariances are correlations scaled by
@@ -448,8 +472,10 @@ class JointTruth:
                                    np.asarray(w, dtype=float))
         scalar = s.ndim == 0
         s, w = s.ravel(), w.ravel()
-        if s.size == 0 or np.any(s < 0) or not np.all(w > 0):
-            raise InvalidInput("need windows with s >= 0 and w > 0")
+        if s.size == 0:
+            raise InvalidInput("need at least one window")
+        for j in np.flatnonzero(~_valid_window(s, w))[:1]:
+            _check_window(s[j], w[j])  # names the first invalid window
         bounds = np.unique(np.concatenate((s, s + w)))
         first = np.searchsorted(bounds, s)
         stop = np.searchsorted(bounds, s + w)
@@ -641,34 +667,20 @@ def _newton(sub, ee, edges, k, h_anchor):
 
 @dataclass(frozen=True)
 class JointSample:
-    """Columnar joint-model draw: survival outcome, baseline covariates,
-    NaN-padded visit matrices, and the truth handles for each subject."""
+    """One joint-model draw, as the CSV readers return its data: ``survival``
+    is a SurvivalData with ids 0..n-1 and the covariates x1 and x2,
+    ``markers`` a MarkerTable of the same ids whose "marker" column holds
+    each subject's visits up to its observed time, and ``truth`` the
+    subjects' hazard coefficients."""
 
     spec: JointModelSpec
-    ids: np.ndarray
-    time: np.ndarray
-    status: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    visit_times: np.ndarray
-    visit_values: np.ndarray
+    survival: SurvivalData
+    markers: MarkerTable
     truth: JointTruth
 
     @property
     def n(self):
-        return self.ids.size
-
-    def columns(self):
-        """(SurvivalData, MarkerTable) of the sample, built straight from its
-        arrays (ids are ascending and visits sorted, so no reordering)."""
-        surv = SurvivalData(self.ids, self.time, self.status,
-                            {"x1": self.x1, "x2": self.x2})
-        seen = ~np.isnan(self.visit_times)
-        offsets = np.concatenate(([0], np.cumsum(seen.sum(axis=1))))
-        markers = MarkerTable({JOINT_COVARIATES[2]: (
-            self.visit_times[seen], self.visit_values[seen], offsets)},
-            self.ids)
-        return surv, markers
+        return self.survival.ids.size
 
 
 def _joint_draws(spec, n, rng):
@@ -705,8 +717,10 @@ def _joint_samples(spec, draws):
     not depend on the other subjects of the call, and every other step is
     elementwise, so each sample is bitwise what ``simulate_joint`` gives
     on its stream alone."""
-    bounds = np.cumsum([0] + [int(n) for n, _ in draws])
-    parts = [_joint_draws(spec, int(n), _rng_of(rng)) for n, rng in draws]
+    for n, _ in draws:
+        _check_size(n, 1, "n")
+    bounds = np.cumsum([0] + [n for n, _ in draws])
+    parts = [_joint_draws(spec, n, _rng_of(rng)) for n, rng in draws]
     # one sample's arrays are used as they are, not copied
     x1, x2, b, e, vt, noise, c = (
         col[0] if len(col) == 1 else np.concatenate(col)
@@ -733,20 +747,28 @@ def _joint_samples(spec, draws):
     observed = vt <= y[:, None]
     values = (traj0[:, None] + traj1[:, None] * vt + traj2[:, None] * vt * vt
               + noise)
-    vt = np.where(observed, vt, np.nan)
-    values = np.where(observed, values, np.nan)
-
-    return [JointSample(spec=spec, ids=np.arange(hi - lo), time=y[lo:hi],
-                        status=d[lo:hi], x1=x1[lo:hi], x2=x2[lo:hi],
-                        visit_times=vt[lo:hi], visit_values=values[lo:hi],
-                        truth=truth.subset(slice(lo, hi)))
-            for lo, hi in zip(bounds[:-1], bounds[1:])]
+    # the observed visits of all subjects in row order, subject i's at
+    # rows[i]:rows[i + 1]
+    vt, values = vt[observed], values[observed]
+    rows = np.concatenate(([0], np.cumsum(observed.sum(axis=1))))
+    samples = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        ids, a, b = np.arange(hi - lo), rows[lo], rows[hi]
+        survival = SurvivalData(ids, y[lo:hi], d[lo:hi],
+                                {"x1": x1[lo:hi], "x2": x2[lo:hi]})
+        markers = MarkerTable({"marker": (vt[a:b], values[a:b],
+                                          rows[lo:hi + 1] - a)}, ids)
+        samples.append(JointSample(spec, survival, markers,
+                                   truth.subset(slice(lo, hi))))
+    return samples
 
 
 def simulate_joint(spec, n, seed):
-    """Draw n subjects: covariates, random effects, event time by numerical
-    inversion of the cumulative hazard, visit schedule and noisy biomarker
-    measurements.  Returns a JointSample (see ``columns``)."""
+    """Draw n >= 1 subjects from a nonnegative integer seed or a Generator:
+    covariates, random effects, event time by numerical inversion of the
+    cumulative hazard, visit schedule and noisy biomarker measurements.
+    The JointSample's ``survival`` and ``markers`` go to
+    ``build_super_dataset`` and the CSV writers as they are."""
     return _joint_samples(spec, [(n, seed)])[0]
 
 
@@ -755,7 +777,8 @@ def calibrate_joint_censoring(spec, target, pilot_n=100_000, seed=0):
     censoring included) hits ``target``, from one pilot draw of event times."""
     if not 0.0 < target < 1.0:
         raise InvalidInput("target must be in (0, 1)")
-    pilot = simulate_joint(replace(spec, censor_upper=None), pilot_n, seed)
+    pilot = simulate_joint(replace(spec, censor_upper=None), pilot_n,
+                           seed).survival
     admin = pilot.status == 0
     t = pilot.time
     base = float(np.mean(admin))
@@ -770,7 +793,7 @@ def calibrate_joint_censoring(spec, target, pilot_n=100_000, seed=0):
         p = np.where(admin, 1.0, np.minimum(t / a, 1.0))
         return float(np.mean(p)) - target
 
-    return float(optimize.brentq(expected, 1e-6, 1e9, xtol=1e-10))
+    return _censor_root(expected, 1e-6, 1e9, target)
 
 
 # ---------------------------------------------------------------------------
@@ -795,12 +818,11 @@ class MetricsReport:
     alpha: float
 
 
-def _check_runs(reps, workers, least):
-    """Reject replicate and worker counts before any replicate runs."""
-    if reps < least:
-        raise InvalidInput(f"reps must be at least {least}, got {reps}")
-    if workers < 1:
-        raise InvalidInput(f"workers must be at least 1, got {workers}")
+def _check_runs(reps, workers, least, seed):
+    """Reject replicate and worker counts and seeds before any replicate."""
+    _check_size(reps, least, "reps")
+    _check_size(workers, 1, "workers")
+    _check_size(seed, 0, "seed")
 
 
 def mc_metrics(estimates, variances, truth, alpha=0.05):
@@ -839,7 +861,7 @@ def mc_metrics(estimates, variances, truth, alpha=0.05):
 
 def _replicate_chunk(payload):
     fn, args, seed, lo, hi = payload
-    return fn(*args, [_rep_rng(seed, rep) for rep in range(lo, hi)])
+    return fn(*args, [_rng_of(seed, 1, rep) for rep in range(lo, hi)])
 
 
 def _replicate(fn, args, reps, seed, workers=1):
@@ -896,7 +918,7 @@ def _scenario_chunk(spec, s, w, rngs):
 def scenario_mc(spec, s, w, reps, seed, alpha=0.05, workers=1):
     """Replicated cRMSTd tests on one design; truth from the closed form."""
     _check_alpha(alpha)
-    _check_runs(reps, workers, 2)
+    _check_runs(reps, workers, 2, seed)
     deltas, variances = _replicate(_scenario_chunk, (spec, s, w), reps,
                                    seed, workers)
     truth = true_crmstd(spec, s, w, method="closed_form")
@@ -907,8 +929,8 @@ def scenario_mc(spec, s, w, reps, seed, alpha=0.05, workers=1):
 JOINT_COVARIATES = ("x1", "x2", "marker")
 
 
-def _joint_dataset(columns, grid, w):
-    return build_super_dataset(*columns, grid, w,
+def _joint_dataset(sample, grid, w):
+    return build_super_dataset(sample.survival, sample.markers, grid, w,
                                covariate_names=JOINT_COVARIATES,
                                extend_tail=True)
 
@@ -918,7 +940,7 @@ def _coefficient_chunk(spec, grid, w, layout, n_subjects, rngs):
     replicate; the chunk's samples share one event-time inversion."""
     out = []
     for sample in _joint_samples(spec, [(n_subjects, rng) for rng in rngs]):
-        data = _joint_dataset(sample.columns(), grid, w)
+        data = _joint_dataset(sample, grid, w)
         # the covariances of fit_super_model and of sandwich_cov's
         # naive_rowwise mode, from one set of blocks and one bread
         blocks, beta = _solve_super(data, layout)[:2]
@@ -945,15 +967,12 @@ def coefficient_mc(spec, grid, w, layout, n_subjects=500, reps=1000,
     ``reps`` fresh datasets of ``n_subjects``, and compare both sandwich
     modes against the coefficient vector of one ``pop_size``-subject fit."""
     _check_alpha(alpha)
-    _check_runs(reps, workers, 2)
+    _check_runs(reps, workers, 2, seed)
     grid = tuple(float(s) for s in grid)
-    pop_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(0,))
-    )
-    population = simulate_joint(spec, pop_size, pop_rng)
+    population = simulate_joint(spec, pop_size, _rng_of(seed, 0))
     with _one_blas_thread():  # beta alone: the sandwich is never read
         beta_true = _solve_super(
-            _joint_dataset(population.columns(), grid, w), layout)[1]
+            _joint_dataset(population, grid, w), layout)[1]
 
     betas, var_cl, var_nv = _replicate(
         _coefficient_chunk, (spec, grid, w, layout, n_subjects), reps, seed,
@@ -977,9 +996,9 @@ def _prediction_chunk(spec, grid, w, layout, n_train, n_val, rngs):
                                     for n in (n_train, n_val)])
     out = []
     for train, val in zip(samples[::2], samples[1::2]):
-        columns = train.columns()
-        fit = _super_fit(_joint_dataset(columns, grid, w), layout)
-        rows = evaluate_on_validation(fit, *columns, *val.columns(),
+        fit = _super_fit(_joint_dataset(train, grid, w), layout)
+        rows = evaluate_on_validation(fit, train.survival, train.markers,
+                                      val.survival, val.markers,
                                       extend_tail=True, truth=val.truth)
         # a None C-index or PE (fewer than two at risk, or no usable pair)
         # becomes NaN, which the means in prediction_experiment skip
@@ -1006,7 +1025,7 @@ def prediction_experiment(spec, grid, w, layout, n_train=500, n_val=300,
                           reps=200, seed=0, workers=1):
     """Train/validate replicates comparing the dynamic landmark model with a
     static baseline-covariate RMST regression refit at each horizon s_j + w."""
-    _check_runs(reps, workers, 1)
+    _check_runs(reps, workers, 1, seed)
     grid = tuple(float(s) for s in grid)
     c_dyn, c_stat, pe_dyn, pe_stat = _replicate(
         _prediction_chunk, (spec, grid, w, layout, n_train, n_val), reps,

@@ -121,6 +121,29 @@ def test_simulate_artifacts_keep_their_bytes(tmp_path):
     assert digests == SIMULATE_DIGESTS
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["simulate", "--design", "joint", "--n", -5], "n must be"),
+    (["simulate", "--design", "joint", "--n", 0], "n must be"),
+    (["simulate", "--design", "joint", "--n", 5, "--seed", -1],
+     "seed must be"),
+    (["simulate", "--design", "scenario", "--n", 5, "--seed", -1],
+     "seed must be"),
+    (["simulate", "--design", "joint", "--n", 5, "--censor-upper", "nan"],
+     "censor_upper must be finite"),
+    (["simulate", "--design", "joint", "--n", 5, "--censor-upper", "inf"],
+     "censor_upper must be finite"),
+    (["mc", "--scenario", 1, "--n", 20, "--s", 1, "--w", 2, "--reps", 2,
+      "--seed", -2], "seed must be"),
+])
+def test_bad_size_seed_or_parameter_is_an_error_record(tmp_path, capsys,
+                                                       argv, text):
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--output", out]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInput" and text in err["message"]
+    assert not out.exists()
+
+
 class TestFitPredictRoundTrip:
     def test_cli_predict_matches_in_process_bit_exactly(self, tmp_path, capsys):
         surv, long = joint_csvs(tmp_path)
@@ -672,9 +695,9 @@ class TestMalformedModel:
 
 # the error names a failed command may report: the package's own errors and
 # file-system errors
-ERROR_NAMES = {name for name, obj in vars(errors).items()
-               if isinstance(obj, type) and issubclass(obj, DynRmstError)}
-ERROR_NAMES.add("OSError")
+PACKAGE_ERRORS = {name for name, obj in vars(errors).items()
+                  if isinstance(obj, type) and issubclass(obj, DynRmstError)}
+ERROR_NAMES = PACKAGE_ERRORS | {"OSError"}
 
 # numbers at the edges of what a double or an int64 holds
 EDGES = st.sampled_from([0, -1, 2**63, 10**400, 1e-300, 1e300, -1e300,
@@ -819,3 +842,60 @@ def test_fit_and_evaluate_on_a_mutated_cell_are_finite_or_a_typed_error(
             warnings.simplefilter("ignore")  # rows out of time order
             code = run(argv)
         _finite_or_typed_error(code, err.getvalue(), numbers)
+
+
+# each numeric option of simulate and mc: a strategy of valid values, and
+# one of any value (mc's --workers, --reps and every --n stay small, so no
+# run is long or starts more than two worker processes)
+VALID_OPTIONS = {
+    "scenario": st.integers(1, 4), "n": st.integers(2, 50),
+    "cen": st.floats(0.0, 0.9), "censor-upper": st.floats(0.5, 50.0),
+    "s": st.floats(0.0, 10.0), "w": st.floats(0.5, 10.0),
+    "reps": st.integers(2, 4), "seed": st.integers(0, 2**64),
+    "alpha": st.floats(0.01, 0.5), "workers": st.sampled_from([1, 2])}
+ANY_OPTIONS = {
+    "scenario": st.integers(), "n": st.integers(max_value=50),
+    "cen": st.floats(), "censor-upper": st.floats(), "s": st.floats(),
+    "w": st.floats(), "reps": st.integers(max_value=4), "seed": st.integers(),
+    "alpha": st.floats(), "workers": st.sampled_from([-1, 0, 1, 2])}
+COMMAND_OPTIONS = {
+    "scenario": ("scenario", "n", "cen", "seed"),
+    "joint": ("n", "censor-upper", "seed"),
+    "mc": ("scenario", "n", "cen", "s", "w", "reps", "seed", "alpha",
+           "workers")}
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(COMMAND_OPTIONS)),
+       valid=st.fixed_dictionaries(VALID_OPTIONS),
+       wild=st.fixed_dictionaries(ANY_OPTIONS),
+       changed=st.sets(st.sampled_from(sorted(VALID_OPTIONS)), max_size=3))
+@example(command="joint",
+         valid={"scenario": 1, "n": 5, "cen": 0.0, "censor-upper": 25.0,
+                "s": 1.0, "w": 2.0, "reps": 2, "seed": 3, "alpha": 0.05,
+                "workers": 1},
+         wild={"scenario": 1, "n": 5, "cen": 0.0, "censor-upper": 25.0,
+               "s": 1.0, "w": 2.0, "reps": 2, "seed": -1, "alpha": 0.05,
+               "workers": 1},
+         changed={"seed"})
+def test_simulate_and_mc_on_any_numbers_exit_zero_or_a_typed_error(
+        fuzz_dir, command, valid, wild, changed):
+    """``simulate`` and ``mc`` exit 0, or exit 1 with a package error
+    record, when the options in ``changed`` take any value and the others
+    valid ones."""
+    out = fuzz_dir / "out.csv"
+    if command == "mc":
+        argv = ["mc"]
+    else:
+        argv = ["simulate", "--design", command,
+                "--longitudinal-output", fuzz_dir / "long.csv"]
+    # --name=value, so that a value such as -inf is not read as an option
+    argv += [f"--{name}={(wild if name in changed else valid)[name]!r}"
+             for name in COMMAND_OPTIONS[command]]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = run([*argv, "--output", out])
+    assert code in (0, 1)
+    if code == 1:
+        assert json.loads(err.getvalue())["error"] in PACKAGE_ERRORS, \
+            err.getvalue()

@@ -214,32 +214,41 @@ class TestStaticModel:
 
     def joint_fit(self):
         spec = joint_spec("linear")
-        train = simulate_joint(spec, 150, 1).columns()
+        sample = simulate_joint(spec, 150, 1)
+        train = sample.survival, sample.markers
         data = build_super_dataset(*train, [0.0, 2.0, 4.0], 5.0,
                                    covariate_names=["x1", "x2", "marker"],
                                    extend_tail=True)
         sp = SplineSpec((2.0,), (0.0, 4.0), standardization_scale=4.0)
         return train, fit_super_model(data, BasisLayout((sp,) * 4))
 
+    @staticmethod
+    def design_at(val, s):
+        """The validation design (x1, x2, last marker at or before s) of
+        every subject."""
+        times, values, offsets = val.markers.columns["marker"]
+        marker = [values[lo:hi][times[lo:hi] <= s][-1]
+                  for lo, hi in zip(offsets[:-1], offsets[1:])]
+        return np.column_stack([val.survival.covariates["x1"],
+                                val.survival.covariates["x2"], marker])
+
     def test_true_value_references(self):
         train, fit = self.joint_fit()
         val = simulate_joint(joint_spec("linear"), 80, 2)
-        rows = evaluate_on_validation(fit, *train, *val.columns(),
+        rows = evaluate_on_validation(fit, *train, val.survival, val.markers,
                                       extend_tail=True, truth=val.truth)
         # the one truth table evaluation reads: the subjects at risk at the
         # first landmark, cRMST(s_j, 5) then RMST(s_j + 5) per landmark
         grid = np.array(fit.grid)
-        first = val.time > grid[0]
+        first = val.survival.time > grid[0]
         table = val.truth.subset(first).true_crmst(
             np.concatenate((grid, np.zeros(grid.size))),
             np.concatenate((np.full(grid.size, 5.0), grid + 5.0)))
         for j, r in enumerate(rows):
             s = r.landmark
-            at_risk = val.time > s
-            z = np.column_stack([val.x1, val.x2, val.visit_values[:, 0]])
-            marker = [v[~np.isnan(t) & (t <= s)][-1]
-                      for t, v in zip(val.visit_times, val.visit_values)]
-            z_s = np.column_stack([val.x1, val.x2, marker])[at_risk]
+            at_risk = val.survival.time > s
+            z = self.design_at(val, 0.0)
+            z_s = self.design_at(val, s)[at_risk]
             dyn = predict_values(fit, z_s, s)
             stat_fit = static_rmst_model(train[0], s + 5.0,
                                          longitudinal=train[1],
@@ -255,23 +264,23 @@ class TestStaticModel:
     def test_pseudo_value_references_match_static_oracle(self):
         train, fit = self.joint_fit()
         val = simulate_joint(joint_spec("linear"), 80, 2)
-        val_surv = val.columns()[0]
-        rows = evaluate_on_validation(fit, *train, *val.columns(),
+        val_surv = val.survival
+        rows = evaluate_on_validation(fit, *train, val_surv, val.markers,
                                       extend_tail=True)
-        z = np.column_stack([val.x1, val.x2, val.visit_values[:, 0]])
+        z = self.design_at(val, 0.0)
         for r in rows:
             s = r.landmark
-            at_risk = val.time > s
+            at_risk = val_surv.time > s
             stat_fit = static_rmst_model(train[0], s + 5.0,
                                          longitudinal=train[1],
                                          covariate_names=fit.covariate_names,
                                          extend_tail=True)
             stat = predict_values(stat_fit, z[at_risk])
-            at_0, pv = risk_set_pseudo(val.time, val.status, 0.0, s + 5.0,
-                                       extend_tail=True)
+            at_0, pv = risk_set_pseudo(val_surv.time, val_surv.status, 0.0,
+                                       s + 5.0, extend_tail=True)
             assert r.reference_kind == "pseudo_value"
             assert r.pe_static == prediction_error(
-                stat, pv[val.time[at_0] > s], kind="pseudo_value")
+                stat, pv[val_surv.time[at_0] > s], kind="pseudo_value")
             assert r.c_index_static == c_index(stat, val_surv, s, 5.0)
 
     @staticmethod
@@ -294,7 +303,8 @@ class TestStaticModel:
 
     def broken_training(self, fault):
         """Training columns with one fault of the static baseline."""
-        surv, markers = simulate_joint(joint_spec("linear"), 150, 1).columns()
+        sample = simulate_joint(joint_spec("linear"), 150, 1)
+        surv, markers = sample.survival, sample.markers
         if fault == "no baseline marker":
             markers = self.without_baseline(markers, 3)  # the fourth subject
         elif fault == "tail":
@@ -335,7 +345,7 @@ class TestStaticModel:
         if fault == "tail":
             assert "cannot integrate to 9.0" in str(want)
         with pytest.raises(error) as got:
-            evaluate_on_validation(fit, *train, *val.columns(),
+            evaluate_on_validation(fit, *train, val.survival, val.markers,
                                    extend_tail=extend_tail, truth=val.truth)
         assert type(got.value) is error and str(got.value) == str(want)
 
@@ -360,8 +370,8 @@ class TestStaticModel:
                                            error, message):
         _, fit = self.joint_fit()
         train = self.broken_training(train_fault)
-        val_surv, val_markers = simulate_joint(joint_spec("linear"), 80,
-                                               2).columns()
+        val = simulate_joint(joint_spec("linear"), 80, 2)
+        val_surv, val_markers = val.survival, val.markers
         fault, arg = val_fault
         if fault == "censored":
             val_surv = self.censored_at(val_surv, arg)
@@ -375,10 +385,10 @@ class TestStaticModel:
         train, fit = self.joint_fit()
         val = simulate_joint(joint_spec("linear"), 30, 2)
         # one validation subject is still at risk at the last landmark
-        time = np.minimum(val.time, 3.0)
+        time = np.minimum(val.survival.time, 3.0)
         time[0] = 10.0
-        val = replace(val, time=time)
-        rows = evaluate_on_validation(fit, *train, *val.columns(),
+        val = replace(val, survival=replace(val.survival, time=time))
+        rows = evaluate_on_validation(fit, *train, val.survival, val.markers,
                                       extend_tail=True, truth=val.truth)
         assert rows[-1].c_index_dynamic is None
         assert rows[-1].c_index_static is None
@@ -389,17 +399,18 @@ class TestStaticModel:
         """30 validation subjects censored at 3, the first ``n_after`` of
         them followed to 10 instead."""
         val = simulate_joint(joint_spec("linear"), 30, 2)
-        time = np.minimum(val.time, 3.0)
-        status = np.where(val.time > 3.0, 0, val.status)
+        time = np.minimum(val.survival.time, 3.0)
+        status = np.where(val.survival.time > 3.0, 0, val.survival.status)
         time[:n_after] = 10.0
         status[:n_after] = 0
-        return replace(val, time=time, status=status)
+        return replace(val, survival=replace(val.survival, time=time,
+                                             status=status))
 
     @pytest.mark.parametrize("n_after", [0, 1])
     def test_too_few_at_risk_gives_no_pseudo_value_pe(self, n_after):
         train, fit = self.joint_fit()
         val = self.censored_validation(n_after)
-        rows = evaluate_on_validation(fit, *train, *val.columns(),
+        rows = evaluate_on_validation(fit, *train, val.survival, val.markers,
                                       extend_tail=True)
         assert [r.landmark for r in rows] == [0.0, 2.0, 4.0]
         last = rows[-1]
@@ -414,8 +425,9 @@ class TestStaticModel:
         val = self.censored_validation(0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = evaluate_on_validation(fit, *train, *val.columns(),
-                                          extend_tail=True, truth=val.truth)
+            rows = evaluate_on_validation(fit, *train, val.survival,
+                                          val.markers, extend_tail=True,
+                                          truth=val.truth)
         assert rows[-1].pe_dynamic is None and rows[-1].pe_static is None
         assert rows[-1].c_index_dynamic is None
         for r in rows[:-1]:

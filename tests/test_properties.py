@@ -21,7 +21,7 @@ from dynrmst.sim import joint_spec, simulate_joint
 from dynrmst.surv import (SurvivalData, SurvivalRecord, as_survival_data,
                           crmst_km, crmst_km_ratio, pseudo_observations)
 from gee_oracle import dense_design, dense_sandwich, dense_solve
-from records import joint_records
+from records import joint_columns, joint_records
 
 # a 0/0 or a divide by zero that escapes np.errstate (say, in the padded
 # jackknife tables) fails the test
@@ -89,7 +89,8 @@ def test_records_and_columns_build_identical_arrays(seed, n):
     names = ["x1", "x2", "marker"]
     from_records = build_super_dataset(*joint_records(sample), grid, 5.0,
                                        covariate_names=names, extend_tail=True)
-    from_columns = build_super_dataset(*sample.columns(), grid, 5.0,
+    from_columns = build_super_dataset(sample.survival, sample.markers,
+                                       grid, 5.0,
                                        covariate_names=names, extend_tail=True)
     for a, b in zip(from_records.arrays(), from_columns.arrays()):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -257,9 +258,6 @@ def test_block_solve_matches_dense_svd_solve(case, link):
                                              np.arange(y.size))) <= 1e-8
 
 
-JOINT_FIELDS = ("time", "status", "x1", "x2", "visit_times", "visit_values")
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(["linear", "quadratic"]),
        st.sampled_from([1.0, 0.3, -0.5]), st.sampled_from([None, 25.0]),
@@ -273,10 +271,10 @@ def test_joint_sample_does_not_depend_on_chunk_size(trajectory, alpha,
     samples = []
     for cells in (1 << 10, 1 << 14, 1 << 18):
         with mock.patch.object(sim, "_TABLE_CELLS", cells):
-            samples.append(simulate_joint(spec, n, seed))
-    for field in JOINT_FIELDS:
-        want = getattr(samples[-1], field).tobytes()
-        assert all(getattr(s, field).tobytes() == want for s in samples), field
+            samples.append(joint_columns(simulate_joint(spec, n, seed)))
+    for field, array in samples[-1].items():
+        want = array.tobytes()
+        assert all(s[field].tobytes() == want for s in samples), field
 
 
 @st.composite

@@ -26,8 +26,7 @@ from dynrmst.sim import (_GL_NODES, _GL_WEIGHTS, JointModelSpec, JointTruth,
                          mc_metrics, prediction_experiment, scenario_mc,
                          scenario_spec, simulate_joint, simulate_scenario,
                          true_crmstd)
-
-JOINT_FIELDS = ("time", "status", "x1", "x2", "visit_times", "visit_values")
+from records import joint_columns
 
 
 def scenario_arms(spec, seed):
@@ -97,6 +96,8 @@ class TestScenarioDesigns:
                 assert abs(cf - mc) < 0.02  # ~3 MC standard errors at 1e6
         with pytest.raises(InvalidInput):
             true_crmstd(spec, 0.0, 5.0, method="bogus")
+        with pytest.raises(InvalidInput, match="n_draws"):
+            true_crmstd(spec, 0.0, 5.0, n_draws=0)
 
     def test_spec_validation(self):
         with pytest.raises(InvalidInput):
@@ -105,6 +106,25 @@ class TestScenarioDesigns:
             scenario_spec(1, 1)
         with pytest.raises(InvalidInput):
             scenario_spec(1, 100, censor_target=1.0)
+        with pytest.raises(InvalidInput, match="n_per_arm"):
+            scenario_spec(1, 2.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("control_median", float("nan")), ("control_median", float("inf")),
+        ("hr_pieces", ((0.0, float("inf")),)),
+        ("hr_pieces", ((0.0, 1.0), (float("nan"), 0.5))),
+        ("censor_a", float("inf")), ("censor_b", float("nan"))])
+    def test_non_finite_scenario_parameters_are_named(self, field, value):
+        with pytest.raises(InvalidInput, match=field):
+            replace(scenario_spec(1, 10), **{field: value})
+        if field == "control_median":
+            with pytest.raises(InvalidInput, match=field):
+                scenario_spec(1, 10, control_median=value)
+
+    @pytest.mark.parametrize("target", [5e-324, 1e-12])
+    def test_unreachable_censoring_target_is_invalid_input(self, target):
+        with pytest.raises(InvalidInput, match="censoring bound"):
+            scenario_spec(1, 10, censor_target=target)
 
 
 class TestJointModel:
@@ -114,32 +134,60 @@ class TestJointModel:
         with pytest.raises(InvalidInput):
             replace(joint_spec("linear"), re_cov=((1.0, 0.1),))
 
+    @pytest.mark.parametrize("field", ["weibull_shape", "alpha", "beta0",
+                                       "error_sd", "max_followup",
+                                       "censor_upper"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameters_are_named(self, field, value):
+        with pytest.raises(InvalidInput, match=field):
+            replace(joint_spec("linear"), **{field: value})
+
+    def test_negative_x2_sd_is_invalid_input(self):
+        with pytest.raises(InvalidInput, match="x2_sd"):
+            replace(joint_spec("linear"), x2_sd=-1.0)
+
+    @pytest.mark.parametrize("n, seed, name", [
+        (0, 1, "n"), (-5, 1, "n"), (2.5, 1, "n"), (3, -1, "seed"),
+        (3, 1.5, "seed"), (3, None, "seed")])
+    def test_size_and_seed_must_be_integers(self, n, seed, name):
+        with pytest.raises(InvalidInput, match=f"^{name} must be"):
+            simulate_joint(joint_spec("linear"), n, seed)
+
+    def test_censoring_calibration_needs_a_pilot(self):
+        with pytest.raises(InvalidInput, match="^n must be"):
+            calibrate_joint_censoring(joint_spec("linear"), 0.3, pilot_n=0)
+
     def test_same_seed_is_bitwise_deterministic(self):
         spec = joint_spec("linear", censor_upper=40.0)
-        a = simulate_joint(spec, 500, 42)
-        b = simulate_joint(spec, 500, 42)
-        for field in ("time", "status", "x1", "x2"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
-        assert np.array_equal(a.visit_times, b.visit_times, equal_nan=True)
-        assert np.array_equal(a.visit_values, b.visit_values, equal_nan=True)
+        a = joint_columns(simulate_joint(spec, 500, 42))
+        b = joint_columns(simulate_joint(spec, 500, 42))
+        for field in a:
+            assert np.array_equal(a[field], b[field]), field
         c = simulate_joint(spec, 500, 43)
-        assert not np.array_equal(a.time, c.time)
+        assert not np.array_equal(a["time"], c.survival.time)
 
     def test_quadratic_trajectory_runs(self):
         sample = simulate_joint(joint_spec("quadratic"), 200, 3)
         assert sample.n == 200
-        assert np.all(sample.time <= sample.spec.max_followup)
+        assert np.all(sample.survival.time <= sample.spec.max_followup)
         # baseline visit always observed
-        assert np.all(sample.visit_times[:, 0] == 0.0)
+        times, _, offsets = sample.markers.columns["marker"]
+        assert np.all(offsets[1:] > offsets[:-1])
+        assert np.all(times[offsets[:-1]] == 0.0)
 
     def test_columns_write_and_read_back_bitwise(self, tmp_path):
-        sample = simulate_joint(joint_spec("linear"), 50, 5)
-        surv, markers = sample.columns()
+        spec = joint_spec("linear")
+        sample = simulate_joint(spec, 50, 5)
+        surv, markers = sample.survival, sample.markers
         assert surv.ids.tolist() == list(range(50))
+        assert markers.ids is surv.ids
+        # the markers are the drawn visits up to each observed time
+        vt = sim._joint_draws(spec, 50, np.random.default_rng(5))[4]
+        observed = vt <= surv.time[:, None]
         times, values, offsets = markers.columns["marker"]
-        assert times.size == np.sum(~np.isnan(sample.visit_times))
+        assert times.tobytes() == vt[observed].tobytes()
         assert np.array_equal(offsets[1:] - offsets[:-1],
-                              np.sum(~np.isnan(sample.visit_times), axis=1))
+                              np.sum(observed, axis=1))
         dataio.write_survival(tmp_path / "surv.csv", surv)
         dataio.write_longitudinal(tmp_path / "long.csv", markers)
         back = dataio.read_survival(tmp_path / "surv.csv")
@@ -174,9 +222,10 @@ class TestJointModel:
         alone += [simulate_joint(spec, n, shared) for n in (7, 500)]
         assert len(chunk) == len(alone)
         for got, want in zip(chunk, alone):
-            for field in ("ids", *JOINT_FIELDS):
-                assert (getattr(got, field).tobytes()
-                        == getattr(want, field).tobytes()), (want.n, field)
+            got_columns, want_columns = joint_columns(got), joint_columns(want)
+            for field, array in want_columns.items():
+                assert (got_columns[field].tobytes()
+                        == array.tobytes()), (want.n, field)
             for c in ("c0", "c1", "c2"):
                 assert (getattr(got.truth, c).tobytes()
                         == getattr(want.truth, c).tobytes())
@@ -185,7 +234,7 @@ class TestJointModel:
         spec = joint_spec("linear")
         a = calibrate_joint_censoring(spec, 0.30, pilot_n=50_000, seed=0)
         sample = simulate_joint(replace(spec, censor_upper=a), 50_000, 9)
-        frac = float(np.mean(sample.status == 0))
+        frac = float(np.mean(sample.survival.status == 0))
         assert abs(frac - 0.30) < 0.02
 
 
@@ -252,8 +301,8 @@ class TestHazardOracle:
         monkeypatch.setattr(JointTruth, "_cum_increments",
                             reference_cum_increments)
         want = simulate_joint(spec, 400, 11)
-        assert np.array_equal(got.time, want.time)
-        assert np.array_equal(got.status, want.status)
+        assert np.array_equal(got.survival.time, want.survival.time)
+        assert np.array_equal(got.survival.status, want.survival.status)
 
 
 def _full_table(truth, edges):
@@ -347,10 +396,9 @@ class TestEventTimeInversion:
                 with monkeypatch.context() as m:
                     m.setattr(sim, "_invert_event_times", _full_table_inversion)
                     want = simulate_joint(spec, n, n)
-                got = simulate_joint(spec, n, n)
-                for field in JOINT_FIELDS:
-                    assert (getattr(got, field).tobytes()
-                            == getattr(want, field).tobytes()), (n, field)
+                got = joint_columns(simulate_joint(spec, n, n))
+                for field, array in joint_columns(want).items():
+                    assert got[field].tobytes() == array.tobytes(), (n, field)
 
     @staticmethod
     def newton_problem():
@@ -557,9 +605,18 @@ class TestTruthTable:
 
     def test_windows_must_be_positive(self):
         truth = simulate_joint(joint_spec("linear"), 5, 8).truth
-        for s, w in ((0.0, 0.0), (-1.0, 2.0), ([1.0, 2.0], [1.0, -1.0])):
-            with pytest.raises(InvalidInput):
+        spec = scenario_spec(3, 10)
+        inf, nan = float("inf"), float("nan")
+        for s, w in ((0.0, 0.0), (-1.0, 2.0), ([1.0, 2.0], [1.0, -1.0]),
+                     (nan, 2.0), (inf, 2.0), (1.0, inf), (1.0, nan),
+                     ([1.0, nan], [1.0, 1.0])):
+            with pytest.raises(InvalidInput, match="window"):
                 truth.true_crmst(s, w)
+        for s, w in ((inf, 2.0), (nan, 2.0), (1.0, inf), (-1.0, 2.0),
+                     (1.0, 0.0)):
+            for method in ("closed_form", "monte_carlo"):
+                with pytest.raises(InvalidInput, match="window"):
+                    true_crmstd(spec, s, w, method=method, n_draws=10)
 
 
 class TestMcMetrics:
@@ -631,7 +688,7 @@ def reference_scenario_rep(spec, s, w, rng):
 
 
 def _streams(seed, reps):
-    return [sim._rep_rng(seed, rep) for rep in range(reps)]
+    return [sim._rng_of(seed, 1, rep) for rep in range(reps)]
 
 
 class TestScenarioChunk:
@@ -687,8 +744,7 @@ class TestCoefficientReplicate:
         [(beta, var_cl, var_nv)] = sim._coefficient_chunk(
             spec, grid, w, layout, 300, [np.random.default_rng(4)])
         data = sim._joint_dataset(
-            simulate_joint(spec, 300, np.random.default_rng(4)).columns(),
-            grid, w)
+            simulate_joint(spec, 300, np.random.default_rng(4)), grid, w)
         fit = fit_super_model(data, layout)
         rowwise = sandwich_cov(data, layout, IDENTITY, fit.beta,
                                mode="naive_rowwise")
