@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import _kernels
 from .basis import h_matrix
@@ -75,7 +74,11 @@ def _interval(fit, x, s, alpha):
     value = float(fit.link.ginv(eta))
     grad = float(fit.link.dginv(eta)) * x
     se = float(np.sqrt(max(grad @ fit.covariance @ grad, 0.0)))
-    # the t quantile stats.t.ppf computes, without importing scipy.stats
+    # the t quantile stats.t.ppf computes, without importing scipy.stats;
+    # imported here so that fit and evaluate never load scipy.special, and
+    # no pool-run replicate chunk may call this
+    from scipy import special
+
     tq = float(special.stdtrit(fit.df, 1.0 - alpha / 2.0))
     ci = (value - tq * se, value + tq * se)
     if not np.isfinite((value, se, *ci)).all():

@@ -37,7 +37,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from . import _kernels
 from ._blas import _one_blas_thread, _one_blas_thread_in_worker
@@ -210,6 +209,12 @@ def _censor_root(excess, lo, hi, target):
     if not excess(lo) > 0 > excess(hi):
         raise InvalidInput(f"censoring target {target} needs a censoring "
                            f"bound outside [{lo:g}, {hi:g}]")
+    # imported here, not at module level, so that a process that calibrates
+    # no censoring never loads scipy.optimize; this serves scenario_spec and
+    # calibrate_joint_censoring in the calling process, and no pool-run
+    # replicate chunk may call it
+    from scipy import optimize
+
     return float(optimize.brentq(excess, lo, hi, xtol=1e-10))
 
 
@@ -463,7 +468,9 @@ class JointTruth:
         w_j / ``panels`` for the narrowest window j that covers it (a gap
         no window covers gets none), its hazard increments come from the
         Gauss-Legendre rule, and G_k is the composite Simpson integral of
-        exp(-(H(t) - H(b_k))) over the gap.  A window is the sum of
+        exp(-(H(t) - H(b_k))) over the gap (``_simpson``, which pins the
+        float operations of scipy 1.17's ``integrate.simpson``, so the truth
+        does not depend on the installed scipy).  A window is the sum of
         exp(-(H(b_k) - H(s_j))) G_k over its gaps, so a single window is
         Simpson on ``panels`` uniform panels over [s, s + w], and the table
         never has many more panels than the windows have in total.
@@ -502,8 +509,7 @@ class JointTruth:
                 dh = np.concatenate(
                     [np.zeros((hi - lo, k.size, 1)), np.cumsum(inc, axis=2)],
                     axis=2)
-                gap_int[:, k] = integrate.simpson(np.exp(-dh), x=edges[None],
-                                                  axis=2)
+                gap_int[:, k] = _simpson(np.exp(-dh), edges[None])
                 gap_inc[:, k] = dh[:, :, -1]
             h_b = np.concatenate([np.zeros((hi - lo, 1)),
                                   np.cumsum(gap_inc, axis=1)], axis=1)
@@ -515,6 +521,27 @@ class JointTruth:
     def true_rmst(self, tau, panels=SURVIVAL_PANELS):
         """E(min(T, tau)) per subject."""
         return self.true_crmst(0.0, tau, panels=panels)
+
+
+def _simpson(y, x):
+    """Composite Simpson integral of y over its last axis, at the points x
+    (broadcast against y; an odd number of them, spacing free).
+
+    The float operations, their order and the zero-spacing guards are those
+    of scipy 1.17's ``integrate.simpson(y, x=x, axis=-1)`` for an even
+    number of panels, so the result is that call's, bit for bit.
+    """
+    h = np.diff(x, axis=-1)
+    h0, h1 = h[..., 0::2], h[..., 1::2]
+    hsum, hprod = h0 + h1, h0 * h1
+    h0divh1 = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
+    inv = np.true_divide(1.0, h0divh1, out=np.zeros_like(h0divh1),
+                         where=h0divh1 != 0)
+    ratio = np.true_divide(hsum, hprod, out=np.zeros_like(hsum),
+                           where=hprod != 0)
+    return np.sum(hsum / 6.0 * (y[..., :-2:2] * (2.0 - inv)
+                                + y[..., 1:-1:2] * (hsum * ratio)
+                                + y[..., 2::2] * (2.0 - h0divh1)), axis=-1)
 
 
 def _chunks(n, nodes):
@@ -835,6 +862,11 @@ def mc_metrics(estimates, variances, truth, alpha=0.05):
         raise InvalidInput("need aligned 1-d estimate/variance arrays, >= 2 reps")
     if np.any(var < 0):
         raise InvalidInput("negative variance")
+    # imported here so that no replicate process loads scipy.special: this
+    # runs in the parent, after the replicates, and no pool-run chunk may
+    # call it
+    from scipy import special
+
     se = np.sqrt(var)
     zq = float(special.ndtri(1.0 - alpha / 2.0))  # stats.norm.ppf
     mean_est = float(np.mean(est))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import _kernels
 from .errors import EmptyRiskSet, InvalidInput, TailUndefined
@@ -352,7 +351,11 @@ def crmstd_test(group0, group1, s, w, alpha=0.05, extend_tail=False):
     else:
         z = delta / se
     # the normal tail and quantile, without the scipy.stats distribution
-    # object (norm.sf is ndtr(-x) and norm.ppf is ndtri)
+    # object (norm.sf is ndtr(-x) and norm.ppf is ndtri); imported here so
+    # that only a process that tests loads scipy.special, and no pool-run
+    # replicate chunk may call this (they take _difference)
+    from scipy import special
+
     p = float(2.0 * special.ndtr(-abs(z)))
     zq = float(special.ndtri(1.0 - alpha / 2.0))
     return CRmstdTestResult(

@@ -457,13 +457,62 @@ class TestInputDiagnostics:
         assert json.loads(capsys.readouterr().err)["error"] == "OSError"
 
 
-def test_import_leaves_scipy_stats_unloaded():
+# One replicate of each pool-run chunk, as a forked worker runs it.
+REPLICATE_CHUNKS = """
+from dynrmst.basis import BasisLayout, SplineSpec
+sp = SplineSpec((2.0,), (0.0, 4.0), standardization_scale=4.0)
+args = (sim.joint_spec("linear"), (0.0, 2.0, 4.0), 5.0, BasisLayout((sp,) * 4))
+sim._scenario_chunk(sim.scenario_spec(1, 30), 1.0, 2.0, [sim._rng_of(0, 1, 0)])
+sim._coefficient_chunk(*args, 150, [sim._rng_of(0, 1, 0)])
+sim._prediction_chunk(*args, 150, 60, [sim._rng_of(0, 1, 0)])
+"""
+
+
+def test_processes_load_only_the_scipy_they_run(tmp_path):
+    """scipy stays off the import path: importing the package, fit and
+    evaluate, and every replicate chunk a pool worker runs load no scipy
+    module, and predict loads scipy.special alone.  Each case runs in a
+    fresh interpreter."""
+    surv, long = joint_csvs(tmp_path)
+    vsurv, vlong = joint_csvs(tmp_path, n=150, seed=2, stem="val")
+    model = tmp_path / "fitted.json"
+    argv = {
+        "fit": ["fit", "--input", surv, "--longitudinal", long, "--grid",
+                "0:4:1", "--w", "5", "--knots", "1,2,3", "--covariates",
+                "x1,x2,marker", "--extend-tail", "--output", model],
+        "evaluate": ["evaluate", "--model", model, "--train", surv,
+                     "--train-longitudinal", long, "--val", vsurv,
+                     "--val-longitudinal", vlong, "--extend-tail",
+                     "--output", tmp_path / "eval.csv"],
+        "predict": ["predict", "--model", model, "--s", 2.5, "--covariates",
+                    "x1=1", "x2=0.3", "marker=2.0"],
+    }
+
+    def main_of(*commands):
+        return "\n".join(
+            f"with redirect_stdout(io.StringIO()): "
+            f"assert cli.main({[str(a) for a in argv[c]]!r}) == 0"
+            for c in commands)
+
+    cases = {"import": "", "fit, evaluate": main_of("fit", "evaluate"),
+             "predict": main_of("predict"), "chunks": REPLICATE_CHUNKS}
     src = str(Path(dynrmst.__file__).resolve().parents[1])
-    code = ("import sys, dynrmst, dynrmst.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
-    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
-                         capture_output=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    loaded = {}
+    for case, body in cases.items():
+        code = ("import io, sys\nfrom contextlib import redirect_stdout\n"
+                "import dynrmst, dynrmst.cli\nfrom dynrmst import cli, sim\n"
+                f"{body}\nprint(' '.join(m for m in sys.modules "
+                f"if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             text=True, capture_output=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        loaded[case] = set(out.stdout.split())
+    predict_loads = loaded.pop("predict")
+    assert loaded == {"import": set(), "fit, evaluate": set(),
+                      "chunks": set()}
+    assert "scipy.special" in predict_loads
+    assert not {m.split(".")[1] for m in predict_loads
+                if "." in m} & {"integrate", "optimize", "stats"}
 
 
 @pytest.mark.parametrize("module", sorted(

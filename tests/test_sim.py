@@ -603,6 +603,31 @@ class TestTruthTable:
         for j, (a, b) in enumerate(zip(s, w)):
             assert np.array_equal(table[:, j], uniform_simpson(truth, a, b))
 
+    @pytest.mark.parametrize("panels", [2, 4, 6, 10, 16, 32, 64, 100, 128])
+    def test_simpson_is_scipy_simpson_bitwise(self, panels):
+        """Gap groups of random non-uniform widths, each cut into ``panels``
+        equal panels, as ``true_crmst`` lays them out."""
+        rng = np.random.default_rng(panels)
+        bounds = np.concatenate(([0.0], np.cumsum(rng.exponential(2.0, 7))))
+        edges = np.linspace(bounds[:-1], bounds[1:], panels + 1, axis=1)
+        y = np.exp(-np.cumsum(rng.uniform(0.0, 0.3, (50, 7, panels + 1)),
+                              axis=2))
+        assert np.array_equal(
+            sim._simpson(y, edges[None]),
+            integrate.simpson(y, x=edges[None], axis=2))
+
+    def test_validation_windows_are_scipy_simpson_bitwise(self, monkeypatch):
+        """The 2J windows ``evaluate_on_validation`` asks for, against the
+        same call with scipy's rule put back in."""
+        truth = simulate_joint(joint_spec("quadratic"), 300, 8).truth
+        grid = np.linspace(0.0, 10.0, 6)
+        s = np.concatenate((grid, np.zeros(grid.size)))
+        w = np.concatenate((np.full(grid.size, 5.0), grid + 5.0))
+        table = truth.true_crmst(s, w)
+        monkeypatch.setattr(sim, "_simpson", lambda y, x: integrate.simpson(
+            y, x=x, axis=2))
+        assert np.array_equal(table, truth.true_crmst(s, w))
+
     def test_windows_must_be_positive(self):
         truth = simulate_joint(joint_spec("linear"), 5, 8).truth
         spec = scenario_spec(3, 10)
