@@ -18,17 +18,21 @@ lines are cut at LF or CRLF and the data lines are joined and split on ','
 in one call; any other file (quoted cells, lone CR line ends, NUL, a line
 longer than ``csv.field_size_limit()``) is read by ``csv.reader``.  Both
 give bit-identical columns, and a cell longer than that limit is an
-``InvalidInput`` naming its line on either path.  Each numeric column is parsed with ``float``, whose
-underscore digit grouping ('1_0') is rejected; every check runs on whole
-columns, and when one fails (a bad cell, or a row with another number of
+``InvalidInput`` naming its line on either path.  Each numeric column is
+parsed with ``float``, whose underscore digit grouping ('1_0') is
+rejected.  The ``SurvivalData`` and ``MarkerTable`` constructors check the
+columns whole; the survival reader adds only a repeated id, which its id
+factorisation would merge, and a NaN covariate, which a CSV cell cannot
+mean.  When a check fails (a bad cell, or a row with another number of
 fields) a ``csv.reader`` scan of the rows in file order reports the
 physical line on which the first malformed row starts.
 
 The writers take the same columns and write UTF-8, floats with 17
-significant digits, so a write/read round trip is bit-exact.  A value the
-reader refuses (NaN, a missing covariate, among them) is an
-``InvalidInput`` naming the subject and the column, raised before the file
-is opened.  Records are the input adapter for library callers only.
+significant digits, so a write/read round trip is bit-exact.  The one
+value valid columns hold that the reader refuses, a NaN (missing)
+covariate, is an ``InvalidInput`` naming the subject and the column,
+raised before the file is opened.  Records are the input adapter for
+library callers only.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .landmark import MarkerTable
-from .surv import SurvivalData, _objects
+from .surv import SurvivalData, _check_cells, _objects
 
 __all__ = [
     "FORMAT_VERSION",
@@ -252,21 +256,26 @@ def read_survival(path):
         if columns is None:
             raise ValueError("ragged rows")
         ids, rank = _factorise(columns["id"])
+        if ids.size < rank.size:
+            raise ValueError("duplicate ids")
         order = np.argsort(rank)
-        time = _floats(columns["time"])
         status = np.fromiter(map(_STATUS.get, map(str.strip, columns["status"]),
                                  repeat(-1)),
                              dtype=np.int64, count=rank.size)
-        if ids.size < rank.size or (time < 0).any() or (status < 0).any():
-            raise ValueError("invalid survival rows")
-        covariates = {c: _floats(columns[c])[order] for c in extra}
-    except ValueError:
+        group = (_stripped(columns["group"])[order] if "group" in columns
+                 else None)
+        # _floats refuses the NaN a SurvivalData holds for a missing value:
+        # a CSV cell is never missing
+        data = SurvivalData(ids, _parse_numbers(columns["time"])[order],
+                            status[order],
+                            {c: _floats(columns[c])[order] for c in extra},
+                            group)
+    except (ValueError, InvalidInput):
         _raise_first_error(text, header,
                            [("time", "nonnegative"), ("status", "status")]
                            + [(c, "finite") for c in extra], unique="id")
         raise
-    group = _stripped(columns["group"])[order] if "group" in columns else None
-    return SurvivalData(ids, time[order], status[order], covariates, group)
+    return data
 
 
 def read_longitudinal(path):
@@ -277,32 +286,21 @@ def read_longitudinal(path):
     try:
         if columns is None:
             raise ValueError("ragged rows")
-        times = _floats(columns["obs_time"])
-        values = _floats(columns["value"])
-        if (times < 0).any():
-            raise ValueError("negative obs_time")
-    except ValueError:
+        times = _parse_numbers(columns["obs_time"])
+        ids, subject = _factorise(columns["id"])
+        table = MarkerTable.from_columns(ids, subject, times,
+                                         _stripped(columns["name"]),
+                                         _parse_numbers(columns["value"]))
+    except (ValueError, InvalidInput):
         _raise_first_error(text, header, [("obs_time", "nonnegative"),
                                           ("value", "finite")])
         raise
-    ids, subject = _factorise(columns["id"])
     by_subject = np.argsort(subject, kind="stable")
     s, t = subject[by_subject], times[by_subject]
     if ((s[1:] == s[:-1]) & (t[1:] < t[:-1])).any():
         warnings.warn(f"{path}: longitudinal rows out of time order for at "
                       "least one subject; sorted on read", stacklevel=2)
-    return MarkerTable.from_columns(ids, subject, times,
-                                    _stripped(columns["name"]), values)
-
-
-def _check(ids, checks):
-    """InvalidInput naming the subject and the column of the first value
-    the reader refuses; ``checks`` holds (column, values, valid mask)."""
-    for column, values, valid in checks:
-        if not valid.all():
-            i = int(np.argmin(valid))
-            raise InvalidInput(f"subject {ids[i:i + 1].tolist()[0]!r}: column "
-                               f"{column!r} cannot hold {values[i]}")
+    return table
 
 
 def _write_rows(path, header, rows, config):
@@ -324,10 +322,9 @@ def write_survival(path, data, config=None):
     """Survival CSV of a SurvivalData, rows in its ascending id order, then
     its group column if any and its covariates in name order."""
     time, status, names = data.time, data.status, sorted(data.covariates)
-    _check(data.ids, [("time", time, (0 <= time) & (time < np.inf)),
-                      ("status", status, (status == 0) | (status == 1))]
-           + [(n, data.covariates[n], np.isfinite(data.covariates[n]))
-              for n in names])
+    # the one value a SurvivalData holds that a CSV cell cannot
+    _check_cells(data.ids, [(n, data.covariates[n],
+                             ~np.isnan(data.covariates[n])) for n in names])
     group = [] if data.group is None else [data.group.tolist()]
     columns = [data.ids.tolist(), _texts(time), status.tolist(), *group,
                *(_texts(data.covariates[n]) for n in names)]
@@ -344,15 +341,11 @@ def write_longitudinal(path, markers, config=None):
                               for c in counts] + [np.empty(0, np.intp)])
     times, values = (np.concatenate([markers.columns[n][k] for n in names]
                                     + [np.empty(0)]) for k in (0, 1))
-    ids = markers.ids[subject]
-    _check(ids, [("obs_time", times, (0 <= times) & (times < np.inf)),
-                 ("value", values, np.isfinite(values))])
     name = np.repeat(np.arange(len(names)), [c.sum() for c in counts])
     order = np.lexsort((name, times, subject))
-    _write_rows(path, ["id", "obs_time", "name", "value"],
-                zip(ids[order].tolist(), _texts(times[order]),
-                    [names[k] for k in name[order].tolist()],
-                    _texts(values[order])), config)
+    rows = zip(markers.ids[subject[order]].tolist(), _texts(times[order]),
+               [names[k] for k in name[order].tolist()], _texts(values[order]))
+    _write_rows(path, ["id", "obs_time", "name", "value"], rows, config)
 
 
 def write_json_artifact(path, payload, config=None):

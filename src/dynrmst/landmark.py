@@ -4,8 +4,10 @@ analysis" (Scand J Stat 2007), clustered by subject.
 
 Input arrives as columns (``SurvivalData`` and ``MarkerTable``, as the CSV
 readers and the simulators return them) or as records, the input adapter
-for library callers, converted once.  The biomarker table is aligned with
-the survival subjects by id.  The whole grid is then one vectorized pass:
+for library callers, converted once.  Both column types check themselves
+when built, so columns from any source obey one rule and the adapters hold
+none of their own.  The biomarker table is aligned with the survival
+subjects by id.  The whole grid is then one vectorized pass:
 one jackknife call for the strict risk sets ``Y > s`` of every landmark,
 and per biomarker one search that resolves it by last observation carried
 forward (ties at the landmark count) at every landmark, in the
@@ -14,15 +16,14 @@ landmark-major row order that ``_landmark_pairs`` alone decides.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .errors import EmptyRiskSet, InvalidInput, MissingCovariate
-from .surv import (SurvivalData, _first_failing_window, _objects,
-                   as_survival_data)
+from .surv import (SurvivalData, _check_cells, _check_ids,
+                   _first_failing_window, _objects, as_survival_data)
 # pseudo_observations is bound here for perfbench's instrumentation self-test
 from .surv import pseudo_observations  # noqa: F401
 
@@ -49,17 +50,36 @@ class MarkerTable:
     """Biomarker measurements of the subjects ``ids`` (ascending):
     ``columns[name]`` is (times, values, offsets) with rows sorted by
     (subject, obs_time, value) and subject i's rows at
-    ``offsets[i]:offsets[i + 1]``.
+    ``offsets[i]:offsets[i + 1]``.  The constructor refuses ids not strictly
+    ascending, offsets that do not split the rows, a negative or non-finite
+    time or value, and a subject's rows out of (obs_time, value) order.
     """
 
     columns: dict
     ids: np.ndarray
 
+    def __post_init__(self):
+        n = _check_ids(self.ids)
+        for name, (times, values, offsets) in self.columns.items():
+            rows = offsets[-1] if np.shape(offsets) == (n + 1,) else -1
+            if (rows < 0 or offsets[0] != 0 or (np.diff(offsets) < 0).any()
+                    or not np.shape(times) == np.shape(values) == (rows,)):
+                raise InvalidInput(f"biomarker {name!r}: offsets do not split "
+                                   f"its times and values among {n} subjects")
+            first = np.zeros(times.size, dtype=bool)  # a subject's first row
+            first[offsets[:-1][np.diff(offsets) > 0]] = True
+            t0, v0 = np.roll(times, 1), np.roll(values, 1)  # the row before
+            _check_cells(self.ids, [
+                ("obs_time", times,
+                 (0 <= times) & (times < np.inf) & (first | (times >= t0))),
+                ("value", values, np.isfinite(values)
+                 & (first | (times != t0) | (values >= v0)))], offsets)
+
     @classmethod
     def from_columns(cls, ids, subject, times, names, values):
         """Table from one entry per measurement, in any order: ``subject``
         indexes the ascending ``ids``, ``names`` holds biomarker names and
-        ``times`` the nonnegative observation times."""
+        ``times`` the observation times."""
         columns = {}
         for name in sorted(set(names.tolist())):
             rows = np.flatnonzero(names == name)
@@ -73,23 +93,11 @@ class MarkerTable:
     @classmethod
     def from_records(cls, records, ids):
         """Table of LongitudinalRecords, the input adapter for library
-        callers, for the subjects ``ids`` (ascending, as in SurvivalData);
-        measurements of other subjects are ignored.  As in the CSV reader,
-        every obs_time must be finite and nonnegative and every value
-        finite, also for those subjects."""
-        for rec in records:
-            if rec.obs_time < 0:
-                raise InvalidInput(f"negative obs_time for subject {rec.id!r}")
-            if not math.isfinite(rec.obs_time):
-                raise InvalidInput(f"obs_time {rec.obs_time} of subject "
-                                   f"{rec.id!r} is not finite")
+        callers, for the subjects ``ids`` (ascending, as in SurvivalData).
+        The table of every subject with a measurement checks the columns
+        before measurements of subjects not in ``ids`` are dropped."""
         rows = [(rec.id, rec.obs_time, name, value)
                 for rec in records for name, value in rec.values.items()]
-        values = np.array([r[3] for r in rows], dtype=float)
-        if not np.isfinite(values).all():
-            sid, _, name, value = rows[int(np.argmin(np.isfinite(values)))]
-            raise InvalidInput(f"value {value} of {name!r} for subject "
-                               f"{sid!r} is not finite")
         try:
             subjects, subject = np.unique(_objects(r[0] for r in rows),
                                           return_inverse=True)
@@ -97,7 +105,8 @@ class MarkerTable:
             raise InvalidInput("subject ids must be mutually orderable") from None
         table = cls.from_columns(subjects, subject,
                                  np.array([r[1] for r in rows], dtype=float),
-                                 _objects(r[2] for r in rows), values)
+                                 _objects(r[2] for r in rows),
+                                 np.array([r[3] for r in rows], dtype=float))
         return table.align(ids)
 
     def align(self, ids):

@@ -230,7 +230,11 @@ def scenario_spec(number, n_per_arm, censor_target=0.0, control_median=10.0):
     """Benchmark designs 1-4: no effect; constant HR 0.67; early-then-fading
     effect (0.1 / 0.67 / 1.0 switching at 5 and 15); delayed effect (1.0
     before 10, 0.33 after).  ``censor_target`` is the per-arm censoring
-    fraction, hit exactly in expectation via closed-form calibration."""
+    fraction, hit in expectation by closed-form calibration, except near 1:
+    ``_pw_surv_integral`` cancels on a short piece and the root search stops
+    at 1e-10, so in design 1 the bound is off by 1.2e-5 (relative) at
+    1 - 1e-6 and by 7% at 1 - 1e-8, and 1 - 1e-16 gives 1.01e-7, not 2.9e-15.
+    """
     if number not in _SCENARIO_PIECES:
         raise InvalidInput(f"unknown scenario {number}")
     if not 0.0 <= censor_target < 1.0:
@@ -275,11 +279,11 @@ def simulate_scenario(spec, seed):
     (y0, d0), (y1, d1) = _draw_arms(spec, [_rng_of(seed)])
     n = spec.n_per_arm
     ids = _objects(f"{arm}{i:06d}" for arm in "ct" for i in range(n))
-    data = SurvivalData(ids, np.concatenate((y0[0], y1[0])),
-                        np.concatenate((d0[0], d1[0])),
-                        group=np.repeat(np.arange(2), n))
     # draw order is id order up to 10^6 per arm ('c1000000' < 'c200000')
-    return data.subset(np.argsort(ids, kind="stable")) if n > 10**6 else data
+    rows = np.argsort(ids, kind="stable") if n > 10**6 else slice(None)
+    return SurvivalData(ids[rows], np.concatenate((y0[0], y1[0]))[rows],
+                        np.concatenate((d0[0], d1[0]))[rows],
+                        group=np.repeat(np.arange(2), n)[rows])
 
 
 def _true_crmst_arm(spec, arm, s, w):
@@ -473,7 +477,11 @@ class JointTruth:
         does not depend on the installed scipy).  A window is the sum of
         exp(-(H(b_k) - H(s_j))) G_k over its gaps, so a single window is
         Simpson on ``panels`` uniform panels over [s, s + w], and the table
-        never has many more panels than the windows have in total.
+        never has many more panels than the windows have in total.  Against
+        a 16,384-panel reference on 1,000 subjects, the cells of subjects at
+        risk at s (Y > s) are within 1.8e-5; the error reaches 1.18e-2 only
+        where conditional survival falls within one panel, in cells of
+        subjects not at risk, which ``evaluate_on_validation`` does not read.
         """
         s, w = np.broadcast_arrays(np.asarray(s, dtype=float),
                                    np.asarray(w, dtype=float))

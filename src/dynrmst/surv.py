@@ -52,7 +52,9 @@ class SurvivalData:
 
     ``covariates`` maps each time-fixed covariate name to its column; NaN
     marks a value the subject does not have.  ``group`` holds each subject's
-    group label, or is None when the input has no groups.
+    group label, or is None when the input has no groups.  The constructor
+    refuses ids not strictly ascending, a column of another length, a time
+    not finite and nonnegative, a status not 0 or 1, an infinite covariate.
     """
 
     ids: np.ndarray
@@ -61,6 +63,19 @@ class SurvivalData:
     covariates: dict = field(default_factory=dict)
     group: np.ndarray | None = None
 
+    def __post_init__(self):
+        n, time, status = _check_ids(self.ids), self.time, self.status
+        fixed = list(self.covariates.items())
+        group = [] if self.group is None else [("group", self.group)]
+        for name, col in [("time", time), ("status", status), *fixed, *group]:
+            if np.shape(col) != (n,):
+                raise InvalidInput(f"column {name!r} has shape "
+                                   f"{np.shape(col)}, not the ids' ({n},)")
+        valid = [("time", time, (0 <= time) & (time < np.inf)),
+                 ("status", status, (status == 0) | (status == 1))]
+        _check_cells(self.ids, valid + [(name, col, ~np.isinf(col))
+                                        for name, col in fixed])
+
     def subset(self, rows):
         """The subjects at ``rows``: a boolean mask or ascending positions."""
         return SurvivalData(self.ids[rows], self.time[rows], self.status[rows],
@@ -68,40 +83,53 @@ class SurvivalData:
                             None if self.group is None else self.group[rows])
 
 
+def _check_ids(ids):
+    """The number of subject ids, which must be 1-D and strictly ascending."""
+    try:
+        ascending = np.ndim(ids) == 1 and (ids[1:] > ids[:-1]).all()
+    except TypeError:  # ids that do not compare
+        ascending = False
+    if not ascending:
+        raise InvalidInput("subject ids must be a 1-D array in strictly "
+                           "ascending order")
+    return ids.size
+
+
+def _check_cells(ids, checks, offsets=None):
+    """InvalidInput naming the subject and column of the first invalid value;
+    ``checks`` holds (column, values, valid mask), and value k belongs to
+    subject k, or to the i with offsets[i] <= k < offsets[i + 1]."""
+    for column, values, valid in checks:
+        if not valid.all():
+            k = int(np.argmin(valid))
+            i = k if offsets is None else int(
+                np.searchsorted(offsets, k, side="right")) - 1
+            raise InvalidInput(f"subject {ids[i:i + 1].tolist()[0]!r}: column "
+                               f"{column!r} cannot hold {values[k]}")
+
+
 def as_survival_data(survival, covariate_names=()):
-    """SurvivalData from a list of SurvivalRecord (validated and sorted by
-    id), with a float column for each named time-fixed covariate (finite,
-    or NaN for a value the subject does not have) and the group labels
-    when any record has one; a SurvivalData is returned unchanged."""
+    """SurvivalData from a list of SurvivalRecord, sorted by id, with a float
+    column for each named time-fixed covariate (NaN for a value the subject
+    does not have) and the group labels when any record has one; the
+    SurvivalData checks the columns.  A SurvivalData is returned unchanged."""
     if isinstance(survival, SurvivalData):
         return survival
     if not survival:
         raise InvalidInput("no records")
-    ids = [r.id for r in survival]
-    if len(set(ids)) != len(ids):
-        raise InvalidInput("duplicate subject ids")
     try:
         recs = sorted(survival, key=lambda r: r.id)
     except TypeError:
         raise InvalidInput("subject ids must be mutually orderable") from None
-    time = np.array([r.time for r in recs], dtype=float)
-    status = np.array([r.status for r in recs], dtype=np.int64)
-    if np.any(time < 0) or not np.all(np.isfinite(time)):
-        raise InvalidInput("times must be finite and nonnegative")
-    if not np.all((status == 0) | (status == 1)):
-        raise InvalidInput("status must be 0 or 1")
     covariates = {n: np.array([r.covariates.get(n, np.nan) for r in recs],
                               dtype=float) for n in covariate_names}
-    for n, column in covariates.items():
-        if np.isinf(column).any():  # NaN marks a missing value
-            sid = recs[int(np.argmax(np.isinf(column)))].id
-            raise InvalidInput(f"covariate {n!r} of subject {sid!r} is not "
-                               f"finite")
     group = None
     if any(r.group is not None for r in recs):
         group = _objects(r.group for r in recs)
-    return SurvivalData(_objects(r.id for r in recs), time, status, covariates,
-                        group)
+    return SurvivalData(_objects(r.id for r in recs),
+                        np.array([r.time for r in recs], dtype=float),
+                        np.array([r.status for r in recs], dtype=np.int64),
+                        covariates, group)
 
 
 def _objects(items):

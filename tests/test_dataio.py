@@ -3,6 +3,7 @@ round trips, and the line named when several rows are malformed."""
 
 import csv
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -355,26 +356,29 @@ def _markers(obs_time=1.0, value=0.5):
                                     np.array([1.0, 2.0, value]))
 
 
+# each case builds its data when the test runs: the constructors refuse
+# all but the missing covariate themselves, with the writers' message
 @pytest.mark.parametrize("write, data, message", [
     # a record that lacks x becomes NaN in the columns
     (dataio.write_survival,
-     as_survival_data([SurvivalRecord("a", 2.0, 1, covariates={"x": -1.0}),
-                       SurvivalRecord("b", 1.0, 0)], ["x"]),
+     partial(as_survival_data,
+             [SurvivalRecord("a", 2.0, 1, covariates={"x": -1.0}),
+              SurvivalRecord("b", 1.0, 0)], ["x"]),
      "subject 'b': column 'x' cannot hold nan"),
-    (dataio.write_survival, _two_subjects(x=np.nan),
+    (dataio.write_survival, partial(_two_subjects, x=np.nan),
      "subject 'b': column 'x' cannot hold nan"),
-    (dataio.write_survival, _two_subjects(x=-np.inf),
+    (dataio.write_survival, partial(_two_subjects, x=-np.inf),
      "subject 'b': column 'x' cannot hold -inf"),
-    (dataio.write_survival, _two_subjects(time=np.inf),
+    (dataio.write_survival, partial(_two_subjects, time=np.inf),
      "subject 'b': column 'time' cannot hold inf"),
-    (dataio.write_survival, _two_subjects(time=-1.0),
+    (dataio.write_survival, partial(_two_subjects, time=-1.0),
      "subject 'b': column 'time' cannot hold -1.0"),
     (dataio.write_survival,
-     SurvivalData(np.arange(2), np.ones(2), np.array([1, 2])),
+     partial(SurvivalData, np.arange(2), np.ones(2), np.array([1, 2])),
      "subject 1: column 'status' cannot hold 2"),
-    (dataio.write_longitudinal, _markers(value=np.nan),
+    (dataio.write_longitudinal, partial(_markers, value=np.nan),
      "subject 'b': column 'value' cannot hold nan"),
-    (dataio.write_longitudinal, _markers(obs_time=np.inf),
+    (dataio.write_longitudinal, partial(_markers, obs_time=np.inf),
      "subject 'b': column 'obs_time' cannot hold inf"),
 ])
 def test_writers_refuse_what_the_reader_refuses(tmp_path, write, data,
@@ -384,7 +388,7 @@ def test_writers_refuse_what_the_reader_refuses(tmp_path, write, data,
     path = tmp_path / "out.csv"
     path.write_text("kept\n")
     with pytest.raises(InvalidInput) as exc:
-        write(path, data)
+        write(path, data())
     assert str(exc.value) == message
     assert path.read_text() == "kept\n"
 

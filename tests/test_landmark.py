@@ -1,13 +1,15 @@
 """Landmark dataset construction and the stacked super dataset."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from dynrmst.errors import (DynRmstError, EmptyRiskSet, InvalidInput,
                             MissingCovariate, TailUndefined)
-from dynrmst.landmark import (LongitudinalRecord, build_landmark_dataset,
-                              build_super_dataset)
+from dynrmst.landmark import (LongitudinalRecord, MarkerTable,
+                              build_landmark_dataset, build_super_dataset)
 from dynrmst.surv import SurvivalRecord, pseudo_observations
 
 # a 0/0 or a divide by zero that escapes np.errstate (say, in the padded
@@ -212,30 +214,92 @@ class TestSuperDataset:
             assert np.array_equal(x, y)
 
 
+AB = np.array(["a", "b"], dtype=object)
+
+
+def ab_table(times=(0.0, 0.0, 1.0), values=(1.0, 2.0, 3.0), offsets=(0, 1, 3),
+             ids=AB):
+    """MarkerTable of biomarker 'm', built directly from its columns."""
+    return MarkerTable({"m": (np.array(times), np.array(values),
+                              np.array(offsets))}, ids)
+
+
+def ab_measurements(subject=(0, 1, 1), times=(0.0, 0.0, 1.0),
+                    values=(1.0, 2.0, 3.0)):
+    """MarkerTable.from_columns of measurements of 'm' by subjects 'a', 'b'."""
+    return MarkerTable.from_columns(AB, np.array(subject), np.array(times),
+                                    np.array(["m"] * len(times), dtype=object),
+                                    np.array(values))
+
+
+OFFSETS = ("biomarker 'm': offsets do not split its times and values among "
+           "2 subjects")
+IDS = "subject ids must be a 1-D array in strictly ascending order"
+
+
+class TestMarkerTableChecksItself:
+    def test_valid_columns(self):
+        assert ab_table().columns["m"][2].tolist() == [0, 1, 3]
+        assert ab_measurements().ids is AB
+        ab_table(times=(), values=(), offsets=(0, 0, 0))  # no rows
+        ab_table(times=(1.0, 0.0, 1.0))  # each subject's rows start afresh
+        ab_table(offsets=(0, 0, 3), times=(0.0, 0.0, 1.0))  # 'a' has none
+
+    @pytest.mark.parametrize("build, message", [
+        (partial(ab_measurements, times=(0.0, -1.0, 1.0)),
+         "subject 'b': column 'obs_time' cannot hold -1.0"),
+        (partial(ab_measurements, values=(1.0, 2.0, np.inf)),
+         "subject 'b': column 'value' cannot hold inf"),
+        # a subject index past the ids made offsets for a third subject
+        (partial(ab_measurements, subject=(0, 1, 2)), OFFSETS),
+        (partial(ab_table, times=(0.0, np.nan, 1.0)),
+         "subject 'b': column 'obs_time' cannot hold nan"),
+        (partial(ab_table, values=(-np.inf, 2.0, 3.0)),
+         "subject 'a': column 'value' cannot hold -inf"),
+        (partial(ab_table, offsets=(0, 4, 3)), OFFSETS),
+        (partial(ab_table, offsets=(1, 1, 3)), OFFSETS),
+        (partial(ab_table, offsets=(0, 1, 2)), OFFSETS),
+        (partial(ab_table, offsets=(0, 3)), OFFSETS),
+        (partial(ab_table, values=(1.0, 2.0)), OFFSETS),
+        # a subject's rows in (obs_time, value) order: LOCF reads the last
+        # row at a tied time
+        (partial(ab_table, times=(0.0, 2.0, 1.0)),
+         "subject 'b': column 'obs_time' cannot hold 1.0"),
+        (partial(ab_table, times=(0.0, 1.0, 1.0), values=(1.0, 3.0, 2.0)),
+         "subject 'b': column 'value' cannot hold 2.0"),
+        (partial(ab_table, ids=AB[::-1]), IDS),
+    ])
+    def test_invalid_columns(self, build, message):
+        with pytest.raises(InvalidInput) as err:
+            build()
+        assert str(err.value) == message
+
+
 class TestRecordsAdapters:
-    """The records adapters apply the CSV readers' rule: obs_time finite
-    and nonnegative, marker values finite, a time-fixed covariate finite or
-    NaN for a missing value; InvalidInput names the subject otherwise."""
+    """The records adapters build columns, which apply the CSV readers'
+    rule: obs_time finite and nonnegative, marker values finite, a
+    time-fixed covariate finite or NaN for a missing value; InvalidInput
+    names the subject and the column otherwise."""
 
     LONG = marker("a", [(0.0, 1.0)]) + marker("b", [(0.0, 2.0)]) + \
         marker("c", [(0.0, 3.0)]) + marker("d", [(0.0, 4.0)])
 
     @pytest.mark.parametrize("record, message", [
         (LongitudinalRecord("a", float("nan"), {"m": 2.0}),
-         "obs_time nan of subject 'a' is not finite"),
+         "subject 'a': column 'obs_time' cannot hold nan"),
         (LongitudinalRecord("b", float("inf"), {"m": 3.0}),
-         "obs_time inf of subject 'b' is not finite"),
-        (LongitudinalRecord("c", float("nan"), {}),
-         "obs_time nan of subject 'c' is not finite"),
+         "subject 'b': column 'obs_time' cannot hold inf"),
+        (LongitudinalRecord("c", -float("inf"), {"m": 3.0}),
+         "subject 'c': column 'obs_time' cannot hold -inf"),
         (LongitudinalRecord("b", 1.0, {"m": float("nan")}),
-         "value nan of 'm' for subject 'b' is not finite"),
+         "subject 'b': column 'value' cannot hold nan"),
         (LongitudinalRecord("d", 1.0, {"m": -float("inf")}),
-         "value -inf of 'm' for subject 'd' is not finite"),
+         "subject 'd': column 'value' cannot hold -inf"),
         # a subject without survival record is checked too
         (LongitudinalRecord("z", 1.0, {"m": float("inf")}),
-         "value inf of 'm' for subject 'z' is not finite"),
+         "subject 'z': column 'value' cannot hold inf"),
         (LongitudinalRecord("a", -1.0, {"m": 1.0}),
-         "negative obs_time for subject 'a'"),
+         "subject 'a': column 'obs_time' cannot hold -1.0"),
     ])
     def test_marker_record(self, record, message):
         with pytest.raises(InvalidInput) as err:
@@ -243,15 +307,28 @@ class TestRecordsAdapters:
                                 2.0, extend_tail=True)
         assert str(err.value) == message
 
+    def test_record_without_values_adds_no_row(self):
+        """A record with no measurement has no cell to check, whatever its
+        obs_time."""
+        empty = LongitudinalRecord("c", float("nan"), {})
+        got, want = (build_super_dataset(survival4(), long, [0.0, 2.0], 2.0,
+                                         extend_tail=True)
+                     for long in (self.LONG + [empty], self.LONG))
+        for a, b in zip(got.arrays(), want.arrays()):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("value, error, message", [
-        (float("inf"), InvalidInput, "covariate 'x' of subject 'c' is not finite"),
-        (-float("inf"), InvalidInput, "covariate 'x' of subject 'c' is not finite"),
+        (float("inf"), InvalidInput,
+         "subject 'c': column 'x' cannot hold inf"),
+        (-float("inf"), InvalidInput,
+         "subject 'c': column 'x' cannot hold -inf"),
         # NaN is a missing value
-        (float("nan"), MissingCovariate, "subject 'c' has no observation of 'x'"),
+        (float("nan"), MissingCovariate,
+         "subject 'c' has no observation of 'x' at or before landmark 0.0"),
     ])
     def test_time_fixed_covariate(self, value, error, message):
         surv = survival4()
         surv[2] = SurvivalRecord("c", 6.0, 1, covariates={"x": value})
         with pytest.raises(error) as err:
             build_super_dataset(surv, [], [0.0, 2.0], 2.0, extend_tail=True)
-        assert str(err.value).startswith(message)
+        assert str(err.value) == message

@@ -1,18 +1,22 @@
 """Property tests of the columnar landmark core, the pseudo-value tail
 rule, the two Kaplan-Meier cRMST routes, the block super-model solver, the
-joint-model simulator's independence of its chunk size, and the estimates'
-independence of the time unit and of the order of the input records."""
+joint-model simulator's independence of its chunk size, the estimates'
+independence of the time unit and of the order of the input records, and
+the CSV round trip of every column set the constructors accept."""
 
+import warnings
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from dynrmst import _kernels, sim
+from dynrmst import _kernels, dataio, sim
 from dynrmst.basis import BasisLayout, SplineSpec
-from dynrmst.errors import DynRmstError, NoConvergence, SingularDesign
+from dynrmst.errors import (DynRmstError, InvalidInput, NoConvergence,
+                            SingularDesign)
 from dynrmst.evaluate import evaluate_on_validation
 from dynrmst.gee import IDENTITY, LOG, fit_super_model, sandwich_cov
 from dynrmst.landmark import (LongitudinalRecord, MarkerTable, SuperDataset,
@@ -339,3 +343,117 @@ def test_results_do_not_depend_on_the_order_of_records(seed, rnd):
                                             extend_tail=True, truth=truth)
                      for pair in (inputs, shuffled))
         assert got == want
+
+
+# cells the CSV reader reads back as written: no surrounding whitespace,
+# and no id that would start a '#' comment line
+CELLS = st.text("ab1 ,\"#\n", max_size=3).filter(
+    lambda t: t == t.strip() and not t.startswith("#"))
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NONNEGATIVE = st.floats(0.0, allow_infinity=False) | TIMES
+
+
+def _ids(draw, n):
+    """n ids in ascending order; in some draws an id may repeat."""
+    return sorted(draw(st.lists(CELLS, min_size=n, max_size=n,
+                                unique=draw(st.booleans()))))
+
+
+@st.composite
+def survival_columns(draw):
+    n = draw(st.integers(1, 6))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    names = draw(st.lists(st.sampled_from(["x", "z"]), unique=True))
+    return {"ids": _ids(draw, n), "time": column(NONNEGATIVE),
+            "status": column(st.integers(0, 1)),
+            "covariates": {name: column(FINITE) for name in names},
+            "group": column(CELLS) if draw(st.booleans()) else None}
+
+
+def _bitwise(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@settings(max_examples=50, deadline=None)
+@given(survival_columns())
+@example({"ids": ["a", "a"], "time": [1.0, 2.0], "status": [1, 0],
+          "covariates": {}, "group": None})
+def test_accepted_survival_columns_round_trip_bit_exact(tmp_path_factory,
+                                                        columns):
+    """Every SurvivalData the constructor accepts with finite covariates (a
+    CSV cell is never missing) comes back from write_survival and
+    read_survival bit for bit."""
+    try:
+        data = SurvivalData(
+            np.array(columns["ids"], dtype=object), np.array(columns["time"]),
+            np.array(columns["status"], dtype=np.int64),
+            {n: np.array(c) for n, c in columns["covariates"].items()},
+            None if columns["group"] is None
+            else np.array(columns["group"], dtype=object))
+    except InvalidInput:
+        reject()
+    path = tmp_path_factory.mktemp("surv") / "surv.csv"
+    dataio.write_survival(path, data)
+    got = dataio.read_survival(path)
+    assert got.ids.dtype == object and got.ids.tolist() == data.ids.tolist()
+    assert _bitwise(got.time, data.time) and _bitwise(got.status, data.status)
+    assert sorted(got.covariates) == sorted(data.covariates)
+    assert all(_bitwise(got.covariates[n], c)
+               for n, c in data.covariates.items())
+    assert (got.group is None if data.group is None
+            else got.group.tolist() == data.group.tolist())
+
+
+@st.composite
+def marker_columns(draw):
+    """(ids, {name: (times, values, offsets)}): rows in (obs_time, value)
+    order within a subject, and every subject with a row, as in the tables
+    the reader returns."""
+    n = draw(st.integers(1, 4))
+    ids = _ids(draw, n)
+    counts = {name: draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+              for name in ("m", "n")}
+    for i in range(n):
+        if not counts["m"][i] + counts["n"][i]:
+            counts["m"][i] = 1
+    columns = {}
+    for name, per_subject in counts.items():
+        if sum(per_subject):
+            rows = [row for k in per_subject for row in sorted(draw(st.lists(
+                st.tuples(NONNEGATIVE, FINITE), min_size=k, max_size=k)))]
+            columns[name] = ([t for t, _ in rows], [v for _, v in rows],
+                             [0, *accumulate(per_subject)])
+    return ids, columns
+
+
+@settings(max_examples=50, deadline=None)
+@given(marker_columns())
+@example((["a", "a"], {"m": ([0.0, 1.0], [1.0, 2.0], [0, 1, 2])}))
+def test_accepted_marker_columns_round_trip_bit_exact(tmp_path_factory,
+                                                      case):
+    """Every MarkerTable the constructor accepts whose subjects all have a
+    row comes back from write_longitudinal and read_longitudinal bit for
+    bit."""
+    ids, columns = case
+    try:
+        table = MarkerTable(
+            {name: (np.array(times, dtype=float),
+                    np.array(values, dtype=float),
+                    np.array(offsets, dtype=np.int64))
+             for name, (times, values, offsets) in columns.items()},
+            np.array(ids, dtype=object))
+    except InvalidInput:
+        reject()
+    path = tmp_path_factory.mktemp("long") / "long.csv"
+    dataio.write_longitudinal(path, table)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rows are written in time order
+        got = dataio.read_longitudinal(path)
+    assert got.ids.dtype == object and got.ids.tolist() == table.ids.tolist()
+    assert sorted(got.columns) == sorted(table.columns)
+    for name, arrays in table.columns.items():
+        assert all(map(_bitwise, got.columns[name], arrays))

@@ -8,8 +8,9 @@ from scipy import stats
 from dynrmst import surv
 
 from dynrmst.errors import EmptyRiskSet, InvalidInput, TailUndefined
-from dynrmst.surv import (CRmstEstimate, SurvivalRecord, crmst_km, crmst_km_ratio, crmst_pseudo,
-                          crmstd_test, km_fit, pseudo_observations)
+from dynrmst.surv import (CRmstEstimate, SurvivalData, SurvivalRecord,
+                          crmst_km, crmst_km_ratio, crmst_pseudo, crmstd_test,
+                          km_fit, pseudo_observations)
 
 # a 0/0 or a divide by zero that escapes np.errstate (say, in the padded
 # jackknife tables) fails the test
@@ -28,6 +29,59 @@ def random_records(rng, n=None, prefix=""):
         t = np.round(t, 2) + 0.01
     d = rng.integers(0, 2, n)
     return records(t, d, prefix)
+
+
+def three_subjects(**changed):
+    """SurvivalData of subjects 'a', 'b', 'c' with x missing for 'b', and
+    the given columns replaced."""
+    columns = {"ids": np.array(["a", "b", "c"], dtype=object),
+               "time": np.array([1.0, 2.0, 3.0]),
+               "status": np.array([1, 0, 1]),
+               "covariates": {"x": np.array([0.5, np.nan, -1.0])},
+               "group": np.array(["g", "h", "g"], dtype=object)}
+    return SurvivalData(**{**columns, **changed})
+
+
+IDS = "subject ids must be a 1-D array in strictly ascending order"
+
+
+class TestSurvivalDataChecksItself:
+    def test_valid_columns(self):
+        data = three_subjects()
+        assert data.subset(data.group == "g").ids.tolist() == ["a", "c"]
+        three_subjects(ids=np.arange(3), group=None)  # integer ids, no groups
+
+    @pytest.mark.parametrize("changed, message", [
+        ({"status": np.array([1, 2, 1])},
+         "subject 'b': column 'status' cannot hold 2"),
+        ({"status": np.array([1, -1, 1])},
+         "subject 'b': column 'status' cannot hold -1"),
+        ({"time": np.array([1.0, np.nan, 3.0])},
+         "subject 'b': column 'time' cannot hold nan"),
+        ({"time": np.array([1.0, 2.0, np.inf])},
+         "subject 'c': column 'time' cannot hold inf"),
+        ({"time": np.array([-0.5, 2.0, 3.0])},
+         "subject 'a': column 'time' cannot hold -0.5"),
+        ({"covariates": {"x": np.array([0.5, np.nan, -np.inf])}},
+         "subject 'c': column 'x' cannot hold -inf"),
+        ({"time": np.array([1.0, 2.0])},
+         "column 'time' has shape (2,), not the ids' (3,)"),
+        ({"covariates": {"x": np.zeros(4)}},
+         "column 'x' has shape (4,), not the ids' (3,)"),
+        ({"group": np.array(["g"], dtype=object)},
+         "column 'group' has shape (1,), not the ids' (3,)"),
+        ({"ids": np.array(["c", "b", "a"], dtype=object)}, IDS),
+        ({"ids": np.array(["a", "b", "b"], dtype=object)}, IDS),
+        ({"ids": np.array([["a", "b", "c"]], dtype=object)}, IDS),
+        ({"ids": np.array([1, "b", "c"], dtype=object)}, IDS),
+    ])
+    def test_invalid_columns(self, changed, message):
+        """The constructor refuses what would otherwise pass into the
+        estimates silently (a status of 2 counted as censored, a NaN time
+        dropped) or fail later in numpy."""
+        with pytest.raises(InvalidInput) as err:
+            three_subjects(**changed)
+        assert str(err.value) == message
 
 
 class TestKmFit:
