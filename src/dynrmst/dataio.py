@@ -28,10 +28,12 @@ fields) a ``csv.reader`` scan of the rows in file order reports the
 physical line on which the first malformed row starts.
 
 The writers take the same columns and write UTF-8, floats with 17
-significant digits, so a write/read round trip is bit-exact.  The one
-value valid columns hold that the reader refuses, a NaN (missing)
-covariate, is an ``InvalidInput`` naming the subject and the column,
-raised before the file is opened.  Records are the input adapter for
+significant digits and a status as 0 or 1, so a write/read round trip is
+bit-exact.  What valid columns hold that the reader would refuse or read
+back as another value is an ``InvalidInput`` raised before the file is
+opened: a NaN (missing) covariate, naming the subject and the column, or
+an id, group, covariate or biomarker name with surrounding whitespace, or
+an id starting with '#', naming it.  Records are the input adapter for
 library callers only.
 """
 
@@ -318,16 +320,32 @@ def _texts(values):
     return map(fmt_float, values.tolist())
 
 
+def _check_texts(kind, texts, first=False):
+    """Refuse a text the reader would read back as another: one with
+    surrounding whitespace, which it strips, or in a row's ``first`` cell
+    one starting with '#', a comment line to the reader."""
+    for text in texts:
+        if isinstance(text, str) and (text != text.strip()
+                                      or first and text[:1] == "#"):
+            raise InvalidInput(f"{kind} {text!r} would read back as another: "
+                               f"the reader strips cells and skips a line "
+                               f"starting with '#'")
+
+
 def write_survival(path, data, config=None):
     """Survival CSV of a SurvivalData, rows in its ascending id order, then
     its group column if any and its covariates in name order."""
-    time, status, names = data.time, data.status, sorted(data.covariates)
-    # the one value a SurvivalData holds that a CSV cell cannot
+    ids, names = data.ids.tolist(), sorted(data.covariates)
+    group = [] if data.group is None else [data.group.tolist()]
+    # the values a SurvivalData holds that a CSV cell cannot
+    _check_texts("id", ids, first=True)
+    _check_texts("covariate", names)
+    _check_texts("group", group[0] if group else ())
     _check_cells(data.ids, [(n, data.covariates[n],
                              ~np.isnan(data.covariates[n])) for n in names])
-    group = [] if data.group is None else [data.group.tolist()]
-    columns = [data.ids.tolist(), _texts(time), status.tolist(), *group,
-               *(_texts(data.covariates[n]) for n in names)]
+    # a 0/1 status of any dtype is written as the integer the reader takes
+    columns = [ids, _texts(data.time), data.status.astype(np.int64).tolist(),
+               *group, *(_texts(data.covariates[n]) for n in names)]
     _write_rows(path, ["id", "time", "status", *["group"] * len(group),
                        *names], zip(*columns), config)
 
@@ -336,6 +354,8 @@ def write_longitudinal(path, markers, config=None):
     """Longitudinal CSV of a MarkerTable, rows in (id, obs_time, name) order
     (a biomarker's rows at one time in table order)."""
     names = sorted(markers.columns)
+    _check_texts("id", markers.ids.tolist(), first=True)
+    _check_texts("biomarker", names)
     counts = [np.diff(markers.columns[n][2]) for n in names]
     subject = np.concatenate([np.repeat(np.arange(markers.ids.size), c)
                               for c in counts] + [np.empty(0, np.intp)])

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._special import stdtrit
 from .basis import h_matrix
 from .errors import InvalidInput, OutOfRange
 from .gee import (IDENTITY, DynamicModelFit, _Block, _block_solver,
@@ -74,12 +75,7 @@ def _interval(fit, x, s, alpha):
     value = float(fit.link.ginv(eta))
     grad = float(fit.link.dginv(eta)) * x
     se = float(np.sqrt(max(grad @ fit.covariance @ grad, 0.0)))
-    # the t quantile stats.t.ppf computes, without importing scipy.stats;
-    # imported here so that fit and evaluate never load scipy.special, and
-    # no pool-run replicate chunk may call this
-    from scipy import special
-
-    tq = float(special.stdtrit(fit.df, 1.0 - alpha / 2.0))
+    tq = stdtrit(fit.df, 1.0 - alpha / 2.0)
     ci = (value - tq * se, value + tq * se)
     if not np.isfinite((value, se, *ci)).all():
         raise InvalidInput(f"prediction at s={s} is not finite (value "

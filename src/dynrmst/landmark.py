@@ -85,6 +85,9 @@ class MarkerTable:
             rows = np.flatnonzero(names == name)
             keys = (values[rows], times[rows], subject[rows])
             order = rows[np.lexsort(keys)]
+            if subject[order[0]] < 0:  # the least: lexsort's last key
+                raise InvalidInput(f"biomarker {name!r}: subject index "
+                                   f"{subject[order[0]]} is negative")
             counts = np.bincount(subject[order], minlength=ids.size)
             columns[name] = (times[order], values[order],
                              np.concatenate(([0], np.cumsum(counts))))

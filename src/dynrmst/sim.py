@@ -40,6 +40,7 @@ import numpy as np
 
 from . import _kernels
 from ._blas import _one_blas_thread, _one_blas_thread_in_worker
+from ._special import brentq, ndtri
 from .errors import InvalidInput, NoConvergence
 from .evaluate import evaluate_on_validation
 from .gee import IDENTITY, _sandwich, _solve_super, _super_fit
@@ -209,13 +210,7 @@ def _censor_root(excess, lo, hi, target):
     if not excess(lo) > 0 > excess(hi):
         raise InvalidInput(f"censoring target {target} needs a censoring "
                            f"bound outside [{lo:g}, {hi:g}]")
-    # imported here, not at module level, so that a process that calibrates
-    # no censoring never loads scipy.optimize; this serves scenario_spec and
-    # calibrate_joint_censoring in the calling process, and no pool-run
-    # replicate chunk may call it
-    from scipy import optimize
-
-    return float(optimize.brentq(excess, lo, hi, xtol=1e-10))
+    return float(brentq(excess, lo, hi, xtol=1e-10))
 
 
 _SCENARIO_PIECES = {
@@ -870,13 +865,8 @@ def mc_metrics(estimates, variances, truth, alpha=0.05):
         raise InvalidInput("need aligned 1-d estimate/variance arrays, >= 2 reps")
     if np.any(var < 0):
         raise InvalidInput("negative variance")
-    # imported here so that no replicate process loads scipy.special: this
-    # runs in the parent, after the replicates, and no pool-run chunk may
-    # call it
-    from scipy import special
-
     se = np.sqrt(var)
-    zq = float(special.ndtri(1.0 - alpha / 2.0))  # stats.norm.ppf
+    zq = ndtri(1.0 - alpha / 2.0)
     mean_est = float(np.mean(est))
     bias = mean_est - truth
     emp_se = float(np.std(est, ddof=1))

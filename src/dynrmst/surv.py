@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from ._special import ndtr, ndtri
 from .errors import EmptyRiskSet, InvalidInput, TailUndefined
 
 __all__ = [
@@ -378,14 +379,8 @@ def crmstd_test(group0, group1, s, w, alpha=0.05, extend_tail=False):
         z = 0.0 if delta == 0.0 else float(np.sign(delta)) * np.inf
     else:
         z = delta / se
-    # the normal tail and quantile, without the scipy.stats distribution
-    # object (norm.sf is ndtr(-x) and norm.ppf is ndtri); imported here so
-    # that only a process that tests loads scipy.special, and no pool-run
-    # replicate chunk may call this (they take _difference)
-    from scipy import special
-
-    p = float(2.0 * special.ndtr(-abs(z)))
-    zq = float(special.ndtri(1.0 - alpha / 2.0))
+    p = 2.0 * ndtr(-abs(z))
+    zq = ndtri(1.0 - alpha / 2.0)
     return CRmstdTestResult(
         delta=delta, se=se, z=z, p_value=p,
         ci_lower=delta - zq * se, ci_upper=delta + zq * se,

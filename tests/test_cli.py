@@ -459,6 +459,7 @@ class TestInputDiagnostics:
 
 # One replicate of each pool-run chunk, as a forked worker runs it.
 REPLICATE_CHUNKS = """
+from dynrmst import sim
 from dynrmst.basis import BasisLayout, SplineSpec
 sp = SplineSpec((2.0,), (0.0, 4.0), standardization_scale=4.0)
 args = (sim.joint_spec("linear"), (0.0, 2.0, 4.0), 5.0, BasisLayout((sp,) * 4))
@@ -467,52 +468,65 @@ sim._coefficient_chunk(*args, 150, [sim._rng_of(0, 1, 0)])
 sim._prediction_chunk(*args, 150, 60, [sim._rng_of(0, 1, 0)])
 """
 
+# Run first in a fresh interpreter: every import of scipy fails, as in an
+# install of numpy alone.
+BLOCK_SCIPY = """
+import sys
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}")
+sys.meta_path.insert(0, NoScipy())
+import dynrmst.cli
+"""
 
-def test_processes_load_only_the_scipy_they_run(tmp_path):
-    """scipy stays off the import path: importing the package, fit and
-    evaluate, and every replicate chunk a pool worker runs load no scipy
-    module, and predict loads scipy.special alone.  Each case runs in a
-    fresh interpreter."""
-    surv, long = joint_csvs(tmp_path)
-    vsurv, vlong = joint_csvs(tmp_path, n=150, seed=2, stem="val")
-    model = tmp_path / "fitted.json"
-    argv = {
-        "fit": ["fit", "--input", surv, "--longitudinal", long, "--grid",
-                "0:4:1", "--w", "5", "--knots", "1,2,3", "--covariates",
-                "x1,x2,marker", "--extend-tail", "--output", model],
-        "evaluate": ["evaluate", "--model", model, "--train", surv,
-                     "--train-longitudinal", long, "--val", vsurv,
-                     "--val-longitudinal", vlong, "--extend-tail",
-                     "--output", tmp_path / "eval.csv"],
+
+def test_every_command_runs_with_scipy_unimportable(tmp_path):
+    """Importing the package, every command at a tiny size (simulate and
+    mc with and without --cen) and every replicate chunk a pool worker runs
+    succeed in a fresh interpreter where scipy cannot be imported, and leave
+    no scipy module loaded."""
+    scen, joint, joint_long, model = (tmp_path / name for name in (
+        "scen.csv", "joint.csv", "joint_long.csv", "model.json"))
+    mc = ["mc", "--scenario", 1, "--n", 20, "--s", 1, "--w", 2, "--reps", 2]
+    commands = {
+        "simulate": ["simulate", "--design", "joint", "--n", 200, "--seed", 1,
+                     "--output", joint, "--longitudinal-output", joint_long],
+        "simulate --cen": ["simulate", "--design", "scenario", "--scenario",
+                           2, "--n", 60, "--cen", 0.3, "--seed", 3,
+                           "--output", scen],
+        "km": ["km", "--input", scen],
+        "crmst": ["crmst", "--input", scen, "--s", 0, "--w", 5],
+        "test": ["test", "--input", scen, "--s", 0, "--w", 10,
+                 "--extend-tail"],
+        "fit": ["fit", "--input", joint, "--longitudinal", joint_long,
+                "--grid", "0:4:1", "--w", "5", "--knots", "1,2,3",
+                "--covariates", "x1,x2,marker", "--extend-tail",
+                "--output", model],
         "predict": ["predict", "--model", model, "--s", 2.5, "--covariates",
                     "x1=1", "x2=0.3", "marker=2.0"],
+        "evaluate": ["evaluate", "--model", model, "--train", joint,
+                     "--train-longitudinal", joint_long, "--val", joint,
+                     "--val-longitudinal", joint_long, "--extend-tail",
+                     "--output", tmp_path / "eval.csv"],
+        "mc": mc,
+        "mc --cen": [*mc, "--cen", 0.3],
     }
-
-    def main_of(*commands):
-        return "\n".join(
-            f"with redirect_stdout(io.StringIO()): "
-            f"assert cli.main({[str(a) for a in argv[c]]!r}) == 0"
-            for c in commands)
-
-    cases = {"import": "", "fit, evaluate": main_of("fit", "evaluate"),
-             "predict": main_of("predict"), "chunks": REPLICATE_CHUNKS}
+    cases = {"import": "", "chunks": REPLICATE_CHUNKS}
+    cases.update({name: "with redirect_stdout(io.StringIO()): assert "
+                        f"dynrmst.cli.main({[str(a) for a in argv]!r}) == 0"
+                  for name, argv in commands.items()})
     src = str(Path(dynrmst.__file__).resolve().parents[1])
-    loaded = {}
     for case, body in cases.items():
-        code = ("import io, sys\nfrom contextlib import redirect_stdout\n"
-                "import dynrmst, dynrmst.cli\nfrom dynrmst import cli, sim\n"
-                f"{body}\nprint(' '.join(m for m in sys.modules "
-                f"if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             text=True, capture_output=True,
+        code = (f"{BLOCK_SCIPY}import io\n"
+                "from contextlib import redirect_stdout\n"
+                f"{body}\nprint(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], text=True,
+                             capture_output=True, cwd=tmp_path,
                              env={**os.environ, "PYTHONPATH": src})
-        loaded[case] = set(out.stdout.split())
-    predict_loads = loaded.pop("predict")
-    assert loaded == {"import": set(), "fit, evaluate": set(),
-                      "chunks": set()}
-    assert "scipy.special" in predict_loads
-    assert not {m.split(".")[1] for m in predict_loads
-                if "." in m} & {"integrate", "optimize", "stats"}
+        assert (case, out.returncode, out.stderr) == (case, 0, "")
+        assert (case, out.stdout) == (case, "[]\n")
 
 
 @pytest.mark.parametrize("module", sorted(

@@ -356,6 +356,10 @@ def _markers(obs_time=1.0, value=0.5):
                                     np.array([1.0, 2.0, value]))
 
 
+_READ_BACK = ("{} {} would read back as another: the reader strips cells "
+              "and skips a line starting with '#'")
+
+
 # each case builds its data when the test runs: the constructors refuse
 # all but the missing covariate themselves, with the writers' message
 @pytest.mark.parametrize("write, data, message", [
@@ -380,6 +384,32 @@ def _markers(obs_time=1.0, value=0.5):
      "subject 'b': column 'value' cannot hold nan"),
     (dataio.write_longitudinal, partial(_markers, obs_time=np.inf),
      "subject 'b': column 'obs_time' cannot hold inf"),
+    # the reader strips cells and skips a line starting with '#'
+    (dataio.write_survival,
+     partial(SurvivalData, np.array([" a", "b"], dtype=object), np.ones(2),
+             np.ones(2, dtype=np.int64)),
+     _READ_BACK.format("id", "' a'")),
+    (dataio.write_survival,
+     partial(SurvivalData, np.array(["#b", "c"], dtype=object), np.ones(2),
+             np.ones(2, dtype=np.int64)),
+     _READ_BACK.format("id", "'#b'")),
+    (dataio.write_survival,
+     partial(SurvivalData, np.arange(2), np.ones(2), np.ones(2, np.int64),
+             group=np.array(["x ", "y"], dtype=object)),
+     _READ_BACK.format("group", "'x '")),
+    (dataio.write_survival,
+     partial(SurvivalData, np.arange(2), np.ones(2), np.ones(2, np.int64),
+             {" x": np.zeros(2)}),
+     _READ_BACK.format("covariate", "' x'")),
+    (dataio.write_longitudinal,
+     partial(MarkerTable, {"m": (np.zeros(1), np.zeros(1), np.array([0, 1]))},
+             np.array(["#a"], dtype=object)),
+     _READ_BACK.format("id", "'#a'")),
+    (dataio.write_longitudinal,
+     partial(MarkerTable,
+             {"m\t": (np.zeros(1), np.zeros(1), np.array([0, 1]))},
+             np.array(["a"], dtype=object)),
+     _READ_BACK.format("biomarker", "'m\\t'")),
 ])
 def test_writers_refuse_what_the_reader_refuses(tmp_path, write, data,
                                                 message):
@@ -391,6 +421,19 @@ def test_writers_refuse_what_the_reader_refuses(tmp_path, write, data,
         write(path, data())
     assert str(exc.value) == message
     assert path.read_text() == "kept\n"
+
+
+def test_a_status_of_any_dtype_is_written_as_the_integer_read_back(tmp_path):
+    """A float or boolean 0/1 status (which the constructor accepts) is
+    written as 0 or 1, not '1.0' or 'True', which the reader refuses."""
+    for status in (np.array([1.0, 0.0]), np.array([True, False])):
+        data = SurvivalData(np.array(["a", "b"], dtype=object),
+                            np.array([2.0, 1.0]), status)
+        dataio.write_survival(tmp_path / "surv.csv", data)
+        assert (tmp_path / "surv.csv").read_text().splitlines() == [
+            "id,time,status", "a,2,1", "b,1,0"]
+        got = dataio.read_survival(tmp_path / "surv.csv")
+        assert got.status.tolist() == [1, 0] and got.status.dtype == np.int64
 
 
 def test_writers_take_columns_in_any_row_order_of_the_table(tmp_path):

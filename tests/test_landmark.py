@@ -268,6 +268,9 @@ class TestMarkerTableChecksItself:
         (partial(ab_table, times=(0.0, 1.0, 1.0), values=(1.0, 3.0, 2.0)),
          "subject 'b': column 'value' cannot hold 2.0"),
         (partial(ab_table, ids=AB[::-1]), IDS),
+        # not numpy's ValueError from np.bincount
+        (partial(ab_measurements, subject=(0, -1, 1)),
+         "biomarker 'm': subject index -1 is negative"),
     ])
     def test_invalid_columns(self, build, message):
         with pytest.raises(InvalidInput) as err:

@@ -345,10 +345,27 @@ def test_results_do_not_depend_on_the_order_of_records(seed, rnd):
         assert got == want
 
 
-# cells the CSV reader reads back as written: no surrounding whitespace,
-# and no id that would start a '#' comment line
-CELLS = st.text("ab1 ,\"#\n", max_size=3).filter(
-    lambda t: t == t.strip() and not t.startswith("#"))
+# text cells, some of which the CSV reader would read back as others: it
+# strips cells and skips a line starting with '#', so the writers refuse
+# such a group cell or id
+CELLS = st.text("ab1 ,\"#\n", max_size=3)
+
+
+def _read_back(ids, group=()):
+    """Whether the reader reads these ids and group cells back as written."""
+    return (all(t == t.strip() for t in [*ids, *group])
+            and not any(t.startswith("#") for t in ids))
+
+
+def _refused(write, path, data):
+    """Whether ``write`` refuses ``data`` (InvalidInput, no file opened)."""
+    try:
+        write(path, data)
+    except InvalidInput as exc:
+        assert "would read back as another" in str(exc)
+        assert not path.exists()
+        return True
+    return False
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NONNEGATIVE = st.floats(0.0, allow_infinity=False) | TIMES
 
@@ -382,11 +399,16 @@ def _bitwise(got, want):
 @given(survival_columns())
 @example({"ids": ["a", "a"], "time": [1.0, 2.0], "status": [1, 0],
           "covariates": {}, "group": None})
+@example({"ids": [" a", "#b", "c"], "time": [1.0, 2.0, 3.0],
+          "status": [1, 0, 1], "covariates": {}, "group": None})
+@example({"ids": ["a", "b"], "time": [1.0, 2.0], "status": [1, 0],
+          "covariates": {}, "group": ["x", "y\n"]})
 def test_accepted_survival_columns_round_trip_bit_exact(tmp_path_factory,
                                                         columns):
     """Every SurvivalData the constructor accepts with finite covariates (a
     CSV cell is never missing) comes back from write_survival and
-    read_survival bit for bit."""
+    read_survival bit for bit, or, if the reader would read an id or a
+    group cell back as another, write_survival refuses it."""
     try:
         data = SurvivalData(
             np.array(columns["ids"], dtype=object), np.array(columns["time"]),
@@ -397,7 +419,10 @@ def test_accepted_survival_columns_round_trip_bit_exact(tmp_path_factory,
     except InvalidInput:
         reject()
     path = tmp_path_factory.mktemp("surv") / "surv.csv"
-    dataio.write_survival(path, data)
+    readable = _read_back(columns["ids"], columns["group"] or ())
+    assert _refused(dataio.write_survival, path, data) is not readable
+    if not readable:
+        return
     got = dataio.read_survival(path)
     assert got.ids.dtype == object and got.ids.tolist() == data.ids.tolist()
     assert _bitwise(got.time, data.time) and _bitwise(got.status, data.status)
@@ -433,11 +458,13 @@ def marker_columns(draw):
 @settings(max_examples=50, deadline=None)
 @given(marker_columns())
 @example((["a", "a"], {"m": ([0.0, 1.0], [1.0, 2.0], [0, 1, 2])}))
+@example((["#a"], {"m": ([0.0], [1.0], [0, 1])}))
 def test_accepted_marker_columns_round_trip_bit_exact(tmp_path_factory,
                                                       case):
     """Every MarkerTable the constructor accepts whose subjects all have a
     row comes back from write_longitudinal and read_longitudinal bit for
-    bit."""
+    bit, or, if the reader would read an id back as another,
+    write_longitudinal refuses it."""
     ids, columns = case
     try:
         table = MarkerTable(
@@ -449,7 +476,10 @@ def test_accepted_marker_columns_round_trip_bit_exact(tmp_path_factory,
     except InvalidInput:
         reject()
     path = tmp_path_factory.mktemp("long") / "long.csv"
-    dataio.write_longitudinal(path, table)
+    readable = _read_back(ids)
+    assert _refused(dataio.write_longitudinal, path, table) is not readable
+    if not readable:
+        return
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # rows are written in time order
         got = dataio.read_longitudinal(path)
