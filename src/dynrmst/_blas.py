@@ -5,8 +5,9 @@ work on one thread: results then do not depend on the core count, pooled
 workers do not oversubscribe the cores, and small solves avoid the slow
 multithreaded mode of OpenBLAS.
 
-A process pool is pinned once, by the process that starts it: forked
-workers inherit the one-thread setting and must leave it alone.  In a
+A process pool is pinned once, by the process that starts it and runs
+chunks beside it (``sim._replicate``): the pin covers those chunks, and
+forked workers inherit the one-thread setting and must leave it alone.  In a
 forked child any call to the OpenBLAS setter, even one that sets the count
 it already has, restarts the BLAS thread server, so the worker then runs
 with a second OS thread and pooled work takes about twice its CPU time in

@@ -82,7 +82,13 @@ class MarkerTable:
         ``times`` the observation times."""
         columns = {}
         for name in sorted(set(names.tolist())):
-            rows = np.flatnonzero(names == name)
+            if subject.dtype.kind not in "iu":  # numpy would cast 1.0 to 1
+                raise InvalidInput(f"biomarker {name!r}: subject index has "
+                                   f"dtype {subject.dtype}, not an integer "
+                                   f"dtype")
+            # an object operand: numpy reads a str as a fixed-width string,
+            # which drops trailing NULs, so 'm\x00' would match no row
+            rows = np.flatnonzero(names == np.array(name, dtype=object))
             keys = (values[rows], times[rows], subject[rows])
             order = rows[np.lexsort(keys)]
             if subject[order[0]] < 0:  # the least: lexsort's last key

@@ -12,13 +12,16 @@ Determinism: every replicate draws from its own
 are bitwise identical for any worker count.  The population draw of
 ``coefficient_mc`` uses ``spawn_key=(0,)``.  Replicates and that
 population fit run numpy's bundled OpenBLAS on one thread, so results do
-not depend on the number of cores either.  The process that starts a
-worker pool takes that pin once, around the whole pool: forked workers
-inherit one BLAS thread, and a worker never calls the OpenBLAS setter when
-it already has one thread (see ``_blas``).  Joint-model draws do not depend
-on how many subjects one working array holds (``_TABLE_CELLS``): every
-hazard integral sums each panel's Gauss-Legendre nodes on its own, never
-through a BLAS product whose last bit depends on a subject's row.
+not depend on the number of cores either.  ``workers`` counts the calling
+process: a harness call starts ``workers - 1`` pool processes, runs chunks
+of replicates in the caller beside them, and reaps them before it returns
+or raises.  The caller takes the BLAS pin once, around the whole pool and
+its own chunks: forked workers inherit one BLAS thread, and a worker never
+calls the OpenBLAS setter when it already has one thread (see ``_blas``).
+Joint-model draws do not depend on how many subjects one working array
+holds (``_TABLE_CELLS``): every hazard integral sums each panel's
+Gauss-Legendre nodes on its own, never through a BLAS product whose last
+bit depends on a subject's row.
 
 Event times come from inverting each subject's cumulative hazard.  A
 closed-form bound U_i >= H_i(max_t) (``_event_bound``, on 20 coarse
@@ -33,7 +36,7 @@ inversion (``_joint_samples``).
 from __future__ import annotations
 
 import numbers
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -894,24 +897,60 @@ def _replicate_chunk(payload):
     return fn(*args, [_rng_of(seed, 1, rep) for rep in range(lo, hi)])
 
 
+def _run_here(payload):
+    """A finished future holding one chunk's output, or its error, from a
+    run in the calling process."""
+    done = Future()
+    try:
+        done.set_result(_replicate_chunk(payload))
+    except Exception as exc:
+        done.set_exception(exc)
+    return done
+
+
+def _pooled_chunks(payloads, forked):
+    """Every chunk's output in chunk order, run by ``forked`` pool workers
+    and the calling process.  The pool is handed chunks from the front,
+    never more than two per worker at a time (one running, one queued), and
+    the caller runs chunks from the back whenever the pool needs none, so a
+    worker that is slow to start takes fewer chunks.  Raises the error of
+    the first failing chunk in chunk order; every worker has exited when
+    this returns or raises."""
+    with ProcessPoolExecutor(max_workers=forked,
+                             initializer=_one_blas_thread_in_worker) as pool:
+        pooled, own = [], []  # chunks from the front, and from the back
+        try:
+            while len(pooled) + len(own) < len(payloads):
+                if sum(not f.done() for f in pooled) < 2 * forked:
+                    pooled.append(pool.submit(_replicate_chunk,
+                                              payloads[len(pooled)]))
+                else:
+                    own.append(_run_here(payloads[-1 - len(own)]))
+            return [f.result() for f in pooled + own[::-1]]
+        finally:
+            for f in pooled:  # an interrupted call starts no more chunks
+                f.cancel()
+
+
 def _replicate(fn, args, reps, seed, workers=1):
-    """Run the replicates in chunks over ``workers`` processes, one call
-    ``fn(*args, rngs)`` per chunk: ``rngs`` holds the chunk's replicate
-    streams in replicate order, and ``fn`` returns a list with one output
-    per stream.  Returns one array per element of an output, stacked in
-    replicate order.  BLAS runs on one thread, pinned here, before any
-    worker starts."""
+    """Run the replicates in chunks over ``workers`` processes, the caller
+    being one of them, one call ``fn(*args, rngs)`` per chunk: ``rngs``
+    holds the chunk's replicate streams in replicate order, and ``fn``
+    returns a list with one output per stream.  Returns one array per
+    element of an output, stacked in replicate order.  ``workers - 1``
+    processes, and no more than there are chunks besides one, are started
+    for the call and reaped before it returns or raises
+    (``_pooled_chunks``).  BLAS runs on one thread, pinned here before any
+    worker starts and held while the caller runs its chunks."""
     size = max(1, -(-reps // max(1, workers * 4)))
     payloads = [(fn, args, seed, lo, min(lo + size, reps))
                 for lo in range(0, reps, size)]
+    forked = min(workers, len(payloads)) - 1
     with _one_blas_thread():
-        if workers <= 1:
+        if forked < 1:
             chunks = [_replicate_chunk(p) for p in payloads]
         else:
-            with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_one_blas_thread_in_worker) as pool:
-                chunks = list(pool.map(_replicate_chunk, payloads))
+            chunks = _pooled_chunks(payloads, forked)
     outputs = [out for chunk in chunks for out in chunk]
     return tuple(np.array(col) for col in zip(*outputs))
 

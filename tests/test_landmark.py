@@ -245,6 +245,17 @@ class TestMarkerTableChecksItself:
         ab_table(times=(1.0, 0.0, 1.0))  # each subject's rows start afresh
         ab_table(offsets=(0, 0, 3), times=(0.0, 0.0, 1.0))  # 'a' has none
 
+    def test_names_with_trailing_nuls_are_their_own_biomarkers(self):
+        # numpy compares a str operand as a fixed-width string, which drops
+        # trailing NULs; a longitudinal CSV cell may hold one
+        table = MarkerTable.from_columns(
+            AB, np.array([0, 1, 1]), np.array([0.0, 0.0, 1.0]),
+            np.array(["m", "m\x00", "\x00"], dtype=object),
+            np.array([1.0, 2.0, 3.0]))
+        assert sorted(table.columns) == ["\x00", "m", "m\x00"]
+        assert [table.columns[n][1].tolist() for n in ("m", "m\x00", "\x00")] \
+            == [[1.0], [2.0], [3.0]]
+
     @pytest.mark.parametrize("build, message", [
         (partial(ab_measurements, times=(0.0, -1.0, 1.0)),
          "subject 'b': column 'obs_time' cannot hold -1.0"),
@@ -271,6 +282,18 @@ class TestMarkerTableChecksItself:
         # not numpy's ValueError from np.bincount
         (partial(ab_measurements, subject=(0, -1, 1)),
          "biomarker 'm': subject index -1 is negative"),
+        # not numpy's TypeError from np.bincount, even for whole floats
+        (partial(ab_measurements, subject=(0, 1.5, 1)),
+         "biomarker 'm': subject index has dtype float64, not an integer "
+         "dtype"),
+        (partial(ab_measurements, subject=(0, 1.0, 1)),
+         "biomarker 'm': subject index has dtype float64, not an integer "
+         "dtype"),
+        (partial(ab_measurements, subject=(False, True, True)),
+         "biomarker 'm': subject index has dtype bool, not an integer dtype"),
+        (partial(ab_measurements, subject=np.array([0, 1, 1], dtype=object)),
+         "biomarker 'm': subject index has dtype object, not an integer "
+         "dtype"),
     ])
     def test_invalid_columns(self, build, message):
         with pytest.raises(InvalidInput) as err:

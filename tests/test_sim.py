@@ -3,6 +3,7 @@
 import functools
 import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -537,18 +538,17 @@ class TestEventTimeInversion:
 
 
 def window_oracle(truth, i, s, w):
-    """Adaptive-quadrature cRMST of subject i over (s, w) (linear model)."""
+    """Adaptive-quadrature cRMST of subject i over (s, w): the hazard over
+    (s, s + u) by ``quad`` inside the ``quad`` over u."""
     from scipy.integrate import quad
 
-    c0, c1, lam = truth.c0[i], truth.c1[i], truth.lam
+    c0, c1, c2, lam = truth.c0[i], truth.c1[i], truth.c2[i], truth.lam
 
-    def cumhaz(t):
-        return quad(lambda u: lam * u ** (lam - 1.0) * np.exp(c0 + c1 * u),
-                    0.0, t, limit=400)[0]
+    def hazard(t):
+        return lam * t ** (lam - 1.0) * np.exp(c0 + c1 * t + c2 * t * t)
 
-    h_s = cumhaz(s)
-    return quad(lambda u: np.exp(-(cumhaz(s + u) - h_s)), 0.0, w,
-                limit=400)[0]
+    return quad(lambda u: np.exp(-quad(hazard, s, s + u, limit=400)[0]),
+                0.0, w, limit=400)[0]
 
 
 def uniform_simpson(truth, s, w, panels=128):
@@ -597,6 +597,28 @@ class TestTruthTable:
                     assert err <= 1e-6
                 else:
                     assert err <= w / panels
+
+    @pytest.mark.parametrize("trajectory", ["linear", "quadratic"])
+    def test_at_risk_cells_hold_the_stated_bound(self, trajectory):
+        """The windows ``evaluate_on_validation`` reads, (s_j, w) and
+        (0, s_j + w), at the cells of subjects at risk at s_j are within the
+        docstring's 1.8e-5 of nested adaptive quadrature.  Each window is
+        checked at its four highest-hazard subjects at risk (the least
+        cRMST) and at every 60th of the others."""
+        sample = simulate_joint(joint_spec(trajectory), 400, 1)
+        truth, y = sample.truth, sample.survival.time
+        grid, w = np.arange(0.0, 10.5, 2.5), 5.0
+        windows = [(s_j, w) for s_j in grid] + [(0.0, s_j + w) for s_j in grid]
+        table = truth.true_crmst(*np.transpose(windows))
+        lowest = np.inf
+        for j, (s_j, (a, b)) in enumerate(zip(np.tile(grid, 2), windows)):
+            rows = np.flatnonzero(y > s_j)
+            order = rows[np.argsort(table[rows, j])]
+            for i in np.concatenate((order[:4], order[::60])):
+                err = abs(table[i, j] - window_oracle(truth, i, a, b))
+                assert err <= 1.8e-5
+                lowest = min(lowest, table[i, j] / b)
+        assert lowest < 0.1  # a subject whose survival falls within the window
 
     def test_disjoint_windows_are_their_own_simpson_bitwise(self):
         """A narrow window refines only the gaps it covers: disjoint windows
@@ -788,16 +810,19 @@ class TestPredictionExperiment:
         sp = SplineSpec((2.0,), (0.0, 4.0), standardization_scale=4.0)
         args = (joint_spec("linear"), [0.0, 2.0, 4.0], 5.0,
                 BasisLayout((sp,) * 4))
-        kwargs = dict(n_train=150, n_val=60, reps=3, seed=11)
+        kwargs = dict(n_train=150, n_val=60, reps=5, seed=11)
         one = prediction_experiment(*args, workers=1, **kwargs)
-        two = prediction_experiment(*args, workers=2, **kwargs)
         assert [r.landmark for r in one] == [0.0, 2.0, 4.0]
-        for a, b in zip(one, two):
-            assert np.array_equal(
-                [a.c_index_dynamic, a.c_index_static, a.pe_dynamic, a.pe_static],
-                [b.c_index_dynamic, b.c_index_static, b.pe_dynamic, b.pe_static],
-                equal_nan=True)
-            assert a.n_reps == b.n_reps == 3
+        for workers in (2, 3):
+            pooled = prediction_experiment(*args, workers=workers, **kwargs)
+            assert multiprocessing.active_children() == []
+            for a, b in zip(one, pooled):
+                assert np.array_equal(
+                    [a.c_index_dynamic, a.c_index_static, a.pe_dynamic,
+                     a.pe_static],
+                    [b.c_index_dynamic, b.c_index_static, b.pe_dynamic,
+                     b.pe_static], equal_nan=True)
+                assert a.n_reps == b.n_reps == 5
 
     def test_mean_pe_skips_replicates_with_nobody_at_risk(self):
         sp = SplineSpec((2.0,), (0.0, 4.0), standardization_scale=4.0)
@@ -826,10 +851,35 @@ def _failing_chunk(*args):
 
 
 def _thread_counts(rngs):
-    """The OpenBLAS and OS thread counts of the process running a chunk of
-    replicates, once per replicate."""
-    counts = _openblas_threads()[0](), len(os.listdir("/proc/self/task"))
+    """The OpenBLAS and OS thread counts and the process id of the process
+    running a chunk of replicates, once per replicate."""
+    counts = (_openblas_threads()[0](), len(os.listdir("/proc/self/task")),
+              os.getpid())
     return [counts] * len(rngs)
+
+
+def _replicate_numbers(rngs):
+    """The replicate number of each stream."""
+    return [(rng.bit_generator.seed_seq.spawn_key[-1],) for rng in rngs]
+
+
+def _failing_chunks(rngs):
+    """Chunks 1 and 5 (chunks of equal size) raise errors naming them; chunk
+    1 sleeps first, so chunk 5 fails before it wherever it runs."""
+    chunk = _replicate_numbers(rngs)[0][0] // len(rngs)
+    if chunk == 1:
+        time.sleep(0.05)
+    if chunk in (1, 5):
+        raise RuntimeError(f"chunk {chunk} failed")
+    return [(0.0,)] * len(rngs)
+
+
+def assert_reaped(pids):
+    """No process of ``pids`` exists, not even as a zombie: each was
+    reaped."""
+    for pid in set(pids):
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def _must_not_run(*args):
@@ -862,6 +912,47 @@ class TestHarnessArguments:
         with pytest.raises(InvalidInput, match=name):
             prediction_experiment(joint_spec("linear"), [0.0], 5.0, None,
                                   **{"reps": 2, "workers": 1, **bad})
+
+
+class TestCallerIsAWorker:
+    """With ``workers`` > 1 the caller runs chunks beside ``workers - 1``
+    pool processes: results, errors and reaping are those of one process."""
+
+    def test_scenario_mc_is_bitwise_invariant(self):
+        spec = scenario_spec(2, 20)
+        one = scenario_mc(spec, 5.0, 5.0, reps=30, seed=4, workers=1)
+        for workers in (2, 3):
+            assert scenario_mc(spec, 5.0, 5.0, reps=30, seed=4,
+                               workers=workers) == one
+            assert multiprocessing.active_children() == []
+
+    def test_coefficient_mc_is_bitwise_invariant(self):
+        sp = SplineSpec((1.5,), (0.0, 3.0), standardization_scale=3.0)
+        args = (joint_spec("linear"), (0.0, 1.0, 2.0, 3.0), 5.0,
+                BasisLayout((sp, None, sp, sp)))
+        kwargs = dict(n_subjects=100, reps=7, pop_size=400, seed=2)
+        one = coefficient_mc(*args, workers=1, **kwargs)
+        for workers in (2, 3):
+            pooled = coefficient_mc(*args, workers=workers, **kwargs)
+            assert multiprocessing.active_children() == []
+            assert np.array_equal(pooled.beta_true, one.beta_true)
+            assert pooled.clustered == one.clustered
+            assert pooled.rowwise == one.rowwise
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_failing_chunk_raises(self, workers):
+        # 48 replicates make chunks of 12, 6 or 4: chunk 5 exists only in
+        # the pooled runs, where it can fail before chunk 1 does
+        for _ in range(3):
+            with pytest.raises(RuntimeError, match="^chunk 1 failed$"):
+                sim._replicate(_failing_chunks, (), 48, 0, workers=workers)
+            assert multiprocessing.active_children() == []
+
+    def test_outputs_are_in_replicate_order(self):
+        for workers in (1, 2, 3):
+            (numbers,) = sim._replicate(_replicate_numbers, (), 23, 0,
+                                        workers=workers)
+            assert numbers.tolist() == list(range(23))
 
 
 class TestBlasPin:
@@ -903,11 +994,15 @@ class TestBlasPin:
                         reason="needs /proc to count OS threads")
     def test_forked_workers_run_one_os_thread(self, blas_threads):
         # a forked worker that calls the OpenBLAS setter restarts its BLAS
-        # thread server and runs with a second OS thread
-        blas, os_threads = sim._replicate(_thread_counts, (), 16, 0,
-                                          workers=2)
+        # thread server and runs with a second OS thread; the chunks the
+        # caller runs share its process with the pool's threads
+        blas, os_threads, pids = sim._replicate(_thread_counts, (), 16, 0,
+                                                workers=2)
+        forked = pids != os.getpid()
+        assert forked.any()
+        assert os_threads[forked].tolist() == [1] * forked.sum()
         assert blas.tolist() == [1] * 16
-        assert os_threads.tolist() == [1] * 16
+        assert_reaped(pids[forked])
 
     def test_spawned_workers_run_one_blas_thread(self, blas_threads,
                                                  monkeypatch):
