@@ -1,13 +1,18 @@
 """The two hot kernels, in numpy: jackknife pseudo-values of the cRMST and
 Harrell concordance pair counts.  ``tests/test_kernels.py`` checks both
-against brute-force oracles, and the jackknife against its earlier
-sort-and-branch form to the bit: the tabulated leave-one-out integrals are
-the same float expressions, read by a gather instead of per-branch masks.
+against brute-force oracles (the pair counts with ``==``), and the
+jackknife against its earlier sort-and-branch form to the bit: the
+tabulated leave-one-out integrals are the same float expressions, read by a
+gather instead of per-branch masks.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# (event row, subject) cells compared at a time by ``concordance_stats``:
+# each boolean mask of a block is at most 256 kB
+_PAIR_CELLS = 1 << 18
 
 
 def jackknife_pseudo(times, status, s, w, starts=None):
@@ -213,15 +218,30 @@ def concordance_stats(times, status, preds):
     A pair is usable when the smaller time is an event (strictly smaller;
     tied times are not usable).  Concordant means the longer-surviving
     subject has the larger prediction; prediction ties count one half.
+    Predictions are finite (``evaluate.c_index`` checks them).
+
+    The shorter time of a usable pair is an event, so only event rows are
+    compared against every subject: O(E n) comparisons for E events, made
+    in blocks of event rows of at most ``_PAIR_CELLS`` cells each, so no
+    n x n mask is built.  The counts are integers, so the score is the
+    same float for any block size.
     """
     t = np.asarray(times, dtype=np.float64)
     d = np.asarray(status, dtype=np.int64)
     p = np.asarray(preds, dtype=np.float64)
 
-    shorter = (t[:, None] < t[None, :]) & (d[:, None] == 1)
-    n_usable = int(shorter.sum())
-    if n_usable == 0:
-        return 0, 0.0
-    pdiff = p[None, :] - p[:, None]
-    score = float(np.sum(shorter & (pdiff > 0.0)) + 0.5 * np.sum(shorter & (pdiff == 0.0)))
-    return n_usable, score
+    events = np.flatnonzero(d == 1)
+    usable = concordant = tied = 0
+    step = max(1, _PAIR_CELLS // max(t.size, 1))
+    for lo in range(0, events.size, step):
+        rows = events[lo:lo + step, None]
+        shorter = t[rows] < t
+        usable += np.count_nonzero(shorter)
+        p_row = p[rows]
+        higher = p > p_row
+        higher &= shorter
+        concordant += np.count_nonzero(higher)
+        equal = np.equal(p, p_row, out=higher)
+        equal &= shorter
+        tied += np.count_nonzero(equal)
+    return int(usable), float(concordant + 0.5 * tied)

@@ -128,7 +128,7 @@ def c_index(predictions, survival, s, w):
     dataset at s.  A pair is usable when the strictly smaller truncated time
     is an event; concordant when the longer-surviving subject has the larger
     predicted cRMST; prediction ties count one half.  Returns None when no
-    usable pair exists.
+    usable pair exists.  Non-finite predictions raise InvalidInput.
     """
     preds = np.asarray(predictions, dtype=float)
     survival = as_survival_data(survival)
@@ -139,6 +139,8 @@ def c_index(predictions, survival, s, w):
     if preds.shape != t.shape:
         raise InvalidInput(f"{preds.size} predictions for {t.size} subjects "
                            f"at risk at s={s}")
+    if not np.isfinite(preds).all():
+        raise InvalidInput(f"predictions at s={s} are not finite")
     horizon = s + w
     tt = np.minimum(t, horizon)
     dd = np.where(t <= horizon, d, 0)
@@ -149,13 +151,16 @@ def c_index(predictions, survival, s, w):
 
 
 def prediction_error(predictions, references, kind="true_value"):
-    """Mean absolute difference between predictions and reference values."""
+    """Mean absolute difference between predictions and reference values,
+    all finite."""
     if kind not in ("true_value", "pseudo_value"):
         raise InvalidInput(f"unknown reference kind {kind!r}")
     p = np.asarray(predictions, dtype=float)
     r = np.asarray(references, dtype=float)
     if p.shape != r.shape:
         raise InvalidInput("predictions and references differ in length")
+    if not (np.isfinite(p).all() and np.isfinite(r).all()):
+        raise InvalidInput("predictions or references are not finite")
     return float(np.mean(np.abs(p - r)))
 
 
@@ -199,7 +204,8 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
 
     Without ``truth`` the references are validation pseudo-values (the
     unknown-truth case).  ``truth`` is a JointTruth of the validation
-    subjects in ascending id order; the references are then each subject's
+    subjects in ascending id order (InvalidInput when its subject count
+    differs from theirs); the references are then each subject's
     true cRMST at (s_j, w) and true RMST at s_j + w, all read from one
     table of the subjects at risk at the first landmark.  A landmark with
     fewer than two validation subjects at risk gets C-index None, and PE
@@ -224,6 +230,9 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
     val = _columns(val_survival, val_longitudinal, names)[:2]
     time, status = val[0].time, val[0].status
     kind = "pseudo_value" if truth is None else "true_value"
+    if truth is not None and truth.c0.size != time.size:
+        raise InvalidInput(f"truth holds {truth.c0.size} subjects for "
+                           f"{time.size} validation subjects")
     # risk sets are nested, so every later landmark reads rows of the
     # subjects at risk at the first one; landmark j's rows of the
     # landmark-major Z(s_j) are offsets[j]:offsets[j + 1]

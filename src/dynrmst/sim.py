@@ -71,8 +71,11 @@ __all__ = [
     "prediction_experiment",
 ]
 
-# composite Gauss-Legendre rule used for all hazard quadrature
+# composite Gauss-Legendre rule of the event-time inversion and of
+# ``cumulative_hazard``
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# the rule of ``true_crmst``'s hazard increments (see its docstring)
+_TRUTH_NODES, _TRUTH_WEIGHTS = np.polynomial.legendre.leggauss(4)
 # panels over the follow-up window for cumulative-hazard tabulation
 HAZARD_PANELS = 160
 # panels (even, for Simpson) when integrating survival for true cRMST values
@@ -430,23 +433,27 @@ class JointTruth:
         out *= np.where(positive, base, 0.0)
         return out
 
-    def _cum_increments(self, left, right):
+    def _cum_increments(self, left, right, nodes=_GL_NODES,
+                        weights=_GL_WEIGHTS):
         """Integral of the hazard over each panel [left_p, right_p] -> (n, P),
         for panel edges shared by all subjects (P,) or per subject (n, P).
 
-        The 10-node Gauss-Legendre rule of each panel is summed along its own
+        Each panel takes the Gauss-Legendre rule of ``nodes`` and
+        ``weights`` on [-1, 1]: 10 nodes by default, the rule of the
+        event-time inversion and ``cumulative_hazard``, and 4 nodes in
+        ``true_crmst``.  The rule of each panel is summed along its own
         contiguous axis, so no subject's result depends on its row or on how
         many subjects are in the call.
         """
         mid = (left + right) / 2.0
         half = (right - left) / 2.0
         flat = left.shape[:-1] + (-1,)
-        t = (mid[..., None] + half[..., None] * _GL_NODES).reshape(flat)
-        wt = (half[..., None] * _GL_WEIGHTS).reshape(flat)
+        t = (mid[..., None] + half[..., None] * nodes).reshape(flat)
+        wt = (half[..., None] * weights).reshape(flat)
         hv = self._hazard(t)
         hv *= wt
         return hv.reshape(self.c0.size, left.shape[-1],
-                          _GL_NODES.size).sum(axis=2)
+                          nodes.size).sum(axis=2)
 
     def cumulative_hazard(self, t, panels=HAZARD_PANELS):
         """H_i(t_i) for per-subject times t (scalar broadcast allowed), over
@@ -469,17 +476,23 @@ class JointTruth:
         them is cut into an even number of panels no wider than
         w_j / ``panels`` for the narrowest window j that covers it (a gap
         no window covers gets none), its hazard increments come from the
-        Gauss-Legendre rule, and G_k is the composite Simpson integral of
-        exp(-(H(t) - H(b_k))) over the gap (``_simpson``, which pins the
-        float operations of scipy 1.17's ``integrate.simpson``, so the truth
-        does not depend on the installed scipy).  A window is the sum of
-        exp(-(H(b_k) - H(s_j))) G_k over its gaps, so a single window is
-        Simpson on ``panels`` uniform panels over [s, s + w], and the table
-        never has many more panels than the windows have in total.  Against
-        a 16,384-panel reference on 1,000 subjects, the cells of subjects at
+        4-node Gauss-Legendre rule ``_TRUTH_NODES`` on each panel, and G_k
+        is the composite Simpson integral of exp(-(H(t) - H(b_k))) over the
+        gap (``_simpson``, which pins the float operations of scipy 1.17's
+        ``integrate.simpson``, so the truth does not depend on the installed
+        scipy).  A window is the sum of exp(-(H(b_k) - H(s_j))) G_k over its
+        gaps, so a single window is Simpson on ``panels`` uniform panels
+        over [s, s + w], and the table never has many more panels than the
+        windows have in total.  The windows from the first breakpoint (every
+        RMST) sum prefixes of one product, as each would alone.  Against a
+        16,384-panel reference on 1,000 subjects, the cells of subjects at
         risk at s (Y > s) are within 1.8e-5; the error reaches 1.18e-2 only
         where conditional survival falls within one panel, in cells of
         subjects not at risk, which ``evaluate_on_validation`` does not read.
+        The 4-node rule is far inside that bound: on the windows of
+        ``prediction_experiment``'s grid (0 to 10 by 0.5, w = 5), at the
+        read cells of 300 subjects, it is within 5.3e-15 of the 10-node rule
+        of the event-time inversion, in both trajectories.
         """
         s, w = np.broadcast_arrays(np.asarray(s, dtype=float),
                                    np.asarray(w, dtype=float))
@@ -500,9 +513,11 @@ class JointTruth:
         # that many panels from rounding up)
         per_gap = 2 * np.ceil(np.diff(bounds) * panels / (2.0 * cover)
                               - 1e-9).astype(np.int64)
+        # windows from bound 0 (every RMST) sum prefixes of one product
+        n_from_0 = stop[first == 0].max(initial=0)
         out = np.empty((self.c0.size, s.size))
         for lo, hi in _chunks(self.c0.size,
-                              int(per_gap.sum() * _GL_NODES.size)):
+                              int(per_gap.sum() * _TRUTH_NODES.size)):
             sub = self.subset(slice(lo, hi))
             gap_int = np.zeros((hi - lo, per_gap.size))
             gap_inc = np.zeros((hi - lo, per_gap.size))
@@ -510,7 +525,8 @@ class JointTruth:
                 k = np.flatnonzero(per_gap == m)
                 edges = np.linspace(bounds[k], bounds[k + 1], m + 1, axis=1)
                 inc = sub._cum_increments(
-                    edges[:, :-1].ravel(), edges[:, 1:].ravel()
+                    edges[:, :-1].ravel(), edges[:, 1:].ravel(),
+                    _TRUTH_NODES, _TRUTH_WEIGHTS
                 ).reshape(hi - lo, k.size, m)
                 dh = np.concatenate(
                     [np.zeros((hi - lo, k.size, 1)), np.cumsum(inc, axis=2)],
@@ -519,9 +535,16 @@ class JointTruth:
                 gap_inc[:, k] = dh[:, :, -1]
             h_b = np.concatenate([np.zeros((hi - lo, 1)),
                                   np.cumsum(gap_inc, axis=1)], axis=1)
+            # H(b_0) is 0, so H(b_k) - H(b_0) is H(b_k) itself
+            from_0_terms = (np.exp(-h_b[:, :n_from_0])
+                            * gap_int[:, :n_from_0])
             for j, (a, b) in enumerate(zip(first, stop)):
-                out[lo:hi, j] = np.sum(np.exp(-(h_b[:, a:b] - h_b[:, a:a + 1]))
-                                       * gap_int[:, a:b], axis=1)
+                if a == 0:
+                    terms = from_0_terms[:, :b]
+                else:
+                    terms = (np.exp(-(h_b[:, a:b] - h_b[:, a:a + 1]))
+                             * gap_int[:, a:b])
+                out[lo:hi, j] = np.sum(terms, axis=1)
         return out[:, 0] if scalar else out
 
     def true_rmst(self, tau, panels=SURVIVAL_PANELS):

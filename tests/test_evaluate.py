@@ -181,6 +181,12 @@ class TestCIndex:
         assert c_index([1.0, 2.0], recs, 2.0, 10.0) == 1.0
         assert c_index([2.0, 1.0], recs, 2.0, 10.0) == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_predictions_refused(self, bad):
+        recs = self.records([1, 2, 3, 4], [1, 1, 0, 1])
+        with pytest.raises(InvalidInput, match="not finite"):
+            c_index([bad, 1.0, 2.0, 3.0], recs, 0.0, 10.0)
+
 
 class TestPredictionError:
     def test_mean_absolute_difference(self):
@@ -189,6 +195,12 @@ class TestPredictionError:
             prediction_error([1.0], [1.0, 2.0])
         with pytest.raises(InvalidInput):
             prediction_error([1.0], [1.0], kind="bogus")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_refused(self, bad):
+        for p, r in (([bad, 1.0], [1.0, 2.0]), ([1.0, 2.0], [1.0, bad])):
+            with pytest.raises(InvalidInput, match="not finite"):
+                prediction_error(p, r)
 
 
 class TestStaticModel:
@@ -273,6 +285,16 @@ class TestStaticModel:
                 dyn - table[at_risk[first], j]))
             assert r.pe_static == np.mean(np.abs(
                 stat - table[at_risk[first], grid.size + j]))
+
+    @pytest.mark.parametrize("n_truth", [30, 80])
+    def test_truth_of_other_subjects_refused(self, n_truth):
+        train, fit = self.joint_fit()
+        val = simulate_joint(joint_spec("linear"), 60, 2)
+        truth = simulate_joint(joint_spec("linear"), n_truth, 3).truth
+        with pytest.raises(InvalidInput, match=f"truth holds {n_truth} "
+                           f"subjects for 60 validation subjects"):
+            evaluate_on_validation(fit, *train, val.survival, val.markers,
+                                   extend_tail=True, truth=truth)
 
     def test_pseudo_value_references_match_static_oracle(self):
         train, fit = self.joint_fit()

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dynrmst import _kernels
+from dynrmst.evaluate import c_index
+from dynrmst.surv import SurvivalData
 
 # a 0/0 or a divide by zero that escapes np.errstate (say, in the padded
 # jackknife tables) fails the test
@@ -180,6 +182,54 @@ def test_concordance_no_usable_pairs():
     usable, score = _kernels.concordance_stats(t, np.array([1, 1, 1]),
                                                np.array([1.0, 2.0, 3.0]))
     assert usable == 0 and score == 0.0
+
+
+@st.composite
+def concordance_cases(draw):
+    """(times, status, preds) of 2 to 80 subjects.  Times and predictions
+    take a few levels (many ties) or are free; the status is mixed, all
+    censored or all events."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 80))
+    t_levels, p_levels = (draw(st.sampled_from([1, 2, 5, None]))
+                          for _ in range(2))
+    t = (rng.exponential(5.0, n) if t_levels is None
+         else 0.5 + rng.integers(0, t_levels, n).astype(float))
+    p = (rng.normal(size=n) if p_levels is None
+         else rng.integers(0, p_levels, n) / 4.0)
+    d = {"mixed": rng.integers(0, 2, n), "censored": np.zeros(n, np.int64),
+         "events": np.ones(n, np.int64)}[draw(st.sampled_from(
+             ["mixed", "censored", "events"]))]
+    return t, d, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(concordance_cases(), st.sampled_from([None, 1, 3]))
+def test_concordance_is_the_brute_force_count(case, rows_per_block):
+    """Exact counts, also when the event rows are compared in several
+    blocks of ``rows_per_block`` rows."""
+    t, d, p = case
+    with pytest.MonkeyPatch.context() as mp:
+        if rows_per_block is not None:
+            mp.setattr(_kernels, "_PAIR_CELLS", rows_per_block * t.size)
+        got = _kernels.concordance_stats(t, d, p)
+    assert got == brute_force_concordance(t, d, p)
+
+
+def test_c_index_event_at_the_horizon():
+    """An event exactly at s + w stays an event; an event after it is cut to
+    a censoring at s + w, so the two tie and are not a usable pair.  Only
+    the pairs with the early event count."""
+    data = SurvivalData(ids=np.array(["a", "b", "c", "d"]),
+                        time=np.array([0.5, 1.5, 4.0, 6.0]),
+                        status=np.array([1, 1, 1, 1]))
+    s, w = 1.0, 3.0
+    truncated = np.array([1.5, 4.0, 4.0]), np.array([1, 1, 0])
+    for preds, want in (([1.0, 2.0, 3.0], 1.0), ([2.0, 1.0, 3.0], 0.5),
+                        ([2.0, 2.0, 1.0], 0.25)):
+        usable, score = brute_force_concordance(*truncated, preds)
+        assert usable == 2 and score / usable == want
+        assert c_index(preds, data, s, w) == want
 
 
 @st.composite
