@@ -10,17 +10,17 @@ from .evaluate import (EvalRow, PredictionResult, c_index, evaluate_on_validatio
                        prediction_error, static_rmst_model)
 from .gee import (IDENTITY, LOG, DynamicModelFit, LinkSpec,
                   fit_landmark_model, fit_super_model, sandwich_cov)
-from .landmark import (LongitudinalRecord, MarkerTable, SuperDataset,
-                       build_landmark_dataset, build_super_dataset)
+from .landmark import (MarkerTable, SuperDataset, build_landmark_dataset,
+                       build_super_dataset)
 from .sim import (CoefficientMCResult, JointModelSpec, JointSample, JointTruth,
                   MetricsReport, PredictionRow, ScenarioSpec,
                   calibrate_joint_censoring, coefficient_mc, joint_spec,
                   mc_metrics, prediction_experiment, scenario_mc, scenario_spec,
                   simulate_joint, simulate_scenario, true_crmstd)
-from .surv import (CRmstdTestResult, CRmstEstimate, PseudoObservationSet,
-                   StepSurvivalCurve, SurvivalData, SurvivalRecord,
-                   as_survival_data, crmst_km, crmst_km_ratio, crmst_pseudo,
-                   crmstd_test, km_fit, pseudo_observations)
+from .surv import (CRmstdTestResult, CRmstEstimate, StepSurvivalCurve,
+                   SurvivalData, SurvivalRecord, as_survival_data, crmst_km,
+                   crmst_km_ratio, crmst_pseudo, crmstd_test, km_fit,
+                   pseudo_observations)
 
 __version__ = "0.1.0"
 # the kernels are numpy only; the name stays for tools that record it

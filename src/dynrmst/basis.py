@@ -45,6 +45,8 @@ class SplineSpec:
             raise InvalidInput("boundary knots must strictly bracket interior knots")
         if self.standardization_scale <= 0:
             raise InvalidInput("standardization_scale must be positive")
+        if not np.isfinite([*ik, *bk, self.standardization_scale]).all():
+            raise InvalidInput("knots and standardization_scale must be finite")
 
     @property
     def dim(self):

@@ -33,8 +33,8 @@ bit-exact.  What valid columns hold that the reader would refuse or read
 back as another value is an ``InvalidInput`` raised before the file is
 opened: a NaN (missing) covariate, naming the subject and the column, or
 an id, group, covariate or biomarker name with surrounding whitespace, or
-an id starting with '#', naming it.  Records are the input adapter for
-library callers only.
+an id starting with '#', naming it.  Survival records are the input
+adapter for library callers only; biomarkers have none.
 """
 
 from __future__ import annotations

@@ -22,7 +22,8 @@ from .gee import (IDENTITY, DynamicModelFit, _Block, _block_solver,
                   _check_size, fit_landmark_model)
 from .landmark import (_columns, _covariates_at, _landmark_error,
                        _landmark_pairs, build_landmark_dataset)
-from .surv import _check_alpha, _first_failing_window, as_survival_data
+from .surv import (_check_alpha, _check_window, _first_failing_window,
+                   as_survival_data)
 
 __all__ = [
     "PredictionResult",
@@ -128,8 +129,10 @@ def c_index(predictions, survival, s, w):
     dataset at s.  A pair is usable when the strictly smaller truncated time
     is an event; concordant when the longer-surviving subject has the larger
     predicted cRMST; prediction ties count one half.  Returns None when no
-    usable pair exists.  Non-finite predictions raise InvalidInput.
+    usable pair exists.  An invalid window (s, w) or non-finite predictions
+    raise InvalidInput.
     """
+    _check_window(s, w)
     preds = np.asarray(predictions, dtype=float)
     survival = as_survival_data(survival)
     at_risk = survival.time > s

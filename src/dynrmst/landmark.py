@@ -2,12 +2,12 @@
 van Houwelingen, "Dynamic prediction by landmarking in event history
 analysis" (Scand J Stat 2007), clustered by subject.
 
-Input arrives as columns (``SurvivalData`` and ``MarkerTable``, as the CSV
-readers and the simulators return them) or as records, the input adapter
-for library callers, converted once.  Both column types check themselves
-when built, so columns from any source obey one rule and the adapters hold
-none of their own.  The biomarker table is aligned with the survival
-subjects by id.  The whole grid is then one vectorized pass:
+Input arrives as columns: a ``SurvivalData`` (or survival records,
+converted once) and a ``MarkerTable`` or None for no biomarkers, as the CSV
+readers and the simulators return them.  Both column types check themselves
+when built, so columns from any source obey one rule.  The biomarker table
+is aligned with the survival subjects by id.  The whole grid is then one
+vectorized pass:
 one jackknife call for the strict risk sets ``Y > s`` of every landmark,
 and per biomarker one search that resolves it by last observation carried
 forward (ties at the landmark count) at every landmark, in the
@@ -23,26 +23,16 @@ import numpy as np
 from . import _kernels
 from .errors import EmptyRiskSet, InvalidInput, MissingCovariate
 from .surv import (SurvivalData, _check_cells, _check_ids,
-                   _first_failing_window, _objects, as_survival_data)
+                   _first_failing_window, as_survival_data)
 # pseudo_observations is bound here for perfbench's instrumentation self-test
 from .surv import pseudo_observations  # noqa: F401
 
 __all__ = [
-    "LongitudinalRecord",
     "MarkerTable",
     "SuperDataset",
     "build_landmark_dataset",
     "build_super_dataset",
 ]
-
-
-@dataclass(frozen=True)
-class LongitudinalRecord:
-    """Biomarker measurements for one subject at one observation time."""
-
-    id: object
-    obs_time: float
-    values: dict  # name -> measurement
 
 
 @dataclass(frozen=True)
@@ -98,25 +88,6 @@ class MarkerTable:
             columns[name] = (times[order], values[order],
                              np.concatenate(([0], np.cumsum(counts))))
         return cls(columns, ids)
-
-    @classmethod
-    def from_records(cls, records, ids):
-        """Table of LongitudinalRecords, the input adapter for library
-        callers, for the subjects ``ids`` (ascending, as in SurvivalData).
-        The table of every subject with a measurement checks the columns
-        before measurements of subjects not in ``ids`` are dropped."""
-        rows = [(rec.id, rec.obs_time, name, value)
-                for rec in records for name, value in rec.values.items()]
-        try:
-            subjects, subject = np.unique(_objects(r[0] for r in rows),
-                                          return_inverse=True)
-        except TypeError:
-            raise InvalidInput("subject ids must be mutually orderable") from None
-        table = cls.from_columns(subjects, subject,
-                                 np.array([r[1] for r in rows], dtype=float),
-                                 _objects(r[2] for r in rows),
-                                 np.array([r[3] for r in rows], dtype=float))
-        return table.align(ids)
 
     def align(self, ids):
         """The table of the subjects ``ids`` (ascending): rows of subjects not
@@ -179,9 +150,11 @@ def _columns(survival, longitudinal, covariate_names=None):
         fixed = (survival.covariates if isinstance(survival, SurvivalData)
                  else survival[0].covariates if survival else ())
     surv = as_survival_data(survival, fixed)
-    markers = (longitudinal.align(surv.ids)
-               if isinstance(longitudinal, MarkerTable)
-               else MarkerTable.from_records(longitudinal or [], surv.ids))
+    if longitudinal is None:
+        longitudinal = MarkerTable({}, surv.ids)
+    if not isinstance(longitudinal, MarkerTable):
+        raise InvalidInput("longitudinal input must be a MarkerTable or None")
+    markers = longitudinal.align(surv.ids)
     names = covariate_names
     if names is None:
         names = list(fixed) + [n for n in markers.columns if n not in fixed]
@@ -258,9 +231,9 @@ def build_super_dataset(survival, longitudinal, grid, w, covariate_names=None,
     """Stack the landmark datasets of a strictly increasing grid.
 
     ``survival`` is a SurvivalData or a list of SurvivalRecord (the input
-    adapter for library callers); ``longitudinal`` a MarkerTable or a list
-    of LongitudinalRecord, aligned here with the survival subjects:
-    measurements of subjects absent from ``survival`` are dropped.  A
+    adapter for library callers); ``longitudinal`` a MarkerTable, aligned
+    here with the survival subjects (measurements of subjects absent from
+    ``survival`` are dropped), or None when there are no biomarkers.  A
     covariate name is time-dependent when it appears in the longitudinal
     data (LOCF at each landmark) and time-fixed otherwise.  A subject at
     risk at a landmark but lacking a required value raises MissingCovariate

@@ -24,7 +24,6 @@ __all__ = [
     "as_survival_data",
     "StepSurvivalCurve",
     "CRmstEstimate",
-    "PseudoObservationSet",
     "CRmstdTestResult",
     "km_fit",
     "crmst_km",
@@ -198,22 +197,6 @@ class CRmstEstimate:
 
 
 @dataclass(frozen=True)
-class PseudoObservationSet:
-    """Per-subject jackknife pseudo-values of the cRMST at (s, w),
-    ordered by ascending subject id."""
-
-    s: float
-    w: float
-    entries: tuple  # of (subject id, pseudo-value)
-
-    def values(self):
-        return np.array([v for _, v in self.entries], dtype=float)
-
-    def ids(self):
-        return [i for i, _ in self.entries]
-
-
-@dataclass(frozen=True)
 class CRmstdTestResult:
     delta: float
     se: float
@@ -227,9 +210,11 @@ class CRmstdTestResult:
 
 
 def km_fit(records, start=0.0):
-    """Product-limit curve over distinct event times > start, fitted on the
-    risk set {i : Y_i > start} with S(start) := 1 (restart convention)."""
+    """Product-limit curve over distinct event times > start, a finite time,
+    fitted on the risk set {i : Y_i > start} with S(start) := 1 (restart)."""
     data = as_survival_data(records)
+    if not np.isfinite(start):
+        raise InvalidInput(f"km start must be finite, got {start}")
     at_risk = data.time > start
     return _km_curve(data.time[at_risk], data.status[at_risk], start)
 
@@ -282,12 +267,10 @@ def crmst_km_ratio(records, s, w, extend_tail=False):
 
 def pseudo_observations(records, s, w, extend_tail=False):
     """Leave-one-out pseudo-values mu_i(s, w) = N_s * mu_KM - (N_s - 1) * mu_KM^{-i}
-    for every member of the risk set at s."""
+    of the risk set at s: (ids, values), the ids ascending."""
     data = as_survival_data(records)
     at_risk, pv = risk_set_pseudo(data.time, data.status, s, w, extend_tail)
-    return PseudoObservationSet(s=float(s), w=float(w),
-                                entries=tuple(zip(data.ids[at_risk].tolist(),
-                                                  pv.tolist())))
+    return data.ids[at_risk], pv
 
 
 def risk_set_pseudo(time, status, s, w, extend_tail=False):
@@ -349,10 +332,9 @@ def _first_failing_window(time, status, s, w, extend_tail=False):
 def crmst_pseudo(records, s, w, extend_tail=False):
     """Pseudo-observation estimator: mean of the pseudo-values, with the
     jackknife variance sum (mu_i - mu)^2 / (N_s (N_s - 1))."""
-    pset = pseudo_observations(records, s, w, extend_tail=extend_tail)
-    v = pset.values()
+    _, v = pseudo_observations(records, s, w, extend_tail=extend_tail)
     mu, var = _jackknife_moments(v)
-    return CRmstEstimate(s=pset.s, w=pset.w, value=mu, variance=var,
+    return CRmstEstimate(s=float(s), w=float(w), value=mu, variance=var,
                          n_at_risk=v.size)
 
 

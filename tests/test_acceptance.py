@@ -97,10 +97,10 @@ def test_criterion_2_no_censoring_identity():
         w = float(rng.uniform(0.5, 10.0))
         if sum(r.time > s for r in recs) < 2:
             continue
-        pset = pseudo_observations(recs, s, w, extend_tail=True)
+        ids, values = pseudo_observations(recs, s, w, extend_tail=True)
         want = {r.id: min(r.time - s, w) for r in recs if r.time > s}
-        worst = max(worst,
-                    max(abs(v - want[i]) for i, v in pset.entries))
+        worst = max(worst, max(abs(v - want[i]) for i, v in
+                               zip(ids.tolist(), values.tolist())))
         done += 1
     report(2, worst <= 1e-10,
            f"uncensored pseudo-values vs min(T-s, w) max |diff| {worst:.3e} "
@@ -146,7 +146,7 @@ def test_criterion_6_gee_oracle():
                            covariates={"x": float(rng.normal())})
             for i in range(n)
         ]
-        data = build_super_dataset(recs, [], [0.0, 1.0, 2.0], 3.0,
+        data = build_super_dataset(recs, None, [0.0, 1.0, 2.0], 3.0,
                                    covariate_names=["x"], extend_tail=True)
         sp = SplineSpec((1.0,), (0.0, 2.0))
         layout = BasisLayout((sp, None))

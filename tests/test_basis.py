@@ -31,6 +31,16 @@ class TestSplineSpec:
         with pytest.raises(InvalidInput):
             SplineSpec((2,), (0, 10), standardization_scale=0.0)
 
+    @pytest.mark.parametrize("interior, boundary, scale", [
+        ((np.nan,), (0, 10), 1.0), ((2.0, np.nan), (0, 10), 1.0),
+        ((), (0, np.inf), 1.0), ((), (np.nan, 10), 1.0),
+        ((), (-np.inf, 10), 1.0), ((2.0,), (0, 10), np.nan),
+        ((2.0,), (0, 10), np.inf)])
+    def test_non_finite_knots_or_scale_refused(self, interior, boundary,
+                                               scale):
+        with pytest.raises(InvalidInput, match="must be finite"):
+            SplineSpec(interior, boundary, standardization_scale=scale)
+
 
 class TestSpanOracle:
     def test_natural_interpolants_lie_in_span(self):

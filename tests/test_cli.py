@@ -104,13 +104,17 @@ SIMULATE_DIGESTS = {
 }
 
 
-def test_simulate_artifacts_keep_their_bytes(tmp_path):
-    common = ["--n", 40, "--seed", 11]
+def _pinned_scenario(tmp_path):
+    path = tmp_path / "scenario.csv"
     assert run(["simulate", "--design", "scenario", "--scenario", 3,
-                "--cen", 0.2, *common,
-                "--output", tmp_path / "scenario.csv"]) == 0
+                "--cen", 0.2, "--n", 40, "--seed", 11, "--output", path]) == 0
+    return path
+
+
+def test_simulate_artifacts_keep_their_bytes(tmp_path):
+    _pinned_scenario(tmp_path)
     assert run(["simulate", "--design", "joint", "--trajectory", "quadratic",
-                "--censor-upper", 25, *common,
+                "--censor-upper", 25, "--n", 40, "--seed", 11,
                 "--output", tmp_path / "joint.csv",
                 "--longitudinal-output", tmp_path / "joint_long.csv"]) == 0
     digests = {}
@@ -119,6 +123,32 @@ def test_simulate_artifacts_keep_their_bytes(tmp_path):
         assert config.startswith(b"# config: ")
         digests[name] = hashlib.sha256(body).hexdigest()
     assert digests == SIMULATE_DIGESTS
+
+
+# sha256 of the stdout JSON (which holds no configuration and no path) of
+# each command below on the ``simulate`` scenario artifact pinned above
+STDOUT_DIGESTS = {
+    "crmst pseudo":
+        "d10aded295fd7ed3b96e54b217692d8a1a70d5ffbf357b2517a94c50f439e162",
+    "crmst km":
+        "660b04b4d1ff350a114da91d521a630c46e7a41791e07549b921db7f348b30a6",
+    "test":
+        "d27c5f2bd42d23bc7dcbc5f4d2de9936587c26777e011fa62082549514410b06",
+}
+
+
+def test_crmst_and_test_stdout_keep_their_bytes(tmp_path, capsys):
+    data = _pinned_scenario(tmp_path)
+    capsys.readouterr()
+    window = ["--input", data, "--s", 1, "--w", 4]
+    digests = {}
+    for key, argv in [("crmst pseudo", ["crmst", *window]),
+                      ("crmst km", ["crmst", *window, "--method", "km"]),
+                      ("test", ["test", *window])]:
+        assert run(argv) == 0
+        out = capsys.readouterr().out.encode()
+        digests[key] = hashlib.sha256(out).hexdigest()
+    assert digests == STDOUT_DIGESTS
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -396,6 +426,35 @@ class TestInputDiagnostics:
                     option, value, "--output", tmp_path / "model.json"]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidInput" and option in err["message"]
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_scale_is_an_error_record(self, tmp_path, capsys,
+                                                 scale):
+        # refused by SplineSpec before the fit, with no numpy warning
+        surv, long = joint_csvs(tmp_path, n=50)
+        model = tmp_path / "model.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["fit", "--input", surv, "--longitudinal", long,
+                        "--grid", "0:4:1", "--w", "5", "--knots", "1,2,3",
+                        "--scale", scale, "--extend-tail",
+                        "--output", model]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InvalidInput",
+                       "message": "knots and standardization_scale must be "
+                                  "finite"}
+        assert not model.exists()
+
+    @pytest.mark.parametrize("start", ["nan", "inf"])
+    def test_non_finite_km_start_is_an_error_record(self, tmp_path, capsys,
+                                                    start):
+        assert run(["km", "--input", scenario_csv(tmp_path),
+                    "--start", start]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "InvalidInput",
+            "message": f"km start must be finite, got {float(start)}"}
 
     def test_unexpected_exception_is_an_error_record(self, tmp_path, capsys,
                                                      monkeypatch):

@@ -1,5 +1,6 @@
-"""The columnar CSV readers against a record-based reference, write/read
-round trips, and the line named when several rows are malformed."""
+"""The columnar CSV readers against a reference built row by row,
+write/read round trips, and the line named when several rows are
+malformed."""
 
 import csv
 import warnings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from dynrmst import dataio
 from dynrmst.errors import InvalidInput
-from dynrmst.landmark import LongitudinalRecord, MarkerTable
+from dynrmst.landmark import MarkerTable
 from dynrmst.surv import SurvivalData, SurvivalRecord, as_survival_data
 
 IDS = st.text("ab1", min_size=1, max_size=3)
@@ -114,15 +115,27 @@ def reference_survival(path):
 
 
 def reference_markers(path):
-    return [LongitudinalRecord(r["id"], float(r["obs_time"]),
-                               {r["name"]: float(r["value"])})
+    """(id, obs_time, name, value) of each row, in file order."""
+    return [(r["id"], float(r["obs_time"]), r["name"], float(r["value"]))
             for r in _reference_rows(path)[1]]
 
 
-def reference_table(records):
-    """MarkerTable.from_records for every subject with a measurement."""
-    ids = np.array(sorted({r.id for r in records}), dtype=object)
-    return MarkerTable.from_records(records, ids)
+def reference_table(rows, ids=None):
+    """MarkerTable of the subjects ``ids`` (by default every subject with a
+    row), built row by row: per name, the rows of those subjects sorted by
+    (id, obs_time, value), and the offsets cut from each subject's count."""
+    if ids is None:
+        ids = np.array(sorted({r[0] for r in rows}), dtype=object)
+    wanted = set(ids.tolist())
+    columns = {}
+    for name in sorted({r[2] for r in rows}):
+        mine = sorted((sid, t, v) for sid, t, n, v in rows
+                      if n == name and sid in wanted)
+        counts = [sum(1 for r in mine if r[0] == sid) for sid in ids.tolist()]
+        columns[name] = (np.array([t for _, t, _ in mine], dtype=float),
+                         np.array([v for _, _, v in mine], dtype=float),
+                         np.cumsum([0] + counts, dtype=np.int64))
+    return MarkerTable(columns, ids)
 
 
 def _bitwise(a, b):
@@ -164,25 +177,25 @@ def test_readers_equal_the_record_reference(tmp_path_factory, data):
     surv = dataio.read_survival(surv_path)
     assert_same_survival(surv, reference_survival(surv_path))
 
-    records = reference_markers(long_path)
+    rows = reference_markers(long_path)
     last, out_of_order = {}, False
-    for r in records:  # file order
-        out_of_order |= last.get(r.id, -1.0) > r.obs_time
-        last[r.id] = r.obs_time
+    for sid, t, _, _ in rows:  # file order
+        out_of_order |= last.get(sid, -1.0) > t
+        last[sid] = t
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         table = dataio.read_longitudinal(long_path)
     assert len(caught) == out_of_order
     assert all("out of time order" in str(w.message) for w in caught)
-    assert_same_table(table, reference_table(records))
+    assert_same_table(table, reference_table(rows))
 
     # aligned with the survival subjects: against a per-subject lookup
     aligned = table.align(surv.ids)
-    assert_same_table(aligned, MarkerTable.from_records(records, surv.ids))
+    assert_same_table(aligned, reference_table(rows, surv.ids))
     for name, (times, values, offsets) in aligned.columns.items():
         for i, sid in enumerate(surv.ids.tolist()):
-            want = sorted((r.obs_time, r.values[name]) for r in records
-                          if r.id == sid and name in r.values)
+            want = sorted((t, v) for rid, t, n, v in rows
+                          if rid == sid and n == name)
             got = list(zip(times[offsets[i]:offsets[i + 1]].tolist(),
                            values[offsets[i]:offsets[i + 1]].tolist()))
             assert got == want
@@ -204,8 +217,7 @@ def test_write_then_read_is_bit_exact(tmp_path_factory, subjects, visits):
                              for sid, t, d, x, g in subjects], ["x"])
     dataio.write_survival(work / "surv.csv", surv, config={"seed": 1})
     assert_same_survival(dataio.read_survival(work / "surv.csv"), surv)
-    markers = reference_table([LongitudinalRecord(sid, t, {"m": v})
-                               for sid, t, v in visits])
+    markers = reference_table([(sid, t, "m", v) for sid, t, v in visits])
     dataio.write_longitudinal(work / "long.csv", markers)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # rows are written in time order

@@ -17,10 +17,10 @@ from dynrmst.evaluate import (c_index, evaluate_on_validation, predict,
                               predict_landmark, predict_values,
                               prediction_error, static_rmst_model)
 from dynrmst.gee import LOG, fit_super_model
-from dynrmst.landmark import LongitudinalRecord, build_super_dataset
+from dynrmst.landmark import build_super_dataset
 from dynrmst.sim import joint_spec, simulate_joint
 from dynrmst.surv import SurvivalRecord, as_survival_data, risk_set_pseudo
-from records import joint_records
+from records import joint_records, marker_table
 
 # a 0/0 or a divide by zero that escapes np.errstate (say, in the padded
 # jackknife tables) fails the test
@@ -33,7 +33,7 @@ def fitted_model(rng, link=None, n=80):
     surv = [SurvivalRecord(i, float(t[i]), int(d[i]),
                            covariates={"x": float(rng.normal())})
             for i in range(n)]
-    data = build_super_dataset(surv, [], [0.0, 1.0, 2.0], 3.0,
+    data = build_super_dataset(surv, None, [0.0, 1.0, 2.0], 3.0,
                                covariate_names=["x"], extend_tail=True)
     layout = BasisLayout((SplineSpec((1.0,), (0.0, 2.0)), None))
     kwargs = {"link": link} if link is not None else {}
@@ -187,6 +187,17 @@ class TestCIndex:
         with pytest.raises(InvalidInput, match="not finite"):
             c_index([bad, 1.0, 2.0, 3.0], recs, 0.0, 10.0)
 
+    @pytest.mark.parametrize("s, w", [
+        (0.0, -1.0), (0.0, 0.0), (0.0, np.nan), (0.0, np.inf), (-1.0, 2.0),
+        (np.nan, 2.0), (np.inf, 2.0)])
+    def test_invalid_window_refused(self, s, w):
+        # checked first, so an invalid window is named, not returned as None
+        recs = self.records([1, 2, 3, 4, 5], [1, 1, 0, 1, 1])
+        with pytest.raises(InvalidInput) as err:
+            c_index([1.0, 2.0, 3.0, 4.0, 5.0], recs, s, w)
+        assert str(err.value) == (f"invalid prediction time/window "
+                                  f"(s={s}, w={w})")
+
 
 class TestPredictionError:
     def test_mean_absolute_difference(self):
@@ -206,8 +217,8 @@ class TestPredictionError:
 class TestStaticModel:
     def test_freezes_biomarker_at_baseline(self):
         surv = [SurvivalRecord(i, 5.0 + i, 1) for i in range(10)]
-        long = [LongitudinalRecord(i, 0.0, {"m": float(i)}) for i in range(10)]
-        long += [LongitudinalRecord(i, 2.0, {"m": 99.0}) for i in range(10)]
+        long = marker_table([(i, 0.0, float(i)) for i in range(10)]
+                            + [(i, 2.0, 99.0) for i in range(10)])
         fit = static_rmst_model(surv, 4.0, longitudinal=long,
                                 covariate_names=["m"], extend_tail=True)
         # only the t=0 values can enter: a later value of 99 would destroy
@@ -220,8 +231,8 @@ class TestStaticModel:
         spec = joint_spec("linear")
         train = simulate_joint(spec, 150, 1)
         val = simulate_joint(spec, 100, 2)
-        tr_s, tr_l = joint_records(train)
-        va_s, va_l = joint_records(val)
+        tr_s, tr_l = joint_records(train), train.markers
+        va_s, va_l = joint_records(val), val.markers
         grid = [0.0, 2.0, 4.0]
         data = build_super_dataset(tr_s, tr_l, grid, 5.0,
                                    covariate_names=["x1", "x2", "marker"],

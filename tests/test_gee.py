@@ -38,7 +38,7 @@ def random_super(rng, n=50):
                            covariates={"x": float(rng.normal())})
             for i in range(n)]
     grid = [0.0, 1.0, 2.0]
-    return build_super_dataset(surv, [], grid, 3.0, covariate_names=["x"],
+    return build_super_dataset(surv, None, grid, 3.0, covariate_names=["x"],
                                extend_tail=True)
 
 
@@ -191,8 +191,9 @@ class TestSuperModel:
         surv = [SurvivalRecord(i, float(4.5 + rng.exponential(3.0)), i % 2,
                                covariates={"x": float(rng.normal())})
                 for i in range(10)]
-        data = build_super_dataset(surv, [], [0.5 * k for k in range(9)], 3.0,
-                                   covariate_names=["x"], extend_tail=True)
+        data = build_super_dataset(surv, None, [0.5 * k for k in range(9)],
+                                   3.0, covariate_names=["x"],
+                                   extend_tail=True)
         sp = SplineSpec((0.8, 1.6, 2.4, 3.2), (0.0, 4.0))
         assert len(data) == 90
         with pytest.raises(InvalidInput, match="subjects"):
@@ -205,7 +206,7 @@ class TestSuperModel:
         zero = replace(data, covariates=np.zeros_like(data.covariates))
         one_landmark = build_super_dataset(
             [SurvivalRecord(i, 5.0, 1, covariates={"x": float(rng.normal())})
-             for i in range(20)], [], [1.0], 3.0, covariate_names=["x"])
+             for i in range(20)], None, [1.0], 3.0, covariate_names=["x"])
         # the second has fewer stacked R_j H_j rows (2) than coefficients (4)
         for case in (zero, one_landmark):
             x, y, _ = dense_design(case, BasisLayout((sp, None)))

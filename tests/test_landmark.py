@@ -8,9 +8,10 @@ from numpy.testing import assert_allclose
 
 from dynrmst.errors import (DynRmstError, EmptyRiskSet, InvalidInput,
                             MissingCovariate, TailUndefined)
-from dynrmst.landmark import (LongitudinalRecord, MarkerTable,
-                              build_landmark_dataset, build_super_dataset)
+from dynrmst.landmark import (MarkerTable, build_landmark_dataset,
+                              build_super_dataset)
 from dynrmst.surv import SurvivalRecord, pseudo_observations
+from records import marker_table
 
 # a 0/0 or a divide by zero that escapes np.errstate (say, in the padded
 # jackknife tables) fails the test
@@ -27,14 +28,16 @@ def survival4():
 
 
 def marker(sid, pairs):
-    return [LongitudinalRecord(sid, t, {"m": v}) for t, v in pairs]
+    """(id, obs_time, value) rows of biomarker 'm' of subject ``sid``."""
+    return [(sid, t, v) for t, v in pairs]
 
 
 class TestLocf:
-    LONG = (marker("a", [(0.0, 1.0), (2.0, 2.0), (5.0, 3.0)])
+    ROWS = (marker("a", [(0.0, 1.0), (2.0, 2.0), (5.0, 3.0)])
             + marker("b", [(0.0, 4.0)])
             + marker("c", [(0.0, 5.0), (4.0, 6.0)])
             + marker("d", [(0.0, 7.0), (1.0, 8.0)]))
+    LONG = marker_table(ROWS)
 
     def test_carries_last_value_forward(self):
         data = build_landmark_dataset(survival4(), self.LONG, 2.5, 4.0,
@@ -60,7 +63,7 @@ class TestLocf:
             assert np.array_equal(x, y)
 
     def test_missing_covariate_raises_with_context(self):
-        long = marker("a", [(3.0, 1.0)])  # first measurement after s
+        long = marker_table(marker("a", [(3.0, 1.0)]))  # after s
         surv = [SurvivalRecord("a", 8.0, 1), SurvivalRecord("b", 9.0, 0)]
         with pytest.raises(MissingCovariate) as err:
             build_landmark_dataset(surv, long, 2.0, 4.0,
@@ -71,8 +74,8 @@ class TestLocf:
         surv = [SurvivalRecord("a", 8.0, 1, covariates={"x": 1.0}),
                 SurvivalRecord("b", 9.0, 0)]
         with pytest.raises(MissingCovariate):
-            build_landmark_dataset(surv, [], 2.0, 4.0, covariate_names=["x"],
-                                   extend_tail=True)
+            build_landmark_dataset(surv, None, 2.0, 4.0,
+                                   covariate_names=["x"], extend_tail=True)
 
     def test_default_names_from_first_subject(self):
         # a key only later subjects carry is not a covariate, and is never
@@ -88,27 +91,27 @@ class TestLocf:
 class TestRiskSet:
     def test_strict_inequality(self):
         surv = survival4()
-        data = build_landmark_dataset(surv, [], 6.0, 2.0,
+        data = build_landmark_dataset(surv, None, 6.0, 2.0,
                                       covariate_names=["x"], extend_tail=True)
         assert list(data.subjects) == ["a", "d"]  # c has Y == s: excluded
         assert len(data) == 2
 
     def test_pseudo_values_match_surv_module(self):
         surv = survival4()
-        data = build_landmark_dataset(surv, [], 2.0, 5.0,
+        data = build_landmark_dataset(surv, None, 2.0, 5.0,
                                       covariate_names=["x"], extend_tail=True)
-        pset = pseudo_observations(surv, 2.0, 5.0, extend_tail=True)
-        assert list(data.subjects) == pset.ids()
-        assert_allclose(data.pseudo_values, pset.values())
+        ids, values = pseudo_observations(surv, 2.0, 5.0, extend_tail=True)
+        assert list(data.subjects) == ids.tolist()
+        assert_allclose(data.pseudo_values, values)
 
 
     def test_tail_policy_enforced_per_landmark(self):
         # the largest time (d, Y=9) is censored, so each risk-set curve ends
         # above zero before s + w
         with pytest.raises(TailUndefined):
-            build_super_dataset(survival4(), [], [1.0, 2.0], 10.0,
+            build_super_dataset(survival4(), None, [1.0, 2.0], 10.0,
                                 covariate_names=["x"])
-        build_super_dataset(survival4(), [], [1.0, 2.0], 10.0,
+        build_super_dataset(survival4(), None, [1.0, 2.0], 10.0,
                             covariate_names=["x"], extend_tail=True)
 
 
@@ -116,7 +119,7 @@ MISSING_C = "subject 'c' has no observation of 'm' at or before landmark 1.0"
 
 
 class TestSuperDataset:
-    LONG = TestLocf.LONG
+    ROWS, LONG = TestLocf.ROWS, TestLocf.LONG
 
     def test_row_ordering_and_clusters(self):
         data = build_super_dataset(survival4(), self.LONG, [1.0, 4.0, 7.0],
@@ -179,7 +182,7 @@ class TestSuperDataset:
          "forward)"),
     ])
     def test_errors_come_in_landmark_order(self, grid, w, error, message):
-        late_c = [r for r in self.LONG if (r.id, r.obs_time) != ("c", 0.0)]
+        late_c = marker_table([r for r in self.ROWS if r[:2] != ("c", 0.0)])
         with pytest.raises(error) as err:
             build_super_dataset(survival4(), late_c, grid, w)
         assert str(err.value) == message
@@ -194,8 +197,7 @@ class TestSuperDataset:
         surv = survival4()
         renamed = [SurvivalRecord("z" + r.id, r.time, r.status, r.group,
                                   r.covariates) for r in surv]
-        long2 = [LongitudinalRecord("z" + r.id, r.obs_time, r.values)
-                 for r in self.LONG]
+        long2 = marker_table([("z" + sid, t, v) for sid, t, v in self.ROWS])
         a = build_super_dataset(surv, self.LONG, [1.0, 4.0], 2.0,
                                 extend_tail=True)
         b = build_super_dataset(renamed, long2, [1.0, 4.0], 2.0,
@@ -205,7 +207,7 @@ class TestSuperDataset:
         assert key(a) == key(b)
 
     def test_out_of_order_longitudinal_input(self):
-        shuffled = list(reversed(self.LONG))
+        shuffled = marker_table(list(reversed(self.ROWS)))
         a = build_super_dataset(survival4(), self.LONG, [1.0, 4.0], 2.0,
                                 extend_tail=True)
         b = build_super_dataset(survival4(), shuffled, [1.0, 4.0], 2.0,
@@ -302,46 +304,47 @@ class TestMarkerTableChecksItself:
 
 
 class TestRecordsAdapters:
-    """The records adapters build columns, which apply the CSV readers'
-    rule: obs_time finite and nonnegative, marker values finite, a
+    """Survival records and marker rows become columns, which apply the CSV
+    readers' rule: obs_time finite and nonnegative, marker values finite, a
     time-fixed covariate finite or NaN for a missing value; InvalidInput
     names the subject and the column otherwise."""
 
-    LONG = marker("a", [(0.0, 1.0)]) + marker("b", [(0.0, 2.0)]) + \
+    ROWS = marker("a", [(0.0, 1.0)]) + marker("b", [(0.0, 2.0)]) + \
         marker("c", [(0.0, 3.0)]) + marker("d", [(0.0, 4.0)])
 
     @pytest.mark.parametrize("record, message", [
-        (LongitudinalRecord("a", float("nan"), {"m": 2.0}),
+        (("a", float("nan"), 2.0),
          "subject 'a': column 'obs_time' cannot hold nan"),
-        (LongitudinalRecord("b", float("inf"), {"m": 3.0}),
+        (("b", float("inf"), 3.0),
          "subject 'b': column 'obs_time' cannot hold inf"),
-        (LongitudinalRecord("c", -float("inf"), {"m": 3.0}),
+        (("c", -float("inf"), 3.0),
          "subject 'c': column 'obs_time' cannot hold -inf"),
-        (LongitudinalRecord("b", 1.0, {"m": float("nan")}),
+        (("b", 1.0, float("nan")),
          "subject 'b': column 'value' cannot hold nan"),
-        (LongitudinalRecord("d", 1.0, {"m": -float("inf")}),
+        (("d", 1.0, -float("inf")),
          "subject 'd': column 'value' cannot hold -inf"),
         # a subject without survival record is checked too
-        (LongitudinalRecord("z", 1.0, {"m": float("inf")}),
+        (("z", 1.0, float("inf")),
          "subject 'z': column 'value' cannot hold inf"),
-        (LongitudinalRecord("a", -1.0, {"m": 1.0}),
+        (("a", -1.0, 1.0),
          "subject 'a': column 'obs_time' cannot hold -1.0"),
     ])
     def test_marker_record(self, record, message):
+        """A marker row (id, obs_time, value) the table refuses."""
         with pytest.raises(InvalidInput) as err:
-            build_super_dataset(survival4(), self.LONG + [record], [0.0, 2.0],
-                                2.0, extend_tail=True)
+            long = marker_table(self.ROWS + [record])
+            build_super_dataset(survival4(), long, [0.0, 2.0], 2.0,
+                                extend_tail=True)
         assert str(err.value) == message
 
-    def test_record_without_values_adds_no_row(self):
-        """A record with no measurement has no cell to check, whatever its
-        obs_time."""
-        empty = LongitudinalRecord("c", float("nan"), {})
-        got, want = (build_super_dataset(survival4(), long, [0.0, 2.0], 2.0,
-                                         extend_tail=True)
-                     for long in (self.LONG + [empty], self.LONG))
-        for a, b in zip(got.arrays(), want.arrays()):
-            assert np.array_equal(a, b)
+    @pytest.mark.parametrize("longitudinal", [
+        [], [("a", 0.0, 1.0)], {"m": ()}, "long.csv"])
+    def test_longitudinal_input_is_a_table_or_none(self, longitudinal):
+        with pytest.raises(InvalidInput) as err:
+            build_super_dataset(survival4(), longitudinal, [0.0, 2.0], 2.0,
+                                extend_tail=True)
+        assert str(err.value) == ("longitudinal input must be a MarkerTable "
+                                  "or None")
 
     @pytest.mark.parametrize("value, error, message", [
         (float("inf"), InvalidInput,
@@ -356,5 +359,6 @@ class TestRecordsAdapters:
         surv = survival4()
         surv[2] = SurvivalRecord("c", 6.0, 1, covariates={"x": value})
         with pytest.raises(error) as err:
-            build_super_dataset(surv, [], [0.0, 2.0], 2.0, extend_tail=True)
+            build_super_dataset(surv, None, [0.0, 2.0], 2.0,
+                                extend_tail=True)
         assert str(err.value) == message

@@ -1,7 +1,7 @@
 """Property tests of the columnar landmark core, the pseudo-value tail
 rule, the two Kaplan-Meier cRMST routes, the block super-model solver, the
 joint-model simulator's independence of its chunk size, the estimates'
-independence of the time unit and of the order of the input records, and
+independence of the time unit and of the order of the input rows, and
 the CSV round trip of every column set the constructors accept."""
 
 import warnings
@@ -19,13 +19,14 @@ from dynrmst.errors import (DynRmstError, InvalidInput, NoConvergence,
                             SingularDesign)
 from dynrmst.evaluate import evaluate_on_validation
 from dynrmst.gee import IDENTITY, LOG, fit_super_model, sandwich_cov
-from dynrmst.landmark import (LongitudinalRecord, MarkerTable, SuperDataset,
+from dynrmst.landmark import (MarkerTable, SuperDataset,
                               build_landmark_dataset, build_super_dataset)
 from dynrmst.sim import joint_spec, simulate_joint
 from dynrmst.surv import (SurvivalData, SurvivalRecord, as_survival_data,
                           crmst_km, crmst_km_ratio, pseudo_observations)
 from gee_oracle import dense_design, dense_sandwich, dense_solve
-from records import joint_columns, joint_records
+from records import (joint_columns, joint_marker_rows, joint_records,
+                     marker_table)
 
 # a 0/0 or a divide by zero that escapes np.errstate (say, in the padded
 # jackknife tables) fails the test
@@ -38,32 +39,30 @@ TIMES = st.integers(0, 8).map(lambda k: k / 2.0)
 
 @st.composite
 def marker_histories(draw):
-    """(ids, records, s, grid, n_at): 0-4 measurements per subject, a
-    landmark s, and a landmark grid of which subject i (in id order) is at
-    risk at the first n_at[i] landmarks."""
+    """(ids, rows, s, grid, n_at): 0-4 measurements (id, obs_time, value)
+    per subject, a landmark s, and a landmark grid of which subject i (in id
+    order) is at risk at the first n_at[i] landmarks."""
     n = draw(st.integers(1, 6))
     ids = draw(st.lists(st.text("abc", min_size=1, max_size=2), min_size=n,
                         max_size=n, unique=True))
-    records = [LongitudinalRecord(sid, draw(TIMES),
-                                  {"m": float(draw(st.integers(-50, 50)))})
-               for sid in ids for _ in range(draw(st.integers(0, 4)))]
+    rows = [(sid, draw(TIMES), float(draw(st.integers(-50, 50))))
+            for sid in ids for _ in range(draw(st.integers(0, 4)))]
     grid = sorted(draw(st.sets(TIMES, min_size=1, max_size=5)))
     n_at = draw(st.lists(st.integers(0, len(grid)), min_size=n, max_size=n))
-    return ids, draw(st.permutations(records)), draw(TIMES), grid, n_at
+    return ids, draw(st.permutations(rows)), draw(TIMES), grid, n_at
 
 
 @settings(max_examples=200, deadline=None)
 @given(marker_histories())
 def test_locf_matches_brute_force_lookup(case):
-    ids, records, s, grid, n_at = case
-    assume(records)
+    ids, rows, s, grid, n_at = case
+    assume(rows)
     surv = as_survival_data([SurvivalRecord(sid, 10.0, 0) for sid in ids])
-    table = MarkerTable.from_records(records, surv.ids)
+    table = marker_table(rows).align(surv.ids)
 
     def check(value, sid, s):
         # ties at s count as observed; equal times resolve to the larger value
-        seen = sorted((r.obs_time, r.values["m"]) for r in records
-                      if r.id == sid and r.obs_time <= s)
+        seen = sorted((t, v) for rid, t, v in rows if rid == sid and t <= s)
         if seen:
             assert value == seen[-1][1]
         else:
@@ -88,11 +87,15 @@ def test_locf_matches_brute_force_lookup(case):
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(20, 120))
 def test_records_and_columns_build_identical_arrays(seed, n):
+    """Survival records and a table built from marker rows give the
+    simulator's columns' super dataset bitwise."""
     sample = simulate_joint(joint_spec("linear"), n, seed)
     grid = [0.0, 0.5, 1.5, 3.0]
     names = ["x1", "x2", "marker"]
-    from_records = build_super_dataset(*joint_records(sample), grid, 5.0,
-                                       covariate_names=names, extend_tail=True)
+    markers = marker_table(joint_marker_rows(sample), "marker")
+    from_records = build_super_dataset(joint_records(sample), markers, grid,
+                                       5.0, covariate_names=names,
+                                       extend_tail=True)
     from_columns = build_super_dataset(sample.survival, sample.markers,
                                        grid, 5.0,
                                        covariate_names=names, extend_tail=True)
@@ -103,7 +106,7 @@ def test_records_and_columns_build_identical_arrays(seed, n):
 
 @st.composite
 def landmark_inputs(draw):
-    """(survival records, marker records, grid, w, extend_tail) on the
+    """(survival records, marker table, grid, w, extend_tail) on the
     half-unit lattice: up to 10 subjects, so late landmarks hold few or
     none; a time-fixed covariate a subject may lack; markers measured at 0
     and later, or for some subjects only later; and a grid that may hold
@@ -118,15 +121,14 @@ def landmark_inputs(draw):
     for i in range(n):
         times = [] if draw(rare) else [0.0]
         times += draw(st.lists(TIMES, max_size=2))
-        markers += [LongitudinalRecord(i, t, {"m": float(k)})
-                    for k, t in enumerate(times)]
+        markers += [(i, t, float(k)) for k, t in enumerate(times)]
     grid = sorted(draw(st.sets(TIMES, min_size=1, max_size=4)))
     bad = draw(st.sampled_from([None, np.nan, np.inf, -0.5]))
     if bad is not None:
         grid.insert(draw(st.integers(0, len(grid))), bad)
     assume(not any(b <= a for a, b in zip(grid, grid[1:])))
-    return (surv, markers, grid, draw(st.integers(1, 16)) / 2.0,
-            draw(st.booleans()))
+    return (surv, marker_table(markers), grid,
+            draw(st.integers(1, 16)) / 2.0, draw(st.booleans()))
 
 
 @settings(max_examples=300, deadline=None)
@@ -326,10 +328,12 @@ def test_estimates_scale_with_the_time_unit(case, k, factor):
 def test_results_do_not_depend_on_the_order_of_records(seed, rnd):
     spec = joint_spec("linear")
     val = simulate_joint(spec, 60, seed + 1)
-    inputs = [joint_records(simulate_joint(spec, 120, seed)),
-              joint_records(val)]
-    shuffled = [[rnd.sample(recs, len(recs)) for recs in pair]
-                for pair in inputs]
+    pairs = [(joint_records(sample), joint_marker_rows(sample))
+             for sample in (simulate_joint(spec, 120, seed), val)]
+    inputs = [(recs, marker_table(rows, "marker")) for recs, rows in pairs]
+    shuffled = [(rnd.sample(recs, len(recs)),
+                 marker_table(rnd.sample(rows, len(rows)), "marker"))
+                for recs, rows in pairs]
     grid, names = [0.0, 1.0, 2.5], ["x1", "x2", "marker"]
     data = [build_super_dataset(*pair[0], grid, 5.0, covariate_names=names,
                                 extend_tail=True) for pair in (inputs, shuffled)]

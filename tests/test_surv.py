@@ -126,6 +126,11 @@ class TestKmFit:
         with pytest.raises(InvalidInput):
             km_fit([SurvivalRecord(0, 1.0, 1), SurvivalRecord(0, 2.0, 1)])
 
+    @pytest.mark.parametrize("start", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_refused(self, start):
+        with pytest.raises(InvalidInput, match="start must be finite"):
+            km_fit(records([1, 2], [1, 1]), start=start)
+
     def test_mixed_id_types_are_invalid_input(self):
         with pytest.raises(InvalidInput, match="mutually orderable"):
             km_fit([SurvivalRecord(0, 1.0, 1), SurvivalRecord("a", 2.0, 1)])
@@ -185,6 +190,13 @@ class TestScalingContract:
         assert_allclose(b.variance, c**2 * a.variance, rtol=1e-12)
 
 
+def same_pseudo_values(a, b):
+    """Whether two (ids, values) results of pseudo_observations are equal,
+    the values bitwise."""
+    return (a[0].tolist() == b[0].tolist()
+            and a[1].tobytes() == b[1].tobytes())
+
+
 class TestPseudoObservations:
     def test_uncensored_identity(self):
         rng = np.random.default_rng(34)
@@ -193,11 +205,11 @@ class TestPseudoObservations:
             t = np.maximum(rng.exponential(5.0, n), 0.01)
             recs = records(t, np.ones(n, dtype=int))
             s, w = 0.3, float(rng.uniform(1, 10))
-            pset = pseudo_observations(recs, s, w, extend_tail=True)
-            at_risk = np.sort([r.time for r in recs if r.time > s])
-            # entries are id-ordered; ids here sort as strings
+            ids, values = pseudo_observations(recs, s, w, extend_tail=True)
+            # values are id-ordered; ids here sort as strings
             want = {r.id: min(r.time - s, w) for r in recs if r.time > s}
-            for sid, value in pset.entries:
+            assert sorted(want) == ids.tolist()
+            for sid, value in zip(ids.tolist(), values.tolist()):
                 assert abs(value - want[sid]) <= 1e-10
 
     def test_mean_matches_km(self):
@@ -216,15 +228,15 @@ class TestPseudoObservations:
         shuffled = list(reversed(recs))
         a = pseudo_observations(recs, 0.0, 4.0, extend_tail=True)
         b = pseudo_observations(shuffled, 0.0, 4.0, extend_tail=True)
-        assert a.entries == b.entries
+        assert same_pseudo_values(a, b)
 
     def test_covariates_are_not_read(self):
         recs = records([1, 2, 3], [1, 1, 0])
         labelled = [SurvivalRecord(r.id, r.time, r.status,
                                    covariates={"site": f"s{r.id}"})
                     for r in recs]
-        assert (pseudo_observations(labelled, 0.0, 2.0).entries
-                == pseudo_observations(recs, 0.0, 2.0).entries)
+        assert same_pseudo_values(pseudo_observations(labelled, 0.0, 2.0),
+                                  pseudo_observations(recs, 0.0, 2.0))
 
     def test_tail_policy_enforced(self):
         recs = records([1, 2, 3], [1, 1, 0])
