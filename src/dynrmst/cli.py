@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import traceback
 from dataclasses import asdict
@@ -45,6 +46,26 @@ def _number(kind):
 
 
 _FLOAT, _INT = _number(float), _number(int)
+
+# options whose value is a number or a list of numbers
+_NUMERIC_OPTIONS = frozenset((
+    "--alpha", "--boundary", "--cen", "--censor-upper", "--grid", "--knots",
+    "--n", "--reps", "--s", "--scale", "--scenario", "--seed", "--start",
+    "--w", "--workers"))
+_NEGATIVE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+def _joined_values(argv):
+    """``argv`` with each numeric option and a following value that looks
+    like a negative number joined as ``--opt=value``: argparse reads a value
+    such as '-1e-3' or '-0.5,4' as an option, so the option would lack one."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _NUMERIC_OPTIONS and _NEGATIVE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _parse_grid(text):
@@ -152,7 +173,8 @@ def _cmd_fit(args):
                                covariate_names=names,
                                extend_tail=args.extend_tail)
     boundary = _parse_floats(args.boundary, "--boundary") or (grid[0], grid[-1])
-    scale = args.scale if args.scale else boundary[1] - boundary[0]
+    # a one-number boundary gives scale 0, and SplineSpec refuses the pair
+    scale = args.scale if args.scale else boundary[-1] - boundary[0]
     spec = SplineSpec(interior_knots=_parse_floats(args.knots, "--knots"),
                       boundary_knots=boundary, standardization_scale=scale)
     layout = BasisLayout(tuple(spec for _ in range(len(data.covariate_names) + 1)))
@@ -344,7 +366,8 @@ def _build_parser():
 def main(argv=None):
     debug = False
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(
+            _joined_values(sys.argv[1:] if argv is None else argv))
         debug = args.debug
         with _one_blas_thread():
             return globals()[f"_cmd_{args.command}"](args)

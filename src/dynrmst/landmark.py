@@ -116,15 +116,18 @@ class MarkerTable:
         (``grid`` strictly increasing; a scalar is one landmark) for the
         subject at ``position[k]``, for each pair k; NaN where it has none.
         A measurement is keyed subject * (J + 1) + the first landmark at or
-        after its time, so the keys ascend with the rows, and one search of
-        the pairs' keys finds each pair's last row."""
+        after its time, so the keys ascend with the rows, and the count of
+        rows keyed at or below a pair's key (one running count over all
+        n (J + 1) keys) is one past the pair's last row."""
         times, values, offsets = self.columns[name]
         grid = np.atleast_1d(grid)
         stride = grid.size + 1
-        subject = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+        n = offsets.size - 1
+        subject = np.repeat(np.arange(n), np.diff(offsets))
         keys = subject * stride + np.searchsorted(grid, times, side="left")
-        last = np.searchsorted(keys, position * stride + landmark,
-                               side="right") - 1
+        upto = np.bincount(keys, minlength=n * stride)
+        np.cumsum(upto, out=upto)
+        last = upto[position * stride + landmark] - 1
         found = last >= offsets[position]
         out = np.full(position.size, np.nan)
         out[found] = values[last[found]]

@@ -21,7 +21,14 @@ calls the OpenBLAS setter when it already has one thread (see ``_blas``).
 Joint-model draws do not depend on how many subjects one working array
 holds (``_TABLE_CELLS``): every hazard integral sums each panel's
 Gauss-Legendre nodes on its own, never through a BLAS product whose last
-bit depends on a subject's row.
+bit depends on a subject's row.  Every short-axis sum runs in numpy's
+pairwise order along a C-contiguous last axis: ``_node_sums`` adds a
+panel's nodes as whole columns in that order, and ``_arm_moments`` sums the
+rows of one C-contiguous array per risk-set size, so both are bitwise the
+one-row sums they replace.  A sum along a non-contiguous axis is not
+pairwise: batching ``true_crmst``'s windows through a fancy-indexed
+(subjects, windows, gaps) array moved truth cells by one ulp until
+``np.ascontiguousarray`` restored the bits.
 
 Event times come from inverting each subject's cumulative hazard.  A
 closed-form bound U_i >= H_i(max_t) (``_event_bound``, on 20 coarse
@@ -49,7 +56,7 @@ from .evaluate import evaluate_on_validation
 from .gee import IDENTITY, _sandwich, _solve_super, _super_fit
 from .landmark import MarkerTable, build_super_dataset
 from .surv import (SurvivalData, _check_alpha, _check_risk_set, _check_window,
-                   _difference, _jackknife_moments, _objects, _valid_window)
+                   _difference, _objects, _valid_window)
 
 __all__ = [
     "ScenarioSpec",
@@ -441,9 +448,9 @@ class JointTruth:
         Each panel takes the Gauss-Legendre rule of ``nodes`` and
         ``weights`` on [-1, 1]: 10 nodes by default, the rule of the
         event-time inversion and ``cumulative_hazard``, and 4 nodes in
-        ``true_crmst``.  The rule of each panel is summed along its own
-        contiguous axis, so no subject's result depends on its row or on how
-        many subjects are in the call.
+        ``true_crmst``.  The rule of each panel is summed in numpy's
+        pairwise order (``_node_sums``), so no subject's result depends on
+        its row or on how many subjects are in the call.
         """
         mid = (left + right) / 2.0
         half = (right - left) / 2.0
@@ -452,8 +459,8 @@ class JointTruth:
         wt = (half[..., None] * weights).reshape(flat)
         hv = self._hazard(t)
         hv *= wt
-        return hv.reshape(self.c0.size, left.shape[-1],
-                          nodes.size).sum(axis=2)
+        return _node_sums(hv.reshape(self.c0.size, left.shape[-1],
+                                     nodes.size))
 
     def cumulative_hazard(self, t, panels=HAZARD_PANELS):
         """H_i(t_i) for per-subject times t (scalar broadcast allowed), over
@@ -547,10 +554,6 @@ class JointTruth:
                 out[lo:hi, j] = np.sum(terms, axis=1)
         return out[:, 0] if scalar else out
 
-    def true_rmst(self, tau, panels=SURVIVAL_PANELS):
-        """E(min(T, tau)) per subject."""
-        return self.true_crmst(0.0, tau, panels=panels)
-
 
 def _simpson(y, x):
     """Composite Simpson integral of y over its last axis, at the points x
@@ -571,6 +574,40 @@ def _simpson(y, x):
     return np.sum(hsum / 6.0 * (y[..., :-2:2] * (2.0 - inv)
                                 + y[..., 1:-1:2] * (hsum * ratio)
                                 + y[..., 2::2] * (2.0 - h0divh1)), axis=-1)
+
+
+def _node_sums(a):
+    """Sums over the last axis of ``a`` (length m <= 128), bit for bit what
+    ``a.sum(axis=-1)`` gives on a C-contiguous array, with one whole-array
+    add per element of a row rather than numpy's loop per short row.
+
+    numpy reduces such a row from its identity 0.0 in pairwise order: below
+    8 elements in sequence; from 8 up, eight accumulators take elements 0-7
+    and then every eighth element, are combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the remainder is
+    added in order.  Adding the 0.0 to the first element first changes only
+    the sign of a zero sum, as adding it last does.
+    """
+    m = a.shape[-1]
+    col = [a[..., j] for j in range(m)]
+    if m < 8:
+        out = col[0] + 0.0
+        for c in col[1:]:
+            out += c
+        return out
+    tail = m - m % 8
+    r = col[:8]
+    for i in range(8, tail, 8):
+        r = [r_j + c for r_j, c in zip(r, col[i:i + 8])]
+    out = r[0] + 0.0
+    out += r[1]
+    out += r[2] + r[3]
+    upper = r[4] + r[5]
+    upper += r[6] + r[7]
+    out += upper
+    for c in col[tail:]:
+        out += c
+    return out
 
 
 def _chunks(n, nodes):
@@ -998,13 +1035,29 @@ def _scenario_chunk(spec, s, w, rngs):
     starts = np.concatenate(([0], np.cumsum(sizes))).tolist()
     pv = _kernels.jackknife_pseudo(y[at_risk], d[at_risk], float(s),
                                    float(w), starts[:-1])
-    moments = [_jackknife_moments(pv[lo:hi])
-               for lo, hi in zip(starts[:-1], starts[1:])]
+    mu, var = _arm_moments(pv, np.array(starts[:-1]), np.array(sizes))
     out = []
-    for control, treated in zip(moments[::2], moments[1::2]):
-        delta, se = _difference(*control, *treated)
+    for mu0, var0, mu1, var1 in zip(mu[::2], var[::2], mu[1::2], var[1::2]):
+        delta, se = _difference(mu0, var0, mu1, var1)
         out.append((delta, se**2))
     return out
+
+
+def _arm_moments(pv, starts, sizes):
+    """(means, jackknife variances) of the pseudo-values of each arm k,
+    ``pv[starts[k]:starts[k] + sizes[k]]``, as lists of floats, each bitwise
+    what ``surv._jackknife_moments`` gives on that slice.  The arms of one
+    risk-set size n are the rows of one C-contiguous (arms, n) array, whose
+    sums along axis 1 run in the pairwise order of a 1-d sum."""
+    mu = np.empty(sizes.size)
+    var = np.empty(sizes.size)
+    for n in np.unique(sizes).tolist():
+        arms = np.flatnonzero(sizes == n)
+        rows = pv[starts[arms, None] + np.arange(n)]
+        mu[arms] = rows.sum(axis=1) / n
+        rows -= mu[arms, None]
+        var[arms] = (rows**2).sum(axis=1) / (n * (n - 1))
+    return mu.tolist(), var.tolist()
 
 
 def scenario_mc(spec, s, w, reps, seed, alpha=0.05, workers=1):

@@ -371,8 +371,11 @@ def crmstd_test(group0, group1, s, w, alpha=0.05, extend_tail=False):
 
 
 def _valid_window(s, w):
-    """Whether each window (s, w) is one: s >= 0 and w > 0, both finite."""
-    return (s >= 0) & (w > 0) & np.isfinite(s) & np.isfinite(w)
+    """Whether each window (s, w) is one: s >= 0 and w > 0, both finite,
+    and s + w above s (a w too small to move s is no window)."""
+    with np.errstate(over="ignore"):  # an s + w of inf is above s
+        above = s + w > s
+    return (s >= 0) & (w > 0) & np.isfinite(s) & np.isfinite(w) & above
 
 
 def _check_alpha(alpha):

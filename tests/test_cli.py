@@ -504,6 +504,70 @@ class TestInputDiagnostics:
         with pytest.raises(InvalidInput):
             cli._build_parser().parse_args(argv)
 
+    @pytest.mark.parametrize("method", ["km", "pseudo"])
+    def test_crmst_window_below_an_ulp_of_s_is_an_error_record(
+            self, tmp_path, capsys, method):
+        # 1 + 1e-17 == 1: km gave 0.0 and pseudo 1e-17 for this no-window
+        assert run(["crmst", "--input", scenario_csv(tmp_path), "--s", 1,
+                    "--w", "1e-17", "--method", method]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "InvalidInput",
+            "message": "invalid prediction time/window (s=1.0, w=1e-17)"}
+
+    def test_fit_window_below_an_ulp_of_s_is_an_error_record(self, tmp_path,
+                                                             capsys):
+        surv, _ = joint_csvs(tmp_path, n=50)
+        model = tmp_path / "model.json"
+        assert run(["fit", "--input", surv, "--grid", "1,2", "--w", "1e-17",
+                    "--covariates", "x1", "--output", model]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "InvalidInput",
+            "message": "invalid prediction time/window (s=1.0, w=1e-17)"}
+        assert not model.exists()
+
+    @pytest.mark.parametrize("command", ["crmst", "test"])
+    @pytest.mark.parametrize("option, value", [("--s", "-1e-3"),
+                                               ("--w", "-.5"),
+                                               ("--s", "-inf")])
+    def test_negative_window_value_reaches_the_window_check(
+            self, tmp_path, capsys, command, option, value):
+        argv = {"--s": 1.0, "--w": 2.0, option: value}
+        assert run([command, "--input", scenario_csv(tmp_path),
+                    "--s", argv["--s"], "--w", argv["--w"]]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "InvalidInput",
+            "message": f"invalid prediction time/window "
+                       f"(s={float(argv['--s'])}, w={float(argv['--w'])})"}
+
+    def test_negative_boundary_knot_reaches_the_fit(self, tmp_path, capsys):
+        surv, long = joint_csvs(tmp_path, n=100)
+        model = tmp_path / "model.json"
+        assert run(["fit", "--input", surv, "--longitudinal", long,
+                    "--grid", "0:4:1", "--w", "5", "--boundary", "-0.5,4",
+                    "--covariates", "x1,x2,marker", "--extend-tail",
+                    "--output", model]) == 0
+        fit = cli._load_model(model)
+        assert fit.layout.specs[0].boundary_knots == (-0.5, 4.0)
+        # one boundary number is refused by the spline check, not IndexError
+        assert run(["fit", "--input", surv, "--grid", "0:4:1", "--w", "5",
+                    "--boundary", "-0.5", "--output", model]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "InvalidInput",
+            "message": "boundary_knots must be an increasing pair"}
+
+    @pytest.mark.parametrize("argv", [
+        ["crmst", "--input", "s.csv", "--s", "--w", "2"],
+        ["crmst", "--input", "s.csv", "--w", "2", "--s"],
+        ["crmst", "--input", "s.csv", "--s", "-x", "--w", "2"],
+    ])
+    def test_option_without_a_value_keeps_its_message(self, capsys, argv):
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "InvalidInput",
+            "message": "dynrmst crmst: argument --s: expected one argument"}
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["fit", "--help"])

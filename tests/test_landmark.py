@@ -62,6 +62,24 @@ class TestLocf:
         for x, y in zip(a.arrays(), b.arrays()):
             assert np.array_equal(x, y)
 
+    def test_subjects_with_no_row_at_or_before_a_landmark(self):
+        # b has no measurement; c and e are measured only after the last
+        # landmark, e being the last subject (the top of the count of keys)
+        rows = (marker("a", [(0.0, 1.0), (2.0, 2.0)]) + marker("c", [(9.0, 3.0)])
+                + marker("d", [(1.0, 4.0), (7.0, 5.0)])
+                + marker("e", [(3.5, 6.0), (8.0, 7.0)]))
+        ids = np.array(["a", "b", "c", "d", "e"], dtype=object)
+        table = marker_table(rows).align(ids)
+        grid = np.array([0.5, 2.0, 3.0])
+        landmark, position = np.nonzero(np.ones((3, 5), dtype=bool))
+        nan = np.nan
+        assert_allclose(table.locf("m", grid, landmark, position),
+                        [1.0, nan, nan, nan, nan,
+                         2.0, nan, nan, 4.0, nan,
+                         2.0, nan, nan, 4.0, nan])
+        assert_allclose(table.locf("m", 10.0, np.zeros(5, dtype=np.int64),
+                                   np.arange(5)), [2.0, nan, 3.0, 5.0, 7.0])
+
     def test_missing_covariate_raises_with_context(self):
         long = marker_table(marker("a", [(3.0, 1.0)]))  # after s
         surv = [SurvivalRecord("a", 8.0, 1), SurvivalRecord("b", 9.0, 0)]

@@ -19,7 +19,7 @@ from dynrmst import _blas, dataio, sim
 from dynrmst.basis import BasisLayout, SplineSpec
 from dynrmst.errors import EmptyRiskSet, InvalidInput
 from dynrmst.gee import IDENTITY, fit_super_model, sandwich_cov
-from dynrmst.surv import SurvivalData, crmstd_test
+from dynrmst.surv import SurvivalData, _jackknife_moments, crmstd_test
 from dynrmst._blas import _openblas_threads, _thread_functions
 from dynrmst.sim import (_GL_NODES, _GL_WEIGHTS, JointModelSpec, JointTruth,
                          _invert_event_times, _true_crmst_arm,
@@ -574,7 +574,7 @@ class TestTruthTable:
                      (1 / 3, 1 / 7), (9.5, 5.0)):
             assert np.array_equal(truth.true_crmst(s, w),
                                   uniform_simpson(truth, s, w))
-        assert np.array_equal(truth.true_rmst(12.5),
+        assert np.array_equal(truth.true_crmst(0.0, 12.5),
                               uniform_simpson(truth, 0.0, 12.5))
 
     def test_window_table_matches_quad_oracle(self):
@@ -690,6 +690,16 @@ class TestTruthTable:
             for method in ("closed_form", "monte_carlo"):
                 with pytest.raises(InvalidInput, match="window"):
                     true_crmstd(spec, s, w, method=method, n_draws=10)
+
+    @pytest.mark.parametrize("w", [1e-17, 1e-16])
+    def test_window_below_an_ulp_of_s_is_refused(self, w):
+        # 1 + w == 1: no gap of the table would get a panel
+        truth = simulate_joint(joint_spec("linear"), 5, 8).truth
+        with pytest.raises(InvalidInput) as err:
+            truth.true_crmst(1.0, w)
+        assert str(err.value) == f"invalid prediction time/window (s=1.0, w={w})"
+        with pytest.raises(InvalidInput, match="window"):
+            truth.true_crmst([0.0, 1.0], [5.0, w])
 
 
 class TestMcMetrics:
@@ -807,6 +817,50 @@ class TestScenarioChunk:
         with pytest.raises(InvalidInput, match="window"):
             sim._scenario_chunk(scenario_spec(1, 10), 1.0, 0.0,
                                 _streams(0, 2))
+
+    def test_fifty_arms_of_one_risk_set_size(self):
+        # every draw is above s = 0, so all 2 x 25 arms hold 40 subjects and
+        # their moments come from one (50, 40) array
+        spec = scenario_spec(2, 40)
+        arms = sim._draw_arms(spec, _streams(3, 25))
+        assert all(np.all(y > 0.0) for y, _ in arms)
+        self.assert_is_the_reference(spec, 0.0, 5.0, seed=3, reps=25)
+
+    def test_every_arm_of_its_own_risk_set_size(self):
+        # eight risk sets of eight sizes, each above numpy's 128-element
+        # pairwise block
+        spec = scenario_spec(3, 300, censor_target=0.3)
+        sizes = [n for y, _ in sim._draw_arms(spec, _streams(10, 4))
+                 for n in (y > 2.0).sum(axis=1).tolist()]
+        assert len(set(sizes)) == 8 and min(sizes) > 128
+        self.assert_is_the_reference(spec, 2.0, 5.0, seed=10, reps=4)
+
+    def test_arm_moments_are_the_one_arm_moments_bitwise(self):
+        rng = np.random.default_rng(6)
+        sizes = rng.permutation(np.repeat(np.arange(2, 300, 7), 3))
+        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        pv = rng.normal(5.0, 3.0, sizes.sum()) * 10.0 ** rng.integers(
+            -8, 8, sizes.sum())
+        mu, var = sim._arm_moments(pv, starts, sizes)
+        want = [_jackknife_moments(pv[a:a + n])
+                for a, n in zip(starts.tolist(), sizes.tolist())]
+        assert list(zip(mu, var)) == want
+
+
+def test_node_sums_are_numpy_sums_bitwise():
+    """``sim._node_sums`` is ``.sum(axis=-1)`` of a C-contiguous array, to
+    the bit and the sign of zero, for every last-axis length up to 128."""
+    rng = np.random.default_rng(26)
+    for m in range(1, 129):
+        a = rng.choice([-1.0, 1.0], (17, 3, m)) * 10.0 ** rng.uniform(
+            -150, 150, (17, 3, m))
+        a[0, 0] = -0.0  # numpy's sum of -0.0s is +0.0
+        a[0, 1, ::2] = -0.0
+        a[1] = rng.uniform(0.0, 1.0, (3, m))  # no cancellation
+        want = a.sum(axis=-1)
+        got = sim._node_sums(a)
+        assert got.shape == want.shape, m
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), m
 
 
 class TestCoefficientReplicate:
