@@ -6,8 +6,8 @@ from .errors import (DynRmstError, EmptyRiskSet, InvalidInput, MissingCovariate,
                      NoConvergence, OutOfRange, SingularDesign,
                      SingularInformation, TailUndefined)
 from .evaluate import (EvalRow, PredictionResult, c_index, evaluate_on_validation,
-                       predict, predict_landmark, predict_values,
-                       prediction_error, static_rmst_model)
+                       predict, predict_landmark, prediction_error,
+                       static_rmst_model)
 from .gee import (IDENTITY, LOG, DynamicModelFit, LinkSpec,
                   fit_landmark_model, fit_super_model, sandwich_cov)
 from .landmark import (MarkerTable, SuperDataset, build_landmark_dataset,

@@ -137,8 +137,10 @@ def jackknife_pseudo(times, status, s, w, starts=None):
         at = c + n_events * in_window
         at += row * loo.shape[1]
         out = loo.ravel()[at]
-        out *= (sizes - 1)[row]
-        np.subtract((sizes * mu)[row], out, out=out)
+        # a window far longer than the follow-up overflows: callers check
+        with np.errstate(over="ignore", invalid="ignore"):
+            out *= (sizes - 1)[row]
+            np.subtract((sizes * mu)[row], out, out=out)
     else:  # no events in any window: every curve is flat
         out = np.empty(c.shape)
     # a risk set with no event inside its window has a flat curve

@@ -72,23 +72,17 @@ def ncs_eval(spec: SplineSpec, s):
     leading 1).  Linearity beyond the boundaries makes extrapolation safe.
     """
     x = np.asarray(s, dtype=float) / spec.standardization_scale
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     xi = spec.all_knots()
-    k = xi.size
-
-    cols = [x]
-    if k >= 3:
-        def d(j):
-            num = np.maximum(x - xi[j], 0.0) ** 3 - np.maximum(x - xi[k - 1], 0.0) ** 3
-            return num / (xi[k - 1] - xi[j])
-
-        d_last = d(k - 2)
-        cols.extend(d(j) - d_last for j in range(k - 2))
-    out = np.stack(cols, axis=-1)
+    cols = [x[..., None]]
+    if xi.size >= 3:
+        # every d_k with k < K at once; the basis takes d_k - d_{K-1}
+        d = ((np.maximum(x[..., None] - xi[:-1], 0.0) ** 3
+              - np.maximum(x - xi[-1], 0.0)[..., None] ** 3)
+             / (xi[-1] - xi[:-1]))
+        cols.append(d[..., :-1] - d[..., -1:])
     if spec.include_intercept_column:
-        out = np.concatenate([np.ones(x.shape + (1,)), out], axis=-1)
-    return out[0] if scalar else out
+        cols.insert(0, np.ones(x.shape + (1,)))
+    return np.concatenate(cols, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -121,21 +115,19 @@ class BasisLayout:
             off += dim
         return out
 
-    def column_index(self, path, column):
-        """Flat coefficient index of basis ``column`` of path ``path``."""
-        if not 0 <= column < self.dims[path]:
-            raise InvalidInput(f"path {path} has no basis column {column}")
-        return sum(self.dims[:path]) + column
-
 
 def h_matrix(layout: BasisLayout, s):
     """H(s): row p carries h_p(s) in that path's columns, zeros elsewhere.
 
     A scalar s gives one (P+1) x q matrix; an array of s gives one per
     element, stacked on the leading axes, each bitwise the scalar call's
-    (the spline basis is evaluated elementwise).
+    (the spline basis is evaluated elementwise).  An s that is not finite
+    is InvalidInput.
     """
     s = np.asarray(s, dtype=float)
+    if not np.isfinite(s).all():
+        raise InvalidInput(f"H(s) needs a finite s, got "
+                           f"{s[~np.isfinite(s)].flat[0]}")
     h = np.zeros(s.shape + (layout.n_paths, layout.q))
     # paths usually share one spec: evaluate each distinct spec once
     basis = {sp: ncs_eval(sp, s) for sp in set(layout.specs) if sp is not None}

@@ -265,7 +265,11 @@ def _cmd_mc(args):
 
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as InvalidInput rather than printing
-    usage and exiting 2; the subcommand parsers inherit the class."""
+    usage and exiting 2; the subcommand parsers inherit the class.  No
+    option has a prefix spelling, so ``_joined_values`` knows them all."""
+
+    __init__ = functools.partialmethod(argparse.ArgumentParser.__init__,
+                                       allow_abbrev=False)
 
     def error(self, message):
         raise InvalidInput(f"{self.prog}: {message}")

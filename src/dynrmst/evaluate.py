@@ -22,15 +22,14 @@ from .gee import (IDENTITY, DynamicModelFit, _Block, _block_solver,
                   _check_size, fit_landmark_model)
 from .landmark import (_columns, _covariates_at, _landmark_error,
                        _landmark_pairs, build_landmark_dataset)
-from .surv import (_check_alpha, _check_window, _first_failing_window,
-                   as_survival_data)
+from .surv import (_check_alpha, _check_finite, _check_window,
+                   _first_failing_window, as_survival_data)
 
 __all__ = [
     "PredictionResult",
     "EvalRow",
     "predict",
     "predict_landmark",
-    "predict_values",
     "c_index",
     "prediction_error",
     "static_rmst_model",
@@ -63,61 +62,59 @@ class EvalRow:
     reference_kind: str
 
 
-def _check_range(fit, s):
-    lo, hi = fit.grid[0], fit.grid[-1]
-    if not lo <= s <= hi:
-        raise OutOfRange(f"s={s} outside fitted landmark range [{lo}, {hi}]")
-
-
-def _interval(fit, x, s, alpha):
-    """Value of the linear predictor x @ beta through the link, with the
-    delta-method standard error and a t-based confidence interval."""
-    eta = float(x @ fit.beta)
-    value = float(fit.link.ginv(eta))
-    grad = float(fit.link.dginv(eta)) * x
-    se = float(np.sqrt(max(grad @ fit.covariance @ grad, 0.0)))
-    tq = stdtrit(fit.df, 1.0 - alpha / 2.0)
-    ci = (value - tq * se, value + tq * se)
-    if not np.isfinite((value, se, *ci)).all():
-        raise InvalidInput(f"prediction at s={s} is not finite (value "
-                           f"{value}, se {se}): the model or the covariates "
-                           f"overflow")
-    return PredictionResult(s=float(s), value=value, se=se, ci_lower=ci[0],
-                            ci_upper=ci[1], df=fit.df, alpha=float(alpha))
-
-
 def predict(fit: DynamicModelFit, covariates, s, alpha=0.05):
-    """Predicted cRMST for covariate vector Z(s) at prediction time s, with
-    the delta-method standard error and a t-based confidence interval."""
+    """Predicted cRMST with its delta-method standard error and t-based
+    confidence interval: floats for a vector of P covariates at one time s,
+    (m,) arrays for an (m, P) matrix at one s or m.  Row i takes
+    x = H(s_i)' [1, Z_i], eta = x beta and se^2 = (g Cov) g, g = ginv'(eta) x;
+    a batch row matches its one-row call to rounding (BLAS may sum a
+    product of many rows in another order)."""
     _check_alpha(alpha)
-    _check_range(fit, s)
-    z = np.asarray(covariates, dtype=float)
-    if z.shape != (fit.layout.n_paths - 1,):
-        raise InvalidInput(
-            f"expected {fit.layout.n_paths - 1} covariates, got {z.shape}"
-        )
-    zstar = np.concatenate(([1.0], z))
-    return _interval(fit, h_matrix(fit.layout, s).T @ zstar, s, alpha)
+    z, times = np.asarray(covariates, dtype=float), np.asarray(s, dtype=float)
+    lo, hi = fit.grid[0], fit.grid[-1]
+    outside = ~((lo <= times) & (times <= hi))
+    if outside.any():
+        s_out = s if times.ndim == 0 else times.flat[np.argmax(outside)]
+        raise OutOfRange(f"s={s_out} outside fitted landmark range "
+                         f"[{lo}, {hi}]")
+    p, single = fit.layout.n_paths - 1, z.ndim == 1
+    if z.ndim not in (1, 2) or z.shape[-1] != p:
+        raise InvalidInput(f"expected {p} covariates, got {z.shape}")
+    m = 1 if single else len(z)
+    if times.ndim and (single or times.shape != (m,)):
+        raise InvalidInput(f"expected one prediction time per row, got "
+                           f"{times.shape} for {m}")
+    if times.ndim:
+        distinct, which = np.unique(times, return_inverse=True)
+        h = h_matrix(fit.layout, distinct)[which]
+    else:
+        h = h_matrix(fit.layout, times)
+    # one matrix-vector product H(s_i)' [1, Z_i] and one dot product
+    # (g Cov) g per row, as in a one-row call
+    zstar = np.column_stack((np.ones(m), z.reshape(m, p)))
+    x = (np.swapaxes(h, -1, -2) @ zstar[:, :, None])[:, :, 0]
+    eta = x @ fit.beta
+    grad = fit.link.dginv(eta)[:, None] * x
+    se2 = ((grad @ fit.covariance)[:, None, :] @ grad[:, :, None])[:, 0, 0]
+    tq = stdtrit(fit.df, 1.0 - alpha / 2.0)
+    value, se = fit.link.ginv(eta), np.sqrt(np.maximum(se2, 0.0))
+    out = (np.array(np.broadcast_to(times, (m,))), value, se,
+           value - tq * se, value + tq * se)
+    finite = np.logical_and.reduce([np.isfinite(a) for a in out[1:]])
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InvalidInput(f"prediction at s={times[i] if times.ndim else s}"
+                           f" is not finite (value {float(value[i])}, se "
+                           f"{float(se[i])}): the model or the covariates "
+                           f"overflow")
+    if single:
+        out = (float(s), *(float(a[0]) for a in out[1:]))
+    return PredictionResult(*out, df=fit.df, alpha=float(alpha))
 
 
 def predict_landmark(fit: DynamicModelFit, covariates, alpha=0.05):
     """Prediction from a one-landmark (or static RMST) fit at its landmark."""
     return predict(fit, covariates, fit.grid[0], alpha=alpha)
-
-
-def predict_values(fit, covariates, s=None):
-    """Predicted values, without intervals, for each row of a covariate
-    matrix at prediction time s (by default the fit's first landmark, the
-    only one of a one-landmark fit)."""
-    s = fit.grid[0] if s is None else s
-    _check_range(fit, s)
-    return _path_values(fit, covariates, fit.coefficient_path(s))
-
-
-def _path_values(fit, covariates, path):
-    """ginv([1, Z] beta(s)) for the rows of Z, given beta(s) = ``path``."""
-    z = np.asarray(covariates, dtype=float)
-    return fit.link.ginv(np.column_stack([np.ones(z.shape[0]), z]) @ path)
 
 
 def c_index(predictions, survival, s, w):
@@ -221,9 +218,9 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
     references by two.  Errors come in the order of one landmark at a
     time: Z(s_j), the static fit at s_j + w (at the first landmark also
     its time-0 design), the validation Z(0) at the first landmark, then the
-    references.  After them, a dynamic or static prediction that is not
-    finite (the model or the covariates overflow) raises InvalidInput at
-    the first landmark where one occurs, as ``predict`` does.
+    references.  Then InvalidInput, at the first landmark with one, for
+    training pseudo-values that overflow, a dynamic or static prediction not
+    finite (as ``predict``), or reference pseudo-values that overflow.
     """
     names = dynamic_fit.covariate_names
     w = dynamic_fit.w
@@ -301,8 +298,10 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
     for j, s_j in enumerate(dynamic_fit.grid):
         lo, hi = offsets[j], offsets[j + 1]
         at_risk = time[first] > s_j
-        dyn_pred = _path_values(dynamic_fit, z_dyn[lo:hi],
-                                hs[j] @ dynamic_fit.beta)
+        _check_finite(static_pv[j], 0.0, taus[j])
+        dyn_pred = dynamic_fit.link.ginv(
+            np.column_stack([np.ones(hi - lo), z_dyn[lo:hi]])
+            @ (hs[j] @ dynamic_fit.beta))
         stat_pred = val_z0[at_risk] @ solve([static_pv[j]])
         if not (np.isfinite(dyn_pred).all() and np.isfinite(stat_pred).all()):
             raise InvalidInput(f"prediction at s={s_j} is not finite: the "
@@ -314,6 +313,8 @@ def evaluate_on_validation(dynamic_fit, train_survival, train_longitudinal,
             # static pseudo-values cover every subject with Y > 0; keep
             # those at risk at s_j
             refs = dyn_ref[lo:hi], stat_ref[j, time[at_0] > s_j]
+            _check_finite(refs[0], s_j, w)
+            _check_finite(refs[1], 0.0, taus[j])
         pe_dyn = pe_stat = c_dyn = c_stat = None
         if refs is not None:
             pe_dyn = prediction_error(dyn_pred, refs[0], kind=kind)

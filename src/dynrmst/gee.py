@@ -27,7 +27,6 @@ is the one-block case, Z* = x and H = I.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -183,13 +182,6 @@ class DynamicModelFit:
             score_norm=obj["score_norm"],
             covariate_names=tuple(names),
         )
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 _MODEL_KEYS = ("link", "layout", "grid", "w", "beta", "covariance",
@@ -386,7 +378,11 @@ def _sandwich(blocks, link, beta, n_clusters, with_rowwise=False):
         raise SingularInformation("information matrix is singular") from None
 
     def cov(n_clusters):
-        c = binv @ meat(n_clusters) @ binv
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = binv @ meat(n_clusters) @ binv
+        if not np.isfinite(c).all():
+            raise InvalidInput("sandwich covariance is not finite: the pseudo-"
+                               "values or the covariates are too large to fit")
         return (c + c.T) / 2.0
 
     if with_rowwise:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import EmptyRiskSet, InvalidInput, MissingCovariate
-from .surv import (SurvivalData, _check_cells, _check_ids,
+from .surv import (SurvivalData, _check_cells, _check_finite, _check_ids,
                    _first_failing_window, as_survival_data)
 # pseudo_observations is bound here for perfbench's instrumentation self-test
 from .surv import pseudo_observations  # noqa: F401
@@ -241,7 +241,8 @@ def build_super_dataset(survival, longitudinal, grid, w, covariate_names=None,
     data (LOCF at each landmark) and time-fixed otherwise.  A subject at
     risk at a landmark but lacking a required value raises MissingCovariate
     rather than being dropped.  Errors come in landmark order, and within a
-    landmark as ``risk_set_pseudo`` raises them, then MissingCovariate.
+    landmark as ``risk_set_pseudo`` raises them, then MissingCovariate;
+    pseudo-values that overflow are refused after every other check.
     """
     grid = [float(s) for s in grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -263,7 +264,8 @@ def build_super_dataset(survival, longitudinal, grid, w, covariate_names=None,
         raise missing
     if failure is not None:
         raise _landmark_error(failure, grid[n_ok])
-    pseudo = _kernels.jackknife_pseudo(surv.time, surv.status, grid, w)
+    pseudo = _check_finite(_kernels.jackknife_pseudo(
+        surv.time, surv.status, grid, w), grid, w, offsets)
     kept = n_at > 0
     return SuperDataset(pseudo_values=pseudo, covariates=z,
                         cluster=(np.cumsum(kept) - 1)[position],

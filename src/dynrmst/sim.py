@@ -55,8 +55,8 @@ from .errors import InvalidInput, NoConvergence
 from .evaluate import evaluate_on_validation
 from .gee import IDENTITY, _sandwich, _solve_super, _super_fit
 from .landmark import MarkerTable, build_super_dataset
-from .surv import (SurvivalData, _check_alpha, _check_risk_set, _check_window,
-                   _difference, _objects, _valid_window)
+from .surv import (SurvivalData, _check_alpha, _check_finite, _check_risk_set,
+                   _check_window, _difference, _objects, _valid_window)
 
 __all__ = [
     "ScenarioSpec",
@@ -301,26 +301,11 @@ def _true_crmst_arm(spec, arm, s, w):
     return _pw_surv_integral(breaks, rates, cum, s, s + w) / s_at
 
 
-def true_crmstd(spec, s, w, method="monte_carlo", n_draws=1_000_000, seed=0):
-    """Population cRMST difference (treatment minus control).
-
-    ``monte_carlo`` averages min(T - s, w) over survivors at s from uncensored
-    draws; ``closed_form`` integrates the piecewise-exponential survival
-    functions exactly.
-    """
+def true_crmstd(spec, s, w):
+    """Population cRMST difference (treatment minus control), integrating
+    the piecewise-exponential survival functions exactly."""
     _check_window(s, w)
-    if method == "closed_form":
-        return _true_crmst_arm(spec, 1, s, w) - _true_crmst_arm(spec, 0, s, w)
-    if method != "monte_carlo":
-        raise InvalidInput(f"unknown method {method!r}")
-    _check_size(n_draws, 1, "n_draws")
-    rng = _rng_of(seed)
-    mus = []
-    for table in spec._arm_tables:
-        t = _pw_invert(*table, rng.exponential(size=n_draws))
-        alive = t > s
-        mus.append(float(np.mean(np.minimum(t[alive] - s, w))))
-    return mus[1] - mus[0]
+    return _true_crmst_arm(spec, 1, s, w) - _true_crmst_arm(spec, 0, s, w)
 
 
 # ---------------------------------------------------------------------------
@@ -1036,6 +1021,7 @@ def _scenario_chunk(spec, s, w, rngs):
     pv = _kernels.jackknife_pseudo(y[at_risk], d[at_risk], float(s),
                                    float(w), starts[:-1])
     mu, var = _arm_moments(pv, np.array(starts[:-1]), np.array(sizes))
+    _check_finite((mu, var), s, w)
     out = []
     for mu0, var0, mu1, var1 in zip(mu[::2], var[::2], mu[1::2], var[1::2]):
         delta, se = _difference(mu0, var0, mu1, var1)
@@ -1054,9 +1040,10 @@ def _arm_moments(pv, starts, sizes):
     for n in np.unique(sizes).tolist():
         arms = np.flatnonzero(sizes == n)
         rows = pv[starts[arms, None] + np.arange(n)]
-        mu[arms] = rows.sum(axis=1) / n
-        rows -= mu[arms, None]
-        var[arms] = (rows**2).sum(axis=1) / (n * (n - 1))
+        with np.errstate(over="ignore", invalid="ignore"):  # caller checks
+            mu[arms] = rows.sum(axis=1) / n
+            rows -= mu[arms, None]
+            var[arms] = (rows**2).sum(axis=1) / (n * (n - 1))
     return mu.tolist(), var.tolist()
 
 
@@ -1066,7 +1053,7 @@ def scenario_mc(spec, s, w, reps, seed, alpha=0.05, workers=1):
     _check_runs(reps, workers, 2, seed)
     deltas, variances = _replicate(_scenario_chunk, (spec, s, w), reps,
                                    seed, workers)
-    truth = true_crmstd(spec, s, w, method="closed_form")
+    truth = true_crmstd(spec, s, w)
     return mc_metrics(deltas, variances, truth, alpha=alpha)
 
 

@@ -280,8 +280,8 @@ def risk_set_pseudo(time, status, s, w, extend_tail=False):
     if error is not None:
         raise error
     at_risk = time > s
-    return at_risk, _kernels.jackknife_pseudo(time[at_risk], status[at_risk],
-                                              float(s), float(w))
+    return at_risk, _check_finite(_kernels.jackknife_pseudo(
+        time[at_risk], status[at_risk], float(s), float(w)), s, w)
 
 
 def _check_risk_set(size, s):
@@ -334,6 +334,7 @@ def crmst_pseudo(records, s, w, extend_tail=False):
     jackknife variance sum (mu_i - mu)^2 / (N_s (N_s - 1))."""
     _, v = pseudo_observations(records, s, w, extend_tail=extend_tail)
     mu, var = _jackknife_moments(v)
+    _check_finite((mu, var), s, w)
     return CRmstEstimate(s=float(s), w=float(w), value=mu, variance=var,
                          n_at_risk=v.size)
 
@@ -341,8 +342,22 @@ def crmst_pseudo(records, s, w, extend_tail=False):
 def _jackknife_moments(v):
     """(mean, jackknife variance of the mean) of the pseudo-values ``v``."""
     n = v.size
-    mu = float(np.sum(v) / n)
-    return mu, float(np.sum((v - mu) ** 2) / (n * (n - 1)))
+    with np.errstate(over="ignore"):  # the caller refuses an inf
+        mu = float(np.sum(v) / n)
+        return mu, float(np.sum((v - mu) ** 2) / (n * (n - 1)))
+
+
+def _check_finite(values, s, w, offsets=None):
+    """``values``, pseudo-values or their moments; InvalidInput unless each
+    is finite, naming the window that overflows: (s, w), or (s[j], w) for
+    the values at offsets[j]:offsets[j + 1]."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        if offsets is not None:
+            s = s[np.searchsorted(offsets, np.argmin(finite), "right") - 1]
+        raise InvalidInput(f"window (s={s}, w={w}) is too long: its "
+                           f"pseudo-values or their variance overflow")
+    return values
 
 
 def _difference(mu0, var0, mu1, var1):

@@ -88,6 +88,42 @@ class TestSmoothness:
         assert_allclose(b[2] - b[1], b[1] - b[0], atol=1e-9)
 
 
+def loop_ncs(spec, s):
+    """The basis one d_j at a time, as ``ncs_eval`` computed it before it
+    took every d_j in one array: the reference of its bits."""
+    x = np.atleast_1d(np.asarray(s, dtype=float) / spec.standardization_scale)
+    xi = spec.all_knots()
+    k = xi.size
+    cols = [x]
+    if k >= 3:
+        def d(j):
+            num = (np.maximum(x - xi[j], 0.0) ** 3
+                   - np.maximum(x - xi[k - 1], 0.0) ** 3)
+            return num / (xi[k - 1] - xi[j])
+
+        cols.extend(d(j) - d(k - 2) for j in range(k - 2))
+    out = np.stack(cols, axis=-1)
+    if spec.include_intercept_column:
+        out = np.concatenate([np.ones(x.shape + (1,)), out], axis=-1)
+    return out[0] if np.ndim(s) == 0 else out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ncs_eval_is_the_loop_form_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    for n_knots in range(6):
+        lo, hi = np.sort(rng.uniform(-5.0, 20.0, 2))
+        knots = tuple(np.linspace(lo, hi, n_knots + 2)[1:-1])
+        spec = SplineSpec(knots, (lo, hi), rng.uniform(0.1, 10.0),
+                          include_intercept_column=bool(n_knots % 2))
+        s = np.concatenate((rng.uniform(lo - 3, hi + 3, 7), knots, (lo, hi)))
+        for arg in (s, s[0], s.reshape(1, -1), -s):
+            got, want = ncs_eval(spec, arg), loop_ncs(spec, arg)
+            assert got.shape == want.shape
+            # int64 views: -0.0 and 0.0 differ too
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestStandardization:
     def test_scale_identity(self):
         """Evaluating with scale c at s equals evaluating the scale-1 spec
@@ -125,12 +161,15 @@ class TestLayout:
         assert np.array_equal(h_matrix(layout, grid.reshape(2, -1)),
                               hs.reshape(2, -1, 5, layout.q))
 
-    def test_column_index(self):
+    @pytest.mark.parametrize("s, named", [
+        (np.inf, "inf"), (-np.inf, "-inf"), (np.nan, "nan"),
+        ([1.0, np.inf, np.nan], "inf"), ([[2.0], [np.nan]], "nan")])
+    def test_s_not_finite_is_refused(self, s, named):
+        # H(inf) gave rows of inf and nan, with a RuntimeWarning
         layout = BasisLayout((None, SplineSpec((2.0,), (0.0, 10.0))))
-        assert layout.column_index(0, 0) == 0
-        assert layout.column_index(1, 2) == 3
-        with pytest.raises(InvalidInput):
-            layout.column_index(0, 1)
+        with pytest.raises(InvalidInput) as err:
+            h_matrix(layout, s)
+        assert str(err.value) == f"H(s) needs a finite s, got {named}"
 
     def test_coefficient_path_reconstruction(self):
         sp = SplineSpec((2.0, 5.0), (0.0, 10.0))

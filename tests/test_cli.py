@@ -57,6 +57,21 @@ def fitted_model_path(tmp_path, surv, long):
     return model
 
 
+TOO_LONG = ("window (s=1.0, w={w}) is too long: its pseudo-values or their "
+            "variance overflow")
+
+
+def error_record_alone(argv, capsys):
+    """The error record of a run that must exit 1 with nothing on stdout
+    and no warning (a warning becomes an error record of its own)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return json.loads(captured.err)
+
+
 class TestSimulateAndTest:
     def test_json_contract_matches_in_process(self, tmp_path):
         data = scenario_csv(tmp_path)
@@ -111,12 +126,17 @@ def _pinned_scenario(tmp_path):
     return path
 
 
-def test_simulate_artifacts_keep_their_bytes(tmp_path):
-    _pinned_scenario(tmp_path)
+def _pinned_joint(tmp_path):
+    surv, long = tmp_path / "joint.csv", tmp_path / "joint_long.csv"
     assert run(["simulate", "--design", "joint", "--trajectory", "quadratic",
                 "--censor-upper", 25, "--n", 40, "--seed", 11,
-                "--output", tmp_path / "joint.csv",
-                "--longitudinal-output", tmp_path / "joint_long.csv"]) == 0
+                "--output", surv, "--longitudinal-output", long]) == 0
+    return surv, long
+
+
+def test_simulate_artifacts_keep_their_bytes(tmp_path):
+    _pinned_scenario(tmp_path)
+    _pinned_joint(tmp_path)
     digests = {}
     for name in SIMULATE_DIGESTS:
         config, body = (tmp_path / name).read_bytes().split(b"\n", 1)
@@ -151,6 +171,57 @@ def test_crmst_and_test_stdout_keep_their_bytes(tmp_path, capsys):
     assert digests == STDOUT_DIGESTS
 
 
+# sha256 of the analyst path on the ``simulate`` joint artifact pinned
+# above: each ``fit`` model from its ``"model"`` key on (the ``"config"``
+# object before it embeds the paths), ``predict`` stdout at a landmark and
+# between landmarks, and the ``evaluate`` CSV after its ``# config:`` line
+ANALYST_DIGESTS = {
+    "fit identity":
+        "8ce4ffd5f3020f9cd3bec2c873a0aa5ca81b933e1fb654818d9aafa0c9702d0d",
+    "predict identity s=2":
+        "8b8ca86afaf59ad5e6a23908ca94f09e1dccd8e7ca1b7ba64c65cb451bda6b7f",
+    "predict identity s=2.5":
+        "72737727aaf75ddb94a23e8915021b9eb7f91b9bb06bbfb53cfaa36e2636e5df",
+    "fit log":
+        "faa57d06b45d1dced07cf3ae477985a89ca9b68eafa29a49fcf46c6b73eb77c3",
+    "predict log s=2":
+        "dc177879e202da87955011023e57b4d71ac957a059575deab9d65c2f997a4614",
+    "predict log s=2.5":
+        "9d3076db215422930f86398fb2ffbe843566582e7897a474bd07c43e380c8353",
+    "evaluate":
+        "d19b56c39e034ac336ff608026a310acef2578641ecbb1640938f28972b4c13c",
+}
+
+
+def test_fit_predict_and_evaluate_keep_their_bytes(tmp_path, capsys):
+    surv, long = _pinned_joint(tmp_path)
+    digests = {}
+    for link in ("identity", "log"):
+        model = tmp_path / f"model_{link}.json"
+        assert run(["fit", "--input", surv, "--longitudinal", long,
+                    "--grid", "0:4:1", "--w", 5, "--knots", 2,
+                    "--covariates", "x1,x2,marker", "--link", link,
+                    "--extend-tail", "--output", model]) == 0
+        head, key, body = model.read_bytes().partition(b'\n  "model": ')
+        assert b'"config"' in head and b'"config"' not in body
+        digests[f"fit {link}"] = hashlib.sha256(key + body).hexdigest()
+        capsys.readouterr()
+        for s in (2, 2.5):
+            assert run(["predict", "--model", model, "--s", s,
+                        "--covariates", "x1=1", "x2=0.3", "marker=2.0"]) == 0
+            out = capsys.readouterr().out.encode()
+            digests[f"predict {link} s={s}"] = hashlib.sha256(out).hexdigest()
+    metrics = tmp_path / "eval.csv"
+    assert run(["evaluate", "--model", tmp_path / "model_identity.json",
+                "--train", surv, "--train-longitudinal", long, "--val", surv,
+                "--val-longitudinal", long, "--extend-tail",
+                "--output", metrics]) == 0
+    config, body = metrics.read_bytes().split(b"\n", 1)
+    assert config.startswith(b"# config: ")
+    digests["evaluate"] = hashlib.sha256(body).hexdigest()
+    assert digests == ANALYST_DIGESTS
+
+
 @pytest.mark.parametrize("argv, text", [
     (["simulate", "--design", "joint", "--n", -5], "n must be"),
     (["simulate", "--design", "joint", "--n", 0], "n must be"),
@@ -183,7 +254,7 @@ class TestFitPredictRoundTrip:
         doc = json.loads(capsys.readouterr().out)
 
         with open(model) as fh:
-            fit = DynamicModelFit.from_json(json.dumps(json.load(fh)["model"]))
+            fit = DynamicModelFit.from_dict(json.load(fh)["model"])
         res = predict(fit, [1.0, 0.3, 2.0], 2.5)
         assert doc["value"] == res.value
         assert doc["se"] == res.se
@@ -557,6 +628,31 @@ class TestInputDiagnostics:
             "error": "InvalidInput",
             "message": "boundary_knots must be an increasing pair"}
 
+    @pytest.mark.parametrize("argv, option", [
+        (["fit", "--input", "s.csv", "--grid", "0:4:1", "--w", "5",
+          "--bound", "-0.5,4", "--output", "m.json"], "--bound -0.5,4"),
+        (["fit", "--input", "s.csv", "--grid", "0:4:1", "--w", "5",
+          "--bound=-0.5,4", "--output", "m.json"], "--bound=-0.5,4"),
+        (["--deb", "crmst", "--input", "s.csv", "--s", "1", "--w", "2"],
+         "--deb"),
+    ])
+    def test_an_option_prefix_is_not_the_option(self, capsys, argv, option):
+        # argparse took unique prefixes, so --bound=-0.5,4 fitted while
+        # --bound -0.5,4 lacked a value: neither is an option now
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "InvalidInput",
+            "message": f"dynrmst: unrecognized arguments: {option}"}
+
+    def test_a_required_option_prefix_leaves_it_missing(self, tmp_path,
+                                                        capsys):
+        assert run(["crmst", "--inp", scenario_csv(tmp_path), "--s", 1,
+                    "--w", 2]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "InvalidInput",
+            "message": "dynrmst crmst: the following arguments are "
+                       "required: --input"}
+
     @pytest.mark.parametrize("argv", [
         ["crmst", "--input", "s.csv", "--s", "--w", "2"],
         ["crmst", "--input", "s.csv", "--w", "2", "--s"],
@@ -567,6 +663,63 @@ class TestInputDiagnostics:
         assert json.loads(capsys.readouterr().err) == {
             "error": "InvalidInput",
             "message": "dynrmst crmst: argument --s: expected one argument"}
+
+    # w = 1e308 overflows the jackknife values (the model gave NaN); at
+    # 1e300 the values hold but their variance or the sandwich overflows
+    SANDWICH = "sandwich covariance is not finite: the pseudo-values or " \
+               "the covariates are too large to fit"
+
+    @pytest.mark.parametrize("w", ["1e308", "1e300"])
+    def test_crmst_window_too_long_is_an_error_record(self, tmp_path, capsys,
+                                                      w):
+        surv, _ = joint_csvs(tmp_path)
+        assert error_record_alone(
+            ["crmst", "--input", surv, "--s", 1, "--w", w, "--extend-tail"],
+            capsys) == {"error": "InvalidInput",
+                        "message": TOO_LONG.format(w=float(w))}
+
+    @pytest.mark.parametrize("w", ["1e308", "1e300"])
+    def test_test_window_too_long_is_an_error_record(self, tmp_path, capsys,
+                                                     w):
+        assert error_record_alone(
+            ["test", "--input", scenario_csv(tmp_path), "--s", 1, "--w", w,
+             "--extend-tail"], capsys) == {
+                 "error": "InvalidInput",
+                 "message": TOO_LONG.format(w=float(w))}
+
+    @pytest.mark.parametrize("w", ["1e308", "1e300"])
+    def test_fit_window_too_long_is_an_error_record(self, tmp_path, capsys,
+                                                    w):
+        surv, _ = joint_csvs(tmp_path)
+        model = tmp_path / "model.json"
+        err = error_record_alone(
+            ["fit", "--input", surv, "--grid", "1,2", "--w", w,
+             "--covariates", "x1", "--extend-tail", "--output", model],
+            capsys)
+        message = (TOO_LONG.format(w=float(w)) if w == "1e308"
+                   else self.SANDWICH)
+        assert err == {"error": "InvalidInput", "message": message}
+        assert not model.exists()
+
+    def test_evaluate_window_too_long_is_an_error_record(self, tmp_path,
+                                                         capsys):
+        surv, long = joint_csvs(tmp_path)
+        doc = json.loads(fitted_model_path(tmp_path, surv, long).read_text())
+        doc["model"]["w"] = 1e308
+        model = tmp_path / "long_window.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "eval.csv"
+        # the static baseline's training pseudo-values at (0, 0 + 1e308)
+        # overflow first
+        assert error_record_alone(
+            ["evaluate", "--model", model, "--train", surv,
+             "--train-longitudinal", long, "--val", surv,
+             "--val-longitudinal", long, "--extend-tail", "--output", out],
+            capsys) == {"error": "InvalidInput",
+                        "message": "window (s=0.0, w=1e+308) is too long: "
+                                   "its pseudo-values or their variance "
+                                   "overflow"}
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -701,6 +854,15 @@ class TestMcCommand:
         err = json.loads(captured.err)
         assert err["error"] == "InvalidInput"
         assert option[2:] in err["message"]
+
+    @pytest.mark.parametrize("w, workers", [("1e308", 1), ("1e200", 2)])
+    def test_window_too_long_is_an_error_record(self, capsys, w, workers):
+        # NaN metrics and numpy warnings before: at 1e308 the jackknife
+        # values overflow, at 1e200 the arms' variances
+        assert error_record_alone(
+            ["mc", "--scenario", 2, "--n", 20, "--cen", 0.3, "--s", 1,
+             "--w", w, "--reps", 4, "--workers", workers], capsys) == {
+            "error": "InvalidInput", "message": TOO_LONG.format(w=float(w))}
 
 
 class TestKmAndCrmst:

@@ -9,13 +9,13 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from dynrmst._special import stdtrit
-from dynrmst.basis import BasisLayout, SplineSpec
+from dynrmst.basis import BasisLayout, SplineSpec, h_matrix
 from dynrmst.errors import (DynRmstError, EmptyRiskSet, InvalidInput,
                             MissingCovariate, OutOfRange, SingularDesign,
                             TailUndefined)
 from dynrmst.evaluate import (c_index, evaluate_on_validation, predict,
-                              predict_landmark, predict_values,
-                              prediction_error, static_rmst_model)
+                              predict_landmark, prediction_error,
+                              static_rmst_model)
 from dynrmst.gee import LOG, fit_super_model
 from dynrmst.landmark import build_super_dataset
 from dynrmst.sim import joint_spec, simulate_joint
@@ -40,11 +40,17 @@ def fitted_model(rng, link=None, n=80):
     return fit_super_model(data, layout, **kwargs)
 
 
+def path_values(fit, z, s):
+    """ginv([1, Z] beta(s)) for the rows of Z: the value-only formula of
+    ``evaluate_on_validation``."""
+    z = np.asarray(z, dtype=float)
+    return fit.link.ginv(np.column_stack([np.ones(z.shape[0]), z])
+                         @ fit.coefficient_path(s))
+
+
 class TestPredict:
     def test_value_is_linear_predictor(self):
         fit = fitted_model(np.random.default_rng(0))
-        from dynrmst.basis import h_matrix
-
         res = predict(fit, [0.7], 1.5)
         zstar = np.array([1.0, 0.7])
         want = zstar @ (h_matrix(fit.layout, 1.5) @ fit.beta)
@@ -84,8 +90,6 @@ class TestPredict:
         for link in (None, LOG):
             fit = fitted_model(np.random.default_rng(2), link=link)
             z, s = [0.4], 1.2
-            from dynrmst.basis import h_matrix
-
             zstar = np.array([1.0, 0.4])
             x = h_matrix(fit.layout, s).T @ zstar
 
@@ -100,20 +104,90 @@ class TestPredict:
             want_se = np.sqrt(grad @ fit.covariance @ grad)
             assert_allclose(predict(fit, z, s).se, want_se, rtol=1e-4)
 
-    def test_batch_values_match_scalar_predictions(self):
+    @pytest.mark.parametrize("link", [None, LOG], ids=["identity", "log"])
+    def test_one_row_is_the_one_row_formula_bitwise(self, link):
+        """x = H(s)' [1, z], eta = x beta, se^2 = (g Cov) g: the formula
+        of the one-row prediction before batches, to the bit."""
+        fit = fitted_model(np.random.default_rng(7), link=link)
+        tq = stdtrit(fit.df, 0.975)
+        for z, s in [([0.4], 1.2), ([-1.3], 0.0), ([2.1], 2.0), ([0.0], 1)]:
+            x = h_matrix(fit.layout, s).T @ np.concatenate(([1.0], z))
+            eta = float(x @ fit.beta)
+            grad = float(fit.link.dginv(eta)) * x
+            se = float(np.sqrt(max(grad @ fit.covariance @ grad, 0.0)))
+            value = float(fit.link.ginv(eta))
+            res = predict(fit, z, s)
+            assert (res.value, res.se, res.ci_lower, res.ci_upper) == (
+                value, se, value - tq * se, value + tq * se)
+            assert type(res.value) is float and res.s == float(s)
+
+    @pytest.mark.parametrize("link", [None, LOG], ids=["identity", "log"])
+    @pytest.mark.parametrize("s", [
+        1.2, [1.2] * 6, [0.0, 2.0, 1.2, 0.0, 0.7, 2.0]],
+        ids=["one-s", "repeated-s", "mixed-s"])
+    def test_batch_rows_match_one_row_calls(self, link, s):
         z = np.random.default_rng(12).normal(size=(6, 1))
-        for link in (None, LOG):
-            fit = fitted_model(np.random.default_rng(2), link=link)
-            want = [predict(fit, row, 1.2).value for row in z]
-            assert_allclose(predict_values(fit, z, 1.2), want, rtol=1e-12)
-            with pytest.raises(OutOfRange):
-                predict_values(fit, z, 2.5)
+        fit = fitted_model(np.random.default_rng(2), link=link)
+        res = predict(fit, z, s, alpha=0.1)
+        times = np.broadcast_to(s, (6,))
+        rows = [predict(fit, row, s_i, alpha=0.1)
+                for row, s_i in zip(z, times)]
+        assert_allclose(res.s, times, rtol=0)
+        for field in ("value", "se", "ci_lower", "ci_upper"):
+            got = getattr(res, field)
+            assert isinstance(got, np.ndarray) and got.shape == (6,)
+            assert_allclose(got, [getattr(r, field) for r in rows],
+                            rtol=1e-12)
+        assert (res.df, res.alpha) == (rows[0].df, 0.1)
+
+    def test_batch_of_a_one_landmark_fit_and_of_no_rows(self):
+        z = np.random.default_rng(12).normal(size=(6, 1))
         static = static_rmst_model(
             [SurvivalRecord(i, 1.0 + i, 1, covariates={"x": float(i % 3)})
              for i in range(10)], 4.0, extend_tail=True)
-        assert_allclose(predict_values(static, z),
+        assert_allclose(predict_landmark(static, z).value,
                         [predict_landmark(static, row).value for row in z],
                         rtol=1e-12)
+        empty = predict(static, np.empty((0, 1)), 0.0)
+        assert empty.value.shape == empty.se.shape == empty.s.shape == (0,)
+
+    def test_batch_out_of_range_names_the_first_s_outside(self):
+        fit = fitted_model(np.random.default_rng(3))
+        z = np.zeros((4, 1))
+        with pytest.raises(OutOfRange) as err:
+            predict(fit, z, [1.0, 2.5, -0.1, 3.0])
+        assert str(err.value) == ("s=2.5 outside fitted landmark range "
+                                  "[0.0, 2.0]")
+        with pytest.raises(OutOfRange, match="s=nan outside"):
+            predict(fit, z, [1.0, 1.0, np.nan, 1.0])
+
+    @pytest.mark.parametrize("z, s", [
+        (0.5, 1.0),                     # a number, not a vector
+        (np.zeros((3, 2)), 1.0),        # two covariates, the model has one
+        (np.zeros((3, 0)), 1.0),
+        (np.zeros((2, 3, 1)), 1.0),
+        (np.zeros((3, 1)), [1.0, 1.5]),  # two times for three rows
+        (np.zeros((3, 1)), [[1.0]] * 3),
+        (np.zeros(1), [1.0]),            # one row takes one time
+    ])
+    def test_batch_of_a_wrong_shape_is_invalid_input(self, z, s):
+        fit = fitted_model(np.random.default_rng(4))
+        with pytest.raises(InvalidInput, match="expected"):
+            predict(fit, z, s)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_batch_covariate_not_finite_is_invalid_input(self, bad):
+        # a batch with an infinite covariate gave inf before
+        fit = fitted_model(np.random.default_rng(4))
+        z = np.array([[0.5], [bad], [0.1]])
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(InvalidInput,
+                              match="prediction at s=1.0 is not finite"):
+            predict(fit, z, 1.0)
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(InvalidInput,
+                              match="prediction at s=0.5 is not finite"):
+            predict(fit, z, [2.0, 0.5, 1.0])
 
     def test_out_of_range(self):
         fit = fitted_model(np.random.default_rng(3))
@@ -285,12 +359,12 @@ class TestStaticModel:
             at_risk = val.survival.time > s
             z = self.design_at(val, 0.0)
             z_s = self.design_at(val, s)[at_risk]
-            dyn = predict_values(fit, z_s, s)
+            dyn = path_values(fit, z_s, s)
             stat_fit = static_rmst_model(train[0], s + 5.0,
                                          longitudinal=train[1],
                                          covariate_names=fit.covariate_names,
                                          extend_tail=True)
-            stat = predict_values(stat_fit, z[at_risk])
+            stat = path_values(stat_fit, z[at_risk], 0.0)
             assert r.reference_kind == "true_value"
             assert r.pe_dynamic == np.mean(np.abs(
                 dyn - table[at_risk[first], j]))
@@ -321,7 +395,7 @@ class TestStaticModel:
                                          longitudinal=train[1],
                                          covariate_names=fit.covariate_names,
                                          extend_tail=True)
-            stat = predict_values(stat_fit, z[at_risk])
+            stat = path_values(stat_fit, z[at_risk], 0.0)
             at_0, pv = risk_set_pseudo(val_surv.time, val_surv.status, 0.0,
                                        s + 5.0, extend_tail=True)
             assert r.reference_kind == "pseudo_value"

@@ -1,5 +1,6 @@
 """Estimating-equation solver and sandwich covariance."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -234,6 +235,10 @@ class TestSuperModel:
         hs = h_matrix(layout, np.array(fit.grid))
         for s_j, h_j in zip(fit.grid, hs):
             assert np.array_equal(fit.coefficient_path(s_j), h_j @ fit.beta)
+        # an infinite s gave a path of inf and nan
+        for s in (np.inf, np.nan):
+            with pytest.raises(InvalidInput, match="finite s"):
+                fit.coefficient_path(s)
 
 
 class TestSerialization:
@@ -243,7 +248,9 @@ class TestSerialization:
         sp = SplineSpec((1.0,), (0.0, 2.0), standardization_scale=2.0)
         layout = BasisLayout((sp, None))
         fit = fit_super_model(data, layout)
-        clone = DynamicModelFit.from_json(fit.to_json())
+        # through JSON text, as the CLI writes and reads a model
+        clone = DynamicModelFit.from_dict(
+            json.loads(json.dumps(fit.to_dict())))
         assert np.array_equal(fit.beta, clone.beta)
         assert np.array_equal(fit.covariance, clone.covariance)
         assert clone.layout == fit.layout
@@ -252,4 +259,4 @@ class TestSerialization:
 
     def test_version_check(self):
         with pytest.raises(InvalidInput):
-            DynamicModelFit.from_json('{"format_version": 99}')
+            DynamicModelFit.from_dict({"format_version": 99})

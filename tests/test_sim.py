@@ -36,6 +36,18 @@ def scenario_arms(spec, seed):
     return tuple(data.subset(data.group == arm) for arm in (0, 1))
 
 
+def monte_carlo_crmstd(spec, s, w, n_draws=1_000_000, seed=0):
+    """The oracle of ``true_crmstd``: per arm, the mean of min(T - s, w)
+    over the survivors at s of ``n_draws`` uncensored event times drawn by
+    inverting the piecewise-exponential cumulative hazard."""
+    rng = sim._rng_of(seed)
+    mus = []
+    for table in spec._arm_tables:
+        t = sim._pw_invert(*table, rng.exponential(size=n_draws))
+        mus.append(float(np.mean(np.minimum(t[t > s] - s, w))))
+    return mus[1] - mus[0]
+
+
 class TestScenarioDesigns:
     def test_control_median(self):
         spec = scenario_spec(1, 200_000)
@@ -92,13 +104,9 @@ class TestScenarioDesigns:
         for number in (1, 2, 3, 4):
             spec = scenario_spec(number, 10)
             for s, w in ((0.0, 10.0), (5.0, 5.0), (5.0, 10.0)):
-                cf = true_crmstd(spec, s, w, method="closed_form")
-                mc = true_crmstd(spec, s, w, method="monte_carlo", seed=1)
+                cf = true_crmstd(spec, s, w)
+                mc = monte_carlo_crmstd(spec, s, w, seed=1)
                 assert abs(cf - mc) < 0.02  # ~3 MC standard errors at 1e6
-        with pytest.raises(InvalidInput):
-            true_crmstd(spec, 0.0, 5.0, method="bogus")
-        with pytest.raises(InvalidInput, match="n_draws"):
-            true_crmstd(spec, 0.0, 5.0, n_draws=0)
 
     def test_spec_validation(self):
         with pytest.raises(InvalidInput):
@@ -687,9 +695,8 @@ class TestTruthTable:
                 truth.true_crmst(s, w)
         for s, w in ((inf, 2.0), (nan, 2.0), (1.0, inf), (-1.0, 2.0),
                      (1.0, 0.0)):
-            for method in ("closed_form", "monte_carlo"):
-                with pytest.raises(InvalidInput, match="window"):
-                    true_crmstd(spec, s, w, method=method, n_draws=10)
+            with pytest.raises(InvalidInput, match="window"):
+                true_crmstd(spec, s, w)
 
     @pytest.mark.parametrize("w", [1e-17, 1e-16])
     def test_window_below_an_ulp_of_s_is_refused(self, w):
@@ -739,7 +746,7 @@ class TestScenarioMc:
         assert a == b
         assert a.n_reps == 40
         assert 0.0 <= a.coverage <= 1.0
-        assert a.truth == true_crmstd(spec, 5.0, 5.0, method="closed_form")
+        assert a.truth == true_crmstd(spec, 5.0, 5.0)
 
 
 def reference_draw_arms(spec, rng):
