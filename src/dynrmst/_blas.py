@@ -1,4 +1,5 @@
-"""Thread-count pin for the OpenBLAS bundled with numpy.
+"""Thread-count pin for the OpenBLAS bundled with numpy, and the placement
+of pooled workers.
 
 The Monte Carlo harnesses and the command-line entry point run their BLAS
 work on one thread: results then do not depend on the core count, pooled
@@ -11,9 +12,20 @@ forked workers inherit the one-thread setting and must leave it alone.  In a
 forked child any call to the OpenBLAS setter, even one that sets the count
 it already has, restarts the BLAS thread server, so the worker then runs
 with a second OS thread and pooled work takes about twice its CPU time in
-wall time.  ``_one_blas_thread_in_worker`` is the pool initializer for
-spawn and forkserver starts, whose workers begin with OpenBLAS's default
-count; it calls the setter only when the count is not already 1.
+wall time.  ``_start_worker`` is the pool initializer; for spawn and
+forkserver starts, whose workers begin with OpenBLAS's default count, it
+pins one thread, calling the setter only when the count is not already 1.
+
+Before that pin, ``_start_worker`` moves the worker off the CPU the caller
+ran on when it started the pool (``_current_cpu``): the worker's affinity
+becomes its allowed CPUs minus that one.  A forked child starts on its
+parent's CPU, and a host whose cpuset has ``sched_load_balance`` 0 never
+moves a task to another CPU, so there the worker and the caller, which
+runs chunks beside it, would share one CPU for the whole call while the
+others sit idle.  The caller's own affinity never changes.  Placement is
+skipped where it would leave the worker no CPU, where the platform has no
+``os.sched_setaffinity``, and where the caller's CPU cannot be read.  It
+touches no arithmetic, so no result changes.
 """
 
 from __future__ import annotations
@@ -82,10 +94,30 @@ def _one_blas_thread():
         put(before)
 
 
-def _one_blas_thread_in_worker():
-    """Pool initializer: pin numpy's OpenBLAS of a fresh worker to one
-    thread, never calling the setter when the count is already 1 (a forked
-    worker that inherited the pin)."""
+def _current_cpu():
+    """The CPU the calling thread runs on, from field 39 of
+    ``/proc/thread-self/stat``; None where that cannot be read, or where
+    the platform has no ``os.sched_setaffinity`` to use it with."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        with open("/proc/thread-self/stat", "rb") as stat:
+            # fields from 3 on follow the parenthesised command name
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except OSError:
+        return None
+
+
+def _start_worker(caller_cpu):
+    """Pool initializer: move a fresh worker off ``caller_cpu``, the CPU
+    the pool's caller ran on (None: stay), unless that would leave it no
+    CPU; then pin numpy's OpenBLAS to one thread, never calling the setter
+    when the count is already 1 (a forked worker that inherited the pin)."""
+    if caller_cpu is not None:
+        others = os.sched_getaffinity(0) - {caller_cpu}
+        if others:
+            with contextlib.suppress(OSError):  # placement only saves time
+                os.sched_setaffinity(0, others)
     fns = _openblas_threads()
     if fns is not None and fns[0]() != 1:
         fns[1](1)

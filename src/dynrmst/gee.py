@@ -327,24 +327,29 @@ def _solve_ee(blocks, link, eps_floor):
         fitted = _fitted(blocks, link, b)
         return _score(blocks, fitted), [d for d, _ in fitted]  # d = mu
 
-    score, mu = score_of(beta)
-    norm = float(np.max(np.abs(score)))
-    for iteration in range(1, MAX_ITER + 1):
-        if norm <= SCORE_TOL:
-            return beta, iteration - 1, norm
-        info = _weighted_gram(blocks, [m**2 for m in mu])
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
-            raise SingularDesign("Fisher information singular during scoring") from None
-        for _ in range(MAX_HALVINGS + 1):
-            cand = beta + step
-            cand_score, cand_mu = score_of(cand)
-            cand_norm = float(np.max(np.abs(cand_score)))
-            if cand_norm < norm or cand_norm <= SCORE_TOL:
-                break
-            step = step / 2.0
-        beta, score, mu, norm = cand, cand_score, cand_mu, cand_norm
+    # huge pseudo-values overflow exp(eta) and the products of the score: a
+    # candidate whose norm is not finite compares false and so fails its
+    # halving, and a beta that is not finite is refused by _sandwich's
+    # finite check, so the overflow itself is quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        score, mu = score_of(beta)
+        norm = float(np.max(np.abs(score)))
+        for iteration in range(1, MAX_ITER + 1):
+            if norm <= SCORE_TOL:
+                return beta, iteration - 1, norm
+            info = _weighted_gram(blocks, [m**2 for m in mu])
+            try:
+                step = np.linalg.solve(info, score)
+            except np.linalg.LinAlgError:
+                raise SingularDesign("Fisher information singular during scoring") from None
+            for _ in range(MAX_HALVINGS + 1):
+                cand = beta + step
+                cand_score, cand_mu = score_of(cand)
+                cand_norm = float(np.max(np.abs(cand_score)))
+                if cand_norm < norm or cand_norm <= SCORE_TOL:
+                    break
+                step = step / 2.0
+            beta, score, mu, norm = cand, cand_score, cand_mu, cand_norm
     if norm > SCORE_TOL:
         raise NoConvergence(MAX_ITER, norm)
     return beta, MAX_ITER, norm

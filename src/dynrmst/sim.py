@@ -18,6 +18,12 @@ of replicates in the caller beside them, and reaps them before it returns
 or raises.  The caller takes the BLAS pin once, around the whole pool and
 its own chunks: forked workers inherit one BLAS thread, and a worker never
 calls the OpenBLAS setter when it already has one thread (see ``_blas``).
+Each worker sets its affinity to its allowed CPUs minus the one the caller
+runs on when it starts the pool, unless that leaves none: a forked worker
+starts on the caller's CPU, and a host whose cpuset has
+``sched_load_balance`` 0 never moves it, so without this the worker and
+the caller would take turns on one CPU.  The caller's affinity never
+changes, and placement touches no arithmetic, so no result changes.
 Joint-model draws do not depend on how many subjects one working array
 holds (``_TABLE_CELLS``): every hazard integral sums each panel's
 Gauss-Legendre nodes on its own, never through a BLAS product whose last
@@ -49,7 +55,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import _kernels
-from ._blas import _one_blas_thread, _one_blas_thread_in_worker
+from ._blas import _current_cpu, _one_blas_thread, _start_worker
 from ._special import brentq, ndtri
 from .errors import InvalidInput, NoConvergence
 from .evaluate import evaluate_on_validation
@@ -960,9 +966,10 @@ def _pooled_chunks(payloads, forked):
     the caller runs chunks from the back whenever the pool needs none, so a
     worker that is slow to start takes fewer chunks.  Raises the error of
     the first failing chunk in chunk order; every worker has exited when
-    this returns or raises."""
-    with ProcessPoolExecutor(max_workers=forked,
-                             initializer=_one_blas_thread_in_worker) as pool:
+    this returns or raises.  Each worker leaves the CPU the caller runs on
+    here, where it can (``_blas._start_worker``)."""
+    with ProcessPoolExecutor(max_workers=forked, initializer=_start_worker,
+                             initargs=(_current_cpu(),)) as pool:
         pooled, own = [], []  # chunks from the front, and from the back
         try:
             while len(pooled) + len(own) < len(payloads):

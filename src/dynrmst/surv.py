@@ -386,11 +386,12 @@ def crmstd_test(group0, group1, s, w, alpha=0.05, extend_tail=False):
 
 
 def _valid_window(s, w):
-    """Whether each window (s, w) is one: s >= 0 and w > 0, both finite,
-    and s + w above s (a w too small to move s is no window)."""
-    with np.errstate(over="ignore"):  # an s + w of inf is above s
-        above = s + w > s
-    return (s >= 0) & (w > 0) & np.isfinite(s) & np.isfinite(w) & above
+    """Whether each window (s, w) is one: s >= 0 and w > 0, with s + w
+    finite (so s and w are too) and above s (a w too small to move s is no
+    window)."""
+    with np.errstate(over="ignore"):  # an s + w that overflows is refused
+        end = s + w
+    return (s >= 0) & (w > 0) & np.isfinite(end) & (end > s)
 
 
 def _check_alpha(alpha):

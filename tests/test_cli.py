@@ -701,6 +701,43 @@ class TestInputDiagnostics:
         assert err == {"error": "InvalidInput", "message": message}
         assert not model.exists()
 
+    # s + w = 2e308 overflows: crmst ended in EmptyRiskSet and numpy
+    # warnings before
+    END_OVERFLOWS = {"error": "InvalidInput",
+                     "message": "invalid prediction time/window "
+                                "(s=1e+308, w=1e+308)"}
+
+    def test_crmst_window_whose_end_overflows_is_an_error_record(
+            self, tmp_path, capsys):
+        surv, _ = joint_csvs(tmp_path, n=50)
+        assert error_record_alone(
+            ["crmst", "--input", surv, "--s", "1e308", "--w", "1e308"],
+            capsys) == self.END_OVERFLOWS
+
+    def test_test_window_whose_end_overflows_is_an_error_record(
+            self, tmp_path, capsys):
+        assert error_record_alone(
+            ["test", "--input", scenario_csv(tmp_path), "--s", "1e308",
+             "--w", "1e308", "--extend-tail"], capsys) == self.END_OVERFLOWS
+
+    @pytest.mark.parametrize("w, error", [("1e100", "NoConvergence"),
+                                          ("1e200", "InvalidInput")])
+    def test_log_link_on_huge_pseudo_values_fails_quietly(self, tmp_path,
+                                                          capsys, w, error):
+        # exp(eta) and the score overflow in the scoring, at 1e100 in the
+        # step halving's candidates and at 1e200 from the start: numpy
+        # warnings came before the record
+        surv, _ = joint_csvs(tmp_path, n=500)
+        model = tmp_path / "model.json"
+        err = error_record_alone(
+            ["fit", "--input", surv, "--grid", "0:2:1", "--w", w,
+             "--covariates", "x1", "--link", "log", "--extend-tail",
+             "--output", model], capsys)
+        assert err["error"] == error
+        if error == "InvalidInput":
+            assert err["message"] == self.SANDWICH
+        assert not model.exists()
+
     def test_evaluate_window_too_long_is_an_error_record(self, tmp_path,
                                                          capsys):
         surv, long = joint_csvs(tmp_path)

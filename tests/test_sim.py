@@ -4,6 +4,7 @@ import functools
 import multiprocessing
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -708,6 +709,18 @@ class TestTruthTable:
         with pytest.raises(InvalidInput, match="window"):
             truth.true_crmst([0.0, 1.0], [5.0, w])
 
+    def test_window_whose_end_overflows_is_refused(self):
+        # s + w = 2e308: numpy warnings, then a bare ZeroDivisionError
+        truth = simulate_joint(joint_spec("linear"), 5, 1).truth
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput) as err:
+                truth.true_crmst(1e308, 1e308)
+            assert str(err.value) == ("invalid prediction time/window "
+                                      "(s=1e+308, w=1e+308)")
+            with pytest.raises(InvalidInput, match="window"):
+                truth.true_crmst([0.0, 1e308], [5.0, 1e308])
+
 
 class TestMcMetrics:
     def test_hand_example(self):
@@ -940,6 +953,16 @@ def _thread_counts(rngs):
     return [counts] * len(rngs)
 
 
+def _affinities(rngs):
+    """The process id and the allowed CPUs, as a bit mask, of the process
+    running a chunk of replicates, once per replicate."""
+    return [(os.getpid(), _mask(os.sched_getaffinity(0)))] * len(rngs)
+
+
+def _mask(cpus):
+    return sum(1 << cpu for cpu in cpus)
+
+
 def _replicate_numbers(rngs):
     """The replicate number of each stream."""
     return [(rng.bit_generator.seed_seq.spawn_key[-1],) for rng in rngs]
@@ -1113,3 +1136,97 @@ class TestBlasPin:
         pinned = scenario_mc(spec, 5.0, 5.0, reps=4, seed=0)
         monkeypatch.setattr(_blas, "_openblas_threads", lambda: None)
         assert scenario_mc(spec, 5.0, 5.0, reps=4, seed=0) == pinned
+
+
+placeable = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.sched_setaffinity and two allowed CPUs")
+
+
+class TestWorkerPlacement:
+    """Pool workers leave the CPU the caller ran on when it started the
+    pool; the caller's own affinity never changes."""
+
+    @pytest.fixture
+    def caller_cpus(self, monkeypatch):
+        """The CPU each pool start read for its caller, in start order."""
+        seen = []
+
+        def spy():
+            seen.append(_blas._current_cpu())
+            return seen[-1]
+
+        monkeypatch.setattr(sim, "_current_cpu", spy)
+        return seen
+
+    def assert_placed(self, pids, masks, cpu, allowed):
+        forked = pids != os.getpid()
+        assert forked.any()
+        assert set(masks[forked].tolist()) == {_mask(allowed - {cpu})}
+        assert set(masks[~forked].tolist()) <= {_mask(allowed)}
+        assert_reaped(pids[forked])
+
+    @placeable
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_forked_workers_leave_the_callers_cpu(self, caller_cpus,
+                                                  workers):
+        allowed = os.sched_getaffinity(0)
+        pids, masks = sim._replicate(_affinities, (), 16, 0, workers=workers)
+        (cpu,) = caller_cpus
+        assert cpu in allowed
+        self.assert_placed(pids, masks, cpu, allowed)
+        assert os.sched_getaffinity(0) == allowed
+
+    @placeable
+    def test_spawned_workers_are_placed_alike(self, caller_cpus,
+                                              monkeypatch):
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+        allowed = os.sched_getaffinity(0)
+        pids, masks = sim._replicate(_affinities, (), 8, 0, workers=2)
+        (cpu,) = caller_cpus
+        self.assert_placed(pids, masks, cpu, allowed)
+        assert os.sched_getaffinity(0) == allowed
+
+    @placeable
+    def test_callers_affinity_is_kept_when_a_chunk_raises(self):
+        allowed = os.sched_getaffinity(0)
+        with pytest.raises(RuntimeError, match="^chunk 1 failed$"):
+            sim._replicate(_failing_chunks, (), 48, 0, workers=2)
+        assert multiprocessing.active_children() == []
+        assert os.sched_getaffinity(0) == allowed
+
+    @placeable
+    def test_current_cpu_is_an_allowed_cpu(self):
+        assert _blas._current_cpu() in os.sched_getaffinity(0)
+
+    def test_no_cpu_without_sched_setaffinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        assert _blas._current_cpu() is None
+
+    @pytest.mark.parametrize("allowed, cpu, placed", [
+        ({0, 1, 2}, 1, [{0, 2}]),
+        ({0}, 0, []),  # no CPU would be left
+        ({0, 1}, None, []),  # the caller's CPU was not read
+    ])
+    def test_start_worker_places_only_where_a_cpu_is_left(
+            self, monkeypatch, allowed, cpu, placed):
+        calls = []
+        monkeypatch.setattr(_blas, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(allowed),
+                            raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            lambda pid, cpus: calls.append((pid, set(cpus))),
+                            raising=False)
+        _blas._start_worker(cpu)
+        assert calls == [(0, cpus) for cpus in placed]
+
+    def test_start_worker_survives_a_refused_placement(self, monkeypatch):
+        def refuse(pid, cpus):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(_blas, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        _blas._start_worker(0)
