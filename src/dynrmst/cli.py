@@ -4,7 +4,8 @@ Subcommands: km, crmst, test, fit, predict, evaluate, simulate, mc.  Outputs
 are CSV or JSON artifacts embedding the resolved configuration; any failure
 prints a machine-readable JSON error record to stderr and exits 1 (with the
 traceback too under ``--debug``); a malformed command line is an
-``InvalidInput`` record like any other.
+``InvalidInput`` record like any other.  Only ``simulate`` and ``mc`` import
+the simulator (``dynrmst.sim`` and its process pool), inside their commands.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .errors import DynRmstError, InvalidInput
 from .evaluate import evaluate_on_validation, predict
 from .gee import LOG, IDENTITY, DynamicModelFit, fit_super_model
 from .landmark import build_super_dataset
-from .sim import (joint_spec, scenario_mc, scenario_spec, simulate_joint,
-                  simulate_scenario)
 from .surv import crmst_km, crmst_pseudo, crmstd_test, km_fit
 
 __all__ = ["main"]
@@ -230,6 +229,8 @@ def _cmd_evaluate(args):
 
 
 def _cmd_simulate(args):
+    from .sim import joint_spec, scenario_spec, simulate_joint, simulate_scenario
+
     if args.design == "scenario":
         spec = scenario_spec(args.scenario, args.n, censor_target=args.cen)
         dataio.write_survival(args.output, simulate_scenario(spec, args.seed),
@@ -246,6 +247,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_mc(args):
+    from .sim import scenario_mc, scenario_spec
+
     spec = scenario_spec(args.scenario, args.n, censor_target=args.cen)
     report = scenario_mc(spec, args.s, args.w, args.reps, args.seed,
                          alpha=args.alpha, workers=args.workers)

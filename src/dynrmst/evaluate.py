@@ -90,16 +90,18 @@ def predict(fit: DynamicModelFit, covariates, s, alpha=0.05):
     else:
         h = h_matrix(fit.layout, times)
     # one matrix-vector product H(s_i)' [1, Z_i] and one dot product
-    # (g Cov) g per row, as in a one-row call
+    # (g Cov) g per row, as in a one-row call; an overflow is refused by
+    # the finite check below, with no numpy warning
     zstar = np.column_stack((np.ones(m), z.reshape(m, p)))
-    x = (np.swapaxes(h, -1, -2) @ zstar[:, :, None])[:, :, 0]
-    eta = x @ fit.beta
-    grad = fit.link.dginv(eta)[:, None] * x
-    se2 = ((grad @ fit.covariance)[:, None, :] @ grad[:, :, None])[:, 0, 0]
-    tq = stdtrit(fit.df, 1.0 - alpha / 2.0)
-    value, se = fit.link.ginv(eta), np.sqrt(np.maximum(se2, 0.0))
-    out = (np.array(np.broadcast_to(times, (m,))), value, se,
-           value - tq * se, value + tq * se)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (np.swapaxes(h, -1, -2) @ zstar[:, :, None])[:, :, 0]
+        eta = x @ fit.beta
+        grad = fit.link.dginv(eta)[:, None] * x
+        se2 = ((grad @ fit.covariance)[:, None, :] @ grad[:, :, None])[:, 0, 0]
+        tq = stdtrit(fit.df, 1.0 - alpha / 2.0)
+        value, se = fit.link.ginv(eta), np.sqrt(np.maximum(se2, 0.0))
+        out = (np.array(np.broadcast_to(times, (m,))), value, se,
+               value - tq * se, value + tq * se)
     finite = np.logical_and.reduce([np.isfinite(a) for a in out[1:]])
     if not finite.all():
         i = int(np.argmin(finite))

@@ -738,6 +738,22 @@ class TestInputDiagnostics:
             assert err["message"] == self.SANDWICH
         assert not model.exists()
 
+    @pytest.mark.parametrize("x1", ["1e200", "1e155"])
+    def test_predict_of_a_huge_covariate_fails_quietly(self, tmp_path,
+                                                       capsys, x1):
+        # (g Cov) g overflows to inf and then inf - inf in the matmul:
+        # numpy warnings came before the record
+        surv, long = joint_csvs(tmp_path)
+        model = fitted_model_path(tmp_path, surv, long)
+        err = error_record_alone(
+            ["predict", "--model", model, "--s", 2.5, "--covariates",
+             f"x1={x1}", "x2=0.3", "marker=2.0"], capsys)
+        assert err["error"] == "InvalidInput"
+        head, _, tail = err["message"].partition(" (value ")
+        assert head == "prediction at s=2.5 is not finite"
+        assert tail.endswith(", se nan): the model or the covariates "
+                             "overflow")
+
     def test_evaluate_window_too_long_is_an_error_record(self, tmp_path,
                                                          capsys):
         surv, long = joint_csvs(tmp_path)
@@ -794,11 +810,18 @@ import dynrmst.cli
 """
 
 
+# the simulator and its process pool
+SIMULATOR_MODULES = ("concurrent.futures", "dynrmst.sim", "multiprocessing")
+# PYTHONPATH of a fresh interpreter that imports this checkout's package
+SRC = str(Path(dynrmst.__file__).resolve().parents[1])
+
+
 def test_every_command_runs_with_scipy_unimportable(tmp_path):
     """Importing the package, every command at a tiny size (simulate and
     mc with and without --cen) and every replicate chunk a pool worker runs
     succeed in a fresh interpreter where scipy cannot be imported, and leave
-    no scipy module loaded."""
+    no scipy module loaded; the import and the commands km, crmst, test,
+    fit, predict and evaluate leave the simulator unloaded too."""
     scen, joint, joint_long, model = (tmp_path / name for name in (
         "scen.csv", "joint.csv", "joint_long.csv", "model.json"))
     mc = ["mc", "--scenario", 1, "--n", 20, "--s", 1, "--w", 2, "--reps", 2]
@@ -829,17 +852,22 @@ def test_every_command_runs_with_scipy_unimportable(tmp_path):
     cases.update({name: "with redirect_stdout(io.StringIO()): assert "
                         f"dynrmst.cli.main({[str(a) for a in argv]!r}) == 0"
                   for name, argv in commands.items()})
-    src = str(Path(dynrmst.__file__).resolve().parents[1])
+    # only simulate, mc and the pool's chunks need the simulator
+    simulator = {"simulate", "simulate --cen", "mc", "mc --cen", "chunks"}
     for case, body in cases.items():
         code = (f"{BLOCK_SCIPY}import io\n"
                 "from contextlib import redirect_stdout\n"
                 f"{body}\nprint(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy'))")
+                "if m.split('.')[0] == 'scipy'))\n"
+                f"print(sorted(set({SIMULATOR_MODULES!r}) & set(sys.modules)))")
         out = subprocess.run([sys.executable, "-c", code], text=True,
                              capture_output=True, cwd=tmp_path,
-                             env={**os.environ, "PYTHONPATH": src})
+                             env={**os.environ, "PYTHONPATH": SRC})
         assert (case, out.returncode, out.stderr) == (case, 0, "")
-        assert (case, out.stdout) == (case, "[]\n")
+        scipy_loaded, simulator_loaded = out.stdout.splitlines()
+        assert (case, scipy_loaded) == (case, "[]")
+        if case not in simulator:
+            assert (case, simulator_loaded) == (case, "[]")
 
 
 @pytest.mark.parametrize("module", sorted(
@@ -849,6 +877,81 @@ def test_every_name_in_all_resolves(module):
     only ``from dynrmst.<module> import *``."""
     mod = importlib.import_module(f"dynrmst.{module}")
     assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
+
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(dynrmst.__path__))
+
+
+def fresh_interpreter(code):
+    """stdout of ``code`` run by a new interpreter that imports this
+    checkout's package."""
+    out = subprocess.run([sys.executable, "-c", code], text=True,
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert (out.returncode, out.stderr) == (0, "")
+    return out.stdout
+
+
+def test_import_dynrmst_loads_no_submodule_and_no_numpy():
+    loaded = fresh_interpreter(
+        "import sys\nimport dynrmst\nprint(sorted(m for m in sys.modules if "
+        "m.startswith('dynrmst.') or m.split('.')[0] == 'numpy'))")
+    assert loaded == "[]\n"
+
+
+def public_names(module):
+    """``__all__`` of ``dynrmst.<module>``, or every public name in it
+    when it has none (``errors`` imports nothing)."""
+    mod = importlib.import_module(f"dynrmst.{module}")
+    return getattr(mod, "__all__", [n for n in vars(mod) if n[0] != "_"])
+
+
+def test_every_package_name_is_its_submodules_object():
+    """Each name of ``dynrmst.__all__`` but BACKEND is a public name of
+    one public submodule, and the package gives that submodule's object."""
+    owners = {name: [m for m in SUBMODULES
+                     if m[0] != "_" and name in public_names(m)]
+              for name in dynrmst.__all__ if name != "BACKEND"}
+    assert {n: len(m) for n, m in owners.items() if len(m) != 1} == {}
+    assert [n for n, (m,) in owners.items() if getattr(dynrmst, n) is not
+            getattr(importlib.import_module(f"dynrmst.{m}"), n)] == []
+
+
+def test_star_import_and_dir_give_the_63_public_names():
+    namespace = {}
+    exec("from dynrmst import *", namespace)
+    del namespace["__builtins__"]
+    assert len(dynrmst.__all__) == 63 and "BACKEND" in dynrmst.__all__
+    assert sorted(namespace) == sorted(dynrmst.__all__) == dir(dynrmst)
+    assert all(namespace[n] is getattr(dynrmst, n) for n in namespace)
+
+
+def test_submodules_resolve_as_attributes():
+    """In a fresh interpreter each submodule, loaded or not, is the
+    package attribute of its name."""
+    assert fresh_interpreter(
+        f"import sys\nimport dynrmst\nprint([m for m in {SUBMODULES!r} if "
+        "getattr(dynrmst, m) is not sys.modules[f'dynrmst.{m}']])") == "[]\n"
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dynrmst.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from dynrmst import no_such_name", {})
+
+
+def test_package_names_follow_a_rebound_submodule_attribute(monkeypatch):
+    """The package keeps no copy: a name rebound in its submodule, as a
+    tracer does, reads rebound from the package and restored after."""
+    from dynrmst import surv
+
+    original = surv.km_fit
+    monkeypatch.setattr(surv, "km_fit", object())
+    assert dynrmst.km_fit is surv.km_fit is not original
+    monkeypatch.undo()
+    assert dynrmst.km_fit is original
+    assert "km_fit" not in vars(dynrmst)
 
 
 class TestMcCommand:
