@@ -12,9 +12,10 @@ forked workers inherit the one-thread setting and must leave it alone.  In a
 forked child any call to the OpenBLAS setter, even one that sets the count
 it already has, restarts the BLAS thread server, so the worker then runs
 with a second OS thread and pooled work takes about twice its CPU time in
-wall time.  ``_start_worker`` is the pool initializer; for spawn and
-forkserver starts, whose workers begin with OpenBLAS's default count, it
-pins one thread, calling the setter only when the count is not already 1.
+wall time.  ``_start_worker`` is the first thing a pool worker runs, before
+it claims a chunk (``sim._pool_worker``); for spawn and forkserver starts,
+whose workers begin with OpenBLAS's default count, it pins one thread,
+calling the setter only when the count is not already 1.
 
 Before that pin, ``_start_worker`` moves the worker off the CPU the caller
 ran on when it started the pool (``_current_cpu``): the worker's affinity
@@ -109,10 +110,10 @@ def _current_cpu():
 
 
 def _start_worker(caller_cpu):
-    """Pool initializer: move a fresh worker off ``caller_cpu``, the CPU
-    the pool's caller ran on (None: stay), unless that would leave it no
-    CPU; then pin numpy's OpenBLAS to one thread, never calling the setter
-    when the count is already 1 (a forked worker that inherited the pin)."""
+    """Start a pool worker: move it off ``caller_cpu``, the CPU the pool's
+    caller ran on (None: stay), unless that would leave it no CPU; then pin
+    numpy's OpenBLAS to one thread, never calling the setter when the count
+    is already 1 (a forked worker that inherited the pin)."""
     if caller_cpu is not None:
         others = os.sched_getaffinity(0) - {caller_cpu}
         if others:

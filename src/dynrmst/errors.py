@@ -31,6 +31,10 @@ class MissingCovariate(DynRmstError):
             f"before landmark {landmark}"
         )
 
+    def __reduce__(self):  # rebuilt from its arguments, not its message
+        args = (self.subject_id, self.name, self.landmark)
+        return type(self), args, vars(self)
+
 
 class SingularDesign(DynRmstError):
     """Rank-deficient design matrix."""
@@ -50,6 +54,9 @@ class NoConvergence(DynRmstError):
             f"no convergence after {iterations} iterations "
             f"(score norm {score_norm:.3e})"
         )
+
+    def __reduce__(self):  # rebuilt from its arguments, not its message
+        return type(self), (self.iterations, self.score_norm), vars(self)
 
 
 class OutOfRange(DynRmstError):

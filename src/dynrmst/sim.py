@@ -15,7 +15,11 @@ population fit run numpy's bundled OpenBLAS on one thread, so results do
 not depend on the number of cores either.  ``workers`` counts the calling
 process: a harness call starts ``workers - 1`` pool processes, runs chunks
 of replicates in the caller beside them, and reaps them before it returns
-or raises.  The caller takes the BLAS pin once, around the whole pool and
+or raises.  The workers claim chunk indices from the front of one shared
+counter and the caller claims them from the back, so a worker that starts
+late takes fewer chunks; each worker sends all its outcomes in one message
+once no chunk is left, and the caller reads them after its own chunks.
+The caller takes the BLAS pin once, around the whole pool and
 its own chunks: forked workers inherit one BLAS thread, and a worker never
 calls the OpenBLAS setter when it already has one thread (see ``_blas``).
 Each worker sets its affinity to its allowed CPUs minus the one the caller
@@ -48,8 +52,9 @@ inversion (``_joint_samples``).
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.connection
 import numbers
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -948,40 +953,101 @@ def _replicate_chunk(payload):
     return fn(*args, [_rng_of(seed, 1, rep) for rep in range(lo, hi)])
 
 
-def _run_here(payload):
-    """A finished future holding one chunk's output, or its error, from a
-    run in the calling process."""
-    done = Future()
+def _outcome(payload):
+    """(True, a chunk's output) or (False, its error)."""
     try:
-        done.set_result(_replicate_chunk(payload))
+        return True, _replicate_chunk(payload)
     except Exception as exc:
-        done.set_exception(exc)
-    return done
+        return False, exc
+
+
+def _claim(ends, lock, front, workers=()):
+    """The next chunk index, taken from the front (a pool worker) or the
+    back (the caller) of the shared counter ``ends`` = [first unclaimed,
+    one past the last unclaimed], or None when every chunk is claimed.
+    The lock is held only to read and move the ends, never while a chunk
+    runs; should a worker die holding it, a caller that passes its
+    ``workers`` stops waiting once one of them has exited with a non-zero
+    code (a worker that exits with 0 has released it)."""
+    while not lock.acquire(timeout=0.1):
+        if any(worker.exitcode for worker in workers):
+            return None
+    try:
+        first, stop = ends
+        if first == stop:
+            return None
+        if front:
+            ends[0] = first + 1
+            return first
+        ends[1] = stop - 1
+        return stop - 1
+    finally:
+        lock.release()
+
+
+def _pool_worker(payloads, ends, lock, writer, caller_cpu):
+    """A pool process: claim chunks from the front until none is left, then
+    send every outcome, by chunk index, in one message."""
+    _start_worker(caller_cpu)
+    outcomes = {}
+    while (index := _claim(ends, lock, True)) is not None:
+        outcomes[index] = _outcome(payloads[index])
+    writer.send(outcomes)
 
 
 def _pooled_chunks(payloads, forked):
     """Every chunk's output in chunk order, run by ``forked`` pool workers
-    and the calling process.  The pool is handed chunks from the front,
-    never more than two per worker at a time (one running, one queued), and
-    the caller runs chunks from the back whenever the pool needs none, so a
-    worker that is slow to start takes fewer chunks.  Raises the error of
-    the first failing chunk in chunk order; every worker has exited when
-    this returns or raises.  Each worker leaves the CPU the caller runs on
-    here, where it can (``_blas._start_worker``)."""
-    with ProcessPoolExecutor(max_workers=forked, initializer=_start_worker,
-                             initargs=(_current_cpu(),)) as pool:
-        pooled, own = [], []  # chunks from the front, and from the back
-        try:
-            while len(pooled) + len(own) < len(payloads):
-                if sum(not f.done() for f in pooled) < 2 * forked:
-                    pooled.append(pool.submit(_replicate_chunk,
-                                              payloads[len(pooled)]))
-                else:
-                    own.append(_run_here(payloads[-1 - len(own)]))
-            return [f.result() for f in pooled + own[::-1]]
-        finally:
-            for f in pooled:  # an interrupted call starts no more chunks
-                f.cancel()
+    and the calling process.  The workers claim chunks from the front of one
+    shared counter and the caller claims them from the back, so a worker
+    that is slow to start takes fewer chunks; each worker sends its outcomes
+    in one message once no chunk is left.  Raises the error of the first
+    failing chunk in chunk order, or, when a worker exits without reporting,
+    an error naming its exit code; every worker has exited when this returns
+    or raises.  Each worker leaves the CPU the caller runs on here, where it
+    can (``_blas._start_worker``)."""
+    ctx = multiprocessing.get_context()
+    ends, lock = ctx.RawArray("q", [0, len(payloads)]), ctx.Lock()
+    caller_cpu = _current_cpu()
+    workers, readers, outcomes = [], [], {}
+    try:
+        for _ in range(forked):
+            reader, writer = ctx.Pipe(duplex=False)
+            readers.append(reader)
+            worker = ctx.Process(target=_pool_worker, args=(
+                payloads, ends, lock, writer, caller_cpu))
+            worker.start()
+            workers.append(worker)
+            # the worker holds the only write end: the reader sees EOF when
+            # the worker exits, and no later worker inherits it
+            writer.close()
+        while (index := _claim(ends, lock, False, workers)) is not None:
+            outcomes[index] = _outcome(payloads[index])
+        pending = dict(zip(readers, workers))
+        while pending:
+            for reader in multiprocessing.connection.wait(pending):
+                worker = pending.pop(reader)
+                try:
+                    outcomes.update(reader.recv())
+                except EOFError:
+                    worker.join()
+                    raise RuntimeError(
+                        f"pool worker {worker.pid} exited with code "
+                        f"{worker.exitcode} before reporting its chunks"
+                    ) from None
+    except BaseException:
+        for worker in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker in workers:
+            worker.join()
+        for reader in readers:
+            reader.close()
+    ordered = [outcomes[i] for i in range(len(payloads))]
+    for ok, out in ordered:
+        if not ok:
+            raise out
+    return [out for _, out in ordered]
 
 
 def _replicate(fn, args, reps, seed, workers=1):
@@ -991,9 +1057,11 @@ def _replicate(fn, args, reps, seed, workers=1):
     returns a list with one output per stream.  Returns one array per
     element of an output, stacked in replicate order.  ``workers - 1``
     processes, and no more than there are chunks besides one, are started
-    for the call and reaped before it returns or raises
-    (``_pooled_chunks``).  BLAS runs on one thread, pinned here before any
-    worker starts and held while the caller runs its chunks."""
+    for the call and reaped before it returns or raises; they claim chunks
+    from the front and the caller from the back, and each sends its
+    outcomes in one message (``_pooled_chunks``).  BLAS runs on one thread,
+    pinned here before any worker starts and held while the caller runs its
+    chunks."""
     size = max(1, -(-reps // max(1, workers * 4)))
     payloads = [(fn, args, seed, lo, min(lo + size, reps))
                 for lo in range(0, reps, size)]

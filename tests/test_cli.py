@@ -810,7 +810,8 @@ import dynrmst.cli
 """
 
 
-# the simulator and its process pool
+# the simulator, the multiprocessing its pool runs on, and concurrent.futures,
+# which no command loads
 SIMULATOR_MODULES = ("concurrent.futures", "dynrmst.sim", "multiprocessing")
 # PYTHONPATH of a fresh interpreter that imports this checkout's package
 SRC = str(Path(dynrmst.__file__).resolve().parents[1])
@@ -866,6 +867,7 @@ def test_every_command_runs_with_scipy_unimportable(tmp_path):
         assert (case, out.returncode, out.stderr) == (case, 0, "")
         scipy_loaded, simulator_loaded = out.stdout.splitlines()
         assert (case, scipy_loaded) == (case, "[]")
+        assert (case, "concurrent" in simulator_loaded) == (case, False)
         if case not in simulator:
             assert (case, simulator_loaded) == (case, "[]")
 

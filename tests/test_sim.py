@@ -1,11 +1,9 @@
 """Simulation designs, numerical truth, and Monte Carlo metrics."""
 
-import functools
 import multiprocessing
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,7 +16,7 @@ from scipy import integrate, stats
 
 from dynrmst import _blas, dataio, sim
 from dynrmst.basis import BasisLayout, SplineSpec
-from dynrmst.errors import EmptyRiskSet, InvalidInput
+from dynrmst.errors import EmptyRiskSet, InvalidInput, NoConvergence
 from dynrmst.gee import IDENTITY, fit_super_model, sandwich_cov
 from dynrmst.surv import SurvivalData, _jackknife_moments, crmstd_test
 from dynrmst._blas import _openblas_threads, _thread_functions
@@ -979,6 +977,67 @@ def _failing_chunks(rngs):
     return [(0.0,)] * len(rngs)
 
 
+def _hold(worker_ran):
+    """In a pool worker, mark the event ``worker_ran``; in the caller, wait
+    until a worker has marked it, so that the caller cannot claim every
+    chunk before a worker starts."""
+    if multiprocessing.parent_process() is None:
+        assert worker_ran.wait(timeout=60)
+    else:
+        worker_ran.set()
+
+
+def _held(worker_ran, fn, *args):
+    """``fn(*args)``, run once a pool worker has run a chunk (``_hold``)."""
+    _hold(worker_ran)
+    return fn(*args)
+
+
+def _slow_pids(caller_s, rngs):
+    """The process id of the process running a chunk of replicates, once
+    per replicate, after ``caller_s`` seconds in the caller and 0.05 s in a
+    pool worker."""
+    time.sleep(caller_s if multiprocessing.parent_process() is None else 0.05)
+    return [(os.getpid(),)] * len(rngs)
+
+
+def _no_convergence(worker_ran, rngs):
+    _hold(worker_ran)
+    raise NoConvergence(200, 1e-3)
+
+
+def _exit_in_a_worker(worker_ran, rngs):
+    """A chunk that ends a pool worker with exit code 3."""
+    _hold(worker_ran)
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return [(0.0,)] * len(rngs)
+
+
+def _interrupt_the_caller(worker_ran, rngs):
+    """A chunk that runs for a minute in a pool worker, and raises
+    KeyboardInterrupt in the caller once a worker is in its chunk."""
+    _hold(worker_ran)
+    if multiprocessing.parent_process() is None:
+        raise KeyboardInterrupt
+    time.sleep(60)
+    return [(0.0,)] * len(rngs)
+
+
+def _log_chunk(path, rngs):
+    """Append the chunk's first replicate number to the file ``path``, after
+    2 ms, so that the processes of a pool claim chunks side by side."""
+    time.sleep(0.002)
+    with open(path, "a") as log:
+        log.write(f"{_replicate_numbers(rngs)[0][0]}\n")
+    return [(0.0,)] * len(rngs)
+
+
+def _die_holding(lock):
+    lock.acquire()
+    os._exit(4)
+
+
 def assert_reaped(pids):
     """No process of ``pids`` exists, not even as a zombie: each was
     reaped."""
@@ -1059,6 +1118,75 @@ class TestCallerIsAWorker:
                                         workers=workers)
             assert numbers.tolist() == list(range(23))
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pooled_no_convergence_is_the_one_process_error(self, workers):
+        worker_ran = multiprocessing.Event()
+        if workers == 1:
+            worker_ran.set()  # no pool: the caller runs every chunk
+        with pytest.raises(NoConvergence, match=r"^no convergence after 200 "
+                           r"iterations \(score norm 1\.000e-03\)$") as exc:
+            sim._replicate(_no_convergence, (worker_ran,), 48, 0,
+                           workers=workers)
+        assert (exc.value.iterations, exc.value.score_norm) == (200, 1e-3)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("caller_s", [0.05, 0.08])
+    def test_workers_claim_from_the_front_and_the_caller_from_the_back(
+            self, caller_s):
+        # four chunks that take time: the worker starts while the caller
+        # runs chunk 3, and each process runs two.  Where the caller's chunk
+        # ends after the worker's first, the caller still claims chunk 2: no
+        # chunk is handed to the pool before a worker claims it
+        (pids,) = sim._replicate(_slow_pids, (caller_s,), 4, 0, workers=2)
+        (worker,) = set(pids.tolist()) - {os.getpid()}
+        assert pids.tolist() == [worker, worker, os.getpid(), os.getpid()]
+        assert_reaped([worker])
+
+    def test_every_chunk_runs_once_with_more_workers_than_cores(
+            self, tmp_path):
+        # eight processes claim 32 one-replicate chunks from one counter: a
+        # claim that two processes both won would log a chunk twice
+        for attempt in range(5):
+            log = tmp_path / f"chunks{attempt}.txt"
+            sim._replicate(_log_chunk, (str(log),), 32, 0, workers=8)
+            assert sorted(map(int, log.read_text().split())) == list(range(32))
+            assert multiprocessing.active_children() == []
+
+
+class TestPoolFailures:
+    """A pool worker that dies, or a caller that is interrupted, never
+    leaves the caller waiting or a worker unreaped."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_worker_that_exits_unreported_is_named(self, workers):
+        with pytest.raises(RuntimeError, match="^pool worker [0-9]+ exited "
+                           "with code 3 before reporting its chunks$"):
+            sim._replicate(_exit_in_a_worker, (multiprocessing.Event(),), 16,
+                           0, workers=workers)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_an_interrupted_caller_terminates_its_workers(self, workers):
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            sim._replicate(_interrupt_the_caller, (multiprocessing.Event(),),
+                           16, 0, workers=workers)
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_a_claim_does_not_wait_on_a_lock_a_dead_worker_held(self):
+        ctx = multiprocessing.get_context()
+        ends, lock = ctx.RawArray("q", [0, 4]), ctx.Lock()
+        assert [sim._claim(ends, lock, front)
+                for front in (True, False, True)] == [0, 3, 1]
+        dead = ctx.Process(target=_die_holding, args=(lock,))
+        dead.start()
+        dead.join(timeout=30)
+        assert dead.exitcode == 4
+        assert sim._claim(ends, lock, False, [dead]) is None
+        assert list(ends) == [2, 3]
+        assert multiprocessing.active_children() == []
+
 
 class TestBlasPin:
     def test_replicates_run_on_one_thread_and_count_is_restored(
@@ -1101,8 +1229,8 @@ class TestBlasPin:
         # a forked worker that calls the OpenBLAS setter restarts its BLAS
         # thread server and runs with a second OS thread; the chunks the
         # caller runs share its process with the pool's threads
-        blas, os_threads, pids = sim._replicate(_thread_counts, (), 16, 0,
-                                                workers=2)
+        blas, os_threads, pids = sim._replicate(
+            _held, (multiprocessing.Event(), _thread_counts), 16, 0, workers=2)
         forked = pids != os.getpid()
         assert forked.any()
         assert os_threads[forked].tolist() == [1] * forked.sum()
@@ -1113,10 +1241,11 @@ class TestBlasPin:
                                                  monkeypatch):
         spec = scenario_spec(2, 20)
         serial = scenario_mc(spec, 5.0, 5.0, reps=8, seed=0, workers=1)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", functools.partial(
-            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
-        blas, _ = sim._replicate(_blas_threads_chunk, (spec, 5.0, 5.0), 4, 0,
-                                 workers=2)
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(multiprocessing, "get_context", lambda: spawn)
+        blas, _ = sim._replicate(
+            _held, (spawn.Event(), _blas_threads_chunk, spec, 5.0, 5.0), 4, 0,
+            workers=2)
         assert blas.tolist() == [1.0] * 4
         assert scenario_mc(spec, 5.0, 5.0, reps=8, seed=0, workers=2) == serial
 
@@ -1171,7 +1300,9 @@ class TestWorkerPlacement:
     def test_forked_workers_leave_the_callers_cpu(self, caller_cpus,
                                                   workers):
         allowed = os.sched_getaffinity(0)
-        pids, masks = sim._replicate(_affinities, (), 16, 0, workers=workers)
+        pids, masks = sim._replicate(
+            _held, (multiprocessing.Event(), _affinities), 16, 0,
+            workers=workers)
         (cpu,) = caller_cpus
         assert cpu in allowed
         self.assert_placed(pids, masks, cpu, allowed)
@@ -1180,10 +1311,11 @@ class TestWorkerPlacement:
     @placeable
     def test_spawned_workers_are_placed_alike(self, caller_cpus,
                                               monkeypatch):
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", functools.partial(
-            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(multiprocessing, "get_context", lambda: spawn)
         allowed = os.sched_getaffinity(0)
-        pids, masks = sim._replicate(_affinities, (), 8, 0, workers=2)
+        pids, masks = sim._replicate(_held, (spawn.Event(), _affinities), 8, 0,
+                                     workers=2)
         (cpu,) = caller_cpus
         self.assert_placed(pids, masks, cpu, allowed)
         assert os.sched_getaffinity(0) == allowed
