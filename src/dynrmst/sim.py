@@ -55,6 +55,8 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import numbers
+import pickle
+import traceback
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -954,11 +956,29 @@ def _replicate_chunk(payload):
 
 
 def _outcome(payload):
-    """(True, a chunk's output) or (False, its error)."""
+    """(True, a chunk's output, None) or (False, its error, its traceback as
+    text)."""
     try:
-        return True, _replicate_chunk(payload)
+        return True, _replicate_chunk(payload), None
     except Exception as exc:
-        return False, exc
+        return False, exc, traceback.format_exc()
+
+
+def _picklable(outcome):
+    """``outcome``, or the failed outcome of the error pickling it raises."""
+    try:
+        pickle.dumps(outcome)
+    except Exception as exc:
+        return False, exc, traceback.format_exc()
+    return outcome
+
+
+class _RemoteTraceback(Exception):
+    """The traceback of a chunk's error in the pool worker that ran it,
+    chained in the caller as that error's cause."""
+
+    def __str__(self):
+        return f'\n"""\n{self.args[0]}"""'
 
 
 def _claim(ends, lock, front, workers=()):
@@ -987,12 +1007,17 @@ def _claim(ends, lock, front, workers=()):
 
 def _pool_worker(payloads, ends, lock, writer, caller_cpu):
     """A pool process: claim chunks from the front until none is left, then
-    send every outcome, by chunk index, in one message."""
+    send every outcome, by chunk index, in one message.  An outcome that
+    cannot be pickled is sent as the error pickling it raised, so that it
+    costs no other outcome."""
     _start_worker(caller_cpu)
     outcomes = {}
     while (index := _claim(ends, lock, True)) is not None:
         outcomes[index] = _outcome(payloads[index])
-    writer.send(outcomes)
+    try:
+        writer.send(outcomes)
+    except Exception:  # pickling failed before a byte was written
+        writer.send({i: _picklable(out) for i, out in outcomes.items()})
 
 
 def _pooled_chunks(payloads, forked):
@@ -1001,8 +1026,9 @@ def _pooled_chunks(payloads, forked):
     shared counter and the caller claims them from the back, so a worker
     that is slow to start takes fewer chunks; each worker sends its outcomes
     in one message once no chunk is left.  Raises the error of the first
-    failing chunk in chunk order, or, when a worker exits without reporting,
-    an error naming its exit code; every worker has exited when this returns
+    failing chunk in chunk order, its cause the traceback of the worker that
+    ran it, if one did; or, when a worker exits without reporting, an error
+    naming its exit code; every worker has exited when this returns
     or raises.  Each worker leaves the CPU the caller runs on here, where it
     can (``_blas._start_worker``)."""
     ctx = multiprocessing.get_context()
@@ -1027,13 +1053,17 @@ def _pooled_chunks(payloads, forked):
             for reader in multiprocessing.connection.wait(pending):
                 worker = pending.pop(reader)
                 try:
-                    outcomes.update(reader.recv())
+                    received = reader.recv()
                 except EOFError:
                     worker.join()
                     raise RuntimeError(
                         f"pool worker {worker.pid} exited with code "
                         f"{worker.exitcode} before reporting its chunks"
                     ) from None
+                for ok, out, text in received.values():
+                    if not ok:
+                        out.__cause__ = _RemoteTraceback(text)
+                outcomes.update(received)
     except BaseException:
         for worker in workers:
             worker.terminate()
@@ -1044,10 +1074,10 @@ def _pooled_chunks(payloads, forked):
         for reader in readers:
             reader.close()
     ordered = [outcomes[i] for i in range(len(payloads))]
-    for ok, out in ordered:
+    for ok, out, _ in ordered:
         if not ok:
             raise out
-    return [out for _, out in ordered]
+    return [out for _, out, _ in ordered]
 
 
 def _replicate(fn, args, reps, seed, workers=1):

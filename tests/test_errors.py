@@ -23,7 +23,7 @@ ARGUMENTS = {
                                        key=lambda cls: cls.__name__))
 def test_every_error_round_trips_through_pickle(cls):
     exc = cls(*ARGUMENTS.get(cls, ("a message",)))
-    exc.add_note("a note")
+    exc.extra = "a value"
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is cls
     assert (str(back), back.args, vars(back)) == (str(exc), exc.args, vars(exc))

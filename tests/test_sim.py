@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import threading
 import time
 import warnings
 
@@ -993,17 +994,33 @@ def _held(worker_ran, fn, *args):
     return fn(*args)
 
 
-def _slow_pids(caller_s, rngs):
-    """The process id of the process running a chunk of replicates, once
-    per replicate, after ``caller_s`` seconds in the caller and 0.05 s in a
-    pool worker."""
-    time.sleep(caller_s if multiprocessing.parent_process() is None else 0.05)
-    return [(os.getpid(),)] * len(rngs)
+def _paired_pids(first, second, rngs):
+    """The process id of the process running a one-replicate chunk, once
+    the chunk has met its pair at a barrier: chunks 0 and 3 meet at
+    ``first``, chunks 1 and 2 at ``second``."""
+    (chunk,) = _replicate_numbers(rngs)[0]
+    (first if chunk in (0, 3) else second).wait(timeout=30)
+    return [(os.getpid(),)]
 
 
 def _no_convergence(worker_ran, rngs):
     _hold(worker_ran)
     raise NoConvergence(200, 1e-3)
+
+
+def _fail_in_a_worker(worker_ran, rngs):
+    _hold(worker_ran)
+    if multiprocessing.parent_process() is not None:
+        raise RuntimeError("a worker's chunk failed")
+    return [(0.0,)] * len(rngs)
+
+
+def _unpicklable_in_a_worker(worker_ran, rngs):
+    """A chunk whose output cannot be pickled where a pool worker runs it."""
+    _hold(worker_ran)
+    if multiprocessing.parent_process() is not None:
+        return [(threading.Lock(),)] * len(rngs)
+    return [(0.0,)] * len(rngs)
 
 
 def _exit_in_a_worker(worker_ran, rngs):
@@ -1130,14 +1147,14 @@ class TestCallerIsAWorker:
         assert (exc.value.iterations, exc.value.score_norm) == (200, 1e-3)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("caller_s", [0.05, 0.08])
-    def test_workers_claim_from_the_front_and_the_caller_from_the_back(
-            self, caller_s):
-        # four chunks that take time: the worker starts while the caller
-        # runs chunk 3, and each process runs two.  Where the caller's chunk
-        # ends after the worker's first, the caller still claims chunk 2: no
-        # chunk is handed to the pool before a worker claims it
-        (pids,) = sim._replicate(_slow_pids, (caller_s,), 4, 0, workers=2)
+    def test_workers_claim_from_the_front_and_the_caller_from_the_back(self):
+        # four one-replicate chunks, each of which waits until its pair runs
+        # beside it: the worker claims 0 and 1 from the front and the caller
+        # 3 and 2 from the back.  A pool handed chunks before its workers
+        # claim them queues chunk 2 behind chunk 1, whose barrier times out
+        (pids,) = sim._replicate(_paired_pids, (multiprocessing.Barrier(2),
+                                                multiprocessing.Barrier(2)),
+                                 4, 0, workers=2)
         (worker,) = set(pids.tolist()) - {os.getpid()}
         assert pids.tolist() == [worker, worker, os.getpid(), os.getpid()]
         assert_reaped([worker])
@@ -1172,6 +1189,27 @@ class TestPoolFailures:
             sim._replicate(_interrupt_the_caller, (multiprocessing.Event(),),
                            16, 0, workers=workers)
         assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_worker_error_carries_the_worker_traceback(self, workers):
+        with pytest.raises(RuntimeError,
+                           match="^a worker's chunk failed$") as exc:
+            sim._replicate(_fail_in_a_worker, (multiprocessing.Event(),), 16,
+                           0, workers=workers)
+        cause = exc.value.__cause__
+        assert isinstance(cause, sim._RemoteTraceback)
+        assert "in _fail_in_a_worker" in str(cause)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_an_output_that_cannot_be_pickled_raises_its_pickling_error(
+            self, workers):
+        # not the error of a worker that exited before reporting its chunks
+        with pytest.raises(TypeError, match="pickle") as exc:
+            sim._replicate(_unpicklable_in_a_worker,
+                           (multiprocessing.Event(),), 16, 0, workers=workers)
+        assert isinstance(exc.value.__cause__, sim._RemoteTraceback)
         assert multiprocessing.active_children() == []
 
     def test_a_claim_does_not_wait_on_a_lock_a_dead_worker_held(self):
